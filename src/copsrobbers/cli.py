@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--k", type=int)
     p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_STATE_BUDGET)
+    p.add_argument("--budget", type=int, default=solver.DEFAULT_STATE_BUDGET,
+                   help="limit on n**(k+1), the bits of one solver label table (exit 3 above it)")
     p.add_argument("--placement", action="store_true")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("-o", "--out")
@@ -383,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--robber", choices=["greedy", "random"], default="greedy")
     p.add_argument("--max-rounds", type=int, default=200)
     p.add_argument("--invisible", action="store_true")
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_STATE_BUDGET)
+    p.add_argument("--budget", type=int, default=solver.DEFAULT_STATE_BUDGET,
+                   help="solver cops: limit on n**(k+1), the bits of one label table")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_play)

@@ -1,12 +1,29 @@
 """Ground-truth game solver by retrograde analysis.
 
-States are (sorted cop multiset, robber vertex, side to move); sorting the
-cop positions quotients the symmetry among cops.  Winning labels are stored
-as bitmasks over robber vertices, one per cop multiset.  The fixpoint is
-computed by Jacobi-style sweeps -- every sweep reads only the previous
-sweep's labels -- so a data-parallel evaluation would be bit-identical to
-the sequential one, and each state's first-won sweep is well defined (used
-for strategy extraction).
+States are (ordered cop tuple, robber vertex, side to move).  Each side's win
+labels over all n**k ordered cop tuples and n robber vertices are one Python
+int: bit ``i*n + r`` holds cop tuple ``i`` (its base-n digits, cop 0 most
+significant) against robber ``r``.  A sweep is big-int AND/OR/shift work over
+whole slabs of the table, one pass per axis:
+
+  robber step:  (i, r) is won unless some x in N[r] has (i, x) unwon with the
+                cops to move -- one pass along the robber digit over the
+                complement of the cops-to-move labels;
+  cop step:     the cops move independently, so "some joint cop move reaches
+                a won robber-to-move state" is k passes, one per cop digit,
+                each ORing the slab at digit x into the slab at digit c for
+                every x in N[c].
+
+The fixpoint is computed by Jacobi-style sweeps -- every sweep reads only the
+previous sweep's labels -- so each state's first-won sweep is well defined.
+The final cops-to-move labels, and the first-won sweep of every
+robber-to-move state as ceil(log2(sweeps + 1)) bit-plane tables, are kept
+as bytes, so a state probe costs O(1) and a level costs O(log sweeps).
+A pass moves one slab at a time, so a solve holds a few tables besides the
+planes; ``budget`` bounds the bits of one table.  Labels are symmetric under
+permuting the cops, so the lowest winning ordered tuple is sorted: it is the
+lex-smallest winning multiset.  ``SolverCop`` plays the joint move with the
+least (first-won sweep, sorted target, ordered target).
 
 Definitions (cops win a state):
   cops to move:   capture now, or some cop move reaches a winning
@@ -17,8 +34,6 @@ Definitions (cops win a state):
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,138 +49,135 @@ __all__ = [
     "SolverCop",
 ]
 
+# Upper bound on n**(k+1), the bits of one label table.
 DEFAULT_STATE_BUDGET = 50_000_000
 
 
 @dataclass(frozen=True)
 class _Tables:
-    k: int
-    msets: tuple
-    index: dict
-    succ: tuple          # per multiset: tuple of successor multiset indices
-    win_cop: tuple       # per multiset: bitmask over robber vertices
-    win_rob: tuple
-    rob_level: tuple     # per multiset: tuple of first-won sweep per robber (-1 never)
-    sweeps: int
+    n: int
+    sweeps: int          # sweeps that changed some label, capture being sweep 0
+    win_cop: bytes       # final cops-to-move labels, bit i*n + r (little-endian)
+    planes: tuple        # bit planes of each robber-to-move state's first-won
+                         # sweep, most significant first; all ones = never won
+    placement: tuple | None  # lex-smallest winning cop tuple
+
+    def state(self, cops, r: int) -> int:
+        """Bit index of (cops, r) in the label tables."""
+        i = 0
+        for c in cops:
+            i = i * self.n + c
+        return i * self.n + r
+
+    def level(self, b: int) -> int:
+        """First sweep that won robber-to-move state ``b``, or -1 if none did."""
+        v = 0
+        for plane in self.planes:
+            v = 2 * v + _bit(plane, b)
+        return -1 if v == (1 << len(self.planes)) - 1 else v
 
 
-def _state_count(n: int, k: int) -> int:
-    return math.comb(n + k - 1, k) * n * 2
+def _bit(table: bytes, b: int) -> int:
+    return (table[b >> 3] >> (b & 7)) & 1
+
+
+def _tile(pattern: int, period: int, total: int) -> int:
+    """`pattern` repeated every `period` bits over `total` bits."""
+    width = period
+    while width < total:
+        pattern |= pattern << width
+        width *= 2
+    return pattern & ((1 << total) - 1)
+
+
+def _some_neighbor(table: int, stride: int, zero: int, closed) -> int:
+    """Bit (.., c, ..) of the result is set iff some x in N[c] has bit
+    (.., x, ..) set in `table`, along the base-n digit of weight `stride`.
+
+    Slab x (digit = x, shifted to digit 0 by the mask `zero`) is ORed into
+    digit c for every c in N[x]; closed neighbourhoods are symmetric, and
+    only one slab exists at a time.
+    """
+    out = 0
+    for x, nbhd in enumerate(closed):
+        slab = (table >> (x * stride)) & zero
+        for c in nbhd:
+            out |= slab << (c * stride)
+    return out
 
 
 @lru_cache(maxsize=64)
-def _solve(g: Graph, k: int, budget: int) -> _Tables:
+def _solve(g: Graph, k: int) -> _Tables:
     n = g.n
+    size = n ** (k + 1)
+    nbytes = (size + 7) // 8
+    ones = (1 << size) - 1
+    closed = [(v,) + g.neighbors(v) for v in range(n)]
+    # zero[p]: the bits whose base-n digit p is 0 (p = 0 robber, p >= 1 cop axes)
+    zero = [_tile((1 << n**p) - 1, n ** (p + 1), size) for p in range(k + 1)]
+
+    capture = 0
+    for p in range(1, k + 1):
+        diag = zero[0] & zero[p]
+        for c in range(n):
+            capture |= diag << (c * n**p + c)
+
+    win_cop = win_rob = capture
+    planes = []             # planes[j]: states whose first-won sweep has bit j set
+    sweep = 0               # capture is sweep 0
+    while True:
+        # robber to move: won unless some robber move reaches an unwon state
+        new_rob = win_rob | (ones ^ _some_neighbor(ones ^ win_cop, 1, zero[0], closed))
+        # cops to move: one existential pass per cop axis
+        reach = win_rob
+        for p in range(1, k + 1):
+            reach = _some_neighbor(reach, n**p, zero[p], closed)
+        new_cop = win_cop | reach
+        if new_rob == win_rob and new_cop == win_cop:
+            break
+        sweep += 1
+        won = new_rob ^ win_rob
+        planes += [0] * (sweep.bit_length() - len(planes))
+        for j in range(len(planes)):
+            if sweep >> j & 1:
+                planes[j] |= won
+        win_rob, win_cop = new_rob, new_cop
+    sweeps = sweep + 1
+    # never-won states are all ones, above every level 0..sweeps-1
+    planes += [0] * (sweeps.bit_length() - len(planes))
+    never = ones ^ win_rob
+    planes = tuple((plane | never).to_bytes(nbytes, "little") for plane in reversed(planes))
+
+    everywhere = zero[0]    # cop tuples that win against every robber vertex
+    for x in range(n):
+        everywhere &= win_cop >> x
+    placement = None
+    if everywhere:
+        i = ((everywhere & -everywhere).bit_length() - 1) // n
+        placement = tuple(i // n ** (k - 1 - j) % n for j in range(k))
+    return _Tables(n, sweeps, win_cop.to_bytes(nbytes, "little"), planes, placement)
+
+
+def _tables(g: Graph, k: int, budget: int) -> _Tables:
+    """The cached tables of (g, k); the budget is checked on every call."""
+    if not is_connected(g):
+        raise ValueError("solver requires a connected graph")
     if k < 1:
         raise ValueError("need k >= 1")
-    states = _state_count(n, k)
-    if states > budget:
-        raise ResourceLimitError(
-            f"{states} states exceed the budget of {budget}"
-        )
-    msets = tuple(itertools.combinations_with_replacement(range(n), k))
-    index = {ms: i for i, ms in enumerate(msets)}
-    m_count = len(msets)
-
-    options = [tuple(sorted((c,) + g.neighbors(c))) for c in range(n)]
-    succ = []
-    for ms in msets:
-        outs = {tuple(sorted(p)) for p in itertools.product(*(options[c] for c in ms))}
-        succ.append(tuple(sorted(index[t] for t in outs)))
-    succ = tuple(succ)
-
-    full = (1 << n) - 1
-    capture = []
-    for ms in msets:
-        mask = 0
-        for c in ms:
-            mask |= 1 << c
-        capture.append(mask)
-
-    closed = [g.closed_neighbor_mask(r) for r in range(n)]
-
-    win_cop = list(capture)
-    win_rob = list(capture)
-    rob_level = [[0 if (capture[ci] >> r) & 1 else -1 for r in range(n)] for ci in range(m_count)]
-
-    sweep = 0
-    while True:
-        sweep += 1
-        changed = False
-        new_rob = []
-        for ci in range(m_count):
-            cur = win_rob[ci]
-            if cur == full:
-                new_rob.append(cur)
-                continue
-            wc = win_cop[ci]
-            add = 0
-            pending = ~cur & full
-            while pending:
-                low = pending & -pending
-                r = low.bit_length() - 1
-                pending ^= low
-                if closed[r] & ~wc == 0:
-                    add |= low
-            if add:
-                changed = True
-                levels = rob_level[ci]
-                bits = add
-                while bits:
-                    low = bits & -bits
-                    levels[low.bit_length() - 1] = sweep
-                    bits ^= low
-            new_rob.append(cur | add)
-        new_cop = []
-        for ci in range(m_count):
-            cur = win_cop[ci]
-            if cur == full:
-                new_cop.append(cur)
-                continue
-            acc = cur
-            for cj in succ[ci]:
-                acc |= win_rob[cj]
-                if acc == full:
-                    break
-            if acc != cur:
-                changed = True
-            new_cop.append(acc)
-        win_rob = new_rob
-        win_cop = new_cop
-        if not changed:
-            break
-
-    return _Tables(
-        k=k,
-        msets=msets,
-        index=index,
-        succ=succ,
-        win_cop=tuple(win_cop),
-        win_rob=tuple(win_rob),
-        rob_level=tuple(tuple(l) for l in rob_level),
-        sweeps=sweep,
-    )
+    bits = g.n ** (k + 1)
+    if bits > budget:
+        raise ResourceLimitError(f"{bits} table bits (n**(k+1)) exceed the budget of {budget}")
+    return _solve(g, k)
 
 
 def is_k_copwin(g: Graph, k: int, budget: int = DEFAULT_STATE_BUDGET) -> bool:
     """True iff k cops have a winning strategy on the connected graph g."""
-    if not is_connected(g):
-        raise ValueError("solver requires a connected graph")
-    t = _solve(g, k, budget)
-    full = (1 << g.n) - 1
-    return any(w == full for w in t.win_cop)
+    return _tables(g, k, budget).placement is not None
 
 
 def k_copwin_placement(g: Graph, k: int, budget: int = DEFAULT_STATE_BUDGET):
     """A winning initial placement (lex-smallest multiset), or None."""
-    if not is_connected(g):
-        raise ValueError("solver requires a connected graph")
-    t = _solve(g, k, budget)
-    full = (1 << g.n) - 1
-    for ci, w in enumerate(t.win_cop):
-        if w == full:
-            return t.msets[ci]
-    return None
+    return _tables(g, k, budget).placement
 
 
 def cop_number(g: Graph, k_max: int, budget: int = DEFAULT_STATE_BUDGET):
@@ -215,32 +227,25 @@ def is_dismantlable(g: Graph) -> tuple[bool, list[int]]:
 class SolverCop:
     """Optimal cop strategy extracted from the retrograde tables.
 
-    From a winning cops-to-move state it plays the successor minimizing
-    (first-won sweep of the resulting robber state, successor multiset),
-    which strictly decreases the sweep level and therefore forces capture.
+    From a winning cops-to-move state it plays the joint move minimizing
+    (first-won sweep of the resulting robber state, sorted target, ordered
+    target), which strictly decreases the sweep level and therefore forces
+    capture.  Moves are memoized per (cop tuple, robber).
     """
 
     name = "solver-optimal"
 
     def __init__(self, g: Graph, k: int, budget: int = DEFAULT_STATE_BUDGET):
-        if not is_connected(g):
-            raise ValueError("solver requires a connected graph")
-        self._tables = _solve(g, k, budget)
+        self._tables = _tables(g, k, budget)
         self._k = k
-        full = (1 << g.n) - 1
-        placement = None
-        for ci, w in enumerate(self._tables.win_cop):
-            if w == full:
-                placement = self._tables.msets[ci]
-                break
-        if placement is None:
+        if self._tables.placement is None:
             raise ValueError(f"{k} cops do not win on this graph")
-        self._placement = placement
+        self._moves: dict = {}
 
     def place(self, g, cfg):
         if cfg.cop_count != self._k:
             raise ValueError("config cop count does not match the solved tables")
-        return self._placement
+        return self._tables.placement
 
     def initial_state(self):
         return None
@@ -249,47 +254,25 @@ class SolverCop:
         r = view.robber_position
         if r is None:
             raise ValueError("solver strategy needs a visible robber")
+        key = (tuple(view.cop_positions), r)
+        if key not in self._moves:
+            self._moves[key] = self._choose(g, *key)
+        return self._moves[key], state
+
+    def _choose(self, g, cops, r):
         t = self._tables
-        ms = tuple(sorted(view.cop_positions))
-        ci = t.index[ms]
-        if (t.win_cop[ci] >> r) & 1 == 0:
+        n, k = t.n, len(cops)
+        if not _bit(t.win_cop, t.state(cops, r)):
             # Not a winning state (robber deviated into one we cannot punish);
             # hold position.  Unreachable when play starts from our placement.
-            return view.cop_positions, state
-        best = None
-        best_key = None
-        for cj in t.succ[ci]:
-            if (t.win_rob[cj] >> r) & 1:
-                key = (t.rob_level[cj][r], t.msets[cj])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = cj
-        target = t.msets[best]
-        return _realize(g, view.cop_positions, target), state
-
-
-def _realize(g: Graph, current: tuple[int, ...], target_ms: tuple[int, ...]) -> tuple[int, ...]:
-    """Ordered per-cop moves from `current` realizing the target multiset."""
-    k = len(current)
-    remaining: list[int | None] = list(target_ms)
-    out: list[int | None] = [None] * k
-
-    def bt(i: int) -> bool:
-        if i == k:
-            return True
-        tried = set()
-        for idx, tgt in enumerate(remaining):
-            if tgt is None or tgt in tried:
-                continue
-            tried.add(tgt)
-            if tgt == current[i] or tgt in g.neighbors(current[i]):
-                out[i] = tgt
-                remaining[idx] = None
-                if bt(i + 1):
-                    return True
-                remaining[idx] = tgt
-        return False
-
-    if not bt(0):
-        raise RuntimeError("unrealizable successor multiset (solver bug)")
-    return tuple(out)
+            return cops
+        targets = [(r, ())]     # (bit index, ordered cop move) of every joint move
+        for j, c in enumerate(cops):
+            step = n ** (k - j)
+            targets = [(b + x * step, m + (x,)) for b, m in targets for x in (c,) + g.neighbors(c)]
+        tied = targets          # narrowed to the least first-won sweep, plane by plane
+        for plane in t.planes:
+            zeros = [(b, m) for b, m in tied if not plane[b >> 3] >> (b & 7) & 1]
+            if zeros:
+                tied = zeros
+        return min((m for b, m in tied), key=lambda m: (sorted(m), m))

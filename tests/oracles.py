@@ -125,3 +125,153 @@ def two_colorable(g):
                 elif color[y] == color[x]:
                     return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Multiset retrograde solver: the reference for copsrobbers.solver.
+#
+# States are (sorted cop multiset, robber vertex, side to move); each
+# multiset's successors are enumerated with itertools.product and its win
+# labels are bitmasks over robber vertices.  The fixpoint is the same Jacobi
+# iteration as the library's (every sweep reads only the previous labels), so
+# labels, first-won sweeps and the sweep count must agree exactly.
+# ---------------------------------------------------------------------------
+
+
+class MultisetTables:
+    def __init__(self, msets, index, succ, win_cop, win_rob, rob_level, sweeps):
+        self.msets = msets
+        self.index = index
+        self.succ = succ              # per multiset: successor multiset indices
+        self.win_cop = win_cop        # per multiset: bitmask over robber vertices
+        self.win_rob = win_rob
+        self.rob_level = rob_level    # per multiset: first-won sweep per robber (-1 never)
+        self.sweeps = sweeps
+
+
+def multiset_solve(g, k):
+    n = g.n
+    msets = tuple(itertools.combinations_with_replacement(range(n), k))
+    index = {ms: i for i, ms in enumerate(msets)}
+    m_count = len(msets)
+
+    options = [tuple(sorted((c,) + g.neighbors(c))) for c in range(n)]
+    succ = []
+    for ms in msets:
+        outs = {tuple(sorted(p)) for p in itertools.product(*(options[c] for c in ms))}
+        succ.append(tuple(sorted(index[t] for t in outs)))
+
+    full = (1 << n) - 1
+    capture = []
+    for ms in msets:
+        mask = 0
+        for c in ms:
+            mask |= 1 << c
+        capture.append(mask)
+    closed = [g.closed_neighbor_mask(r) for r in range(n)]
+
+    win_cop = list(capture)
+    win_rob = list(capture)
+    rob_level = [[0 if (capture[ci] >> r) & 1 else -1 for r in range(n)]
+                 for ci in range(m_count)]
+    sweep = 0
+    while True:
+        sweep += 1
+        changed = False
+        new_rob = []
+        for ci in range(m_count):
+            cur = win_rob[ci]
+            add = 0
+            for r in range(n):
+                if not (cur >> r) & 1 and closed[r] & ~win_cop[ci] == 0:
+                    add |= 1 << r
+                    rob_level[ci][r] = sweep
+            changed |= add != 0
+            new_rob.append(cur | add)
+        new_cop = []
+        for ci in range(m_count):
+            acc = win_cop[ci]
+            for cj in succ[ci]:
+                acc |= win_rob[cj]
+            changed |= acc != win_cop[ci]
+            new_cop.append(acc)
+        win_rob, win_cop = new_rob, new_cop
+        if not changed:
+            break
+    return MultisetTables(msets, index, tuple(succ), tuple(win_cop), tuple(win_rob),
+                          tuple(tuple(lv) for lv in rob_level), sweep)
+
+
+def multiset_placement(g, k):
+    """Lex-smallest winning multiset, or None."""
+    t = multiset_solve(g, k)
+    full = (1 << g.n) - 1
+    for ci, w in enumerate(t.win_cop):
+        if w == full:
+            return t.msets[ci]
+    return None
+
+
+class MultisetSolverCop:
+    """The cop strategy read from the multiset tables.
+
+    It plays the successor multiset minimizing (first-won sweep, multiset),
+    realised by the lexicographically smallest ordered per-cop assignment.
+    """
+
+    name = "solver-optimal"
+
+    def __init__(self, g, k):
+        self._tables = multiset_solve(g, k)
+        self._k = k
+        self._placement = multiset_placement(g, k)
+        if self._placement is None:
+            raise ValueError(f"{k} cops do not win on this graph")
+
+    def place(self, g, cfg):
+        return self._placement
+
+    def initial_state(self):
+        return None
+
+    def move(self, g, view, state):
+        r = view.robber_position
+        t = self._tables
+        ci = t.index[tuple(sorted(view.cop_positions))]
+        if (t.win_cop[ci] >> r) & 1 == 0:
+            return view.cop_positions, state
+        best_key = None
+        for cj in t.succ[ci]:
+            if (t.win_rob[cj] >> r) & 1:
+                key = (t.rob_level[cj][r], t.msets[cj])
+                if best_key is None or key < best_key:
+                    best_key = key
+        return _realize(g, view.cop_positions, best_key[1]), state
+
+
+def _realize(g, current, target_ms):
+    """Lexicographically smallest ordered per-cop moves from `current` onto
+    the target multiset, by backtracking."""
+    k = len(current)
+    remaining = list(target_ms)
+    out = [None] * k
+
+    def bt(i):
+        if i == k:
+            return True
+        tried = set()
+        for idx, tgt in enumerate(remaining):
+            if tgt is None or tgt in tried:
+                continue
+            tried.add(tgt)
+            if tgt == current[i] or tgt in g.neighbors(current[i]):
+                out[i] = tgt
+                remaining[idx] = None
+                if bt(i + 1):
+                    return True
+                remaining[idx] = tgt
+        return False
+
+    if not bt(0):
+        raise RuntimeError("unrealizable successor multiset")
+    return tuple(out)

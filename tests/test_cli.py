@@ -32,6 +32,19 @@ def test_solve_petersen(tmp_path, capsys):
     assert len(doc["placement"]) == 3
 
 
+@pytest.mark.parametrize("family, expected", [
+    (["petersen"], '{"cop_number":3,"graph_hash":"223b9bae4baa1733","kmax":3,'
+                   '"placement":[0,0,0],"schema":"copsrobbers.solve/1"}'),
+    (["projective", "2"], '{"cop_number":3,"graph_hash":"3b0a7c3397f0e665","kmax":3,'
+                          '"placement":[0,0,0],"schema":"copsrobbers.solve/1"}'),
+])
+def test_solve_placement_output_pinned(tmp_path, capsys, family, expected):
+    f = tmp_path / "g.el"
+    run(capsys, "gen", *family, "-o", str(f))
+    code, out, _ = run(capsys, "solve", str(f), "--kmax", "3", "--placement")
+    assert code == 0 and out.strip() == expected
+
+
 def test_gen_dot(capsys):
     code, out, _ = run(capsys, "gen", "path", "3", "--dot")
     assert code == 0 and "0 -- 1;" in out

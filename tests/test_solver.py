@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -10,15 +12,20 @@ from copsrobbers import (
     cop_number,
     gen_cycle,
     gen_grid,
+    gen_hypercube,
     gen_path,
     gen_petersen,
     is_dismantlable,
     is_k_copwin,
     k_copwin_placement,
+    play,
+    transcript_to_json,
 )
-from copsrobbers.solver import SolverCop
+from copsrobbers.engine import GreedyFarRobber, RandomRobber, View
+from copsrobbers.solver import SolverCop, _bit, _solve
 
-from conftest import all_connected_graphs, random_connected
+from conftest import all_connected_graphs, random_connected, random_girth5
+from oracles import MultisetSolverCop, multiset_placement, multiset_solve
 
 
 def test_trees_are_one_cop_win():
@@ -92,6 +99,34 @@ def test_budget_enforced():
         is_k_copwin(gen_cycle(6), 2, budget=10)
 
 
+def test_budget_counts_table_bits_outside_the_cache():
+    g = gen_cycle(7)
+    bits = g.n ** 3
+    assert is_k_copwin(g, 2, budget=bits)
+    before = _solve.cache_info()
+    assert k_copwin_placement(g, 2, budget=bits + 1) is not None
+    after = _solve.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    for call in (is_k_copwin, k_copwin_placement, SolverCop):
+        with pytest.raises(ResourceLimitError):
+            call(g, 2, budget=bits - 1)
+
+
+def test_solve_memory_is_a_few_tables():
+    # a long path makes many sweeps and many slabs; neither may cost a table each
+    g = gen_path(128)
+    table_bytes = g.n ** 2 // 8
+    tracemalloc.start()
+    try:
+        t = _solve.__wrapped__(g, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.sweeps > 100
+    assert len(t.planes) == t.sweeps.bit_length()
+    assert peak < (20 + 2 * len(t.planes)) * table_bytes
+
+
 def test_solver_strategy_beats_adversary():
     cases = [(gen_cycle(4), 2), (gen_cycle(5), 2), (gen_petersen(), 3)]
     for g, k in cases:
@@ -122,3 +157,71 @@ def test_small_planar_graphs_need_at_most_three_cops():
     cases = [gen_grid(3, 4), octahedron, prism, wheel6, gen_cycle(8)]
     for g in cases:
         assert cop_number(g, 3) is not None
+
+
+def _assert_matches_multiset_oracle(g, k):
+    t = _solve(g, k)
+    o = multiset_solve(g, k)
+    assert t.sweeps == o.sweeps
+    for ci, ms in enumerate(o.msets):
+        for r in range(g.n):
+            b = t.state(ms, r)
+            assert _bit(t.win_cop, b) == (o.win_cop[ci] >> r) & 1
+            assert (t.level(b) >= 0) == (o.win_rob[ci] >> r) & 1
+            assert t.level(b) == o.rob_level[ci][r]
+    placement = multiset_placement(g, k)
+    assert k_copwin_placement(g, k) == placement
+    assert is_k_copwin(g, k) == (placement is not None)
+
+
+def test_tables_match_multiset_oracle_on_all_small_graphs():
+    for n in range(1, 6):
+        for g in all_connected_graphs(n):
+            for k in (1, 2):
+                _assert_matches_multiset_oracle(g, k)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+def test_tables_match_multiset_oracle_on_random_graphs(n):
+    for seed in range(4):
+        for p in (0.3, 0.6):
+            g = random_connected(n, seed=100 * n + seed, p=p)
+            for k in (1, 2, 3):
+                _assert_matches_multiset_oracle(g, k)
+
+
+PIN_GRAPHS = {
+    "petersen": gen_petersen,
+    "c5": lambda: gen_cycle(5),
+    "grid4x5": lambda: gen_grid(4, 5),
+    "q4": lambda: gen_hypercube(4),
+    "girth5-14": lambda: random_girth5(14, seed=3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_GRAPHS))
+def test_solver_cop_transcripts_match_multiset_oracle(name):
+    g = PIN_GRAPHS[name]()
+    for k in range(cop_number(g, 3), 4):
+        new, old = SolverCop(g, k), MultisetSolverCop(g, k)
+        for seed in (0, 1):
+            cfg = GameConfig(cop_count=k, max_rounds=200, seed=seed)
+            for robber in (GreedyFarRobber(), RandomRobber()):
+                assert (transcript_to_json(play(g, new, robber, cfg))
+                        == transcript_to_json(play(g, old, robber, cfg)))
+        assert (transcript_to_json(adversarial_robber_search(g, new, cfg, 200))
+                == transcript_to_json(adversarial_robber_search(g, old, cfg, 200)))
+
+
+def test_solver_cop_moves_match_multiset_oracle_on_every_state():
+    cases = [(gen_cycle(5), 2), (gen_grid(3, 3), 2), (gen_petersen(), 3)]
+    cases += [(random_connected(7, seed=s, p=0.4), k) for s in range(3) for k in (2, 3)]
+    for g, k in cases:
+        if not is_k_copwin(g, k):
+            continue
+        new, old = SolverCop(g, k), MultisetSolverCop(g, k)
+        for cops in itertools.product(range(g.n), repeat=k):
+            for r in range(g.n):
+                if r not in cops:
+                    view = View(round=1, cop_positions=cops, robber_position=r)
+                    assert new.move(g, view, None) == old.move(g, view, None)
