@@ -56,6 +56,7 @@ from .graph import (
     component_of,
     delete_vertices,
     diameter,
+    diameter_pair,
     format_edge_list,
     girth,
     graph_hash,

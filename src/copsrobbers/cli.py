@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import mpmath
@@ -34,9 +35,7 @@ from .expander import (
 )
 from .graph import (
     Graph,
-    VertexSet,
-    bfs_distances,
-    diameter,
+    diameter_pair,
     format_edge_list,
     girth,
     graph_hash,
@@ -72,16 +71,6 @@ def _write(text: str, out: str | None):
 
 def _robber(name: str):
     return {"greedy": GreedyFarRobber, "random": RandomRobber}[name]()
-
-
-def _diameter_geodesic(g: Graph) -> list[int]:
-    best = (-1, 0, 0)
-    for u in range(g.n):
-        dist = bfs_distances(g, VertexSet.of(g.n, [u]))
-        for v in range(u + 1, g.n):
-            if dist[v] > best[0]:
-                best = (dist[v], u, v)
-    return shortest_path(g, best[1], best[2])
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +154,8 @@ def cmd_strategy(args) -> int:
         if args.path:
             path = [int(x) for x in args.path.split(",")]
         else:
-            path = _diameter_geodesic(g)
+            _, u, v = diameter_pair(g)
+            path = shortest_path(g, u, v)
         cops = GuardCop(g, path)
         cfg = GameConfig(cop_count=1, max_rounds=args.max_rounds, seed=seed)
         t = play(g, cops, _robber(args.robber), cfg)
@@ -306,9 +296,10 @@ def cmd_verify(args) -> int:
         viol = 0
         for i in range(2 * budget):
             g = generators.gen_gnp(9, 0.3, derive_seed(seed, f"verify:guard:{i}"))
-            if not is_connected(g) or diameter(g) < 2:
+            d, u, v = diameter_pair(g)
+            if not 2 <= d < math.inf:
                 continue
-            rep = check_guard_soundness(g, _diameter_geodesic(g))
+            rep = check_guard_soundness(g, shortest_path(g, u, v))
             viol += len(rep["violations"])
         record("guard_soundness", "fail" if viol else "pass",
                f"violations: {viol}", seed)
@@ -338,8 +329,11 @@ def cmd_verify(args) -> int:
         )
         record("eq1_sweep", "pass" if sweep_ok else "fail", "L in {1100,1600,2000}")
 
-    doc = {"schema": "copsrobbers.verify/1", "checks": checks}
-    _write(_dump(doc), args.out)
+    if args.format == "json":
+        _write(_dump({"schema": "copsrobbers.verify/1", "checks": checks}), args.out)
+    else:
+        _write("\n".join(f"{c['name']}: {c['status']} ({c['detail']})" for c in checks),
+               args.out)
     return 1 if any(c["status"] == "fail" for c in checks) else 0
 
 

@@ -8,6 +8,10 @@ sentinel and is never a "large number".
 BFS tie-breaking is pinned everywhere: when several predecessors realize a
 shortest path, the lowest vertex id wins.  This makes every derived object
 (geodesics, transcripts) reproducible.
+
+The metric functions take an optional ``within`` vertex set.  They then
+measure the subgraph induced by that set while keeping the original vertex
+ids, so a caller working on a component never relabels the graph.
 """
 
 from __future__ import annotations
@@ -21,12 +25,15 @@ from .errors import NoPathError, ParseError
 
 __all__ = [
     "UNREACHABLE",
+    "MAX_PARSE_VERTICES",
     "Graph",
     "VertexSet",
     "bfs_distances",
     "ball",
     "shortest_path",
+    "walk_back",
     "diameter",
+    "diameter_pair",
     "girth",
     "min_degree",
     "delete_vertices",
@@ -39,6 +46,11 @@ __all__ = [
 ]
 
 UNREACHABLE = -1
+_OUTSIDE = -2  # BFS seed value of vertices outside a vertex mask
+
+# Largest vertex count an edge-list header may declare; checked before the
+# graph allocates its adjacency lists.
+MAX_PARSE_VERTICES = 1 << 20
 
 
 class VertexSet:
@@ -210,22 +222,51 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def bfs_distances(g: Graph, sources: VertexSet) -> list[int]:
-    """Multi-source BFS hop distances; ``UNREACHABLE`` marks the rest."""
+def _seed(g: Graph, within: VertexSet | None) -> list[int]:
+    """Distance list before a BFS: ``UNREACHABLE`` inside ``within``, and a
+    blocking marker outside it, so the BFS never enters the outside."""
+    if within is None:
+        return [UNREACHABLE] * g.n
+    if within.n != g.n:
+        raise ValueError("vertex set over wrong universe")
+    dist = [_OUTSIDE] * g.n
+    for v in within:
+        dist[v] = UNREACHABLE
+    return dist
+
+
+def _bfs(g: Graph, dist: list[int], sources) -> list[int]:
+    """Layered BFS filling a seeded distance list in place."""
+    adj = g._adj
+    frontier = list(sources)
+    for s in frontier:
+        dist[s] = 0
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] == UNREACHABLE:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def bfs_distances(g: Graph, sources: VertexSet, within: VertexSet | None = None) -> list[int]:
+    """Multi-source BFS hop distances; ``UNREACHABLE`` marks the rest.
+
+    With ``within``, distances are those of the subgraph induced by that
+    vertex set, in the original ids; every vertex outside it is unreachable.
+    """
     if not sources:
         raise ValueError("sources must be nonempty")
-    dist = [UNREACHABLE] * g.n
-    q: deque[int] = deque()
-    for s in sources:
-        dist[s] = 0
-        q.append(s)
-    while q:
-        u = q.popleft()
-        du = dist[u] + 1
-        for v in g.neighbors(u):
-            if dist[v] == UNREACHABLE:
-                dist[v] = du
-                q.append(v)
+    if within is not None and sources.mask & ~within.mask:
+        raise ValueError("sources must lie inside the vertex mask")
+    dist = _bfs(g, _seed(g, within), sources)
+    if within is not None:
+        dist = [UNREACHABLE if d == _OUTSIDE else d for d in dist]
     return dist
 
 
@@ -235,56 +276,88 @@ def ball(g: Graph, a: VertexSet, r: int) -> VertexSet:
         raise ValueError("ball center must be nonempty")
     if r < 0:
         raise ValueError("radius must be >= 0")
-    mask = a.mask
-    frontier = a.mask
-    for _ in range(r):
+    return VertexSet(g.n, _flood(g, a.mask, -1, r))
+
+
+def _flood(g: Graph, mask: int, region: int, steps: int = -1) -> int:
+    """Grow the bitmask ``mask`` by ``steps`` BFS layers (every layer when
+    negative), entering only vertices of the bitmask ``region``."""
+    frontier = mask
+    while frontier and steps:
+        steps -= 1
         new = 0
-        f = frontier
-        while f:
-            low = f & -f
-            new |= g.neighbor_mask(low.bit_length() - 1)
-            f ^= low
-        frontier = new & ~mask
-        if not frontier:
-            break
+        while frontier:
+            low = frontier & -frontier
+            new |= g._adj_masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = new & region & ~mask
         mask |= frontier
-    return VertexSet(g.n, mask)
+    return mask
 
 
-def shortest_path(g: Graph, u: int, v: int) -> list[int]:
-    """A geodesic from u to v, deterministic via lowest-id predecessors."""
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("endpoint outside vertex range")
-    if u == v:
-        return [u]
-    dist = bfs_distances(g, VertexSet.of(g.n, [u]))
-    if dist[v] == UNREACHABLE:
-        raise NoPathError(f"no path between {u} and {v}")
+def walk_back(g: Graph, dist: list[int], v: int) -> list[int]:
+    """Geodesic from a source of the BFS field ``dist`` to v.
+
+    Walks back from v through the lowest-id predecessor at every step.
+    """
+    d = dist[v]
+    if d < 0:
+        raise NoPathError(f"vertex {v} is not reachable from the BFS sources")
     path = [v]
-    cur = v
-    while cur != u:
-        d = dist[cur]
-        # neighbors() is sorted, so the first predecessor is the lowest id
-        for w in g.neighbors(cur):
-            if dist[w] == d - 1:
-                cur = w
+    adj = g._adj
+    while d:
+        d -= 1
+        # neighbor tuples are sorted, so the first predecessor is the lowest id
+        for w in adj[v]:
+            if dist[w] == d:
+                v = w
                 break
-        path.append(cur)
+        path.append(v)
     path.reverse()
     return path
 
 
+def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> list[int]:
+    """A geodesic from u to v (inside ``within`` if given), deterministic via
+    lowest-id predecessors."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        raise ValueError("endpoint outside vertex range")
+    if u == v:
+        return [u]
+    dist = bfs_distances(g, VertexSet.of(g.n, [u]), within)
+    if dist[v] == UNREACHABLE:
+        raise NoPathError(f"no path between {u} and {v}")
+    return walk_back(g, dist, v)
+
+
+def diameter_pair(g: Graph, within: VertexSet | None = None) -> tuple[int | float, int, int]:
+    """``(d, u, v)``: the diameter of the subgraph induced by ``within`` (all
+    of g by default) and the lexicographically first pair u < v realizing it.
+
+    One BFS per member.  A disconnected set gives ``(math.inf, u, v)`` for
+    the first unreachable pair, found at the first source; a single vertex
+    gives ``(0, v, v)``.
+    """
+    seed = _seed(g, within)
+    members = range(g.n) if within is None else list(within)
+    if not members:
+        raise ValueError("vertex mask must be nonempty")
+    best = (0, members[0], members[0])
+    for u in members:
+        dist = _bfs(g, seed.copy(), (u,))
+        if UNREACHABLE in dist:
+            return math.inf, u, dist.index(UNREACHABLE)
+        # A vertex w < u at the eccentricity would have raised the best
+        # already from source w, so the first index is the first v > u.
+        ecc = max(dist)
+        if ecc > best[0]:
+            best = (ecc, u, dist.index(ecc))
+    return best
+
+
 def diameter(g: Graph) -> int | float:
     """Max distance over connected pairs; ``math.inf`` if disconnected."""
-    best = 0
-    for s in range(g.n):
-        dist = bfs_distances(g, VertexSet.of(g.n, [s]))
-        for d in dist:
-            if d == UNREACHABLE:
-                return math.inf
-            if d > best:
-                best = d
-    return best
+    return diameter_pair(g)[0]
 
 
 def girth(g: Graph) -> int | float:
@@ -336,16 +409,18 @@ def delete_vertices(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:
     return Graph(len(survivors), edges), idmap
 
 
-def component_of(g: Graph, v: int) -> VertexSet:
-    """Maximal connected vertex set containing v."""
+def component_of(g: Graph, v: int, within: VertexSet | None = None) -> VertexSet:
+    """Maximal connected vertex set containing v (inside ``within`` if given)."""
     if not 0 <= v < g.n:
         raise ValueError("vertex outside range")
-    dist = bfs_distances(g, VertexSet.of(g.n, [v]))
-    mask = 0
-    for u, d in enumerate(dist):
-        if d != UNREACHABLE:
-            mask |= 1 << u
-    return VertexSet(g.n, mask)
+    region = -1
+    if within is not None:
+        if within.n != g.n:
+            raise ValueError("vertex set over wrong universe")
+        if v not in within:
+            raise ValueError("vertex outside the vertex mask")
+        region = within.mask
+    return VertexSet(g.n, _flood(g, 1 << v, region))
 
 
 def is_connected(g: Graph) -> bool:
@@ -377,6 +452,11 @@ def parse_edge_list(text: str) -> Graph:
             n, m = a, b
             if n < 1 or m < 0:
                 raise ParseError(f"invalid header n={n} m={m}", line=lineno)
+            if n > MAX_PARSE_VERTICES:
+                raise ParseError(
+                    f"header n={n} exceeds the limit of {MAX_PARSE_VERTICES} vertices",
+                    line=lineno,
+                )
             continue
         if not (0 <= a < b < n):
             raise ParseError(f"edge must satisfy 0 <= u < v < n, got {a} {b}", line=lineno)

@@ -52,11 +52,18 @@ class GuardState:
 
 
 class _GuardContext:
-    """Precomputed data for one guarded geodesic: d(p_0, .) and path indices."""
+    """Precomputed data for one guarded geodesic: path indices, the shadow
+    metric d(p_0, .) and the approach metric.
 
-    __slots__ = ("path", "length", "index_of", "dist0")
+    With ``within``, the path is a geodesic of the subgraph induced by that
+    vertex set and the shadow is measured inside it, while the cop still
+    approaches p_0 through all of g.  Without it both metrics are the same
+    list.
+    """
 
-    def __init__(self, g: Graph, path):
+    __slots__ = ("path", "length", "index_of", "dist0", "approach")
+
+    def __init__(self, g: Graph, path, within: VertexSet | None = None):
         path = tuple(path)
         if not path:
             raise ValueError("path must be nonempty")
@@ -65,10 +72,14 @@ class _GuardContext:
                 raise ValueError(f"path step {a}->{b} is not an edge")
         if len(set(path)) != len(path):
             raise ValueError("path revisits a vertex")
+        if within is not None and not VertexSet.of(g.n, path) <= within:
+            raise ValueError("path leaves the vertex mask")
         self.path = path
         self.length = len(path) - 1
         self.index_of = {v: i for i, v in enumerate(path)}
-        self.dist0 = bfs_distances(g, VertexSet.of(g.n, [path[0]]))
+        p0 = VertexSet.of(g.n, [path[0]])
+        self.dist0 = bfs_distances(g, p0, within)
+        self.approach = self.dist0 if within is None else bfs_distances(g, p0)
         if self.dist0[path[-1]] != self.length:
             raise ValueError("path is not a geodesic")
 
@@ -92,11 +103,11 @@ class _GuardContext:
             if i == j:
                 return cop
             return self.path[i + (1 if j > i else -1)]
-        d = self.dist0[cop]
+        d = self.approach[cop]
         if d == UNREACHABLE:
             raise ValueError(f"cop at {cop} is not connected to the path")
         for w in g.neighbors(cop):  # sorted, so lowest id wins ties
-            if self.dist0[w] == d - 1:
+            if self.approach[w] == d - 1:
                 return w
         raise AssertionError("BFS distance field has no descent step")
 

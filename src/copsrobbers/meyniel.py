@@ -1,10 +1,14 @@
 """Deletion recursion over long geodesics, ending in an expander sweep.
 
-Above the diameter threshold, pick two vertices realizing the (approximate)
-diameter, guard the geodesic between them, treat it as deleted once the guard
-has settled, and recurse on the robber's component.  At or below the
-threshold, march a sampled cop family onto its home vertices inside the
-component, read the robber's position and run the level-decomposition plan.
+Above the diameter threshold, take the lexicographically first pair of
+vertices realizing the component's exact diameter, guard the geodesic between
+them, treat it as deleted once the guard has settled, and recurse on the
+robber's component.  At or below the threshold, march a sampled cop family
+onto its home vertices inside the component, read the robber's position and
+run the level-decomposition plan.  Components are vertex masks of the
+original graph, so the diameter, the geodesic, the split and the guard's
+shadow are all measured in original ids; only a leaf builds the induced
+subgraph, for the expander.
 
 The whole object is realized inside a single engine game with a fixed pool of
 cops placed up front (start positions are irrelevant on a connected graph;
@@ -30,7 +34,6 @@ from dataclasses import dataclass
 from .engine import GameConfig, GreedyFarRobber, View, play
 from .expander import (
     CapturePlan,
-    PlanFailure,
     StrategyParams,
     _family_roster,
     _plan_scripts,
@@ -42,11 +45,13 @@ from .graph import (
     Graph,
     VertexSet,
     bfs_distances,
+    component_of,
     delete_vertices,
-    diameter,
-    is_connected,
+    diameter_pair,
     shortest_path,
+    walk_back,
 )
+from .guard import _GuardContext
 from .seeds import derive_seed
 
 __all__ = [
@@ -56,71 +61,6 @@ __all__ = [
     "run_meyniel",
 ]
 
-EXACT_DIAMETER_LIMIT = 500
-
-
-def _exact_diameter_pair(g: Graph) -> tuple[int, int]:
-    best = (-1, 0, 0)
-    for u in range(g.n):
-        dist = bfs_distances(g, VertexSet.of(g.n, [u]))
-        for v in range(u + 1, g.n):
-            if dist[v] > best[0]:
-                best = (dist[v], u, v)
-    return best[1], best[2]
-
-
-def _double_sweep_pair(g: Graph) -> tuple[int, int]:
-    def farthest(src: int) -> int:
-        dist = bfs_distances(g, VertexSet.of(g.n, [src]))
-        best_v, best_d = src, -1
-        for v, d in enumerate(dist):
-            if d != UNREACHABLE and d > best_d:
-                best_v, best_d = v, d
-        return best_v
-
-    a = farthest(0)
-    return a, farthest(a)
-
-
-class _DomainGuard:
-    """Shadow guard whose path metric is frozen to one component.
-
-    The cop walks in the full graph (approach distances come from there), but
-    the shadow is measured inside the component the geodesic was cut from.
-    A robber outside that component is another guard's problem: hold.
-    """
-
-    __slots__ = ("path", "length", "index_of", "dist_dom", "dist_g_p0")
-
-    def __init__(self, g: Graph, sub: Graph, rmap: dict[int, int], path_sub):
-        self.path = tuple(rmap[p] for p in path_sub)
-        self.length = len(self.path) - 1
-        self.index_of = {v: i for i, v in enumerate(self.path)}
-        dist_sub = bfs_distances(sub, VertexSet.of(sub.n, [path_sub[0]]))
-        self.dist_dom = [UNREACHABLE] * g.n
-        for new, d in enumerate(dist_sub):
-            self.dist_dom[rmap[new]] = d
-        self.dist_g_p0 = bfs_distances(g, VertexSet.of(g.n, [self.path[0]]))
-
-    def move(self, g: Graph, cop: int, robber: int) -> int:
-        if robber == cop or robber in g.neighbors(cop):
-            return robber
-        dr = self.dist_dom[robber]
-        if dr == UNREACHABLE:
-            return cop
-        j = min(dr, self.length)
-        i = self.index_of.get(cop)
-        if i is not None:
-            if i == j:
-                return cop
-            return self.path[i + (1 if j > i else -1)]
-        d = self.dist_g_p0[cop]
-        for w in g.neighbors(cop):
-            if self.dist_g_p0[w] == d - 1:
-                return w
-        raise AssertionError("no descent step toward the path anchor")
-
-
 @dataclass
 class _Node:
     node_id: int
@@ -129,7 +69,7 @@ class _Node:
     vertices: VertexSet            # component, original ids
     entry: int                     # stage starts at round entry + 1
     duration: int                  # guard: settle window; leaf: march window
-    guard: _DomainGuard | None = None
+    guard: _GuardContext | None = None
     children: tuple = ()           # (VertexSet, _Node) pairs
     # leaf fields
     broken: bool = False
@@ -149,13 +89,14 @@ class MeynielAnalysis:
                  seed: int, start_vertex: int = 0):
         if threshold < 1:
             raise ValueError("diameter threshold must be >= 1")
-        if not is_connected(g):
-            raise ValueError("recursion requires a connected graph")
         self.g = g
         self.threshold = threshold
         self.params = params
         self.seed = seed
         self.v0 = start_vertex
+        self._dist_v0 = bfs_distances(g, VertexSet.of(g.n, [start_vertex]))
+        if UNREACHABLE in self._dist_v0:
+            raise ValueError("recursion requires a connected graph")
         self.nodes: list[_Node] = []
         self.root = self._build(VertexSet.full(g.n), depth=0, entry=0, label="r")
         self.pool_size = max(
@@ -167,76 +108,49 @@ class MeynielAnalysis:
             return node.depth + (0 if node.broken else node.family_total)
         return node.depth + 1
 
-    def _induced(self, comp: VertexSet):
-        g = self.g
-        if len(comp) == g.n:
-            return g, {v: v for v in range(g.n)}, {v: v for v in range(g.n)}
-        sub, fmap = delete_vertices(g, comp.complement())
-        rmap = {new: old for old, new in fmap.items()}
-        return sub, fmap, rmap
-
     def _build(self, comp: VertexSet, depth: int, entry: int, label: str) -> _Node:
         g = self.g
-        sub, fmap, rmap = self._induced(comp)
         node_id = len(self.nodes)
-        d = diameter(sub)
+        d, u, v = diameter_pair(g, comp)
         if d <= self.threshold:
-            node = self._build_leaf(node_id, comp, sub, fmap, rmap, depth, entry, label)
-        else:
-            u, v = (
-                _exact_diameter_pair(sub)
-                if sub.n <= EXACT_DIAMETER_LIMIT
-                else _double_sweep_pair(sub)
-            )
-            path_sub = shortest_path(sub, u, v)
-            guard = _DomainGuard(g, sub, rmap, path_sub)
-            settle = guard.dist_g_p0[self.v0] + guard.length
-            node = _Node(
-                node_id=node_id,
-                depth=depth,
-                kind="guard",
-                vertices=comp,
-                entry=entry,
-                duration=max(1, settle),
-                guard=guard,
-            )
+            node = self._build_leaf(node_id, comp, depth, entry, label)
             self.nodes.append(node)
-            path_set = VertexSet.of(g.n, guard.path)
-            remainder = comp - path_set
-            children = []
-            seen = VertexSet(g.n, 0)
-            for v0 in sorted(remainder):
-                if v0 in seen:
-                    continue
-                comp_mask = self._component_within(remainder, v0)
-                seen = seen | comp_mask
-                child = self._build(
-                    comp_mask, depth + 1, entry + node.duration,
-                    f"{label}.{len(children)}",
-                )
-                children.append((comp_mask, child))
-            node.children = tuple(children)
             return node
+        guard = _GuardContext(g, shortest_path(g, u, v, within=comp), within=comp)
+        settle = guard.approach[self.v0] + guard.length
+        node = _Node(
+            node_id=node_id,
+            depth=depth,
+            kind="guard",
+            vertices=comp,
+            entry=entry,
+            duration=max(1, settle),
+            guard=guard,
+        )
         self.nodes.append(node)
+        remainder = comp - VertexSet.of(g.n, guard.path)
+        children = []
+        seen = VertexSet(g.n, 0)
+        for v0 in remainder:
+            if v0 in seen:
+                continue
+            comp_mask = component_of(g, v0, within=remainder)
+            seen = seen | comp_mask
+            child = self._build(
+                comp_mask, depth + 1, entry + node.duration,
+                f"{label}.{len(children)}",
+            )
+            children.append((comp_mask, child))
+        node.children = tuple(children)
         return node
 
-    def _component_within(self, region: VertexSet, v: int) -> VertexSet:
-        g = self.g
-        mask = 1 << v
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.neighbors(u):
-                    if w in region and not (mask >> w) & 1:
-                        mask |= 1 << w
-                        nxt.append(w)
-            frontier = nxt
-        return VertexSet(g.n, mask)
-
-    def _build_leaf(self, node_id, comp, sub, fmap, rmap, depth, entry, label) -> _Node:
+    def _build_leaf(self, node_id, comp, depth, entry, label) -> _Node:
+        # The expander samples over a Graph, so the leaf works on the induced
+        # subgraph; its compact ids map back through the sorted members.
         g = self.g
         params = self.params
+        sub, _ = delete_vertices(g, comp.complement())
+        rmap = tuple(comp)
         family = None
         plans = None
         attempts = 0
@@ -255,9 +169,7 @@ class MeynielAnalysis:
             )
         roster = _family_roster(family)
         homes = tuple(rmap[w] for _, w in roster)
-        march_routes = tuple(
-            tuple(shortest_path(g, self.v0, h)) for h in homes
-        )
+        march_routes = tuple(tuple(walk_back(g, self._dist_v0, h)) for h in homes)
         march = max((len(r) - 1 for r in march_routes), default=0)
         if depth == 0:
             march = 0  # root leaf: cops are placed on their homes directly
@@ -348,7 +260,7 @@ class MeynielCop:
         for anc in chain:
             if anc.kind == "guard" and view.round > anc.entry:
                 idx = anc.depth
-                moves[idx] = anc.guard.move(g, view.cop_positions[idx], r)
+                moves[idx] = anc.guard.move(g, view.cop_positions[idx], r, strict=False)
 
         if node.kind == "leaf" and not node.broken:
             base = node.depth

@@ -18,6 +18,11 @@ def fw_distances(g):
     dist = [[0 if i == j else INF for j in range(n)] for i in range(n)]
     for u, v in g.edges():
         dist[u][v] = dist[v][u] = 1
+    return _floyd_warshall(dist)
+
+
+def _floyd_warshall(dist):
+    n = len(dist)
     for k in range(n):
         dk = dist[k]
         for i in range(n):
@@ -35,6 +40,28 @@ def fw_distances(g):
 def diameter_oracle(g):
     dist = fw_distances(g)
     return max(d for row in dist for d in row)
+
+
+def diameter_pair_oracle(g, within=None):
+    """(d, u, v): the diameter of the subgraph induced by `within` (all of g
+    by default) and its lexicographically first pair u < v, by Floyd-Warshall
+    over the members.  A disconnected set gives (inf, u, v) for its first
+    disconnected pair; a single vertex gives (0, v, v)."""
+    members = list(range(g.n)) if within is None else sorted(within)
+    pos = {v: i for i, v in enumerate(members)}
+    m = len(members)
+    dist = [[0 if i == j else INF for j in range(m)] for i in range(m)]
+    for u, v in g.edges():
+        if u in pos and v in pos:
+            dist[pos[u]][pos[v]] = dist[pos[v]][pos[u]] = 1
+    _floyd_warshall(dist)
+    best = (0, members[0], members[0])
+    for i, j in itertools.combinations(range(m), 2):
+        if dist[i][j] == INF:
+            return INF, members[i], members[j]
+        if dist[i][j] > best[0]:
+            best = (dist[i][j], members[i], members[j])
+    return best
 
 
 def ball_oracle(g, center, r):

@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
-from copsrobbers import parse_edge_list
+from copsrobbers import Graph, format_edge_list, gen_cycle, gen_grid, gen_path, parse_edge_list
 from copsrobbers.cli import main
+from copsrobbers.seeds import make_rng
 
 
 def run(capsys, *argv):
@@ -146,3 +148,69 @@ def test_verify_small_budget_passes(capsys):
     doc = json.loads(out)
     assert code == 0
     assert all(c["status"] == "pass" for c in doc["checks"])
+
+
+def test_verify_table_format(capsys):
+    code, out, _ = run(capsys, "verify", "--budget", "0", "--format", "table")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "oracle_agreement: skipped (budget 0: resource limit)"
+    assert [ln.split(":")[0] for ln in lines] == [
+        "oracle_agreement", "girth_bound", "guard_soundness",
+        "expander_confinement", "eq1_sweep"]
+
+
+def test_oversized_header_exits_1(tmp_path, capsys):
+    f = tmp_path / "huge.el"
+    f.write_text("1000000000 0\n")
+    code, out, err = run(capsys, "solve", str(f))
+    assert code == 1 and out == ""
+    assert "line 1" in err and "exceeds" in err
+
+
+def _tree100():
+    rng = make_rng(7, "pin-tree")
+    return Graph(100, [(rng.randrange(max(0, i - 6), i), i) for i in range(1, 100)])
+
+
+PINNED_GRAPHS = {
+    "grid5x6": lambda: gen_grid(5, 6),
+    "c40": lambda: gen_cycle(40),
+    "p30": lambda: gen_path(30),
+    "grid12x12": lambda: gen_grid(12, 12),
+    "tree100": _tree100,
+}
+
+# SHA-256 of stdout for (meyniel vs greedy, meyniel vs random, guard on the
+# default diameter geodesic); every component here has at most 500 vertices.
+PINNED_STRATEGY_SHA256 = {
+    "grid5x6": ("30f24f6505b101b62917c93ceeb74b53b2fb70e04756efd622dc0fd2a768881a",
+                "ee72b7ee6fe60b3c7152328b5614860e28daa4ce88f9169225d4b84c307d7d4f",
+                "164ec28653c00e8b160527aa16736a8d55213c2e3cc28042642f6c561f6ad0a9"),
+    "c40": ("ec3d6ce0f422088aad7658bef665764eca7d0c4a59a6bf5c6f52340da45ea8cf",
+            "1ce20c3a8db235d1906922cdc14dd3bee4bde55c1d3d927f0ae30a974cfb8b69",
+            "cf623b4e41d5a0caa9af067cae3c2404177d868008b6f905ae942bd57a70c916"),
+    "p30": ("1738325ab2111c0af5a46d04b6b83d7854e7a360efabc3efc6764a8cd407488f",
+            "e744afe70d6c7728b44f8fc70a4618be58647442dcf15791481f863f76929e10",
+            "6bd9fb9497a6a64640deeb00b8534d121628956d9db2fa23f111155e1b1e9fb3"),
+    "grid12x12": ("b40559d70c376a61130db61671fa8abccf3fd0b5be3c61455ce6a2d3c350e091",
+                  "42847ee181679f8714a8a85e2c098ef9750abf582b243d93eefda8efa4ff54e8",
+                  "f99a2d9bd28ece9273755a5cfb39e7969caa5b4f54bb64fd1da5755c5596e8b3"),
+    "tree100": ("f51ec6f62430a6d2eb547b9d536d037d8ea99682942f7df393a5dc2aef7106a8",
+                "d527083961c9540ca0b477cf0d5f5e91656f6825ddcfe52fc0cf8297f567dbad",
+                "9c27d8e1c23b0979aae4432ffe994f951b77b26032dd29b3a5aa6591e9838c49"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
+def test_strategy_output_pinned(tmp_path, capsys, name):
+    f = tmp_path / f"{name}.el"
+    f.write_text(format_edge_list(PINNED_GRAPHS[name]()))
+    digests = []
+    for argv in (["meyniel", str(f), "--robber", "greedy"],
+                 ["meyniel", str(f), "--robber", "random"],
+                 ["guard", str(f)]):
+        code, out, _ = run(capsys, "strategy", *argv)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == PINNED_STRATEGY_SHA256[name]

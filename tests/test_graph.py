@@ -15,6 +15,7 @@ from copsrobbers import (
     component_of,
     delete_vertices,
     diameter,
+    diameter_pair,
     format_edge_list,
     gen_cycle,
     gen_gnp,
@@ -29,7 +30,10 @@ from copsrobbers import (
     to_dot,
 )
 
-from oracles import ball_oracle, diameter_oracle, girth_oracle
+from conftest import all_connected_graphs
+from copsrobbers.graph import MAX_PARSE_VERTICES
+from copsrobbers.seeds import make_rng
+from oracles import ball_oracle, diameter_oracle, diameter_pair_oracle, girth_oracle
 
 
 def vs(n, members):
@@ -204,6 +208,77 @@ def test_girth_matches_oracle(n, data):
     assert girth(g) == girth_oracle(g)
 
 
+def test_diameter_pair_examples(petersen):
+    assert diameter_pair(gen_cycle(6)) == (3, 0, 3)
+    assert diameter_pair(gen_path(5)) == (4, 0, 4)
+    assert diameter_pair(gen_path(1)) == (0, 0, 0)
+    assert diameter_pair(Graph(4, [(0, 1), (2, 3)])) == (math.inf, 0, 2)
+    # inside a mask: C6 minus vertex 5 is the path 0..4
+    assert diameter_pair(gen_cycle(6), vs(6, range(5))) == (4, 0, 4)
+    assert diameter_pair(gen_cycle(6), vs(6, [4])) == (0, 4, 4)
+    assert diameter_pair(gen_cycle(6), vs(6, [1, 4])) == (math.inf, 1, 4)
+    with pytest.raises(ValueError):
+        diameter_pair(gen_cycle(6), VertexSet(6, 0))
+
+
+def test_diameter_pair_matches_oracle_on_all_small_graphs():
+    for n in range(1, 7):
+        for g in all_connected_graphs(n):
+            assert diameter_pair(g) == diameter_pair_oracle(g), g.edges()
+
+
+def _random_masked_cases(count=80):
+    """Fixed-seed G(n, p) graphs, each with a nonempty random vertex mask."""
+    rng = make_rng(2024, "masked-metrics")
+    for i in range(count):
+        n = rng.randint(2, 14)
+        g = gen_gnp(n, rng.choice((0.2, 0.35, 0.5)), rng.getrandbits(32))
+        mask = vs(n, [v for v in range(n) if rng.random() < 0.7] or [rng.randrange(n)])
+        yield g, mask
+
+
+def test_diameter_pair_matches_oracle_with_and_without_mask():
+    for g, mask in _random_masked_cases():
+        assert diameter_pair(g) == diameter_pair_oracle(g)
+        assert diameter(g) == diameter_pair_oracle(g)[0]
+        assert diameter_pair(g, mask) == diameter_pair_oracle(g, mask), (g.edges(), list(mask))
+
+
+def test_masked_metrics_match_relabelled_subgraph():
+    for g, mask in _random_masked_cases():
+        h, idmap = delete_vertices(g, mask.complement())
+        back = {new: old for old, new in idmap.items()}
+        for s in mask:
+            dist = bfs_distances(g, vs(g.n, [s]), within=mask)
+            hdist = bfs_distances(h, vs(h.n, [idmap[s]]))
+            assert dist == [hdist[idmap[v]] if v in mask else UNREACHABLE
+                            for v in range(g.n)]
+            assert set(component_of(g, s, within=mask)) == {
+                back[x] for x in component_of(h, idmap[s])}
+            for t in mask:
+                if hdist[idmap[t]] == UNREACHABLE:
+                    with pytest.raises(NoPathError):
+                        shortest_path(g, s, t, within=mask)
+                else:
+                    assert shortest_path(g, s, t, within=mask) == [
+                        back[x] for x in shortest_path(h, idmap[s], idmap[t])]
+        two = vs(g.n, list(mask)[:2])
+        hdist = bfs_distances(h, vs(h.n, [idmap[v] for v in two]))
+        assert bfs_distances(g, two, within=mask) == [
+            hdist[idmap[v]] if v in mask else UNREACHABLE for v in range(g.n)]
+
+
+def test_masked_metrics_reject_vertices_outside_the_mask():
+    g = gen_cycle(6)
+    mask = vs(6, [0, 1, 2])
+    with pytest.raises(ValueError):
+        bfs_distances(g, vs(6, [4]), within=mask)
+    with pytest.raises(ValueError):
+        component_of(g, 4, within=mask)
+    with pytest.raises(ValueError):
+        bfs_distances(g, vs(6, [0]), within=vs(5, [0]))
+
+
 # ---------------------------------------------------------------------------
 # delete_vertices / component_of.
 # ---------------------------------------------------------------------------
@@ -288,6 +363,14 @@ def test_edge_list_comments_and_errors():
     with pytest.raises(ParseError) as exc:
         parse_edge_list("3 1\nx y\n")
     assert exc.value.line == 2
+
+
+def test_edge_list_header_above_cap_rejected_before_allocating():
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list("1000000000 0\n")
+    assert exc.value.line == 1
+    with pytest.raises(ParseError):
+        parse_edge_list(f"{MAX_PARSE_VERTICES + 1} 0\n")
 
 
 def test_dot_and_hash():

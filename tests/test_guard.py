@@ -150,3 +150,25 @@ def test_guard_cop_requires_single_cop():
     cop = GuardCop(g, [0, 1])
     with pytest.raises(ValueError):
         cop.place(g, GameConfig(cop_count=2, max_rounds=5))
+
+
+def test_masked_guard_shadows_inside_the_mask_and_approaches_through_g():
+    from copsrobbers import VertexSet
+    from copsrobbers.guard import _GuardContext
+
+    g = gen_cycle(8)
+    within = VertexSet.of(8, range(6))  # C8 minus {6, 7} is the path 0..5
+    ctx = _GuardContext(g, [1, 2, 3], within=within)
+    assert ctx.dist0[5] == 4 and ctx.approach[5] == 4
+    assert ctx.dist0[7] == -1 and ctx.approach[7] == 2
+    assert ctx.shadow_index(5) == 2
+    # a cop off the mask walks toward p_0 through the whole graph
+    assert ctx.move(g, 7, 4, strict=False) == 0
+    # a robber outside the mask is another guard's problem: hold, or refuse
+    assert ctx.move(g, 3, 6, strict=False) == 3
+    with pytest.raises(ValueError):
+        ctx.move(g, 3, 6)
+    with pytest.raises(ValueError):
+        _GuardContext(g, [5, 6, 7], within=within)
+    plain = _GuardContext(g, [1, 2, 3])
+    assert plain.approach is plain.dist0
