@@ -12,6 +12,12 @@ shortest path, the lowest vertex id wins.  This makes every derived object
 The metric functions take an optional ``within`` vertex set.  They then
 measure the subgraph induced by that set while keeping the original vertex
 ids, so a caller working on a component never relabels the graph.
+
+``diameter_pair`` returns the same lexicographically first diametral pair as
+one BFS per vertex would, from a bounded scan: eccentricity bounds from the
+BFS rows already run skip every source that cannot change the answer.
+Vertex-transitive graphs (cycles, hypercubes) leave nothing to skip and keep
+one BFS per vertex.
 """
 
 from __future__ import annotations
@@ -334,7 +340,15 @@ def diameter_pair(g: Graph, within: VertexSet | None = None) -> tuple[int | floa
     """``(d, u, v)``: the diameter of the subgraph induced by ``within`` (all
     of g by default) and the lexicographically first pair u < v realizing it.
 
-    One BFS per member.  A disconnected set gives ``(math.inf, u, v)`` for
+    u is the first member whose eccentricity is the diameter, and v the first
+    vertex at that distance from u.  The members are scanned in ascending
+    order, but a BFS runs only from a source that could still be u: a double
+    sweep from the first member gives a lower bound on the diameter, and BFS
+    rows give upper bounds ``ecc(w) + d(w, v)`` on the later members'
+    eccentricities (bounding diameters; Takes & Kosters 2011).  On
+    long graphs a few BFS passes suffice; on vertex-transitive graphs
+    (cycles, hypercubes, Petersen) nothing can be skipped and the scan keeps
+    one BFS per vertex.  A disconnected set gives ``(math.inf, u, v)`` for
     the first unreachable pair, found at the first source; a single vertex
     gives ``(0, v, v)``.
     """
@@ -342,16 +356,35 @@ def diameter_pair(g: Graph, within: VertexSet | None = None) -> tuple[int | floa
     members = range(g.n) if within is None else list(within)
     if not members:
         raise ValueError("vertex mask must be nonempty")
-    best = (0, members[0], members[0])
+    first = members[0]
+    row_first = _bfs(g, seed.copy(), (first,))
+    if UNREACHABLE in row_first:
+        return math.inf, first, row_first.index(UNREACHABLE)
+    far = row_first.index(max(row_first))
+    row_far = _bfs(g, seed.copy(), (far,))
+    # A source u is skipped when hi[u] < need.  need starts at ecc(far), a
+    # lower bound on the diameter, and stays above the eccentricity best
+    # holds, since only a strict raise moves best.  hi[v] is a minimum of
+    # ecc(w) + d(w, v) over BFS rows from sources w, so hi[v] >= ecc(v) by
+    # the triangle inequality inside the mask; entries outside it are never
+    # read.
+    need = max(row_far)
+    hi = [need + d for d in row_far]
+    best = (0, first, first)
     for u in members:
-        dist = _bfs(g, seed.copy(), (u,))
-        if UNREACHABLE in dist:
-            return math.inf, u, dist.index(UNREACHABLE)
-        # A vertex w < u at the eccentricity would have raised the best
-        # already from source w, so the first index is the first v > u.
+        if hi[u] < need:
+            continue
+        dist = row_first if u == first else row_far if u == far else _bfs(g, seed.copy(), (u,))
         ecc = max(dist)
         if ecc > best[0]:
+            # a vertex w < u at the eccentricity would have raised best
+            # already from source w, so the first index is the first v > u
             best = (ecc, u, dist.index(ecc))
+            need = max(need, ecc + 1)
+        if ecc + 1 < need:
+            # ecc + d(u, v) >= ecc + 1 off u, so only then can the row
+            # prune a later source
+            hi = [h if h <= ecc + d else ecc + d for h, d in zip(hi, dist)]
     return best
 
 
@@ -397,14 +430,16 @@ def delete_vertices(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on V - s, relabeled compactly; returns old->new map."""
     if s.n != g.n:
         raise ValueError("vertex set over wrong universe")
-    survivors = [v for v in range(g.n) if v not in s]
+    survivors = list(s.complement())
     if not survivors:
         raise ValueError("cannot delete every vertex")
     idmap = {old: new for new, old in enumerate(survivors)}
+    adj = g._adj
     edges = [
-        (idmap[u], idmap[v])
-        for u, v in g.edges()
-        if u in idmap and v in idmap
+        (new, idmap[v])
+        for new, u in enumerate(survivors)
+        for v in adj[u]
+        if u < v and v in idmap
     ]
     return Graph(len(survivors), edges), idmap
 

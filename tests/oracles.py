@@ -3,11 +3,15 @@
 Each oracle deliberately uses a different algorithm than the library code it
 checks: distances via Floyd-Warshall instead of BFS, girth via per-edge
 removal, Hall's condition and "largest non-expanding subset" by subset
-enumeration.
+enumeration.  ``diameter_pair_allpairs`` and ``delete_vertices_oracle`` keep
+the plain loops that the library's pruned diameter scan and survivor-only
+vertex deletion replaced.
 """
 
 import itertools
 import math
+
+from copsrobbers.graph import UNREACHABLE, Graph, _bfs, _seed
 
 INF = math.inf
 
@@ -62,6 +66,43 @@ def diameter_pair_oracle(g, within=None):
         if dist[i][j] > best[0]:
             best = (dist[i][j], members[i], members[j])
     return best
+
+
+def diameter_pair_allpairs(g, within=None):
+    """The all-pairs loop that the pruned ``diameter_pair`` replaced: one BFS
+    per member, ascending, raising the best pair only on a strictly larger
+    eccentricity.  Unlike Floyd-Warshall it stays fast up to several hundred
+    vertices."""
+    seed = _seed(g, within)
+    members = range(g.n) if within is None else list(within)
+    if not members:
+        raise ValueError("vertex mask must be nonempty")
+    best = (0, members[0], members[0])
+    for u in members:
+        dist = _bfs(g, seed.copy(), (u,))
+        if UNREACHABLE in dist:
+            return math.inf, u, dist.index(UNREACHABLE)
+        ecc = max(dist)
+        if ecc > best[0]:
+            best = (ecc, u, dist.index(ecc))
+    return best
+
+
+def delete_vertices_oracle(g, s):
+    """Induced subgraph on V - s by a scan over every vertex and every edge;
+    returns the compact graph and the old->new map."""
+    if s.n != g.n:
+        raise ValueError("vertex set over wrong universe")
+    survivors = [v for v in range(g.n) if v not in s]
+    if not survivors:
+        raise ValueError("cannot delete every vertex")
+    idmap = {old: new for new, old in enumerate(survivors)}
+    edges = [
+        (idmap[u], idmap[v])
+        for u, v in g.edges()
+        if u in idmap and v in idmap
+    ]
+    return Graph(len(survivors), edges), idmap
 
 
 def ball_oracle(g, center, r):

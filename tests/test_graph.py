@@ -1,3 +1,4 @@
+import functools
 import math
 
 import pytest
@@ -19,6 +20,8 @@ from copsrobbers import (
     format_edge_list,
     gen_cycle,
     gen_gnp,
+    gen_grid,
+    gen_hypercube,
     gen_path,
     gen_petersen,
     girth,
@@ -31,9 +34,17 @@ from copsrobbers import (
 )
 
 from conftest import all_connected_graphs
+import copsrobbers.graph
 from copsrobbers.graph import MAX_PARSE_VERTICES
 from copsrobbers.seeds import make_rng
-from oracles import ball_oracle, diameter_oracle, diameter_pair_oracle, girth_oracle
+from oracles import (
+    ball_oracle,
+    delete_vertices_oracle,
+    diameter_oracle,
+    diameter_pair_allpairs,
+    diameter_pair_oracle,
+    girth_oracle,
+)
 
 
 def vs(n, members):
@@ -242,6 +253,127 @@ def test_diameter_pair_matches_oracle_with_and_without_mask():
         assert diameter_pair(g) == diameter_pair_oracle(g)
         assert diameter(g) == diameter_pair_oracle(g)[0]
         assert diameter_pair(g, mask) == diameter_pair_oracle(g, mask), (g.edges(), list(mask))
+
+
+# ---------------------------------------------------------------------------
+# The pruned diameter scan against the all-pairs loop it replaced.
+# ---------------------------------------------------------------------------
+
+def _relabel(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def _tree_with_chords(n, rng):
+    """Random recursive tree plus n // 20 random chords."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + n // 20:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
+_FAMILIES = {
+    "grid-3x7": lambda rng: gen_grid(3, 7),
+    "grid-10x10": lambda rng: gen_grid(10, 10),
+    "grid-25x25": lambda rng: gen_grid(25, 25),
+    "grid-12x30": lambda rng: gen_grid(12, 30),
+    "path-2": lambda rng: gen_path(2),
+    "path-17": lambda rng: gen_path(17),
+    "path-400": lambda rng: gen_path(400),
+    "cycle-80": lambda rng: gen_cycle(80),
+    "cycle-450": lambda rng: gen_cycle(450),
+    "q4": lambda rng: gen_hypercube(4),
+    "q5": lambda rng: gen_hypercube(5),
+    "q6": lambda rng: gen_hypercube(6),
+    "petersen": lambda rng: gen_petersen(),
+    "tree-450": lambda rng: _tree_with_chords(450, rng),
+}
+
+
+def _family_graph(name):
+    rng = make_rng(2025, f"diameter:{name}")
+    return _relabel(_FAMILIES[name](rng), rng)
+
+
+@functools.cache
+def _recursion_masks(name, threshold=3):
+    """(mask, all-pairs diameter pair) for every component the guard-delete
+    recursion visits on a family graph: above the threshold, delete the
+    geodesic between the diametral pair and recurse into the components of
+    what is left."""
+    g = _family_graph(name)
+    out = []
+    stack = [VertexSet.full(g.n)]
+    while stack:
+        comp = stack.pop()
+        d, u, v = pair = diameter_pair_allpairs(g, comp)
+        out.append((comp, pair))
+        if d <= threshold:
+            continue
+        rest = comp - vs(g.n, shortest_path(g, u, v, within=comp))
+        while rest:
+            part = component_of(g, next(iter(rest)), within=rest)
+            stack.append(part)
+            rest = rest - part
+    return g, out
+
+
+@pytest.mark.parametrize("name", sorted(_FAMILIES))
+def test_diameter_pair_matches_allpairs_on_relabelled_families(name):
+    g, masks = _recursion_masks(name)
+    for mask, pair in masks:
+        assert diameter_pair(g, mask) == pair, list(mask)
+    # a random mask (usually disconnected) and one of its components
+    rng = make_rng(2025, f"mask:{name}")
+    mask = vs(g.n, [v for v in range(g.n) if rng.random() < 0.8] or [0])
+    assert diameter_pair(g, mask) == diameter_pair_allpairs(g, mask)
+    part = component_of(g, max(mask), within=mask)
+    assert diameter_pair(g, part) == diameter_pair_allpairs(g, part)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.sampled_from((0.05, 0.1, 0.2, 0.4)), st.data())
+def test_diameter_pair_matches_allpairs_on_gnp(n, p, data):
+    g = gen_gnp(n, p, data.draw(st.integers(0, 10**6)))
+    assert diameter_pair(g) == diameter_pair_allpairs(g)
+    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    mask = vs(n, members)
+    assert diameter_pair(g, mask) == diameter_pair_allpairs(g, mask)
+    part = component_of(g, min(members), within=mask)
+    assert diameter_pair(g, part) == diameter_pair_allpairs(g, part)
+
+
+@pytest.mark.parametrize("name", ["grid-25x25", "path-400"])
+def test_diameter_pair_prunes_bfs_sources(monkeypatch, name):
+    g = _family_graph(name)
+    expected = diameter_pair_allpairs(g)
+    passes = []
+    bfs = copsrobbers.graph._bfs
+
+    def counting_bfs(*args):
+        passes.append(args)
+        return bfs(*args)
+
+    monkeypatch.setattr(copsrobbers.graph, "_bfs", counting_bfs)
+    assert diameter_pair(g) == expected
+    # the all-pairs loop takes g.n passes
+    assert len(passes) <= 25
+
+
+def test_delete_vertices_matches_full_scan():
+    cases = list(_random_masked_cases())
+    for name in ("grid-12x30", "tree-450"):
+        g, masks = _recursion_masks(name)
+        cases += [(g, mask) for mask, (d, _, _) in masks if d <= 3]
+    for g, mask in cases:
+        for drop in (mask.complement(), mask):
+            if drop == VertexSet.full(g.n):
+                with pytest.raises(ValueError):
+                    delete_vertices(g, drop)
+            else:
+                assert delete_vertices(g, drop) == delete_vertices_oracle(g, drop)
 
 
 def test_masked_metrics_match_relabelled_subgraph():
