@@ -21,7 +21,15 @@ one adjacent cop simply walks onto the robber in the first move
 (immediate-capture plan).
 
 Plan construction is pure given (graph, family, v); a failed plan is a value
-(``PlanFailure``), and callers resample the family with fresh derived seeds.
+(``PlanFailure``).  ``resample_family`` is the one resampling loop: it draws
+families from fresh derived seeds until one plans every start, for the
+expander strategy and for the recursion's leaves alike.
+
+Every team that walks plans is one ``ScriptedCop``: each cop has a track
+(its route onto a matched shell vertex, then holding there), read at round r
+by ``track_at``.  The visible team keys its tracks by the robber's start; the
+invisible team walks one start-independent guess-and-sweep track set; the
+recursion's leaves build their per-start tracks with ``start_scripts``.
 """
 
 from __future__ import annotations
@@ -54,10 +62,12 @@ __all__ = [
     "CapturePlan",
     "PlanFailure",
     "build_plan",
-    "ExpanderCop",
+    "resample_family",
+    "track_at",
+    "start_scripts",
+    "ScriptedCop",
     "execute_plan",
     "make_expander_cop",
-    "InvisibleExpanderCop",
     "invisible_mode",
     "InvisibleResult",
     "plan_summary",
@@ -228,16 +238,16 @@ class LevelSplit:
 
 
 def decompose_level(g: Graph, candidate: VertexSet, cops_available: VertexSet,
-                    radius: int, lam: float) -> LevelSplit:
+                    radius: int) -> LevelSplit:
     """Split `candidate` into a matchable shell and a deficiency core.
 
     Every shell vertex is assigned a distinct cop home within `radius`,
-    with the connecting geodesic recorded.  `lam` only scales the logged
-    expansion diagnostics; the split itself is purely matching-theoretic.
+    with the connecting geodesic recorded.  The split is purely
+    matching-theoretic: the core is the Hall-deficiency closure of a
+    maximum matching.
     """
     if not candidate:
         raise ValueError("candidate set must be nonempty")
-    del lam  # recorded by callers via growth diagnostics
     return _decompose(g, candidate, cops_available, radius, {})
 
 
@@ -393,53 +403,74 @@ def build_plan(g: Graph, v: int, family: CopSetFamily, params: StrategyParams):
 
 
 # ---------------------------------------------------------------------------
-# Engine strategies.
+# Resampling, and the one scripted cop team that walks the plans.
 # ---------------------------------------------------------------------------
+
+def resample_family(g: Graph, params: StrategyParams, seed: int, label: str):
+    """Sample families until one yields a successful plan for every start.
+
+    Attempt i samples from ``derive_seed(seed, f"{label}:{i}")``.  Returns
+    (family, plans, attempts); once ``params.resample_limit`` attempts have
+    failed, family is None and plans are the last attempt's.
+    """
+    for attempt in range(params.resample_limit):
+        family = sample_cop_sets(g, params, derive_seed(seed, f"{label}:{attempt}"))
+        plans = {v: build_plan(g, v, family, params) for v in range(g.n)}
+        if all(isinstance(p, CapturePlan) for p in plans.values()):
+            return family, plans, attempt + 1
+    return None, plans, params.resample_limit
+
 
 def _family_roster(family: CopSetFamily) -> list[tuple[int, int]]:
     """One cop per set membership: (set index, home vertex), stable order."""
     return [(j, w) for j, s in enumerate(family.sets) for w in sorted(s)]
 
 
-def _plan_scripts(g: Graph, plan: CapturePlan, roster) -> tuple[tuple[int, ...], ...]:
-    """Per-cop walk: position at round r is script[min(r, len-1)]."""
-    scripts = []
+def track_at(track: tuple[int, ...], r: int) -> int:
+    """A cop's position at round r; a walked-out track holds its last vertex."""
+    return track[min(r, len(track) - 1)]
+
+
+def _plan_scripts(plan: CapturePlan, roster) -> tuple[tuple[int, ...], ...]:
+    """Per-cop track of one plan, in roster order."""
     if plan.kind == "immediate":
-        for j, w in roster:
-            if j == 0 and w == plan.immediate_home:
-                scripts.append(tuple(plan.immediate_route))
-            else:
-                scripts.append((w,))
-        return tuple(scripts)
+        return tuple(
+            tuple(plan.immediate_route) if j == 0 and w == plan.immediate_home else (w,)
+            for j, w in roster
+        )
     by_level: dict[tuple[int, int], tuple[int, ...]] = {}
     for lv in plan.levels:
         for u, w in lv.matching.items():
             by_level[(lv.index - 1, w)] = lv.routes[u]
-    for j, w in roster:
-        scripts.append(tuple(by_level.get((j, w), (w,))))
-    return tuple(scripts)
+    return tuple(tuple(by_level.get((j, w), (w,))) for j, w in roster)
 
 
-class ExpanderCop:
-    """Scripted cop team: reads the robber's placement, then walks its plan.
+def start_scripts(family: CopSetFamily, plans: dict):
+    """Cop homes, and the per-cop tracks of every start whose plan succeeded."""
+    roster = _family_roster(family)
+    fp = family.fingerprint()
+    scripts = {}
+    for v, plan in plans.items():
+        if isinstance(plan, CapturePlan):
+            if plan.family_fingerprint != fp:
+                raise ValueError("plan was built from a different family")
+            scripts[v] = _plan_scripts(plan, roster)
+    return tuple(w for _, w in roster), scripts
 
-    Requires a visible robber on the first move only; the walk itself never
-    consults the robber again.
+
+class ScriptedCop:
+    """Cop team walking precomputed per-cop tracks, read with `track_at`.
+
+    `tracks` is either one tuple of per-cop tracks, walked without ever
+    reading the robber, or a dict from robber start to such a tuple.  A
+    keyed team reads the robber's placement on its first move, keeps that
+    start as its strategy state and holds if the start has no tracks.
     """
 
-    name = "expander"
-
-    def __init__(self, g: Graph, family: CopSetFamily, plans: dict):
-        self._family = family
-        self._roster = _family_roster(family)
-        self._homes = tuple(w for _, w in self._roster)
-        self._scripts = {}
-        for v, plan in plans.items():
-            if isinstance(plan, CapturePlan):
-                if plan.family_fingerprint != family.fingerprint():
-                    raise ValueError("plan was built from a different family")
-                self._scripts[v] = _plan_scripts(g, plan, self._roster)
-        self.plans = dict(plans)
+    def __init__(self, name: str, homes: tuple[int, ...], tracks):
+        self.name = name
+        self._homes = homes
+        self._tracks = tracks
 
     @property
     def cop_count(self) -> int:
@@ -454,23 +485,23 @@ class ExpanderCop:
         return None
 
     def move(self, g, view, state):
-        v = state
-        if v is None:
-            if view.robber_position is None:
-                raise ValueError("expander cops read the robber placement once")
-            v = view.robber_position
-        scripts = self._scripts.get(v)
-        if scripts is None:
-            return view.cop_positions, v  # no plan for this start: hold
-        r = view.round
-        return tuple(s[min(r, len(s) - 1)] for s in scripts), v
+        tracks = self._tracks
+        if isinstance(tracks, dict):
+            if state is None:
+                if view.robber_position is None:
+                    raise ValueError("expander cops read the robber placement once")
+                state = view.robber_position
+            tracks = tracks.get(state)
+            if tracks is None:
+                return view.cop_positions, state  # no plan for this start: hold
+        return tuple(track_at(t, view.round) for t in tracks), state
 
 
-def execute_plan(g: Graph, plan: CapturePlan, family: CopSetFamily) -> ExpanderCop:
+def execute_plan(g: Graph, plan: CapturePlan, family: CopSetFamily) -> ScriptedCop:
     """Engine strategy walking one successful plan (for its start vertex)."""
     if not isinstance(plan, CapturePlan):
         raise ValueError("cannot execute a failed plan")
-    return ExpanderCop(g, family, {plan.start_vertex: plan})
+    return ScriptedCop("expander", *start_scripts(family, {plan.start_vertex: plan}))
 
 
 def make_expander_cop(g: Graph, params: StrategyParams, seed: int):
@@ -479,85 +510,19 @@ def make_expander_cop(g: Graph, params: StrategyParams, seed: int):
     Returns (strategy, family, plans, attempts); raises PlanningError-style
     ValueError if the resample limit is exhausted.
     """
-    last_failures = None
-    for attempt in range(params.resample_limit):
-        family = sample_cop_sets(g, params, derive_seed(seed, f"family:{attempt}"))
-        plans = {v: build_plan(g, v, family, params) for v in range(g.n)}
-        if all(isinstance(p, CapturePlan) for p in plans.values()):
-            return ExpanderCop(g, family, plans), family, plans, attempt + 1
-        last_failures = sum(isinstance(p, PlanFailure) for p in plans.values())
-    raise ValueError(
-        f"no family produced plans for every start within {params.resample_limit} "
-        f"resamples (last attempt failed on {last_failures} starts)"
-    )
+    family, plans, attempts = resample_family(g, params, seed, "family")
+    if family is None:
+        failed = sum(isinstance(p, PlanFailure) for p in plans.values())
+        raise ValueError(
+            f"no family produced plans for every start within {params.resample_limit} "
+            f"resamples (last attempt failed on {failed} starts)"
+        )
+    return ScriptedCop("expander", *start_scripts(family, plans)), family, plans, attempts
 
 
 # ---------------------------------------------------------------------------
 # Invisible-robber mode: guess, walk the plan, walk home, repeat.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Phase:
-    guess: int
-    planned: bool
-    first_round: int
-    last_round: int  # < first_round when the phase spans no rounds
-
-
-class InvisibleExpanderCop:
-    """Fully pre-scripted cop team that never reads the robber's position."""
-
-    name = "expander-invisible"
-
-    def __init__(self, g: Graph, family: CopSetFamily, params: StrategyParams,
-                 seed: int, max_repeats: int):
-        self._roster = _family_roster(family)
-        self._homes = tuple(w for _, w in self._roster)
-        rng = make_rng(seed, "guesses")
-        tracks: list[list[int]] = [[w] for w in self._homes]
-        phases: list[_Phase] = []
-        self.guesses: list[int] = []
-        plan_cache: dict[int, object] = {}
-        for _ in range(max_repeats):
-            guess = rng.randrange(g.n)
-            self.guesses.append(guess)
-            plan = plan_cache.get(guess)
-            if plan is None:
-                plan = build_plan(g, guess, family, params)
-                plan_cache[guess] = plan
-            start = len(tracks[0])  # next round index to be filled
-            if isinstance(plan, PlanFailure):
-                phases.append(_Phase(guess, False, start, start - 1))
-                continue
-            scripts = _plan_scripts(g, plan, self._roster)
-            t_len = plan.capture_deadline
-            for track, s in zip(tracks, scripts):
-                for r in range(1, t_len + 1):
-                    track.append(s[min(r, len(s) - 1)])
-                back = list(reversed(s))
-                for r in range(1, t_len + 1):
-                    track.append(back[min(r, len(back) - 1)])
-            phases.append(_Phase(guess, True, start, start + 2 * t_len - 1))
-        self._tracks = tuple(tuple(t) for t in tracks)
-        self.phases = tuple(phases)
-        self.script_rounds = len(tracks[0]) - 1
-
-    def place(self, g, cfg):
-        if cfg.cop_count != len(self._homes):
-            raise ValueError(f"strategy fields {len(self._homes)} cops")
-        return self._homes
-
-    def initial_state(self):
-        return None
-
-    def move(self, g, view, state):
-        r = view.round
-        return tuple(t[min(r, len(t) - 1)] for t in self._tracks), state
-
-    def repeats_until(self, capture_round: int) -> int:
-        """How many guesses were consumed by the time of capture."""
-        return sum(1 for ph in self.phases if ph.first_round <= capture_round)
-
 
 @dataclass(frozen=True)
 class InvisibleResult:
@@ -570,32 +535,59 @@ class InvisibleResult:
 def invisible_mode(g: Graph, family: CopSetFamily, params: StrategyParams,
                    seed: int, max_repeats: int, robber=None,
                    max_rounds: int | None = None) -> InvisibleResult:
-    """Play the guess-and-sweep loop against an invisible robber."""
+    """Play the guess-and-sweep loop against an invisible robber.
+
+    Each guess adds one phase to every cop's track: the guessed start's plan
+    up to its capture deadline, then the same number of rounds walking back
+    home.  A guess whose plan fails adds no rounds.  The team never reads
+    the robber's position.
+    """
     from .engine import GameConfig, GreedyFarRobber, play
 
     if family.total_cops == 0:
         raise ValueError("family has no cops to field")
-    cop = InvisibleExpanderCop(g, family, params, seed, max_repeats)
+    roster = _family_roster(family)
+    rng = make_rng(seed, "guesses")
+    tracks: list[list[int]] = [[w] for _, w in roster]
+    guesses: list[int] = []
+    phase_starts: list[int] = []  # first round of each guess's phase
+    plan_cache: dict[int, object] = {}
+    for _ in range(max_repeats):
+        guess = rng.randrange(g.n)
+        guesses.append(guess)
+        phase_starts.append(len(tracks[0]))
+        if guess not in plan_cache:
+            plan_cache[guess] = build_plan(g, guess, family, params)
+        plan = plan_cache[guess]
+        if isinstance(plan, PlanFailure):
+            continue
+        steps = range(1, plan.capture_deadline + 1)
+        for track, s in zip(tracks, _plan_scripts(plan, roster)):
+            back = s[::-1]
+            track.extend(track_at(s, r) for r in steps)
+            track.extend(track_at(back, r) for r in steps)
+    cop = ScriptedCop("expander-invisible", tuple(w for _, w in roster),
+                      tuple(tuple(t) for t in tracks))
     if robber is None:
         robber = GreedyFarRobber()
-    rounds = max_rounds if max_rounds is not None else max(1, cop.script_rounds + g.n + 1)
     cfg = GameConfig(
         cop_count=family.total_cops,
-        max_rounds=rounds,
+        # the scripted rounds (track length - 1), then n + 1 rounds of holding
+        max_rounds=max_rounds if max_rounds is not None else len(tracks[0]) + g.n,
         robber_visible=False,
         seed=seed,
     )
     transcript = play(g, cop, robber, cfg)
     caught = transcript.caught
     if caught:
-        repeats = cop.repeats_until(transcript.outcome.round)
+        repeats = sum(1 for first in phase_starts if first <= transcript.outcome.round)
     else:
         repeats = max_repeats
     return InvisibleResult(
         transcript=transcript,
         caught=caught,
         repeats=repeats,
-        guesses=tuple(cop.guesses),
+        guesses=tuple(guesses),
     )
 
 
@@ -634,6 +626,6 @@ def plan_summary(plan, family: CopSetFamily) -> dict:
             "lam_cap": gr.lam_cap,
             "lam_cap_held": gr.lam_cap_held,
         }
-        for gr in getattr(plan, "growth", ())
+        for gr in plan.growth
     ]
     return doc

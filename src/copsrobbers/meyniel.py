@@ -32,14 +32,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import GameConfig, GreedyFarRobber, View, play
-from .expander import (
-    CapturePlan,
-    StrategyParams,
-    _family_roster,
-    _plan_scripts,
-    build_plan,
-    sample_cop_sets,
-)
+from .expander import StrategyParams, resample_family, start_scripts, track_at
+# Not called here; bench/tracing.py looks these two names up in this module.
+from .expander import build_plan, sample_cop_sets  # noqa: F401
 from .graph import (
     UNREACHABLE,
     Graph,
@@ -52,7 +47,6 @@ from .graph import (
     walk_back,
 )
 from .guard import _GuardContext
-from .seeds import derive_seed
 
 __all__ = [
     "MeynielAnalysis",
@@ -148,46 +142,30 @@ class MeynielAnalysis:
         # The expander samples over a Graph, so the leaf works on the induced
         # subgraph; its compact ids map back through the sorted members.
         g = self.g
-        params = self.params
         sub, _ = delete_vertices(g, comp.complement())
-        rmap = tuple(comp)
-        family = None
-        plans = None
-        attempts = 0
-        for attempt in range(params.resample_limit):
-            attempts = attempt + 1
-            fam = sample_cop_sets(sub, params, derive_seed(self.seed, f"{label}:fam:{attempt}"))
-            cand = {v: build_plan(sub, v, fam, params) for v in range(sub.n)}
-            if all(isinstance(p, CapturePlan) for p in cand.values()):
-                family = fam
-                plans = cand
-                break
+        family, plans, attempts = resample_family(sub, self.params, self.seed, f"{label}:fam")
         if family is None:
             return _Node(
                 node_id=node_id, depth=depth, kind="leaf", vertices=comp,
                 entry=entry, duration=0, broken=True, resamples=attempts,
             )
-        roster = _family_roster(family)
-        homes = tuple(rmap[w] for _, w in roster)
+        rmap = tuple(comp)
+        homes, scripts = start_scripts(family, plans)
+        homes = tuple(rmap[w] for w in homes)
         march_routes = tuple(tuple(walk_back(g, self._dist_v0, h)) for h in homes)
         march = max((len(r) - 1 for r in march_routes), default=0)
         if depth == 0:
             march = 0  # root leaf: cops are placed on their homes directly
-        scripts = {}
-        deadlines = {}
-        for v_sub, plan in plans.items():
-            per_cop = _plan_scripts(sub, plan, roster)
-            scripts[rmap[v_sub]] = tuple(
-                tuple(rmap[p] for p in s) for s in per_cop
-            )
-            deadlines[rmap[v_sub]] = plan.capture_deadline
         return _Node(
             node_id=node_id, depth=depth, kind="leaf", vertices=comp,
             entry=entry, duration=march, broken=False,
             family_total=family.total_cops,
             family_set_sizes=tuple(len(s) for s in family.sets),
             homes=homes, march_routes=march_routes,
-            scripts=scripts, deadlines=deadlines, resamples=attempts,
+            scripts={rmap[v]: tuple(tuple(rmap[p] for p in t) for t in tracks)
+                     for v, tracks in scripts.items()},
+            deadlines={rmap[v]: plan.capture_deadline for v, plan in plans.items()},
+            resamples=attempts,
         )
 
     def timeline_bound(self) -> int:
@@ -265,17 +243,15 @@ class MeynielCop:
         if node.kind == "leaf" and not node.broken:
             base = node.depth
             rel = view.round - node.entry
-            if rel <= node.duration and not self._root_is_leaf:
+            if rel <= node.duration:
                 for i, route in enumerate(node.march_routes):
-                    moves[base + i] = route[min(rel, len(route) - 1)]
+                    moves[base + i] = track_at(route, rel)
             else:
                 if leaf_v is None:
                     leaf_v = r if r in node.vertices else None
                 if leaf_v is not None:
-                    scripts = node.scripts[leaf_v]
-                    erel = view.round - node.entry - node.duration
-                    for i, s in enumerate(scripts):
-                        moves[base + i] = s[min(erel, len(s) - 1)]
+                    for i, track in enumerate(node.scripts[leaf_v]):
+                        moves[base + i] = track_at(track, rel - node.duration)
         return tuple(moves), (node.node_id, leaf_v)
 
 

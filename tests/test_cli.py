@@ -202,6 +202,42 @@ PINNED_STRATEGY_SHA256 = {
 }
 
 
+# SHA-256 of `strategy expander` stdout against the greedy and the random
+# robber, with the default parameters and then with --lam 6 --density 0.4.
+# None: that run uses up its resamples, exits 1 and prints nothing.
+PINNED_EXPANDER_SHA256 = {
+    "grid5x6": ("178ec25173567fe0dece059ddfdc257749f5a3b5bd4d325826901ca6930bd5ff",
+                "d9adef026e6da8551331838045ff0c4327b09e98f83968508163229a67b550e4",
+                "2b0b92dab659f847552b83d6df0ae2a97aaa01c51051b0c3fe730d6529cb3361",
+                "761612ee30fbb6110f5d8008fdd0dbbca2b3c176029f665db106d4d116b07547"),
+    "c40": ("965cafcce605996da2104b18883c3c6f8763fdb9af41afa9e7f2ca155ae13226",
+            "76d5abc4e5794c4935f7a0430188de5297cd05ff72355bbf67a5e631ecd0751d",
+            None,
+            None),
+    "tree100": ("e738eb70fec0015179e6af5c023d0d3d7bbc456974260d6acdeef1e7b9b3697d",
+                "382af7dcb85ddc6f5c1627254e2250a15025e272b6649169b9c81877c9c2dc4d",
+                "fcb32fa189cecb38649662948c84c2df080e9d7732ed54c2ab0d7a2f57dd0791",
+                "3b65e99b2be1377cb5ce7fc7f0dd55f4553060a87c3ddd8365d7d4285edb9b07"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_EXPANDER_SHA256))
+def test_strategy_expander_output_pinned(tmp_path, capsys, name):
+    f = tmp_path / f"{name}.el"
+    f.write_text(format_edge_list(PINNED_GRAPHS[name]()))
+    runs = [(extra, robber) for extra in ([], ["--lam", "6", "--density", "0.4"])
+            for robber in ("greedy", "random")]
+    for (extra, robber), expected in zip(runs, PINNED_EXPANDER_SHA256[name]):
+        code, out, err = run(capsys, "strategy", "expander", str(f), "--robber", robber, *extra)
+        if expected is None:
+            assert (code, out) == (1, "")
+            assert err == ("error: no family produced plans for every start within 16 "
+                           "resamples (last attempt failed on 6 starts)\n")
+        else:
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_GRAPHS))
 def test_strategy_output_pinned(tmp_path, capsys, name):
     f = tmp_path / f"{name}.el"

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from copsrobbers import (
@@ -20,6 +22,7 @@ from copsrobbers import (
     make_expander_cop,
     play,
     sample_cop_sets,
+    transcript_to_json,
     verify_claim,
 )
 from copsrobbers.engine import expand_game_layers
@@ -128,7 +131,7 @@ def test_claim_fraction_and_resampling_policy_p8():
 def test_identity_matching_radius_zero():
     g = gen_path(5)
     cand = VertexSet.of(5, [1, 2, 3])
-    split = decompose_level(g, cand, cand, 0, 2.0)
+    split = decompose_level(g, cand, cand, 0)
     assert not split.core
     assert split.shell == cand
     assert split.matching == {1: 1, 2: 2, 3: 3}
@@ -138,7 +141,7 @@ def test_identity_matching_radius_zero():
 def test_hall_violation_pulls_whole_closure():
     # two candidates can only reach one cop: the alternating closure absorbs both
     g = gen_path(3)  # 0-1-2
-    split = decompose_level(g, VertexSet.of(3, [0, 1]), VertexSet.of(3, [1]), 1, 2.0)
+    split = decompose_level(g, VertexSet.of(3, [0, 1]), VertexSet.of(3, [1]), 1)
     assert sorted(split.core) == [0, 1]
     assert not split.shell
 
@@ -150,7 +153,7 @@ def test_shell_satisfies_hall_exhaustively():
         fam = sample_cop_sets(g, params, seed=seed)
         cand = VertexSet.full(9)
         radius = 2
-        split = decompose_level(g, cand, fam.sets[0], radius, 2.0)
+        split = decompose_level(g, cand, fam.sets[0], radius)
         dist = fw_distances(g)
         adjacency = {
             u: {w for w in fam.sets[0] if dist[u][w] <= radius}
@@ -171,7 +174,7 @@ def test_core_vs_bruteforce_largest_subset():
     g = gen_path(6)
     cand = VertexSet.of(6, [1, 2, 3])
     cops = VertexSet.of(6, [0])
-    split = decompose_level(g, cand, cops, 1, 2.0)
+    split = decompose_level(g, cand, cops, 1)
     brute = largest_nonexpanding_subset(g, [1, 2, 3], 1, 2.0)
     dist = fw_distances(g)
     if brute:
@@ -198,7 +201,7 @@ def test_star_all_of_b1_matches_at_radius_one():
     # matchable shell: empty core at the first level
     star = Graph(6, [(0, i) for i in range(1, 6)])
     split = decompose_level(g=star, candidate=VertexSet.full(6),
-                            cops_available=VertexSet.full(6), radius=1, lam=6.5)
+                            cops_available=VertexSet.full(6), radius=1)
     assert not split.core and len(split.shell) == 6
 
 
@@ -390,3 +393,48 @@ def test_invisible_always_failing_family_hits_repeat_limit():
     assert not res.caught
     assert res.repeats == 12
     assert res.transcript.outcome.kind == "robber_wins"
+
+
+# invisible_mode pinned to the bytes of an earlier revision: SHA-256 of the
+# canonical transcript JSON, repeats, and every guess drawn.
+PINNED_INVISIBLE = {
+    "k5": ("0b96bc96e9c3b8a734b4e8a85f9d8f14ab5e92328f176fb8f51a59f261489ae4", 0,
+           (2, 2, 1, 2, 4, 2, 3, 3, 2, 1)),
+    "star-5": ("f80876eeaeac1bd15c7ce651cacf592a40bc7ccfcb2e785463c32dcdcd314204", 4,
+               (2, 0, 2, 1, 0, 1, 5, 5, 5, 0, 5, 2, 2, 1, 3, 0, 1, 1, 0, 5,
+                5, 1, 0, 3, 5, 1, 0, 1, 3, 4, 4, 4, 2, 3, 2, 4, 0, 3, 5, 4,
+                1, 4, 2, 4, 4, 1, 1, 0, 2, 2, 5, 1, 5, 1, 3, 0, 1, 2, 4, 5)),
+    "star-20": ("91c2a283739af2ae9ec998514d7d7f89498c3c8ccab37e0385efbdd0fde7023c", 6,
+                (1, 3, 2, 5, 1, 4, 3, 1, 3, 0, 5, 3, 3, 1, 4, 3, 1, 0, 4, 2,
+                 1, 3, 2, 1, 3, 5, 2, 5, 1, 4, 5, 1, 1, 0, 2, 1, 2, 4, 3, 5,
+                 4, 2, 4, 5, 5, 3, 5, 1, 1, 4, 4, 2, 2, 1, 2, 1, 0, 3, 0, 3)),
+    "path10-failing": ("d5d843e0fe855b4a5d80d885413a0c6c447605198c7eec73f9c8c8da1f3e88b6", 12,
+                       (4, 6, 3, 6, 4, 0, 4, 6, 7, 5, 5, 7)),
+}
+
+
+def _invisible_case(name):
+    if name == "k5":
+        k5 = Graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+        return invisible_mode(k5, full_family(k5, 1),
+                              StrategyParams(lam=2.0, density=1.0, levels=1),
+                              seed=8, max_repeats=10)
+    if name.startswith("star-"):
+        seed = int(name[5:])
+        star = Graph(6, [(0, i) for i in range(1, 6)])
+        params = StrategyParams(lam=2.0, density=0.7, levels=2)
+        fam = sample_cop_sets(star, params, seed=derive_seed(5, f"inv:{seed}"))
+        return invisible_mode(star, fam, params, seed=seed, max_repeats=60)
+    g = gen_path(10)
+    return invisible_mode(g, empty_plus_one(g, 2, cop_vertex=0),
+                          StrategyParams(lam=3.0, density=0.05, levels=2),
+                          seed=1, max_repeats=12)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_INVISIBLE))
+def test_invisible_mode_pinned(name):
+    digest, repeats, guesses = PINNED_INVISIBLE[name]
+    res = _invisible_case(name)
+    text = transcript_to_json(res.transcript)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert (res.repeats, res.guesses) == (repeats, guesses)

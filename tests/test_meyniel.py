@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from copsrobbers import (
@@ -136,3 +138,44 @@ def test_broken_leaf_reported():
 def test_aggressive_threshold_validation():
     with pytest.raises(ValueError):
         MeynielAnalysis(gen_path(5), 0, PARAMS, seed=0)
+
+
+# Every leaf of the analysis, pinned to the bytes of an earlier revision:
+# (node id, resamples, broken, family set sizes, SHA-256 of the repr of
+# (homes, sorted deadlines, march routes, sorted per-start scripts)), with the
+# pool size and the timeline bound.  Resamples above 1 and the root leaf check
+# that leaf planning draws the same families from the same derived seeds.
+HALF = StrategyParams(lam=2.0, density=0.5, levels=3)
+STARVED = StrategyParams(lam=2.0, density=1e-9, levels=1, resample_limit=1)
+PINNED_LEAVES = {
+    "grid12x12": ((gen_grid, 12, 12), 3, PARAMS, 24, 190, (
+        (10, 1, False, (4, 2, 4, 4),
+         "cc77029b48e7ec5a177025f0ae69b89f95b2d14da77f18b81297c7469ef589b0"),
+    )),
+    "grid12x12-half": ((gen_grid, 12, 12), 4, HALF, 31, 178, (
+        (9, 2, False, (4, 7, 6, 5),
+         "4b51c9ddca183a1d020a394b3427b60712794e47f830a54a7fc78efebe877bfd"),
+    )),
+    "c40-root-leaf": ((gen_cycle, 40), 20, HALF, 73, 4, (
+        (0, 1, False, (18, 23, 13, 19),
+         "4954a1bd111985ac8a788dbe7ff34da42c6d355d2b362b8e19a85edce8388020"),
+    )),
+    "starved-grid4x4": ((gen_grid, 4, 4), 2, STARVED, 2, 14, (
+        (2, 1, True, (),
+         "8ef31c2d68fbd71420df5fce8d62f8737938441d0a2ad045f280f1a0e2a4b13b"),
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LEAVES))
+def test_leaves_pinned(name):
+    (gen, *args), threshold, params, pool, timeline, leaves = PINNED_LEAVES[name]
+    an = MeynielAnalysis(gen(*args), threshold, params, seed=0)
+    got = []
+    for n in an.nodes:
+        if n.kind == "leaf":
+            doc = (n.homes, sorted((n.deadlines or {}).items()), n.march_routes,
+                   sorted((n.scripts or {}).items()))
+            got.append((n.node_id, n.resamples, n.broken, n.family_set_sizes,
+                        hashlib.sha256(repr(doc).encode()).hexdigest()))
+    assert (an.pool_size, an.timeline_bound(), tuple(got)) == (pool, timeline, leaves)
