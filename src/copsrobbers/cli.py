@@ -4,29 +4,32 @@ Exit codes: 0 ok, 1 fault (bad input, failed verification), 2 usage,
 3 resource limit.  All randomized subcommands take one --seed; component
 sub-seeds are derived from it, and identical invocations produce
 byte-identical output.
+
+``verify`` runs acceptance criteria 1-9 of ``copsrobbers.checks`` at --seed
+and --budget (0 skips them) and emits ``copsrobbers.verify/2``: per criterion
+its name, status, detail and report.  --corpus graphs join criterion 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
+import os
 import sys
 
 import mpmath
 
-from . import bounds, generators, solver
+from . import bounds, checks, generators, solver
 from .engine import (
     ChaserCop,
     GameConfig,
     GreedyFarRobber,
     RandomRobber,
-    adversarial_robber_search,
     play,
     transcript_to_json,
     validate_transcript,
 )
-from .errors import CopsRobbersError, ParseError, ResourceLimitError
+from .errors import CopsRobbersError, ResourceLimitError
 from .expander import (
     StrategyParams,
     desk_params,
@@ -37,10 +40,7 @@ from .graph import (
     Graph,
     diameter_pair,
     format_edge_list,
-    girth,
     graph_hash,
-    is_connected,
-    min_degree,
     parse_edge_list,
     shortest_path,
     to_dot,
@@ -57,8 +57,10 @@ def _dump(doc) -> str:
 
 
 def _read_graph(path: str) -> Graph:
-    text = sys.stdin.read() if path == "-" else open(path).read()
-    return parse_edge_list(text)
+    if path == "-":
+        return parse_edge_list(sys.stdin.read())
+    with open(path) as fh:
+        return parse_edge_list(fh.read())
 
 
 def _write(text: str, out: str | None):
@@ -250,91 +252,28 @@ def cmd_bound(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = []
-    seed = args.seed
-
-    def record(name, status, detail, chk_seed=None):
-        checks.append({"name": name, "status": status, "detail": detail, "seed": chk_seed})
-
-    corpus: list[Graph] = []
+    corpus = None
     if args.corpus:
-        import os
-
-        for fname in sorted(os.listdir(args.corpus)):
-            if fname.endswith(".el"):
-                corpus.append(_read_graph(os.path.join(args.corpus, fname)))
-
-    budget = args.budget
-    if budget <= 0:
-        for name in ("oracle_agreement", "girth_bound", "guard_soundness",
-                     "expander_confinement", "eq1_sweep"):
-            record(name, "skipped", "budget 0: resource limit")
-    else:
-        # oracle agreement: dismantlability == one-cop win
-        bad = []
-        count = 0
-        pool = list(corpus)
-        for i in range(20 * budget):
-            n = 5 + (i % 4)
-            pool.append(generators.gen_gnp(n, 0.45, derive_seed(seed, f"verify:oracle:{i}")))
-        for i, g in enumerate(pool):
-            if not is_connected(g) or g.n > 9:
-                continue
-            count += 1
-            if solver.is_dismantlable(g)[0] != solver.is_k_copwin(g, 1):
-                bad.append(i)
-        record("oracle_agreement", "fail" if bad else "pass",
-               f"{count} graphs, disagreements: {bad}", seed)
-
-        # girth >= 5 forces cop number >= min degree
-        h = generators.gen_projective_incidence(2)
-        ok = girth(h) >= 5 and (solver.cop_number(h, min_degree(h) + 1) or 99) >= min_degree(h)
-        record("girth_bound", "pass" if ok else "fail",
-               f"incidence graph: girth {girth(h)}, min degree {min_degree(h)}")
-
-        # guard soundness on a few (graph, geodesic) pairs
-        viol = 0
-        for i in range(2 * budget):
-            g = generators.gen_gnp(9, 0.3, derive_seed(seed, f"verify:guard:{i}"))
-            d, u, v = diameter_pair(g)
-            if not 2 <= d < math.inf:
-                continue
-            rep = check_guard_soundness(g, shortest_path(g, u, v))
-            viol += len(rep["violations"])
-        record("guard_soundness", "fail" if viol else "pass",
-               f"violations: {viol}", seed)
-
-        # expander confinement: all robber lines caught by the deadline
-        fails = []
-        for i in range(budget):
-            g = generators.gen_gnp(8, 0.5, derive_seed(seed, f"verify:exp:{i}"))
-            if not is_connected(g):
-                continue
-            params = desk_params(g, lam=1.5, density=0.8)
-            try:
-                cops, family, plans, _ = make_expander_cop(g, params, derive_seed(seed, f"verify:expseed:{i}"))
-            except ValueError:
-                continue
-            deadline = max(p.capture_deadline for p in plans.values())
-            cfg = GameConfig(cop_count=family.total_cops, max_rounds=deadline + 1, seed=0)
-            t = adversarial_robber_search(g, cops, cfg, deadline)
-            if not t.caught:
-                fails.append(i)
-        record("expander_confinement", "fail" if fails else "pass",
-               f"uncaught instances: {fails}", seed)
-
-        sweep_ok = all(
-            bounds.check_eq1_chain(L).end_to_end.holds
-            for L in (1100, 1600, 2000)
-        )
-        record("eq1_sweep", "pass" if sweep_ok else "fail", "L in {1100,1600,2000}")
-
+        names = sorted(f for f in os.listdir(args.corpus) if f.endswith(".el"))
+        corpus = [_read_graph(os.path.join(args.corpus, f)) for f in names]
+    results = []
+    for number, (title, criterion, verdict) in checks.CRITERIA.items():
+        check = {"criterion": number, "name": title.replace(" ", "_"),
+                 "status": "skipped", "detail": "budget 0: resource limit", "report": None}
+        if args.budget > 0:
+            extra = {"corpus": corpus} if number == 1 else {}
+            doc = criterion(args.seed, args.budget, **extra)
+            ok, check["detail"] = verdict(doc)
+            check["status"] = "pass" if ok else "fail"
+            check["report"] = doc
+        results.append(check)
     if args.format == "json":
-        _write(_dump({"schema": "copsrobbers.verify/1", "checks": checks}), args.out)
+        _write(_dump({"schema": "copsrobbers.verify/2", "seed": args.seed,
+                      "budget": args.budget, "checks": results}), args.out)
     else:
-        _write("\n".join(f"{c['name']}: {c['status']} ({c['detail']})" for c in checks),
+        _write("\n".join(f"{c['name']}: {c['status']} ({c['detail']})" for c in results),
                args.out)
-    return 1 if any(c["status"] == "fail" for c in checks) else 0
+    return 1 if any(c["status"] == "fail" for c in results) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("verify", parents=[common], help="run the invariant suite")
-    p.add_argument("--budget", type=int, default=2, help="0 skips everything")
-    p.add_argument("--corpus", help="directory of .el files to include")
+    p = sub.add_parser("verify", parents=[common], help="run acceptance criteria 1-9")
+    p.add_argument("--budget", type=int, default=2,
+                   help=f"corpus scale: {checks.FULL_BUDGET} or more runs the full "
+                        "acceptance data, 0 skips everything")
+    p.add_argument("--corpus", help="directory of .el files added to criterion 1 "
+                                    f"(those of at most {checks.CORPUS_MAX_VERTICES} vertices)")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_verify)

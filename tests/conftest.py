@@ -1,4 +1,3 @@
-import itertools
 import sys
 from pathlib import Path
 
@@ -6,51 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from copsrobbers import Graph, gen_gnp, girth, is_connected
-from copsrobbers.seeds import derive_seed, make_rng
-
-
-def random_connected(n: int, seed: int, p: float = 0.4) -> Graph:
-    """First connected G(n, p) along a derived seed stream."""
-    for attempt in range(200):
-        g = gen_gnp(n, p, derive_seed(seed, f"rc:{attempt}"))
-        if is_connected(g):
-            return g
-    raise RuntimeError("no connected sample found")
-
-
-def random_girth5(n: int, seed: int, passes: int = 3) -> Graph:
-    """Connected graph of girth >= 5: grow a random tree, then add edges
-    only between vertices currently at distance >= 4."""
-    rng = make_rng(seed)
-    edges = []
-    order = list(range(1, n))
-    rng.shuffle(order)
-    for v in order:
-        edges.append((rng.randrange(0, v) if v > 1 else 0, v))
-    g = Graph(n, [(min(e), max(e)) for e in edges])
-    from copsrobbers import UNREACHABLE, VertexSet, bfs_distances
-
-    for _ in range(passes):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        rng.shuffle(pairs)
-        for u, v in pairs:
-            dist = bfs_distances(g, VertexSet.of(n, [u]))
-            if dist[v] >= 4:
-                g = Graph(n, g.edges() + [(u, v)])
-    assert girth(g) >= 5
-    assert is_connected(g)
-    return g
-
-
-def all_connected_graphs(n: int):
-    """Every labeled connected graph on exactly n vertices."""
-    pairs = list(itertools.combinations(range(n), 2))
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if (bits >> i) & 1]
-        g = Graph(n, edges)
-        if is_connected(g):
-            yield g
+from copsrobbers.checks import all_connected_graphs, random_connected, random_girth5  # noqa: F401
 
 
 @pytest.fixture(scope="session")

@@ -1,54 +1,18 @@
 """Acceptance suite: one test per criterion, printing one PASS/FAIL line each.
 
-Every criterion builds a canonical JSON report from frozen seeds; the last
+Criteria 1-9 run ``copsrobbers.checks`` on the full acceptance data; the last
 criterion regenerates all of them from scratch and requires byte equality.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import hashlib
 import json
-import statistics
 
-import pytest
-
-from copsrobbers import (
-    CapturePlan,
-    GameConfig,
-    Graph,
-    StrategyParams,
-    adversarial_robber_search,
-    build_plan,
-    cop_number,
-    diameter,
-    gen_cycle,
-    gen_grid,
-    gen_path,
-    gen_petersen,
-    gen_projective_incidence,
-    girth,
-    invisible_mode,
-    is_connected,
-    is_dismantlable,
-    is_k_copwin,
-    make_expander_cop,
-    min_degree,
-    run_meyniel,
-    sample_cop_sets,
-    shortest_path,
-    transcript_to_json,
-    validate_transcript,
-    verify_claim,
-)
-from copsrobbers.bounds import bound_params, check_eq1_chain, trivial_region_boundary
-from copsrobbers.engine import GreedyFarRobber, RandomRobber, expand_game_layers
-from copsrobbers.expander import desk_params
-from copsrobbers.guard import check_guard_soundness
-from copsrobbers.meyniel import MeynielAnalysis, MeynielCop
-from copsrobbers.seeds import derive_seed, make_rng
-
-from conftest import all_connected_graphs, random_connected, random_girth5
+from copsrobbers import VertexSet, bfs_distances, diameter_pair, shortest_path
+from copsrobbers import checks
+from copsrobbers.checks import FULL_BUDGET
 
 SEED = 20240 + 817
-HEAWOOD_COP_NUMBER = 3  # frozen oracle regression constant
 
 
 def canon(doc) -> str:
@@ -71,149 +35,30 @@ def remember(number: int, doc) -> dict:
     return doc
 
 
-# ---------------------------------------------------------------------------
-# 1. Oracle agreement: dismantlability == one-cop win.
-# ---------------------------------------------------------------------------
-
-def criterion_1():
-    disagreements = []
-    exhaustive = 0
-    for n in range(1, 7):
-        for g in all_connected_graphs(n):
-            exhaustive += 1
-            if is_dismantlable(g)[0] != is_k_copwin(g, 1):
-                disagreements.append(("exhaustive", n, sorted(g.edges())))
-    randoms = 0
-    i = 0
-    while randoms < 500:
-        n = 7 + (i % 2)
-        from copsrobbers import gen_gnp
-
-        g = gen_gnp(n, 0.35, derive_seed(SEED, f"c1:{i}"))
-        i += 1
-        if not is_connected(g):
-            continue
-        randoms += 1
-        if is_dismantlable(g)[0] != is_k_copwin(g, 1):
-            disagreements.append(("random", i - 1, sorted(g.edges())))
-    return {
-        "criterion": 1,
-        "exhaustive_graphs": exhaustive,
-        "random_graphs": randoms,
-        "disagreements": disagreements,
-    }
+def accept(number: int):
+    title, criterion, verdict = checks.CRITERIA[number]
+    doc = remember(number, criterion(SEED, FULL_BUDGET))
+    conclude(number, title, *verdict(doc))
 
 
 def test_criterion_1_oracle_agreement():
-    doc = remember(1, criterion_1())
-    conclude(1, "oracle agreement", not doc["disagreements"],
-             f"{doc['exhaustive_graphs']} exhaustive + {doc['random_graphs']} random")
-
-
-# ---------------------------------------------------------------------------
-# 2. Known cop numbers.
-# ---------------------------------------------------------------------------
-
-def _random_tree(n, seed):
-    rng = make_rng(seed)
-    edges = [(rng.randrange(0, v), v) for v in range(1, n)]
-    return Graph(n, edges)
-
-
-def criterion_2():
-    values = {}
-    values["path_7"] = cop_number(gen_path(7), 2)
-    values["path_10"] = cop_number(gen_path(10), 2)
-    for i, n in enumerate((6, 9, 12)):
-        values[f"tree_{n}"] = cop_number(_random_tree(n, derive_seed(SEED, f"c2t:{i}")), 2)
-    for n in range(4, 10):
-        values[f"cycle_{n}"] = cop_number(gen_cycle(n), 3)
-    values["petersen"] = cop_number(gen_petersen(), 3)
-    heawood = gen_projective_incidence(2)
-    values["heawood_two_cops_win"] = is_k_copwin(heawood, 2)
-    values["heawood"] = cop_number(heawood, 3)
-    return {"criterion": 2, "values": values}
+    accept(1)
 
 
 def test_criterion_2_known_cop_numbers():
-    doc = remember(2, criterion_2())
-    v = doc["values"]
-    ok = (
-        v["path_7"] == 1 and v["path_10"] == 1
-        and all(v[f"tree_{n}"] == 1 for n in (6, 9, 12))
-        and all(v[f"cycle_{n}"] == 2 for n in range(4, 10))
-        and v["petersen"] == 3
-        and v["heawood_two_cops_win"] is False
-        and v["heawood"] == HEAWOOD_COP_NUMBER >= 3
-    )
-    conclude(2, "known cop numbers", ok, f"heawood={v['heawood']}")
-
-
-# ---------------------------------------------------------------------------
-# 3. Girth bound: girth >= 5 forces cop number >= min degree.
-# ---------------------------------------------------------------------------
-
-def criterion_3():
-    cases = []
-    heawood = gen_projective_incidence(2)
-    graphs = [("heawood", heawood)]
-    for i in range(20):
-        n = 8 + (i % 7)
-        graphs.append((f"girth5_{i}", random_girth5(n, derive_seed(SEED, f"c3:{i}"))))
-    for name, g in graphs:
-        assert girth(g) >= 5
-        delta = min_degree(g)
-        holds = True if delta <= 1 else not is_k_copwin(g, delta - 1)
-        exact = cop_number(g, 3)
-        cases.append({
-            "graph": name,
-            "n": g.n,
-            "min_degree": delta,
-            "bound_holds": holds,
-            "cop_number_le3": exact,
-        })
-    return {"criterion": 3, "cases": cases}
+    accept(2)
 
 
 def test_criterion_3_girth_bound():
-    doc = remember(3, criterion_3())
-    bad = [c for c in doc["cases"] if not c["bound_holds"]]
-    conclude(3, "girth lower bound", not bad, f"{len(doc['cases'])} graphs")
+    accept(3)
 
 
-# ---------------------------------------------------------------------------
-# 4. Guard soundness over every robber line on 100 (graph, geodesic) pairs.
-# ---------------------------------------------------------------------------
-
-def _guard_corpus():
-    graphs = []
-    graphs += [gen_cycle(n) for n in range(6, 31, 2)]
-    graphs += [gen_path(n) for n in (8, 15, 22, 30)]
-    graphs += [gen_grid(2, k) for k in (4, 8, 12, 15)]
-    graphs += [gen_grid(3, k) for k in (3, 6, 10)]
-    graphs += [gen_petersen(), gen_projective_incidence(2)]
-    i = 0
-    while len(graphs) < 50:
-        n = 8 + (i % 13)
-        g = random_connected(n, derive_seed(SEED, f"c4g:{i}"), p=0.3)
-        graphs.append(g)
-        i += 1
-    pairs = []
-    rng = make_rng(SEED, "c4pairs")
-    for g in graphs:
-        pairs.append((g, _diameter_geodesic(g)))
-        if len(pairs) >= 100:
-            break
-        a, b = rng.randrange(g.n), rng.randrange(g.n)
-        pairs.append((g, shortest_path(g, min(a, b), max(a, b))))
-        if len(pairs) >= 100:
-            break
-    return pairs[:100]
+def test_criterion_4_guard_soundness():
+    accept(4)
 
 
 def _diameter_geodesic(g):
-    from copsrobbers import VertexSet, bfs_distances
-
+    """All-pairs reference for the first diametral geodesic of criterion 4."""
     best = (-1, 0, 0)
     for u in range(g.n):
         dist = bfs_distances(g, VertexSet.of(g.n, [u]))
@@ -223,295 +68,36 @@ def _diameter_geodesic(g):
     return shortest_path(g, best[1], best[2])
 
 
-def criterion_4():
-    pairs = _guard_corpus()
-    total_states = 0
-    violations = []
-    for idx, (g, path) in enumerate(pairs):
-        rep = check_guard_soundness(g, path, extra_rounds=3)
-        total_states += rep["states_checked"]
-        if rep["violations"]:
-            violations.append({"pair": idx, "path": list(path),
-                               "violations": rep["violations"]})
-    return {
-        "criterion": 4,
-        "pairs": len(pairs),
-        "states_checked": total_states,
-        "violations": violations,
-    }
-
-
-def test_criterion_4_guard_soundness():
-    doc = remember(4, criterion_4())
-    conclude(4, "geodesic guard soundness", not doc["violations"],
-             f"{doc['pairs']} pairs, {doc['states_checked']} states")
-
-
-# ---------------------------------------------------------------------------
-# 5. Expander confinement: caught by round 2^(s-1), robber in A_i at every
-#    level deadline, on every robber line.
-# ---------------------------------------------------------------------------
-
-# tried in order; the deep settings (high lam suppresses the adjacent-cop
-# shortcut, moderate density starves the early matchings) force multi-level
-# plans where the graph allows it, with dense fallbacks guaranteeing success
-_LADDER = (
-    (6.0, 0.4), (6.0, 0.5), (4.0, 0.6), (2.0, 0.8), (1.5, 1.0),
-)
-
-
-def _tuned_expander(g, seed):
-    last = None
-    for lam, density in _LADDER:
-        base = desk_params(g, lam=lam, density=density)
-        params = StrategyParams(lam=lam, density=density,
-                                levels=min(base.levels, 6),
-                                resample_limit=16)
-        try:
-            cop, family, plans, attempts = make_expander_cop(g, params, seed)
-            return cop, family, plans, attempts, params
-        except ValueError as exc:
-            last = exc
-    raise AssertionError(f"no parameter choice produced plans: {last}")
-
-
-def _expander_corpus():
-    graphs = [gen_cycle(8), gen_cycle(16), gen_cycle(24), gen_petersen(),
-              gen_grid(3, 4), gen_grid(3, 8), gen_grid(4, 5),
-              gen_projective_incidence(2), gen_path(9), gen_path(20)]
-    i = 0
-    while len(graphs) < 50:
-        n = 8 + (i * 7) % 33  # 8..40
-        g = random_connected(n, derive_seed(SEED, f"c5g:{i}"), p=min(0.5, 6.0 / n))
-        graphs.append(g)
-        i += 1
-    return graphs
-
-
-def criterion_5():
-    violations = []
-    summaries = []
-    for gi, g in enumerate(_expander_corpus()):
-        cop, family, plans, attempts, params = _tuned_expander(g, derive_seed(SEED, f"c5s:{gi}"))
-        deadline = max(p.capture_deadline for p in plans.values())
-        assert deadline <= 64
-        cfg = GameConfig(cop_count=family.total_cops, max_rounds=deadline, seed=0)
-        _, _, layers = expand_game_layers(g, cop, cfg, deadline)
-        for k in range(1, deadline + 1):
-            for (_, r_pos, v) in layers[k]:
-                plan = plans[v]
-                if k > plan.capture_deadline:
-                    violations.append({"graph": gi, "start": v, "alive_at": k})
-                for lv in plan.levels:
-                    if k == lv.deadline and r_pos not in lv.core:
-                        violations.append({
-                            "graph": gi, "start": v, "round": k,
-                            "robber": r_pos, "level": lv.index,
-                        })
-        worst = adversarial_robber_search(g, cop, cfg, deadline)
-        if not worst.caught:
-            violations.append({"graph": gi, "uncaught": True})
-        summaries.append({
-            "n": g.n, "cops": family.total_cops, "deadline": deadline,
-            "resamples": attempts, "lam": params.lam, "density": params.density,
-        })
-    return {"criterion": 5, "graphs": len(summaries),
-            "summaries": summaries, "violations": violations}
+def test_guard_corpus_geodesics_match_allpairs_reference():
+    for g, _ in checks._guard_corpus(SEED):
+        _, u, v = diameter_pair(g)
+        assert shortest_path(g, u, v) == _diameter_geodesic(g)
 
 
 def test_criterion_5_expander_confinement():
-    doc = remember(5, criterion_5())
-    conclude(5, "expander confinement", not doc["violations"],
-             f"{doc['graphs']} graphs, max deadline "
-             f"{max(s['deadline'] for s in doc['summaries'])}")
-
-
-# ---------------------------------------------------------------------------
-# 6. Claim check: whenever the sampled sets pass the exhaustive hitting test,
-#    planning succeeds on the first attempt.
-# ---------------------------------------------------------------------------
-
-def criterion_6():
-    graphs = [("p8", gen_path(8)), ("petersen", gen_petersen()),
-              ("rand13", random_connected(13, derive_seed(SEED, "c6g"), p=0.35))]
-    rows = []
-    counterexamples = []
-    for name, g in graphs:
-        base = desk_params(g, lam=2.0)
-        levels = min(base.levels, 4)
-        for density in (0.3, 0.5, 0.8):
-            params = StrategyParams(lam=2.0, density=density, levels=levels)
-            passing = 0
-            for s in range(50):
-                fam = sample_cop_sets(g, params, derive_seed(SEED, f"c6:{name}:{density}:{s}"))
-                if not verify_claim(g, fam, params):
-                    continue
-                passing += 1
-                plans = {v: build_plan(g, v, fam, params) for v in range(g.n)}
-                bad = [v for v, p in plans.items() if not isinstance(p, CapturePlan)]
-                if bad:
-                    counterexamples.append({"graph": name, "density": density,
-                                            "seed": s, "failed_starts": bad})
-            rows.append({"graph": name, "density": density, "passing": passing})
-    return {"criterion": 6, "rows": rows, "counterexamples": counterexamples}
+    accept(5)
 
 
 def test_criterion_6_claim_implies_planning():
-    doc = remember(6, criterion_6())
-    nonvacuous = sum(r["passing"] for r in doc["rows"])
-    ok = not doc["counterexamples"] and nonvacuous > 0
-    conclude(6, "hitting claim implies planning", ok,
-             f"{nonvacuous} passing families across {len(doc['rows'])} settings")
-
-
-# ---------------------------------------------------------------------------
-# 7. Recursion: caught everywhere, cop accounting exact.
-# ---------------------------------------------------------------------------
-
-def criterion_7():
-    params = StrategyParams(lam=2.0, density=0.8, levels=3)
-    failures = []
-    runs = []
-
-    def run_case(name, g, threshold, exhaustive):
-        cfg = GameConfig(cop_count=1, max_rounds=600, seed=derive_seed(SEED, f"c7:{name}"))
-        for robber in (GreedyFarRobber(), RandomRobber()):
-            res = run_meyniel(g, threshold, params, cfg, robber=robber)
-            validate_transcript(g, res.transcript)
-            if not res.caught:
-                failures.append({"case": name, "robber": robber.name})
-            if res.cops_used != res.guards_used + sum(res.leaf_set_sizes):
-                failures.append({"case": name, "accounting": res.cops_used})
-            runs.append({"case": name, "robber": robber.name,
-                         "cops_used": res.cops_used, "guards": res.guards_used})
-        if exhaustive:
-            an = MeynielAnalysis(g, threshold, params, seed=cfg.seed)
-            strat = MeynielCop(an)
-            depth = an.timeline_bound()
-            t = adversarial_robber_search(
-                g, strat, GameConfig(cop_count=an.pool_size, max_rounds=depth,
-                                     seed=cfg.seed), depth)
-            if not t.caught:
-                failures.append({"case": name, "robber": "adversarial"})
-            runs.append({"case": name, "robber": "adversarial",
-                         "round": t.outcome.round})
-
-    run_case("P30", gen_path(30), 10, exhaustive=False)
-    run_case("C20", gen_cycle(20), 3, exhaustive=True)
-    for i in range(20):
-        n = 8 + (i * 13) % 33  # 8..40, half at most 20
-        g = random_connected(n, derive_seed(SEED, f"c7g:{i}"), p=min(0.45, 5.0 / n))
-        run_case(f"rand{i}_n{n}", g, 3 if n <= 20 else 4, exhaustive=n <= 20)
-    return {"criterion": 7, "runs": runs, "failures": failures}
+    accept(6)
 
 
 def test_criterion_7_recursion():
-    doc = remember(7, criterion_7())
-    conclude(7, "deletion recursion", not doc["failures"],
-             f"{len(doc['runs'])} runs")
-
-
-# ---------------------------------------------------------------------------
-# 8. Bound arithmetic.
-# ---------------------------------------------------------------------------
-
-def criterion_8():
-    import mpmath
-
-    b = trivial_region_boundary(tol=1e-6)
-    p = bound_params(1024)
-    mid = lambda x: (mpmath.mpf(x.a) + mpmath.mpf(x.b)) / 2
-    exact = {
-        "t": (p.is_exact("t"), float(mid(p.t))),
-        "p_log": (p.is_exact("p_log"), float(mid(p.p_log))),
-        "threshold_log": (p.is_exact("diameter_threshold_log"),
-                          float(mid(p.diameter_threshold_log))),
-    }
-    sweep = {}
-    for L in (1100, 1600, 2000, 10**4, 10**6):
-        r = check_eq1_chain(L)
-        sweep[str(L)] = {
-            "all_steps_hold": all(s.holds for s in r.steps),
-            "end_to_end_holds": bool(r.end_to_end.holds),
-            "end_to_end_slack_lo": mpmath.nstr(r.end_to_end.slack_lo, 12),
-        }
-    return {
-        "criterion": 8,
-        "boundary": {"low": mpmath.nstr(b.low, 17), "high": mpmath.nstr(b.high, 17)},
-        "exact_at_1024": exact,
-        "sweep": sweep,
-    }
+    accept(7)
 
 
 def test_criterion_8_bound_arithmetic():
-    doc = remember(8, criterion_8())
-    lo = float(doc["boundary"]["low"])
-    hi = float(doc["boundary"]["high"])
-    ok = (
-        900 < lo <= hi < 1024 and hi - lo <= 1e-6
-        and doc["exact_at_1024"]["t"] == (True, 2.0)
-        and doc["exact_at_1024"]["p_log"] == (True, -12.0)
-        and doc["exact_at_1024"]["threshold_log"] == (True, 2.0)
-        and all(v["all_steps_hold"] and v["end_to_end_holds"]
-                and float(v["end_to_end_slack_lo"]) > 0
-                for v in doc["sweep"].values())
-    )
-    conclude(8, "bound arithmetic", ok, f"L* in ({lo}, {hi})")
-
-
-# ---------------------------------------------------------------------------
-# 9. Invisible robber: guess-and-sweep terminates quickly.
-# ---------------------------------------------------------------------------
-
-def _complete(n):
-    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)])
-
-
-def _star(leaves):
-    return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
-
-
-def criterion_9():
-    # "dense" operationalized by the resampling policy: the family fielded is
-    # the first one whose plan succeeds for every start, so each run's guess
-    # loop has genuine catching power and terminates
-    cases = []
-    failures = []
-    for name, g in (("K4", _complete(4)), ("K6", _complete(6)), ("K8", _complete(8)),
-                    ("star4", _star(4)), ("star5", _star(5)), ("star7", _star(7))):
-        params = StrategyParams(lam=2.0, density=0.4, levels=2, resample_limit=64)
-        limit = 10 * g.n
-        repeats = []
-        for s in range(100):
-            _, fam, _, _ = make_expander_cop(g, params, derive_seed(SEED, f"c9:{name}:{s}"))
-            res = invisible_mode(g, fam, params, seed=derive_seed(SEED, f"c9m:{name}:{s}"),
-                                 max_repeats=limit)
-            if not res.caught:
-                failures.append({"case": name, "seed": s})
-            repeats.append(res.repeats)
-        med = statistics.median(repeats)
-        cases.append({"case": name, "v": g.n, "median_repeats": med,
-                      "max_repeats": max(repeats)})
-        if med > g.n:
-            failures.append({"case": name, "median": med})
-    return {"criterion": 9, "cases": cases, "failures": failures}
+    accept(8)
 
 
 def test_criterion_9_invisible_mode():
-    doc = remember(9, criterion_9())
-    detail = ", ".join(f"{c['case']}: med {c['median_repeats']}" for c in doc["cases"])
-    conclude(9, "invisible robber", not doc["failures"], detail)
+    accept(9)
 
 
-# ---------------------------------------------------------------------------
 # 10. Determinism: regenerate every report and compare bytes.
-# ---------------------------------------------------------------------------
 
-GENERATORS = {
-    1: criterion_1, 2: criterion_2, 3: criterion_3, 4: criterion_4,
-    5: criterion_5, 6: criterion_6, 7: criterion_7, 8: criterion_8,
-    9: criterion_9,
-}
+GENERATORS = {number: (lambda c=criterion: c(SEED, FULL_BUDGET))
+              for number, (_, criterion, _) in checks.CRITERIA.items()}
 
 
 def test_criterion_10_determinism():
@@ -526,3 +112,26 @@ def test_criterion_10_determinism():
             mismatches.append(number)
     conclude(10, "byte-identical re-runs", not mismatches,
              f"criteria {sorted(GENERATORS)} regenerated")
+
+
+# SHA-256 of the canonical JSON of criteria 1-9 at SEED, taken when their
+# generators still lived in this file; the package must reproduce them exactly.
+PINNED_REPORT_SHA256 = {
+    1: "fbf20c99ac1ac488e7abefd37ddf7061d9859628f066b9ed9cddb9b6f64f2f19",
+    2: "3624125dafd24cc67403c844a35ea2fe475b2f85b77ee5b7bb27f82e88850d5f",
+    3: "a0dd50aab7c7b3857080df82b2d9500a86e75f614b023c1ced19929efd535ac6",
+    4: "5e91cfeb79e508656404207ee824b3b804aebdfa41930df239dfbc12b8e20d5d",
+    5: "bfdc99719563208d11351fe4141d66d40a3904932fac08b85ef9f85306b831d4",
+    6: "9b61d9fa1e33f3f00a1ff100cab3be69e3679b77844531a89f79602e506514d5",
+    7: "4652c7687ea9af9fe331bdea53791e2d7b984c005a65c785010aac0102650d11",
+    8: "e3f81ad5cb3161b09bb9ee55d4674cff21de51e6bab050860a79c693becef832",
+    9: "5d3efa82a02b5895fab3cb606878636e38055228308b35dfc5a3d4d647d5226f",
+}
+
+
+def test_reports_match_pinned_hashes():
+    for number, gen in GENERATORS.items():
+        if number not in _reports:
+            _reports[number] = canon(gen())
+    digests = {n: hashlib.sha256(_reports[n].encode()).hexdigest() for n in GENERATORS}
+    assert digests == PINNED_REPORT_SHA256

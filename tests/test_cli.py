@@ -1,9 +1,12 @@
 import hashlib
 import json
+import sys
+import warnings
 
 import pytest
 
-from copsrobbers import Graph, format_edge_list, gen_cycle, gen_grid, gen_path, parse_edge_list
+from copsrobbers import (Graph, format_edge_list, gen_cycle, gen_grid, gen_path, gen_petersen,
+                         parse_edge_list)
 from copsrobbers.cli import main
 from copsrobbers.seeds import make_rng
 
@@ -156,8 +159,36 @@ def test_verify_table_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "oracle_agreement: skipped (budget 0: resource limit)"
     assert [ln.split(":")[0] for ln in lines] == [
-        "oracle_agreement", "girth_bound", "guard_soundness",
-        "expander_confinement", "eq1_sweep"]
+        "oracle_agreement", "known_cop_numbers", "girth_lower_bound", "geodesic_guard_soundness",
+        "expander_confinement", "hitting_claim_implies_planning", "deletion_recursion",
+        "bound_arithmetic", "invisible_robber"]
+
+
+def test_verify_corpus_feeds_oracle_agreement_deterministically(tmp_path, capsys):
+    (tmp_path / "a.el").write_text(format_edge_list(gen_cycle(6)))
+    (tmp_path / "b.el").write_text(format_edge_list(gen_cycle(12)))
+    (tmp_path / "notes.txt").write_text("not a graph\n")
+    argv = ("verify", "--budget", "1", "--seed", "21057", "--corpus", str(tmp_path))
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == run(capsys, *argv)[:2]
+    doc = json.loads(out)
+    assert code == 0 and doc["schema"] == "copsrobbers.verify/2"
+    assert [c["status"] for c in doc["checks"]] == ["pass"] * 9
+    assert doc["checks"][0]["detail"] == "772 exhaustive + 62 random + 1 corpus"
+    (tmp_path / "c.el").write_text("3 1\n0 1\n1 7\n")
+    code, out, err = run(capsys, "verify", "--budget", "1", "--corpus", str(tmp_path))
+    assert (code, out) == (1, "") and "line 3" in err
+
+
+def test_solve_closes_its_input_file(tmp_path, capsys, monkeypatch):
+    f = tmp_path / "p.el"
+    f.write_text(format_edge_list(gen_petersen()))
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        code, _, _ = run(capsys, "solve", str(f))
+    assert code == 0 and unraisable == []
 
 
 def test_oversized_header_exits_1(tmp_path, capsys):

@@ -36,7 +36,7 @@ from copsrobbers import (
 from conftest import all_connected_graphs
 import copsrobbers.graph
 from copsrobbers.graph import MAX_PARSE_VERTICES
-from copsrobbers.seeds import make_rng
+from copsrobbers.seeds import derive_seed, make_rng
 from oracles import (
     ball_oracle,
     delete_vertices_oracle,
@@ -503,6 +503,16 @@ def test_edge_list_header_above_cap_rejected_before_allocating():
     assert exc.value.line == 1
     with pytest.raises(ParseError):
         parse_edge_list(f"{MAX_PARSE_VERTICES + 1} 0\n")
+
+
+def test_edge_list_header_is_capped_by_input_length():
+    with pytest.raises(ParseError) as exc:
+        parse_edge_list("1048576 0\n")
+    assert exc.value.line == 1
+    sparse = gen_gnp(30, 0.02, derive_seed(0, "gnp"))  # `gen gnp 30 --p 0.02`
+    assert min_degree(sparse) == 0
+    for g in (gen_path(70_000), sparse):
+        assert parse_edge_list(format_edge_list(g)).edges() == g.edges()
 
 
 def test_dot_and_hash():
