@@ -9,12 +9,10 @@ log-space interval arithmetic for the asymptotic cop-count bound.
 from .bounds import bound_params, check_eq1_chain, trivial_region_boundary
 from .engine import (
     GameConfig,
-    GameState,
     Outcome,
     Transcript,
     adversarial_robber_search,
     play,
-    transcript_states,
     transcript_to_json,
     validate_transcript,
 )

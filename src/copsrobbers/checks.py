@@ -255,6 +255,25 @@ def _expander_corpus(seed: int, size: int = 50):
         graphs.append(random_connected(n, derive_seed(seed, f"c5g:{i}"), p=min(0.5, 6.0 / n)))
 
 
+def confinement_violations(g, cop, plans, deadline: int) -> list[dict]:
+    """Every robber line against an expander team, expanded for ``deadline``
+    rounds: a line alive past its start's capture deadline, or outside a
+    level's core at that level's deadline, is a violation."""
+    cfg = GameConfig(cop_count=cop.cop_count, max_rounds=deadline, seed=0)
+    _, _, layers = expand_game_layers(g, cop, cfg, deadline)
+    violations = []
+    for k in range(1, deadline + 1):
+        for (_, r_pos, v) in layers[k]:
+            plan = plans[v]
+            if k > plan.capture_deadline:
+                violations.append({"start": v, "alive_at": k})
+            for lv in plan.levels:
+                if k == lv.deadline and r_pos not in lv.core:
+                    violations.append({"start": v, "round": k, "robber": r_pos,
+                                       "level": lv.index})
+    return violations
+
+
 def criterion_5(seed: int, budget: int) -> dict:
     violations = []
     summaries = []
@@ -264,17 +283,9 @@ def criterion_5(seed: int, budget: int) -> dict:
         if deadline > _MAX_DEADLINE:
             raise ResourceLimitError(f"criterion 5 graph {gi}: plan deadline {deadline} "
                                      f"exceeds {_MAX_DEADLINE} rounds")
+        violations += [{"graph": gi, **v}
+                       for v in confinement_violations(g, cop, plans, deadline)]
         cfg = GameConfig(cop_count=family.total_cops, max_rounds=deadline, seed=0)
-        _, _, layers = expand_game_layers(g, cop, cfg, deadline)
-        for k in range(1, deadline + 1):
-            for (_, r_pos, v) in layers[k]:
-                plan = plans[v]
-                if k > plan.capture_deadline:
-                    violations.append({"graph": gi, "start": v, "alive_at": k})
-                for lv in plan.levels:
-                    if k == lv.deadline and r_pos not in lv.core:
-                        violations.append({"graph": gi, "start": v, "round": k,
-                                           "robber": r_pos, "level": lv.index})
         worst = adversarial_robber_search(g, cop, cfg, deadline)
         if not worst.caught:
             violations.append({"graph": gi, "uncaught": True})

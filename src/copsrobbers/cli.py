@@ -29,7 +29,7 @@ from .engine import (
     transcript_to_json,
     validate_transcript,
 )
-from .errors import CopsRobbersError, ResourceLimitError
+from .errors import CopsRobbersError, ParseError, ResourceLimitError
 from .expander import (
     StrategyParams,
     desk_params,
@@ -57,10 +57,13 @@ def _dump(doc) -> str:
 
 
 def _read_graph(path: str) -> Graph:
-    if path == "-":
-        return parse_edge_list(sys.stdin.read())
-    with open(path) as fh:
-        return parse_edge_list(fh.read())
+    try:
+        if path == "-":
+            return parse_edge_list(sys.stdin.read())
+        with open(path) as fh:
+            return parse_edge_list(fh.read())
+    except ParseError as exc:
+        raise ParseError(f"{'<stdin>' if path == '-' else path}: {exc}") from None
 
 
 def _write(text: str, out: str | None):
@@ -130,12 +133,7 @@ def cmd_solve(args) -> int:
 
 def cmd_play(args) -> int:
     g = _read_graph(args.graph)
-    cfg = GameConfig(
-        cop_count=args.k,
-        max_rounds=args.max_rounds,
-        robber_visible=not args.invisible,
-        seed=args.seed,
-    )
+    cfg = GameConfig(cop_count=args.k, max_rounds=args.max_rounds, seed=args.seed)
     if args.cops == "chaser":
         cops = ChaserCop()
     else:
@@ -316,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cops", choices=["chaser", "solver"], default="chaser")
     p.add_argument("--robber", choices=["greedy", "random"], default="greedy")
     p.add_argument("--max-rounds", type=int, default=200)
-    p.add_argument("--invisible", action="store_true")
     p.add_argument("--budget", type=int, default=solver.DEFAULT_STATE_BUDGET,
                    help="solver cops: limit on n**(k+1), the bits of one label table")
     p.add_argument("--format", choices=["json", "table"], default="json")

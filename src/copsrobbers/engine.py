@@ -18,13 +18,19 @@ Robber strategies receive a full view plus the engine-owned RNG:
 
     place(g, cop_positions, cfg, rng) -> vertex
     move(g, view, rng)                -> vertex
+
+One round rule serves every game: ``play`` walks one robber line through the
+same cop half-move step (move check, capture, the robber's options) that
+``expand_game_layers`` applies to every line for the exhaustive adversary,
+and both record the line through one transcript builder.  A transcript also
+carries ``final_state``, the cop strategy's state after the team's last move.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import StrategyFault
@@ -41,10 +47,8 @@ from .seeds import make_rng
 __all__ = [
     "GameConfig",
     "View",
-    "GameState",
     "Outcome",
     "Transcript",
-    "transcript_states",
     "play",
     "adversarial_robber_search",
     "expand_game_layers",
@@ -86,35 +90,6 @@ class View:
 
 
 @dataclass(frozen=True)
-class GameState:
-    """A full game position: cops (duplicates allowed), robber, whose turn.
-
-    ``robber_position`` is None only before the robber has placed.
-    """
-
-    cop_positions: tuple[int, ...]
-    robber_position: int | None
-    round: int
-    to_move: str  # "cops" | "robber"
-
-
-def transcript_states(t: "Transcript"):
-    """The sequence of GameStates a transcript passes through."""
-    states = [GameState(t.cop_placement, None, 0, "robber")]
-    cop_pos = t.cop_placement
-    states.append(GameState(cop_pos, t.robber_placement, 0, "cops"))
-    r_pos = t.robber_placement
-    for idx, (moves, r_move) in enumerate(t.rounds):
-        rnd = idx + 1
-        cop_pos = moves
-        states.append(GameState(cop_pos, r_pos, rnd, "robber"))
-        if r_move is not None:
-            r_pos = r_move
-            states.append(GameState(cop_pos, r_pos, rnd, "cops"))
-    return states
-
-
-@dataclass(frozen=True)
 class Outcome:
     kind: str  # "caught" | "robber_wins"
     round: int  # capture round, or the cutoff round count
@@ -130,90 +105,24 @@ class Transcript:
     robber_placement: int
     rounds: tuple[tuple[tuple[int, ...], int | None], ...]
     outcome: Outcome
+    # cop strategy state after the team's last move (the initial state if the
+    # robber was caught at placement); not part of the serialized transcript
+    final_state: object = field(default=None, compare=False, repr=False)
 
     @property
     def caught(self) -> bool:
         return self.outcome.kind == "caught"
 
 
-def _legal_move(g: Graph, src: int, dst: int) -> bool:
-    return dst == src or dst in g.neighbors(src)
-
-
-def _check_cop_moves(g, prev, moves, k, rnd):
-    if len(moves) != k:
-        raise StrategyFault("cops", rnd, f"returned {len(moves)} moves for {k} cops")
-    for i, (a, b) in enumerate(zip(prev, moves)):
-        if not (0 <= b < g.n) or not _legal_move(g, a, b):
-            raise StrategyFault("cops", rnd, f"cop {i} illegal move {a}->{b}")
-
-
-def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
-    """Run one full game; deterministic given strategies and cfg.seed."""
-    if not is_connected(g):
-        raise ValueError("play requires a connected graph")
-    placement = tuple(cops.place(g, cfg))
-    if len(placement) != cfg.cop_count or not all(0 <= v < g.n for v in placement):
-        raise StrategyFault("cops", 0, f"bad placement {placement}")
-    cop_pos = placement
-    state = cops.initial_state()
-    rng = make_rng(cfg.seed, "robber")
-    r_start = robber.place(g, cop_pos, cfg, rng)
-    if not 0 <= r_start < g.n:
-        raise StrategyFault("robber", 0, f"bad placement {r_start}")
-    r_pos = r_start
-
-    rounds: list[tuple[tuple[int, ...], int | None]] = []
-    outcome = None
-    if r_pos in cop_pos:
-        outcome = Outcome("caught", 0)
-    else:
-        for rnd in range(1, cfg.max_rounds + 1):
-            cop_view = View(
-                round=rnd,
-                cop_positions=cop_pos,
-                robber_position=r_pos if cfg.robber_visible else None,
-            )
-            moves, state = cops.move(g, cop_view, state)
-            moves = tuple(moves)
-            _check_cop_moves(g, cop_pos, moves, cfg.cop_count, rnd)
-            cop_pos = moves
-            if r_pos in cop_pos:
-                rounds.append((moves, None))
-                outcome = Outcome("caught", rnd)
-                break
-            r_view = View(round=rnd, cop_positions=cop_pos, robber_position=r_pos)
-            m = robber.move(g, r_view, rng)
-            if not (0 <= m < g.n) or not _legal_move(g, r_pos, m):
-                raise StrategyFault("robber", rnd, f"illegal move {r_pos}->{m}")
-            r_pos = m
-            rounds.append((moves, m))
-            if r_pos in cop_pos:
-                outcome = Outcome("caught", rnd)
-                break
-        if outcome is None:
-            outcome = Outcome("robber_wins", cfg.max_rounds)
-
-    return Transcript(
-        graph_hash=graph_hash(g),
-        config=cfg,
-        cop_strategy=getattr(cops, "name", type(cops).__name__),
-        robber_strategy=getattr(robber, "name", type(robber).__name__),
-        cop_placement=placement,
-        robber_placement=r_start,
-        rounds=tuple(rounds),
-        outcome=outcome,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Exhaustive robber adversary.
+# The round rule.
 #
-# Against a deterministic cop strategy the game tree branches only on robber
-# choices, so the reachable positions form per-round layers of states
-# (cop positions, robber position, cop strategy state).  A forward expansion
-# with per-layer memoization followed by backward induction finds, for every
-# line, the latest capture the robber can force.
+# A live game position is a node ``(cop_positions, robber_position,
+# strategy_state)``.  One cop half-move from a node gives a transition record:
+# the cops' moves, their new state, whether they captured, and -- otherwise --
+# the robber's options: every legal move in ascending order, mapped to
+# "caught" or to the next node.  ``play`` follows one robber line through
+# these records; ``expand_game_layers`` builds them for every line.
 # ---------------------------------------------------------------------------
 
 class _Trans(NamedTuple):
@@ -222,6 +131,113 @@ class _Trans(NamedTuple):
     caught_cop_half: bool
     children: dict  # robber move -> ("caught" | node key)
 
+
+def _closed(g: Graph, v: int) -> list[int]:
+    """The robber's legal moves from v: v and its neighbors, ascending."""
+    return sorted((v, *g.neighbors(v)))
+
+
+def _place_cops(g: Graph, cops, cfg: GameConfig) -> tuple[int, ...]:
+    placement = tuple(cops.place(g, cfg))
+    if len(placement) != cfg.cop_count or not all(0 <= v < g.n for v in placement):
+        raise StrategyFault("cops", 0, f"bad placement {placement}")
+    return placement
+
+
+def _view(cfg: GameConfig, rnd: int, node) -> View:
+    cop_pos, r_pos, _ = node
+    return View(rnd, cop_pos, r_pos if cfg.robber_visible else None)
+
+
+def _robber_options(g: Graph, moves, state, r: int) -> dict:
+    """Each robber move from r, ascending, to "caught" or to its child node."""
+    return {m: "caught" if m in moves else (moves, m, state) for m in _closed(g, r)}
+
+
+def _cop_half(g: Graph, cops, cfg: GameConfig, view: View, node) -> _Trans:
+    """The cops' checked move from a live node, and the robber's options after it."""
+    cop_pos, r_pos, state = node
+    moves, state2 = cops.move(g, view, state)
+    moves = tuple(moves)
+    if len(moves) != cfg.cop_count:
+        raise StrategyFault("cops", view.round,
+                            f"returned {len(moves)} moves for {cfg.cop_count} cops")
+    for i, (a, b) in enumerate(zip(cop_pos, moves)):
+        if not (0 <= b < g.n) or (b != a and b not in g.neighbors(a)):
+            raise StrategyFault("cops", view.round, f"cop {i} illegal move {a}->{b}")
+    if r_pos in moves:
+        return _Trans(moves, state2, True, {})
+    return _Trans(moves, state2, False, _robber_options(g, moves, state2, r_pos))
+
+
+def _transcript(g: Graph, cfg: GameConfig, cops, robber_name: str, node, depth: int,
+                step, choose) -> Transcript:
+    """Walk one robber line from its placement node for at most depth rounds.
+
+    ``step(node, rnd)`` is the transition record of a live node at round rnd
+    and ``choose(node, rec, rnd)`` the robber's move among ``rec.children``.
+    """
+    placement, r_start, state = node
+    rounds: list[tuple[tuple[int, ...], int | None]] = []
+    caught = r_start in placement
+    while not caught and len(rounds) < depth:
+        rnd = len(rounds) + 1
+        rec = step(node, rnd)
+        state = rec.state2
+        m = None
+        if rec.caught_cop_half:
+            caught = True
+        else:
+            m = choose(node, rec, rnd)
+            node = rec.children[m]
+            caught = node == "caught"
+        rounds.append((rec.moves, m))
+    return Transcript(
+        graph_hash=graph_hash(g),
+        config=cfg,
+        cop_strategy=getattr(cops, "name", type(cops).__name__),
+        robber_strategy=robber_name,
+        cop_placement=placement,
+        robber_placement=r_start,
+        rounds=tuple(rounds),
+        outcome=Outcome("caught" if caught else "robber_wins", len(rounds)),
+        final_state=state,
+    )
+
+
+def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
+    """Run one full game; deterministic given strategies and cfg.seed."""
+    if not is_connected(g):
+        raise ValueError("play requires a connected graph")
+    placement = _place_cops(g, cops, cfg)
+    state = cops.initial_state()
+    rng = make_rng(cfg.seed, "robber")
+    r_start = robber.place(g, placement, cfg, rng)
+    if not 0 <= r_start < g.n:
+        raise StrategyFault("robber", 0, f"bad placement {r_start}")
+
+    def step(node, rnd):
+        return _cop_half(g, cops, cfg, _view(cfg, rnd, node), node)
+
+    def choose(node, rec, rnd):
+        r_pos = node[1]
+        m = robber.move(g, View(rnd, rec.moves, r_pos), rng)
+        if m not in rec.children:
+            raise StrategyFault("robber", rnd, f"illegal move {r_pos}->{m}")
+        return m
+
+    return _transcript(g, cfg, cops, getattr(robber, "name", type(robber).__name__),
+                       (placement, r_start, state), cfg.max_rounds, step, choose)
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive robber adversary.
+#
+# Against a deterministic cop strategy the game tree branches only on robber
+# choices, so the reachable positions form per-round layers of nodes.  A
+# forward expansion with per-layer memoization followed by backward induction
+# finds, for every line, the latest capture the robber can force.
+# ---------------------------------------------------------------------------
 
 def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int):
     """Forward-expand all robber lines to the given depth.
@@ -232,9 +248,7 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int):
     """
     if depth > cfg.max_rounds:
         raise ValueError("depth must not exceed cfg.max_rounds")
-    placement = tuple(cops.place(g, cfg))
-    if len(placement) != cfg.cop_count:
-        raise StrategyFault("cops", 0, f"bad placement {placement}")
+    placement = _place_cops(g, cops, cfg)
     s0 = cops.initial_state()
     layers: list[dict] = [
         {
@@ -247,31 +261,15 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int):
         frontier = layers[k]
         nxt: dict = {}
         for node in frontier:
-            cop_pos, r_pos, st = node
-            view = View(
-                round=k + 1,
-                cop_positions=cop_pos,
-                robber_position=r_pos if cfg.robber_visible else None,
-            )
-            moves, st2 = cops.move(g, view, st)
-            again = cops.move(g, view, st)
-            if (tuple(moves), st2) != (tuple(again[0]), again[1]):
+            view = _view(cfg, k + 1, node)
+            rec = _cop_half(g, cops, cfg, view, node)
+            again, st_again = cops.move(g, view, node[2])
+            if (tuple(again), st_again) != (rec.moves, rec.state2):
                 raise StrategyFault("cops", k + 1, "nondeterministic strategy detected")
-            moves = tuple(moves)
-            _check_cop_moves(g, cop_pos, moves, cfg.cop_count, k + 1)
-            if r_pos in moves:
-                frontier[node] = _Trans(moves, st2, True, {})
-                continue
-            children = {}
-            for m in sorted(set(g.neighbors(r_pos)) | {r_pos}):
-                if m in moves:
-                    children[m] = "caught"
-                else:
-                    child = (moves, m, st2)
-                    children[m] = child
-                    if child not in nxt:
-                        nxt[child] = None
-            frontier[node] = _Trans(moves, st2, False, children)
+            frontier[node] = rec
+            for child in rec.children.values():
+                if child != "caught":
+                    nxt[child] = None
         layers.append(nxt)
     return placement, s0, layers
 
@@ -321,71 +319,36 @@ def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int) -> Tr
         if vk > best_val:
             best_val, best_r0 = vk, r0
 
-    rounds: list[tuple[tuple[int, ...], int | None]] = []
-    if best_r0 in placement:
-        outcome = Outcome("caught", 0)
-    else:
-        node = (placement, best_r0, s0)
-        outcome = None
-        for k in range(depth):
-            rec = layers[k][node]
-            if rec.caught_cop_half:
-                rounds.append((rec.moves, None))
-                outcome = Outcome("caught", k + 1)
-                break
-            m = best_moves[k][node]
-            rounds.append((rec.moves, m))
-            if rec.children[m] == "caught":
-                outcome = Outcome("caught", k + 1)
-                break
-            node = rec.children[m]
-        if outcome is None:
-            outcome = Outcome("robber_wins", depth)
-
-    return Transcript(
-        graph_hash=graph_hash(g),
-        config=cfg,
-        cop_strategy=getattr(cops, "name", type(cops).__name__),
-        robber_strategy="adversarial-search",
-        cop_placement=placement,
-        robber_placement=best_r0,
-        rounds=tuple(rounds),
-        outcome=outcome,
-    )
+    return _transcript(g, cfg, cops, "adversarial-search", (placement, best_r0, s0), depth,
+                       lambda node, rnd: layers[rnd - 1][node],
+                       lambda node, rec, rnd: best_moves[rnd - 1][node])
 
 
 # ---------------------------------------------------------------------------
 # Baseline robbers.
 # ---------------------------------------------------------------------------
 
+def _first_farthest(candidates, dist) -> int:
+    """The first candidate farthest from the cops; unreachable counts as infinite."""
+    return max(candidates, key=lambda v: math.inf if dist[v] == UNREACHABLE else dist[v])
+
+
 def robber_greedy_far(g: Graph, view: View) -> int:
     """Move (or stay) maximizing the min-distance to the cops; ties -> lowest id."""
-    dist = bfs_distances(g, VertexSet.of(g.n, set(view.cop_positions)))
-    r = view.robber_position
-    best_v, best_d = None, -1.0
-    for m in sorted(set(g.neighbors(r)) | {r}):
-        d = math.inf if dist[m] == UNREACHABLE else dist[m]
-        if d > best_d:
-            best_v, best_d = m, d
-    return best_v
+    dist = bfs_distances(g, VertexSet.of(g.n, view.cop_positions))
+    return _first_farthest(_closed(g, view.robber_position), dist)
 
 
 def robber_random(g: Graph, view: View, rng) -> int:
     """Uniform choice among legal moves (neighbors and staying put)."""
-    return rng.choice(sorted(set(g.neighbors(view.robber_position)) | {view.robber_position}))
+    return rng.choice(_closed(g, view.robber_position))
 
 
 class GreedyFarRobber:
     name = "greedy-far"
 
     def place(self, g, cop_positions, cfg, rng):
-        dist = bfs_distances(g, VertexSet.of(g.n, set(cop_positions)))
-        best_v, best_d = 0, -1.0
-        for v in range(g.n):
-            d = math.inf if dist[v] == UNREACHABLE else dist[v]
-            if d > best_d:
-                best_v, best_d = v, d
-        return best_v
+        return _first_farthest(range(g.n), bfs_distances(g, VertexSet.of(g.n, cop_positions)))
 
     def move(self, g, view, rng):
         return robber_greedy_far(g, view)

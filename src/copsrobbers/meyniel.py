@@ -270,19 +270,6 @@ class MeynielResult:
     leaf_set_sizes: tuple
 
 
-def _trace_final_state(g, strategy: MeynielCop, transcript):
-    state = strategy.initial_state()
-    cop_pos = transcript.cop_placement
-    r_pos = transcript.robber_placement
-    for idx, (moves, r_move) in enumerate(transcript.rounds):
-        view = View(round=idx + 1, cop_positions=cop_pos, robber_position=r_pos)
-        _, state = strategy.move(g, view, state)
-        cop_pos = moves
-        if r_move is not None:
-            r_pos = r_move
-    return state
-
-
 def run_meyniel(g: Graph, diameter_threshold_override: int,
                 expander_params: StrategyParams, cfg: GameConfig,
                 robber=None) -> MeynielResult:
@@ -305,7 +292,7 @@ def run_meyniel(g: Graph, diameter_threshold_override: int,
     if robber is None:
         robber = GreedyFarRobber()
     transcript = play(g, strategy, robber, run_cfg)
-    node_id, _leaf_v = _trace_final_state(g, strategy, transcript)
+    node_id, _leaf_v = transcript.final_state
     final = analysis.nodes[node_id]
     if final.kind == "leaf":
         guards_used = final.depth

@@ -5,12 +5,15 @@ checks: distances via Floyd-Warshall instead of BFS, girth via per-edge
 removal, Hall's condition and "largest non-expanding subset" by subset
 enumeration.  ``diameter_pair_allpairs`` and ``delete_vertices_oracle`` keep
 the plain loops that the library's pruned diameter scan and survivor-only
-vertex deletion replaced.
+vertex deletion replaced.  ``replay_final_state`` replays a transcript
+through a cop strategy to recover the state the engine records as
+``Transcript.final_state`` during the game.
 """
 
 import itertools
 import math
 
+from copsrobbers.engine import View
 from copsrobbers.graph import UNREACHABLE, Graph, _bfs, _seed
 
 INF = math.inf
@@ -343,3 +346,19 @@ def _realize(g, current, target_ms):
     if not bt(0):
         raise RuntimeError("unrealizable successor multiset")
     return tuple(out)
+
+
+def replay_final_state(g, strategy, transcript):
+    """The cop strategy's state after the last recorded round, by replaying
+    every round of the transcript through ``strategy.move`` (the robber is
+    visible in every view)."""
+    state = strategy.initial_state()
+    cop_pos = transcript.cop_placement
+    r_pos = transcript.robber_placement
+    for idx, (moves, r_move) in enumerate(transcript.rounds):
+        view = View(round=idx + 1, cop_positions=cop_pos, robber_position=r_pos)
+        _, state = strategy.move(g, view, state)
+        cop_pos = moves
+        if r_move is not None:
+            r_pos = r_move
+    return state

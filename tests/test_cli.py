@@ -177,7 +177,7 @@ def test_verify_corpus_feeds_oracle_agreement_deterministically(tmp_path, capsys
     assert doc["checks"][0]["detail"] == "772 exhaustive + 62 random + 1 corpus"
     (tmp_path / "c.el").write_text("3 1\n0 1\n1 7\n")
     code, out, err = run(capsys, "verify", "--budget", "1", "--corpus", str(tmp_path))
-    assert (code, out) == (1, "") and "line 3" in err
+    assert (code, out) == (1, "") and "line 3" in err and "c.el" in err
 
 
 def test_solve_closes_its_input_file(tmp_path, capsys, monkeypatch):

@@ -21,10 +21,12 @@ from copsrobbers.engine import (
     Outcome,
     RandomRobber,
     View,
+    expand_game_layers,
     robber_greedy_far,
     robber_random,
 )
 from copsrobbers.seeds import make_rng
+from copsrobbers.solver import SolverCop, cop_number
 
 from conftest import random_connected
 
@@ -181,6 +183,60 @@ def test_nondeterministic_strategy_detected():
     assert "nondeterministic" in str(exc.value)
 
 
+@pytest.mark.parametrize("placement", [(7,), (-1,)])
+def test_adversary_rejects_out_of_range_placement(placement):
+    # the same placement check as play: faulted at round 0, never read through
+    # Python's negative indexing or reported as an illegal round-1 move
+    with pytest.raises(StrategyFault) as exc:
+        adversarial_robber_search(gen_path(4), HoldCop(placement), cfg(rounds=5), 3)
+    assert (exc.value.agent, exc.value.round) == ("cops", 0)
+    assert "bad placement" in str(exc.value)
+
+
+def _assert_line_of_layers(g, cops, robber, c):
+    """The game `play` records is one of the lines `expand_game_layers`
+    expands: every node lies in its layer with the recorded cop moves, and
+    the capture round and final strategy state agree."""
+    t = play(g, cops, robber, c)
+    placement, s0, layers = expand_game_layers(g, cops, c, c.max_rounds)
+    assert t.cop_placement == placement
+    node, state, caught_at = (placement, t.robber_placement, s0), s0, None
+    if t.robber_placement in placement:
+        caught_at = 0
+    for k, (moves, r_move) in enumerate(t.rounds):
+        rec = layers[k][node]
+        assert moves == rec.moves and (r_move is None) == rec.caught_cop_half
+        state = rec.state2
+        node = "caught" if r_move is None else rec.children[r_move]
+        if node == "caught":
+            caught_at = k + 1
+            break
+    if caught_at is None:
+        assert node in layers[c.max_rounds]
+        assert t.outcome == Outcome("robber_wins", c.max_rounds)
+    else:
+        assert t.outcome == Outcome("caught", caught_at)
+        assert len(t.rounds) == caught_at
+    assert t.final_state == state
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_play_follows_an_expanded_line(seed):
+    g = random_connected(7 + seed, seed=seed, p=0.35)
+    k = cop_number(g, 3)
+    teams = [
+        (1, ChaserCop()),
+        (2, ChaserCop([0, g.n - 1])),
+        (1, HoldCop([seed % g.n])),
+        (2, HoldCop([0, g.n // 2])),
+        (k, SolverCop(g, k)),
+    ]
+    for cop_count, cops in teams:
+        for robber in (GreedyFarRobber(), RandomRobber()):
+            c = cfg(k=cop_count, rounds=12, seed=seed)
+            _assert_line_of_layers(g, cops, robber, c)
+
+
 def test_depth_capped_by_max_rounds():
     with pytest.raises(ValueError):
         adversarial_robber_search(gen_path(3), ChaserCop([0]), cfg(rounds=5), 6)
@@ -224,24 +280,3 @@ def test_transcript_json_schema():
         "cop_placement", "robber_placement", "rounds", "outcome",
     }
     assert doc["config"]["seed"] == 0
-
-
-def test_transcript_states_sequence():
-    from copsrobbers import transcript_states
-
-    g = gen_cycle(5)
-    t = play(g, ChaserCop([0]), GreedyFarRobber(), cfg(rounds=12))
-    states = transcript_states(t)
-    assert states[0].robber_position is None and states[0].to_move == "robber"
-    assert states[1].round == 0 and states[1].to_move == "cops"
-    # alternation and single-edge moves throughout
-    for a, b in zip(states[1:], states[2:]):
-        assert {a.to_move, b.to_move} == {"cops", "robber"}
-        if a.to_move == "cops":  # cops moved between a and b
-            for x, y in zip(a.cop_positions, b.cop_positions):
-                assert x == y or y in g.neighbors(x)
-        else:
-            x, y = a.robber_position, b.robber_position
-            assert x == y or y in g.neighbors(x)
-    final = states[-1]
-    assert t.caught == (final.robber_position in final.cop_positions)

@@ -25,7 +25,7 @@ from copsrobbers import (
     transcript_to_json,
     verify_claim,
 )
-from copsrobbers.engine import expand_game_layers
+from copsrobbers.checks import confinement_violations
 from copsrobbers.expander import desk_params
 from copsrobbers.seeds import derive_seed
 
@@ -268,25 +268,6 @@ def test_plan_family_mismatch_rejected():
 # execute_plan against the exhaustive adversary.
 # ---------------------------------------------------------------------------
 
-def _check_confinement(g, cop, plans, depth):
-    """All lines caught by their plan's deadline; robber in the level core at
-    each deadline round."""
-    cfg = GameConfig(cop_count=cop.cop_count, max_rounds=depth, seed=0)
-    _, _, layers = expand_game_layers(g, cop, cfg, depth)
-    for k in range(1, depth + 1):
-        for (cops_pos, r_pos, v) in layers[k]:
-            plan = plans[v]
-            assert k <= plan.capture_deadline, (
-                f"robber line from {v} alive at round {k} past deadline"
-            )
-            for lv in plan.levels:
-                if k == lv.deadline:
-                    assert r_pos in lv.core, (
-                        f"start {v}: robber at {r_pos} outside the level-"
-                        f"{lv.index} core at its deadline"
-                    )
-
-
 def test_expander_confines_and_catches_small_corpus():
     graphs = [
         gen_cycle(8),
@@ -299,7 +280,7 @@ def test_expander_confines_and_catches_small_corpus():
         cop, fam, plans, attempts = make_expander_cop(g, params, seed=13)
         assert attempts <= params.resample_limit
         depth = max(p.capture_deadline for p in plans.values())
-        _check_confinement(g, cop, plans, depth)
+        assert confinement_violations(g, cop, plans, depth) == []
         t = adversarial_robber_search(
             g, cop, GameConfig(cop_count=fam.total_cops, max_rounds=depth, seed=0), depth
         )

@@ -19,6 +19,7 @@ from copsrobbers.engine import GreedyFarRobber, RandomRobber
 from copsrobbers.meyniel import MeynielAnalysis, MeynielCop
 
 from conftest import random_connected
+from oracles import replay_final_state
 
 PARAMS = StrategyParams(lam=2.0, density=0.8, levels=3)
 
@@ -73,6 +74,27 @@ def test_random_corpus_with_both_robbers():
             assert res.caught, (seed, robber.name)
             assert res.cops_used == res.guards_used + res.expander_cops
             validate_transcript(g, res.transcript)
+
+
+FINAL_STATE_CASES = {
+    "grid12x12": (lambda: gen_grid(12, 12), 3),
+    "c40": (lambda: gen_cycle(40), 3),
+    "p30": (lambda: gen_path(30), 10),
+    **{f"rand{seed}": (lambda seed=seed: random_connected(20 + 4 * seed, seed=seed, p=0.12), 2)
+       for seed in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINAL_STATE_CASES))
+def test_final_state_matches_replay(name):
+    make, threshold = FINAL_STATE_CASES[name]
+    g = make()
+    for robber in (GreedyFarRobber(), RandomRobber()):
+        c = cfg(seed=7)
+        res = run_meyniel(g, threshold, PARAMS, c, robber=robber)
+        strategy = MeynielCop(MeynielAnalysis(g, threshold, PARAMS, seed=c.seed))
+        assert res.transcript.final_state == replay_final_state(g, strategy, res.transcript)
+        assert res.final_node == res.transcript.final_state[0]
 
 
 def test_cops_used_accounting_exact():
