@@ -64,7 +64,7 @@ from .graph import (
     shortest_path,
     to_dot,
 )
-from .guard import GuardCop, GuardState, guard_step, settle_bound, shadow
+from .guard import GuardCop, settle_bound, shadow
 from .meyniel import MeynielCop, run_meyniel
 from .solver import (
     SolverCop,

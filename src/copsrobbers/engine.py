@@ -52,8 +52,6 @@ __all__ = [
     "play",
     "adversarial_robber_search",
     "expand_game_layers",
-    "robber_greedy_far",
-    "robber_random",
     "GreedyFarRobber",
     "RandomRobber",
     "HoldCop",
@@ -333,17 +331,6 @@ def _first_farthest(candidates, dist) -> int:
     return max(candidates, key=lambda v: math.inf if dist[v] == UNREACHABLE else dist[v])
 
 
-def robber_greedy_far(g: Graph, view: View) -> int:
-    """Move (or stay) maximizing the min-distance to the cops; ties -> lowest id."""
-    dist = bfs_distances(g, VertexSet.of(g.n, view.cop_positions))
-    return _first_farthest(_closed(g, view.robber_position), dist)
-
-
-def robber_random(g: Graph, view: View, rng) -> int:
-    """Uniform choice among legal moves (neighbors and staying put)."""
-    return rng.choice(_closed(g, view.robber_position))
-
-
 class GreedyFarRobber:
     name = "greedy-far"
 
@@ -351,7 +338,9 @@ class GreedyFarRobber:
         return _first_farthest(range(g.n), bfs_distances(g, VertexSet.of(g.n, cop_positions)))
 
     def move(self, g, view, rng):
-        return robber_greedy_far(g, view)
+        """Move (or stay) maximizing the min-distance to the cops; ties -> lowest id."""
+        dist = bfs_distances(g, VertexSet.of(g.n, view.cop_positions))
+        return _first_farthest(_closed(g, view.robber_position), dist)
 
 
 class RandomRobber:
@@ -362,7 +351,8 @@ class RandomRobber:
         return rng.choice(free) if free else rng.randrange(g.n)
 
     def move(self, g, view, rng):
-        return robber_random(g, view, rng)
+        """Uniform choice among legal moves (neighbors and staying put)."""
+        return rng.choice(_closed(g, view.robber_position))
 
 
 # ---------------------------------------------------------------------------

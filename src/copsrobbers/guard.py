@@ -15,11 +15,15 @@ diameter(g) + L rounds, the bound exported by :func:`settle_bound`.
 (A naive "always chase the current shadow" cop can loop forever on even
 cycles when distance ties flip its direction, which is why the p_0 anchor is
 part of the construction.)
+
+:class:`GuardCop` is the one guard object: it holds the path's indices and
+both metrics, computes the shadow, owns the move rule (:meth:`GuardCop.step`)
+and plays it as a one-cop engine strategy.  The recursion in
+:mod:`copsrobbers.meyniel` calls ``step`` for each deployed guard;
+:func:`shadow` and :func:`settle_bound` are one-shot helpers over it.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .graph import (
     UNREACHABLE,
@@ -30,38 +34,24 @@ from .graph import (
 )
 
 __all__ = [
-    "PHASE_APPROACHING",
-    "PHASE_GUARDING",
-    "GuardState",
     "shadow",
-    "guard_step",
     "settle_bound",
     "GuardCop",
     "check_guard_soundness",
 ]
 
-PHASE_APPROACHING = "approaching"
-PHASE_GUARDING = "guarding"
 
-
-@dataclass(frozen=True)
-class GuardState:
-    path: tuple[int, ...]
-    phase: str
-    cop_position: int
-
-
-class _GuardContext:
-    """Precomputed data for one guarded geodesic: path indices, the shadow
-    metric d(p_0, .) and the approach metric.
+class GuardCop:
+    """One cop guarding the geodesic `path`; also a one-cop engine strategy.
 
     With ``within``, the path is a geodesic of the subgraph induced by that
     vertex set and the shadow is measured inside it, while the cop still
     approaches p_0 through all of g.  Without it both metrics are the same
-    list.
+    list.  The cop starts on p_0.
     """
 
     __slots__ = ("path", "length", "index_of", "dist0", "approach")
+    name = "guard"
 
     def __init__(self, g: Graph, path, within: VertexSet | None = None):
         path = tuple(path)
@@ -89,14 +79,13 @@ class _GuardContext:
             raise ValueError(f"vertex {r} is not connected to the path")
         return min(d, self.length)
 
-    def move(self, g: Graph, cop: int, robber: int, strict: bool = True) -> int:
+    def step(self, g: Graph, cop: int, robber: int) -> int:
+        """The guard's move from `cop` against a robber standing on `robber`."""
         # Capture dominates everything else.
         if robber == cop or robber in g.neighbors(cop):
             return robber
         if self.dist0[robber] == UNREACHABLE:
-            if strict:
-                raise ValueError(f"robber at {robber} is outside the guarded component")
-            return cop  # composite strategies: hold, another guard handles it
+            return cop  # outside the guarded component: another guard's robber
         j = self.shadow_index(robber)
         i = self.index_of.get(cop)
         if i is not None:
@@ -111,52 +100,10 @@ class _GuardContext:
                 return w
         raise AssertionError("BFS distance field has no descent step")
 
-
-def shadow(g: Graph, path, r: int) -> int:
-    """Shadow index of r on the geodesic `path` (checked)."""
-    return _GuardContext(g, path).shadow_index(r)
-
-
-def guard_step(g: Graph, gs: GuardState, robber: int | None):
-    """One guard move; returns (cop move, updated GuardState)."""
-    if robber is None:
-        raise ValueError("guard requires a visible robber")
-    ctx = _GuardContext(g, gs.path)
-    move = ctx.move(g, gs.cop_position, robber)
-    phase = gs.phase
-    if phase != PHASE_GUARDING:
-        idx = ctx.index_of.get(move)
-        if idx is not None and idx == ctx.shadow_index(robber):
-            phase = PHASE_GUARDING
-    return move, GuardState(path=gs.path, phase=phase, cop_position=move)
-
-
-def settle_bound(g: Graph, path) -> int:
-    """Rounds after which this guard is guaranteed to be in guarding phase."""
-    ctx = _GuardContext(g, path)
-    d = diameter(g)
-    if d == float("inf"):
-        raise ValueError("settle bound requires a connected graph")
-    return int(d) + ctx.length
-
-
-class GuardCop:
-    """Engine strategy wrapper around the guard rule (one cop)."""
-
-    name = "guard"
-
-    def __init__(self, g: Graph, path, start: int | None = None):
-        self._ctx = _GuardContext(g, path)
-        self._start = self._ctx.path[0] if start is None else start
-
-    @property
-    def path(self):
-        return self._ctx.path
-
     def place(self, g, cfg):
         if cfg.cop_count != 1:
             raise ValueError("the guard is a single-cop strategy")
-        return (self._start,)
+        return (self.path[0],)
 
     def initial_state(self):
         return None
@@ -165,10 +112,27 @@ class GuardCop:
         r = view.robber_position
         if r is None:
             raise ValueError("guard requires a visible robber")
-        return (self._ctx.move(g, view.cop_positions[0], r),), state
+        return (self.step(g, view.cop_positions[0], r),), state
 
 
-def check_guard_soundness(g: Graph, path, cfg=None, extra_rounds: int = 4, start=None) -> dict:
+def shadow(g: Graph, path, r: int) -> int:
+    """Shadow index of r on the geodesic `path` (checked)."""
+    return GuardCop(g, path).shadow_index(r)
+
+
+def _settle_bound(g: Graph, guard: GuardCop) -> int:
+    d = diameter(g)
+    if d == float("inf"):
+        raise ValueError("settle bound requires a connected graph")
+    return int(d) + guard.length
+
+
+def settle_bound(g: Graph, path) -> int:
+    """Rounds after which the guard of `path` stands on the robber's shadow."""
+    return _settle_bound(g, GuardCop(g, path))
+
+
+def check_guard_soundness(g: Graph, path, extra_rounds: int = 4) -> dict:
     """Exhaustively verify the guard promise over every robber line.
 
     Checks, across all robber behaviors up to settle_bound + extra_rounds:
@@ -182,12 +146,10 @@ def check_guard_soundness(g: Graph, path, cfg=None, extra_rounds: int = 4, start
     """
     from .engine import GameConfig, expand_game_layers
 
-    ctx = _GuardContext(g, path)
-    bound = settle_bound(g, path)
+    cop = GuardCop(g, path)
+    bound = _settle_bound(g, cop)
     depth = bound + max(2, extra_rounds)
-    if cfg is None:
-        cfg = GameConfig(cop_count=1, max_rounds=depth, robber_visible=True, seed=0)
-    cop = GuardCop(g, path, start=start)
+    cfg = GameConfig(cop_count=1, max_rounds=depth, robber_visible=True, seed=0)
     _, _, layers = expand_game_layers(g, cop, cfg, depth)
 
     violations = []
@@ -200,16 +162,16 @@ def check_guard_soundness(g: Graph, path, cfg=None, extra_rounds: int = 4, start
             _, r_pos, _ = node
             cop_after = rec.moves[0]
             if k + 1 >= bound and not rec.caught_cop_half:
-                if cop_after != ctx.path[ctx.shadow_index(r_pos)]:
+                if cop_after != cop.path[cop.shadow_index(r_pos)]:
                     violations.append(
                         {"round": k + 1, "robber": r_pos, "cop": cop_after, "kind": "off-shadow"}
                     )
-            if k >= bound and r_pos in ctx.index_of and not rec.caught_cop_half:
+            if k >= bound and r_pos in cop.index_of and not rec.caught_cop_half:
                 violations.append(
                     {"round": k, "robber": r_pos, "cop": cop_after, "kind": "uncaught-on-path"}
                 )
     return {
-        "path": list(ctx.path),
+        "path": list(cop.path),
         "settle_bound": bound,
         "depth": depth,
         "states_checked": states,

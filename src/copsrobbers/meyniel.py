@@ -46,7 +46,7 @@ from .graph import (
     shortest_path,
     walk_back,
 )
-from .guard import _GuardContext
+from .guard import GuardCop
 
 __all__ = [
     "MeynielAnalysis",
@@ -63,8 +63,11 @@ class _Node:
     vertices: VertexSet            # component, original ids
     entry: int                     # stage starts at round entry + 1
     duration: int                  # guard: settle window; leaf: march window
-    guard: _GuardContext | None = None
+    guard: GuardCop | None = None
     children: tuple = ()           # (VertexSet, _Node) pairs
+    # (entry, cop index, GuardCop) per deployed guard, root first; a guard
+    # node's own guard is the last one
+    guards: tuple = ()
     # leaf fields
     broken: bool = False
     family_total: int = 0
@@ -79,20 +82,19 @@ class _Node:
 class MeynielAnalysis:
     """Precomputed recursion tree, stage windows and cop-pool sizing."""
 
-    def __init__(self, g: Graph, threshold: int, params: StrategyParams,
-                 seed: int, start_vertex: int = 0):
+    def __init__(self, g: Graph, threshold: int, params: StrategyParams, seed: int):
         if threshold < 1:
             raise ValueError("diameter threshold must be >= 1")
         self.g = g
         self.threshold = threshold
         self.params = params
         self.seed = seed
-        self.v0 = start_vertex
-        self._dist_v0 = bfs_distances(g, VertexSet.of(g.n, [start_vertex]))
+        self.v0 = 0  # every cop starts here
+        self._dist_v0 = bfs_distances(g, VertexSet.of(g.n, [self.v0]))
         if UNREACHABLE in self._dist_v0:
             raise ValueError("recursion requires a connected graph")
         self.nodes: list[_Node] = []
-        self.root = self._build(VertexSet.full(g.n), depth=0, entry=0, label="r")
+        self.root = self._build(VertexSet.full(g.n), depth=0, entry=0, label="r", guards=())
         self.pool_size = max(
             max((self._need(n) for n in self.nodes), default=1), 1
         )
@@ -102,15 +104,17 @@ class MeynielAnalysis:
             return node.depth + (0 if node.broken else node.family_total)
         return node.depth + 1
 
-    def _build(self, comp: VertexSet, depth: int, entry: int, label: str) -> _Node:
+    def _build(self, comp: VertexSet, depth: int, entry: int, label: str,
+               guards: tuple) -> _Node:
         g = self.g
         node_id = len(self.nodes)
         d, u, v = diameter_pair(g, comp)
         if d <= self.threshold:
             node = self._build_leaf(node_id, comp, depth, entry, label)
+            node.guards = guards
             self.nodes.append(node)
             return node
-        guard = _GuardContext(g, shortest_path(g, u, v, within=comp), within=comp)
+        guard = GuardCop(g, shortest_path(g, u, v, within=comp), within=comp)
         settle = guard.approach[self.v0] + guard.length
         node = _Node(
             node_id=node_id,
@@ -120,6 +124,7 @@ class MeynielAnalysis:
             entry=entry,
             duration=max(1, settle),
             guard=guard,
+            guards=guards + ((entry, depth, guard),),
         )
         self.nodes.append(node)
         remainder = comp - VertexSet.of(g.n, guard.path)
@@ -132,7 +137,7 @@ class MeynielAnalysis:
             seen = seen | comp_mask
             child = self._build(
                 comp_mask, depth + 1, entry + node.duration,
-                f"{label}.{len(children)}",
+                f"{label}.{len(children)}", node.guards,
             )
             children.append((comp_mask, child))
         node.children = tuple(children)
@@ -223,22 +228,10 @@ class MeynielCop:
             leaf_v = None
         moves = list(view.cop_positions)
 
-        # Every deployed guard (ancestors and, on a guard node, the node's
-        # own) keeps shadowing its geodesic.
-        cur = self.analysis.root
-        chain = [cur]
-        while cur.node_id != node.node_id:
-            for comp_mask, child in cur.children:
-                if node.vertices <= comp_mask:
-                    cur = child
-                    chain.append(cur)
-                    break
-            else:
-                raise AssertionError("node is not on the root chain")
-        for anc in chain:
-            if anc.kind == "guard" and view.round > anc.entry:
-                idx = anc.depth
-                moves[idx] = anc.guard.move(g, view.cop_positions[idx], r, strict=False)
+        # Every deployed guard keeps shadowing its geodesic.
+        for entry, idx, guard in node.guards:
+            if view.round > entry:
+                moves[idx] = guard.step(g, view.cop_positions[idx], r)
 
         if node.kind == "leaf" and not node.broken:
             base = node.depth

@@ -86,6 +86,17 @@ def test_strategy_guard_with_check(tmp_path, capsys):
     assert doc["soundness"]["violations"] == []
 
 
+def test_strategy_guard_explicit_path(tmp_path, capsys):
+    f = tmp_path / "g.el"
+    run(capsys, "gen", "grid", "5", "6", "-o", str(f))
+    code, out, _ = run(capsys, "strategy", "guard", str(f), "--path", "0,1,2,3,4")
+    assert code == 0
+    assert json.loads(out)["path"] == [0, 1, 2, 3, 4]
+    code, _, err = run(capsys, "strategy", "guard", str(f), "--path", "0,2")
+    assert code == 1
+    assert "is not an edge" in err
+
+
 def test_strategy_expander_plan_summary(tmp_path, capsys):
     f = tmp_path / "c6.el"
     run(capsys, "gen", "cycle", "6", "-o", str(f))

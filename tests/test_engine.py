@@ -22,8 +22,6 @@ from copsrobbers.engine import (
     RandomRobber,
     View,
     expand_game_layers,
-    robber_greedy_far,
-    robber_random,
 )
 from copsrobbers.seeds import make_rng
 from copsrobbers.solver import SolverCop, cop_number
@@ -110,21 +108,21 @@ def test_invisible_mode_hides_robber():
 def test_greedy_far_moves_away():
     g = gen_path(5)
     v = View(round=1, cop_positions=(0,), robber_position=2)
-    assert robber_greedy_far(g, v) == 3
+    assert GreedyFarRobber().move(g, v, None) == 3
 
 
 def test_greedy_tie_takes_lowest_id():
     # all moves equally bad on a complete graph: stay at the lowest option
     k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
     v = View(round=1, cop_positions=(0,), robber_position=2)
-    assert robber_greedy_far(k3, v) == 1
+    assert GreedyFarRobber().move(k3, v, None) == 1
 
 
 def test_random_robber_reproducible():
     g = gen_cycle(8)
     v = View(round=1, cop_positions=(0,), robber_position=4)
-    a = [robber_random(g, v, make_rng(99)) for _ in range(5)]
-    b = [robber_random(g, v, make_rng(99)) for _ in range(5)]
+    a = [RandomRobber().move(g, v, make_rng(99)) for _ in range(5)]
+    b = [RandomRobber().move(g, v, make_rng(99)) for _ in range(5)]
     assert a == b
 
 

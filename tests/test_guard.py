@@ -3,25 +3,19 @@ import pytest
 from copsrobbers import (
     GameConfig,
     Graph,
+    VertexSet,
     adversarial_robber_search,
     diameter,
     gen_cycle,
     gen_grid,
     gen_path,
-    guard_step,
     play,
     settle_bound,
     shadow,
     shortest_path,
 )
-from copsrobbers.engine import GreedyFarRobber, RandomRobber, expand_game_layers
-from copsrobbers.guard import (
-    PHASE_APPROACHING,
-    PHASE_GUARDING,
-    GuardCop,
-    GuardState,
-    check_guard_soundness,
-)
+from copsrobbers.engine import GreedyFarRobber, RandomRobber, View, expand_game_layers
+from copsrobbers.guard import GuardCop, check_guard_soundness
 
 from conftest import random_connected
 
@@ -51,40 +45,37 @@ def test_shadow_rejects_non_geodesic():
         shadow(g, [0, 2], 5)  # not even a path
 
 
-def test_guard_step_requires_visibility():
+def test_guard_cop_refuses_hidden_robber():
     g = gen_path(4)
-    gs = GuardState(path=(0, 1, 2), phase=PHASE_APPROACHING, cop_position=3)
+    cop = GuardCop(g, (0, 1, 2))
     with pytest.raises(ValueError):
-        guard_step(g, gs, None)
+        cop.move(g, View(round=1, cop_positions=(3,), robber_position=None), None)
 
 
 def test_stationary_robber_settles_then_guards():
     g = gen_grid(3, 3)
     path = shortest_path(g, 0, 8)
-    gs = GuardState(path=tuple(path), phase=PHASE_APPROACHING, cop_position=2)
+    guard = GuardCop(g, path)
     robber = 6
+    on_shadow = path[guard.shadow_index(robber)]
+    cop = 4  # off the path: approach p_0, then walk along the path
     for _ in range(settle_bound(g, path)):
-        mv, gs = guard_step(g, gs, robber)
-        if gs.phase == PHASE_GUARDING:
+        cop = guard.step(g, cop, robber)
+        if cop == on_shadow:
             break
-    assert gs.phase == PHASE_GUARDING
-    assert gs.cop_position == path[shadow(g, path, robber)]
-    # stays guarding forever after
+    assert cop == on_shadow
+    # stays on the shadow forever after
     for _ in range(5):
-        mv, gs = guard_step(g, gs, robber)
-        assert gs.phase == PHASE_GUARDING
+        cop = guard.step(g, cop, robber)
+        assert cop == on_shadow
 
 
 def test_guarding_captures_robber_on_path():
     g = gen_cycle(6)
-    path = (0, 1, 2, 3)
     # cop already on the shadow of a robber standing on the path
-    gs = GuardState(path=path, phase=PHASE_GUARDING, cop_position=2)
-    mv, _ = guard_step(g, gs, 2)  # robber moved onto p_2 under the cop: grab
-    assert mv == 2
-    gs = GuardState(path=path, phase=PHASE_GUARDING, cop_position=2)
-    mv, _ = guard_step(g, gs, 3)  # robber on p_3, shadow is p_3, cop adjacent
-    assert mv == 3
+    guard = GuardCop(g, (0, 1, 2, 3))
+    assert guard.step(g, 2, 2) == 2  # robber moved onto p_2 under the cop: grab
+    assert guard.step(g, 2, 3) == 3  # robber on p_3, shadow is p_3, cop adjacent
 
 
 def test_shadow_lipschitz_along_transcripts():
@@ -153,22 +144,17 @@ def test_guard_cop_requires_single_cop():
 
 
 def test_masked_guard_shadows_inside_the_mask_and_approaches_through_g():
-    from copsrobbers import VertexSet
-    from copsrobbers.guard import _GuardContext
-
     g = gen_cycle(8)
     within = VertexSet.of(8, range(6))  # C8 minus {6, 7} is the path 0..5
-    ctx = _GuardContext(g, [1, 2, 3], within=within)
-    assert ctx.dist0[5] == 4 and ctx.approach[5] == 4
-    assert ctx.dist0[7] == -1 and ctx.approach[7] == 2
-    assert ctx.shadow_index(5) == 2
+    guard = GuardCop(g, [1, 2, 3], within=within)
+    assert guard.dist0[5] == 4 and guard.approach[5] == 4
+    assert guard.dist0[7] == -1 and guard.approach[7] == 2
+    assert guard.shadow_index(5) == 2
     # a cop off the mask walks toward p_0 through the whole graph
-    assert ctx.move(g, 7, 4, strict=False) == 0
-    # a robber outside the mask is another guard's problem: hold, or refuse
-    assert ctx.move(g, 3, 6, strict=False) == 3
+    assert guard.step(g, 7, 4) == 0
+    # a robber outside the mask is another guard's problem: hold
+    assert guard.step(g, 3, 6) == 3
     with pytest.raises(ValueError):
-        ctx.move(g, 3, 6)
-    with pytest.raises(ValueError):
-        _GuardContext(g, [5, 6, 7], within=within)
-    plain = _GuardContext(g, [1, 2, 3])
+        GuardCop(g, [5, 6, 7], within=within)
+    plain = GuardCop(g, [1, 2, 3])
     assert plain.approach is plain.dist0

@@ -115,6 +115,33 @@ def test_component_monotonicity():
                 assert child.vertices <= node.vertices
 
 
+def _walked_guards(an, node):
+    """The guards deployed at `node`, found by walking `children` from the root."""
+    cur, chain = an.root, []
+    while True:
+        if cur.kind == "guard":
+            chain.append((cur.entry, cur.depth, cur.guard))
+        if cur is node:
+            return tuple(chain)
+        cur = next(child for mask, child in cur.children if node.vertices <= mask)
+
+
+CHAIN_CASES = {
+    "c20": lambda: gen_cycle(20),
+    "grid6x9": lambda: gen_grid(6, 9),
+    **{f"rand{seed}": (lambda seed=seed: random_connected(30, seed=seed, p=0.08))
+       for seed in range(3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CASES))
+def test_recorded_guard_chain_matches_walk_from_root(name):
+    an = MeynielAnalysis(CHAIN_CASES[name](), 3, PARAMS, seed=0)
+    assert max(len(node.guards) for node in an.nodes) >= 2
+    for node in an.nodes:
+        assert node.guards == _walked_guards(an, node)
+
+
 def test_guard_persistence_on_transcript():
     # once a guard's settle window has passed, a robber on that geodesic is
     # captured on the very next cop half-move
