@@ -164,16 +164,18 @@ def cmd_strategy(args) -> int:
             "schema": "copsrobbers.strategy/1",
             "strategy": "guard",
             "path": list(path),
-            "settle_bound": settle_bound(g, path),
             "soundness": None,
             "transcript": json.loads(transcript_to_json(t)),
         }
         if args.check:
-            rep = check_guard_soundness(g, path)
+            rep = check_guard_soundness(g, cops)
+            doc["settle_bound"] = rep["settle_bound"]
             doc["soundness"] = {
                 "states_checked": rep["states_checked"],
                 "violations": rep["violations"],
             }
+        else:
+            doc["settle_bound"] = settle_bound(g, cops)
         _write(_dump(doc), args.out)
         return 0
 

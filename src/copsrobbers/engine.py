@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
-from .errors import StrategyFault
+from .errors import ResourceLimitError, StrategyFault
 from .graph import (
     UNREACHABLE,
     Graph,
@@ -52,6 +52,7 @@ __all__ = [
     "play",
     "adversarial_robber_search",
     "expand_game_layers",
+    "DEFAULT_NODE_BUDGET",
     "GreedyFarRobber",
     "RandomRobber",
     "HoldCop",
@@ -62,6 +63,11 @@ __all__ = [
 ]
 
 TRANSCRIPT_SCHEMA = "copsrobbers.transcript/1"
+
+# Nodes the exhaustive adversary may expand, summed over its layers.  At
+# about 0.6 KB per one-cop node this caps the layers near 170 MiB; the
+# largest expansion in the tests, criteria and bench pools has about 4,400.
+DEFAULT_NODE_BUDGET = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -237,12 +243,15 @@ def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
 # finds, for every line, the latest capture the robber can force.
 # ---------------------------------------------------------------------------
 
-def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int):
+def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
+                       node_budget: int = DEFAULT_NODE_BUDGET):
     """Forward-expand all robber lines to the given depth.
 
     Returns (placement, initial_state, layers) where layers[k] maps node keys
     ``(cop_positions, robber_position, strategy_state)`` -- robber alive after
-    round k -- to their outgoing transition record.
+    round k -- to their outgoing transition record.  Before each layer is
+    expanded, the nodes of it and of the layers before it are counted; above
+    `node_budget` the call raises ``ResourceLimitError``.
     """
     if depth > cfg.max_rounds:
         raise ValueError("depth must not exceed cfg.max_rounds")
@@ -255,8 +264,13 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int):
             if r0 not in placement
         }
     ]
+    nodes = 0
     for k in range(depth):
         frontier = layers[k]
+        nodes += len(frontier)
+        if nodes > node_budget:
+            raise ResourceLimitError(
+                f"{nodes} adversary nodes by round {k} exceed the budget of {node_budget}")
         nxt: dict = {}
         for node in frontier:
             view = _view(cfg, k + 1, node)
@@ -272,14 +286,16 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int):
     return placement, s0, layers
 
 
-def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int) -> Transcript:
+def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int,
+                              node_budget: int = DEFAULT_NODE_BUDGET) -> Transcript:
     """Worst-case robber line against a deterministic cop strategy.
 
     The returned transcript follows the robber line that survives longest
     (ties broken toward the lowest-id move); the outcome is ``caught`` only
-    if every robber line is caught within ``depth`` rounds.
+    if every robber line is caught within ``depth`` rounds.  `node_budget`
+    limits the expanded nodes, as in :func:`expand_game_layers`.
     """
-    placement, s0, layers = expand_game_layers(g, cops, cfg, depth)
+    placement, s0, layers = expand_game_layers(g, cops, cfg, depth, node_budget)
 
     # value[node] = round of capture under best play from here, or None if
     # the robber survives to the depth cutoff.

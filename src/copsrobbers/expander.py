@@ -146,39 +146,43 @@ def sample_cop_sets(g: Graph, params: StrategyParams, seed: int) -> CopSetFamily
 
 def verify_claim(g: Graph, family: CopSetFamily, params: StrategyParams,
                  budget: int = 1 << 20) -> bool:
-    """Brute-force over all vertex subsets A with |A| <= n/lam.
+    """Exhaustive check over all vertex subsets A with 1 <= |A| <= n/lam.
 
     True iff for every such A, every radius 2^i (i <= levels) at which the
     ball B(A, 2^i) has at least lam*|A| vertices, and every sampled set C_j:
     |B(A, 2^i) intersect C_j| >= |A|.
+
+    A depth-first walk visits the subsets in ascending element order,
+    carrying one union ball per radius down the stack, and stops at the
+    first violation.  `budget` limits the subset-radius checks,
+    sum_{a <= n/lam} C(n, a) * (levels+1), counted before any work.
     """
     n = g.n
-    if (1 << n) > budget:
-        raise ResourceLimitError(f"2^{n} subsets exceed the budget of {budget}")
+    amax = math.floor(n / params.lam)
+    work = sum(math.comb(n, a) for a in range(1, amax + 1)) * (params.levels + 1)
+    if work > budget:
+        raise ResourceLimitError(
+            f"{work} subset-radius checks exceed the budget of {budget}")
     radii = [1 << i for i in range(params.levels + 1)]
-    single = [VertexSet.of(n, [v]) for v in range(n)]
-    # union_ball[ri][mask] built by peeling the lowest bit; O(2^n) per radius
-    union_balls = []
-    for r in radii:
-        per_vertex = [ball(g, single[v], r).mask for v in range(n)]
-        table = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            table[mask] = table[mask ^ low] | per_vertex[low.bit_length() - 1]
-        union_balls.append(table)
+    per_vertex = [tuple(ball(g, VertexSet.of(n, [v]), r).mask for r in radii)
+                  for v in range(n)]
     set_masks = [s.mask for s in family.sets]
-    amax = n / params.lam
-    for mask in range(1, 1 << n):
-        a = mask.bit_count()
-        if a > amax:
-            continue
-        for table in union_balls:
-            bmask = table[mask]
-            if bmask.bit_count() >= params.lam * a:
-                for smask in set_masks:
-                    if (bmask & smask).bit_count() < a:
-                        return False
-    return True
+    lam = params.lam
+
+    def walk(first: int, balls: tuple, a: int) -> bool:
+        # balls[i] = B(A, 2^i) for the current A of size a-1; extend by v >= first
+        for v in range(first, n):
+            grown = tuple(b | pv for b, pv in zip(balls, per_vertex[v]))
+            for bmask in grown:
+                if bmask.bit_count() >= lam * a:
+                    for smask in set_masks:
+                        if (bmask & smask).bit_count() < a:
+                            return False
+            if a < amax and not walk(v + 1, grown, a + 1):
+                return False
+        return True
+
+    return walk(0, (0,) * len(radii), 1)
 
 
 # ---------------------------------------------------------------------------

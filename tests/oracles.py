@@ -5,7 +5,9 @@ checks: distances via Floyd-Warshall instead of BFS, girth via per-edge
 removal, Hall's condition and "largest non-expanding subset" by subset
 enumeration.  ``diameter_pair_allpairs`` and ``delete_vertices_oracle`` keep
 the plain loops that the library's pruned diameter scan and survivor-only
-vertex deletion replaced.  ``replay_final_state`` replays a transcript
+vertex deletion replaced.  ``verify_claim_allsubsets`` is the hitting-claim
+check over 2^n union-ball tables that the library's small-subset walk
+replaced.  ``replay_final_state`` replays a transcript
 through a cop strategy to recover the state the engine records as
 ``Transcript.final_state`` during the game.
 """
@@ -14,7 +16,8 @@ import itertools
 import math
 
 from copsrobbers.engine import View
-from copsrobbers.graph import UNREACHABLE, Graph, _bfs, _seed
+from copsrobbers.errors import ResourceLimitError
+from copsrobbers.graph import UNREACHABLE, Graph, VertexSet, _bfs, _seed, ball
 
 INF = math.inf
 
@@ -178,6 +181,42 @@ def largest_nonexpanding_subset(g, candidate, radius, lam):
                 best = frozenset(sub)
                 break
     return best
+
+
+def verify_claim_allsubsets(g, family, params, budget=1 << 20):
+    """Brute-force over all vertex subsets A with |A| <= n/lam.
+
+    True iff for every such A, every radius 2^i (i <= levels) at which the
+    ball B(A, 2^i) has at least lam*|A| vertices, and every sampled set C_j:
+    |B(A, 2^i) intersect C_j| >= |A|.
+    """
+    n = g.n
+    if (1 << n) > budget:
+        raise ResourceLimitError(f"2^{n} subsets exceed the budget of {budget}")
+    radii = [1 << i for i in range(params.levels + 1)]
+    single = [VertexSet.of(n, [v]) for v in range(n)]
+    # union_ball[ri][mask] built by peeling the lowest bit; O(2^n) per radius
+    union_balls = []
+    for r in radii:
+        per_vertex = [ball(g, single[v], r).mask for v in range(n)]
+        table = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | per_vertex[low.bit_length() - 1]
+        union_balls.append(table)
+    set_masks = [s.mask for s in family.sets]
+    amax = n / params.lam
+    for mask in range(1, 1 << n):
+        a = mask.bit_count()
+        if a > amax:
+            continue
+        for table in union_balls:
+            bmask = table[mask]
+            if bmask.bit_count() >= params.lam * a:
+                for smask in set_masks:
+                    if (bmask & smask).bit_count() < a:
+                        return False
+    return True
 
 
 def two_colorable(g):

@@ -97,6 +97,21 @@ def test_strategy_guard_explicit_path(tmp_path, capsys):
     assert "is not an edge" in err
 
 
+def test_strategy_guard_check_runs_one_diameter_scan(tmp_path, capsys, monkeypatch):
+    import copsrobbers.guard as guard_mod
+
+    calls = []
+    real = guard_mod.diameter
+    monkeypatch.setattr(guard_mod, "diameter", lambda g: calls.append(g.n) or real(g))
+    f = tmp_path / "g.el"
+    run(capsys, "gen", "grid", "5", "6", "-o", str(f))
+    code, out, _ = run(capsys, "strategy", "guard", str(f), "--path", "0,1,2,3,4", "--check")
+    doc = json.loads(out)
+    assert code == 0 and doc["soundness"]["violations"] == []
+    assert doc["settle_bound"] == 9 + 4
+    assert calls == [30]
+
+
 def test_strategy_expander_plan_summary(tmp_path, capsys):
     f = tmp_path / "c6.el"
     run(capsys, "gen", "cycle", "6", "-o", str(f))

@@ -5,10 +5,12 @@ import pytest
 from copsrobbers import (
     GameConfig,
     Graph,
+    ResourceLimitError,
     StrategyFault,
     Transcript,
     adversarial_robber_search,
     gen_cycle,
+    gen_grid,
     gen_path,
     play,
     transcript_to_json,
@@ -233,6 +235,41 @@ def test_play_follows_an_expanded_line(seed):
         for robber in (GreedyFarRobber(), RandomRobber()):
             c = cfg(k=cop_count, rounds=12, seed=seed)
             _assert_line_of_layers(g, cops, robber, c)
+
+
+class CountingCop:
+    """Forwards to a cop team and counts its move calls."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def place(self, g, c):
+        return self.inner.place(g, c)
+
+    def initial_state(self):
+        return self.inner.initial_state()
+
+    def move(self, g, view, state):
+        self.calls += 1
+        return self.inner.move(g, view, state)
+
+
+def test_node_budget_stops_the_expansion_before_full_depth():
+    g, depth = gen_grid(5, 5), 8
+    c = cfg(rounds=depth)
+    _, _, layers = expand_game_layers(g, HoldCop([12]), c, depth)
+    sizes = [len(layer) for layer in layers[:depth]]
+    assert all(sizes)
+    # a budget of exactly the nodes expanded is enough
+    expand_game_layers(g, HoldCop([12]), c, depth, node_budget=sum(sizes))
+    # two layers' worth: the check before layer 2 fires, and no node past
+    # the first two layers is expanded (each node calls move twice)
+    cops = CountingCop(HoldCop([12]))
+    with pytest.raises(ResourceLimitError):
+        expand_game_layers(g, cops, c, depth, node_budget=sizes[0] + sizes[1])
+    assert cops.calls == 2 * (sizes[0] + sizes[1])
+    with pytest.raises(ResourceLimitError):
+        adversarial_robber_search(g, HoldCop([12]), c, depth, node_budget=sizes[0])
 
 
 def test_depth_capped_by_max_rounds():

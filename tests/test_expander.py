@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copsrobbers import (
     CapturePlan,
@@ -16,6 +18,7 @@ from copsrobbers import (
     decompose_level,
     execute_plan,
     gen_cycle,
+    gen_gnp,
     gen_path,
     gen_petersen,
     invisible_mode,
@@ -30,7 +33,12 @@ from copsrobbers.expander import desk_params
 from copsrobbers.seeds import derive_seed
 
 from conftest import random_connected
-from oracles import hall_condition_holds, largest_nonexpanding_subset, fw_distances
+from oracles import (
+    fw_distances,
+    hall_condition_holds,
+    largest_nonexpanding_subset,
+    verify_claim_allsubsets,
+)
 
 
 def full_family(g, levels, density=1.0):
@@ -100,6 +108,64 @@ def test_claim_budget():
     params = StrategyParams(lam=2.0, density=0.5, levels=2)
     with pytest.raises(ResourceLimitError):
         verify_claim(g, full_family(g, 2), params, budget=100)
+
+
+def test_claim_budget_counts_subset_radius_checks():
+    # p8 with lam 2 and 3 radii: C(8,1..4) = 162 subsets, 486 checks
+    g = gen_path(8)
+    params = StrategyParams(lam=2.0, density=0.5, levels=2)
+    assert verify_claim(g, full_family(g, 2), params, budget=486)
+    with pytest.raises(ResourceLimitError):
+        verify_claim(g, full_family(g, 2), params, budget=485)
+
+
+@pytest.mark.parametrize("n, lam", [(8, 2.0), (9, 1.5), (12, 3.0)])
+def test_claim_reaches_the_largest_subsets(n, lam):
+    # on K_n every ball is V, so sets of size s fail exactly when some
+    # |A| <= n/lam exceeds s: only the largest subsets can fail here
+    g = gen_gnp(n, 1.0, 0)
+    amax = int(n // lam)
+    params = StrategyParams(lam=lam, density=0.5, levels=1)
+    for size, expected in ((amax - 1, False), (amax, True)):
+        sets = tuple(VertexSet.of(n, range(size)) for _ in range(2))
+        fam = CopSetFamily(sets=sets, density=0.5, seed=0, total_cops=2 * size, oversized=False)
+        assert verify_claim(g, fam, params) is expected
+        assert verify_claim_allsubsets(g, fam, params) is expected
+
+
+@pytest.mark.parametrize("missing, expected", [
+    ((6, 7), False), ((0, 1), False), ((7,), True), ((0,), True)])
+def test_claim_reaches_both_ends_of_the_path(missing, expected):
+    # on p8 with lam 2 and radii 1, 2, sets missing two end vertices fail
+    # only at subsets holding that end; missing one end vertex never fails
+    g = gen_path(8)
+    params = StrategyParams(lam=2.0, density=0.5, levels=1)
+    cops = VertexSet.of(8, [v for v in range(8) if v not in missing])
+    fam = CopSetFamily(sets=(cops, cops), density=0.5, seed=0,
+                       total_cops=2 * len(cops), oversized=False)
+    assert verify_claim(g, fam, params) is expected
+    assert verify_claim_allsubsets(g, fam, params) is expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.floats(0.0, 1.0), st.sampled_from([1.5, 2.0, 3.0, 6.0]),
+       st.integers(1, 3), st.floats(0.05, 1.0), st.integers(0, 10**6))
+def test_claim_walk_matches_allsubsets_oracle(n, p, lam, levels, density, seed):
+    g = gen_gnp(n, p, derive_seed(seed, "claim:g"))
+    params = StrategyParams(lam=lam, density=density, levels=levels)
+    fam = sample_cop_sets(g, params, derive_seed(seed, "claim:f"))
+    assert verify_claim(g, fam, params) == verify_claim_allsubsets(g, fam, params)
+
+
+def test_claim_walk_feasible_where_allsubsets_is_not():
+    # G(30, 0.3), lam 6, 3 levels: 174,436 subsets * 4 radii = 697,744 checks,
+    # inside the default budget of 2^20; the 2^30 tables are not
+    g = random_connected(30, seed=3, p=0.3)
+    params = StrategyParams(lam=6.0, density=1.0, levels=3)
+    assert verify_claim(g, full_family(g, 3), params)
+    assert not verify_claim(g, empty_plus_one(g, 3), params)
+    with pytest.raises(ResourceLimitError):
+        verify_claim_allsubsets(g, full_family(g, 3), params)
 
 
 def test_claim_fraction_and_resampling_policy_p8():

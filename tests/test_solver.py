@@ -3,6 +3,8 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copsrobbers import (
     GameConfig,
@@ -188,6 +190,18 @@ def test_tables_match_multiset_oracle_on_random_graphs(n):
             g = random_connected(n, seed=100 * n + seed, p=p)
             for k in (1, 2, 3):
                 _assert_matches_multiset_oracle(g, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.floats(0.2, 0.9), st.integers(0, 10**6))
+def test_packed_solver_matches_multiset_oracle_on_hypothesis_graphs(n, p, seed):
+    g = random_connected(n, seed=seed, p=p)
+    placements = {k: multiset_placement(g, k) for k in (1, 2)}
+    for k, placement in placements.items():
+        assert is_k_copwin(g, k) == (placement is not None)
+        assert k_copwin_placement(g, k) == placement
+    expected = next((k for k, pl in placements.items() if pl is not None), None)
+    assert cop_number(g, 2) == expected
 
 
 PIN_GRAPHS = {
