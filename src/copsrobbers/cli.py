@@ -168,14 +168,14 @@ def cmd_strategy(args) -> int:
             "transcript": json.loads(transcript_to_json(t)),
         }
         if args.check:
-            rep = check_guard_soundness(g, cops)
+            rep = check_guard_soundness(g, path)
             doc["settle_bound"] = rep["settle_bound"]
             doc["soundness"] = {
                 "states_checked": rep["states_checked"],
                 "violations": rep["violations"],
             }
         else:
-            doc["settle_bound"] = settle_bound(g, cops)
+            doc["settle_bound"] = settle_bound(g, path)
         _write(_dump(doc), args.out)
         return 0
 

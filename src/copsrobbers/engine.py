@@ -52,7 +52,6 @@ __all__ = [
     "play",
     "adversarial_robber_search",
     "expand_game_layers",
-    "DEFAULT_NODE_BUDGET",
     "GreedyFarRobber",
     "RandomRobber",
     "HoldCop",
@@ -64,9 +63,10 @@ __all__ = [
 
 TRANSCRIPT_SCHEMA = "copsrobbers.transcript/1"
 
-# Nodes the exhaustive adversary may expand, summed over its layers.  At
-# about 0.6 KB per one-cop node this caps the layers near 170 MiB; the
-# largest expansion in the tests, criteria and bench pools has about 4,400.
+# Nodes the exhaustive adversary may expand (two cops.move calls each),
+# summed over its layers.  It bounds the work, not the memory: the last layer
+# is built but never expanded, so it is not counted.  The largest expansion
+# in the tests, criteria and bench pools has about 4,400 nodes.
 DEFAULT_NODE_BUDGET = 1 << 18
 
 
@@ -286,16 +286,14 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
     return placement, s0, layers
 
 
-def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int,
-                              node_budget: int = DEFAULT_NODE_BUDGET) -> Transcript:
+def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int) -> Transcript:
     """Worst-case robber line against a deterministic cop strategy.
 
     The returned transcript follows the robber line that survives longest
     (ties broken toward the lowest-id move); the outcome is ``caught`` only
-    if every robber line is caught within ``depth`` rounds.  `node_budget`
-    limits the expanded nodes, as in :func:`expand_game_layers`.
+    if every robber line is caught within ``depth`` rounds.
     """
-    placement, s0, layers = expand_game_layers(g, cops, cfg, depth, node_budget)
+    placement, s0, layers = expand_game_layers(g, cops, cfg, depth)
 
     # value[node] = round of capture under best play from here, or None if
     # the robber survives to the depth cutoff.

@@ -159,6 +159,8 @@ def verify_claim(g: Graph, family: CopSetFamily, params: StrategyParams,
     """
     n = g.n
     amax = math.floor(n / params.lam)
+    if amax < 1:
+        return True  # no nonempty subset is small enough
     work = sum(math.comb(n, a) for a in range(1, amax + 1)) * (params.levels + 1)
     if work > budget:
         raise ResourceLimitError(

@@ -25,7 +25,6 @@ and plays it as a one-cop engine strategy.  The recursion in
 
 from __future__ import annotations
 
-from .engine import DEFAULT_NODE_BUDGET
 from .graph import (
     UNREACHABLE,
     Graph,
@@ -116,29 +115,24 @@ class GuardCop:
         return (self.step(g, view.cop_positions[0], r),), state
 
 
-def _guard(g: Graph, path) -> GuardCop:
-    return path if isinstance(path, GuardCop) else GuardCop(g, path)
-
-
 def shadow(g: Graph, path, r: int) -> int:
     """Shadow index of r on the geodesic `path` (checked)."""
     return GuardCop(g, path).shadow_index(r)
 
 
-def settle_bound(g: Graph, path) -> int:
-    """Rounds after which the guard of `path` stands on the robber's shadow.
-
-    `path` is a geodesic or the ``GuardCop`` already built on it.
-    """
-    guard = _guard(g, path)
+def _settle_bound(g: Graph, guard: GuardCop) -> int:
     d = diameter(g)
     if d == float("inf"):
         raise ValueError("settle bound requires a connected graph")
     return int(d) + guard.length
 
 
-def check_guard_soundness(g: Graph, path, extra_rounds: int = 4,
-                          node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
+def settle_bound(g: Graph, path) -> int:
+    """Rounds after which the guard of `path` stands on the robber's shadow."""
+    return _settle_bound(g, GuardCop(g, path))
+
+
+def check_guard_soundness(g: Graph, path, extra_rounds: int = 4) -> dict:
     """Exhaustively verify the guard promise over every robber line.
 
     Checks, across all robber behaviors up to settle_bound + extra_rounds:
@@ -148,17 +142,15 @@ def check_guard_soundness(g: Graph, path, extra_rounds: int = 4,
       * any robber standing on the path after settle_bound is captured on the
         following cop half-move.
 
-    `path` is a geodesic or the ``GuardCop`` already built on it;
-    `node_budget` limits the expansion as in ``expand_game_layers``.
     Returns a report dict with a (hopefully empty) violation list.
     """
     from .engine import GameConfig, expand_game_layers
 
-    cop = _guard(g, path)
-    bound = settle_bound(g, cop)
+    cop = GuardCop(g, path)
+    bound = _settle_bound(g, cop)
     depth = bound + max(2, extra_rounds)
     cfg = GameConfig(cop_count=1, max_rounds=depth, robber_visible=True, seed=0)
-    _, _, layers = expand_game_layers(g, cop, cfg, depth, node_budget)
+    _, _, layers = expand_game_layers(g, cop, cfg, depth)
 
     violations = []
     states = 0

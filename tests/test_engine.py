@@ -268,8 +268,6 @@ def test_node_budget_stops_the_expansion_before_full_depth():
     with pytest.raises(ResourceLimitError):
         expand_game_layers(g, cops, c, depth, node_budget=sizes[0] + sizes[1])
     assert cops.calls == 2 * (sizes[0] + sizes[1])
-    with pytest.raises(ResourceLimitError):
-        adversarial_robber_search(g, HoldCop([12]), c, depth, node_budget=sizes[0])
 
 
 def test_depth_capped_by_max_rounds():

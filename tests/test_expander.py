@@ -119,6 +119,18 @@ def test_claim_budget_counts_subset_radius_checks():
         verify_claim(g, full_family(g, 2), params, budget=485)
 
 
+def test_claim_without_small_subsets_does_no_work(monkeypatch):
+    # n < lam: no nonempty A has |A| <= n/lam, so no ball is computed
+    import copsrobbers.expander as expander_mod
+
+    calls = []
+    monkeypatch.setattr(expander_mod, "ball", lambda *a: calls.append(a))
+    g = gen_path(5)
+    params = StrategyParams(lam=6.0, density=0.5, levels=3)
+    assert verify_claim(g, empty_plus_one(g, 3), params, budget=0)
+    assert calls == []
+
+
 @pytest.mark.parametrize("n, lam", [(8, 2.0), (9, 1.5), (12, 3.0)])
 def test_claim_reaches_the_largest_subsets(n, lam):
     # on K_n every ball is V, so sets of size s fail exactly when some
