@@ -31,7 +31,7 @@ print("set sizes:", [len(s) for s in family.sets])
 deep = max(plans.values(), key=lambda p: p.capture_deadline)
 print(f"\ndeepest plan starts at vertex {deep.start_vertex} "
       f"(terminal level {deep.terminal_level}, capture by round {deep.capture_deadline}):")
-print(json.dumps(plan_summary(deep, family)["levels"], indent=2))
+print(json.dumps(plan_summary(deep, family, params)["levels"], indent=2))
 
 deadline = max(p.capture_deadline for p in plans.values())
 cfg = GameConfig(cop_count=family.total_cops, max_rounds=deadline, seed=0)

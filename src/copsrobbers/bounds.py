@@ -156,15 +156,16 @@ class BoundaryBracket(NamedTuple):
     value: mpmath.mpf
 
 
-def trivial_region_boundary(tol: float = 1e-6,
-                            lo: float = 2.0, hi: float = 4096.0) -> BoundaryBracket:
+def trivial_region_boundary(tol: float = 1e-6) -> BoundaryBracket:
     """The unique L* > 1 where 2 L^3 2^{-sqrt(L)} = 1, by bisection.
 
     Below L* the bound exceeds n and is vacuous; above it the bound bites.
-    The margin is positive at the left bracket end and negative at the right
-    one; bisection narrows the bracket to `tol`.
+    The margin is positive at L = 2 and negative at L = 4096; bisection
+    narrows that bracket to `tol`, which must be positive and finite.
     """
-    a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+    if not (tol > 0 and mpmath.isfinite(tol)):
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    a, b = mpmath.mpf(2), mpmath.mpf(4096)
 
     def sign(x) -> int:
         m = trivial_margin_log(x)

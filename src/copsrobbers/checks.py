@@ -45,14 +45,14 @@ def random_connected(n: int, seed: int, p: float = 0.4) -> Graph:
     raise RuntimeError("no connected sample found")
 
 
-def random_girth5(n: int, seed: int, passes: int = 3) -> Graph:
-    """Connected graph of girth >= 5: grow a random tree, then add edges
-    only between vertices currently at distance >= 4."""
+def random_girth5(n: int, seed: int) -> Graph:
+    """Connected graph of girth >= 5: grow a random tree, then make three
+    passes adding edges only between vertices currently at distance >= 4."""
     rng = make_rng(seed)
     order = list(range(1, n))
     rng.shuffle(order)
     g = Graph(n, [(rng.randrange(0, v) if v > 1 else 0, v) for v in order])
-    for _ in range(passes):
+    for _ in range(3):
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pairs)
         for u, v in pairs:
@@ -258,7 +258,7 @@ def _expander_corpus(seed: int, size: int = 50):
 def confinement_violations(g, cop, plans, deadline: int) -> list[dict]:
     """Every robber line against an expander team, expanded for ``deadline``
     rounds: a line alive past its start's capture deadline, or outside a
-    level's core at that level's deadline, is a violation."""
+    level's core at that level's deadline (its radius), is a violation."""
     cfg = GameConfig(cop_count=cop.cop_count, max_rounds=deadline, seed=0)
     _, _, layers = expand_game_layers(g, cop, cfg, deadline)
     violations = []
@@ -267,10 +267,10 @@ def confinement_violations(g, cop, plans, deadline: int) -> list[dict]:
             plan = plans[v]
             if k > plan.capture_deadline:
                 violations.append({"start": v, "alive_at": k})
-            for lv in plan.levels:
-                if k == lv.deadline and r_pos not in lv.core:
+            for i, lv in enumerate(plan.levels, 1):
+                if k == lv.radius and r_pos not in lv.core:
                     violations.append({"start": v, "round": k, "robber": r_pos,
-                                       "level": lv.index})
+                                       "level": i})
     return violations
 
 

@@ -82,24 +82,22 @@ def _robber(name: str):
 # Subcommands.
 # ---------------------------------------------------------------------------
 
+# family -> (builder, number of sizes); gnp also takes --p and a derived seed
+GEN_FAMILIES = {
+    "path": (generators.gen_path, 1),
+    "cycle": (generators.gen_cycle, 1),
+    "grid": (generators.gen_grid, 2),
+    "hypercube": (generators.gen_hypercube, 1),
+    "petersen": (generators.gen_petersen, 0),
+    "gnp": (generators.gen_gnp, 1),
+    "projective": (generators.gen_projective_incidence, 1),
+}
+
+
 def cmd_gen(args) -> int:
-    kind = args.family
-    if kind == "path":
-        g = generators.gen_path(args.sizes[0])
-    elif kind == "cycle":
-        g = generators.gen_cycle(args.sizes[0])
-    elif kind == "grid":
-        g = generators.gen_grid(args.sizes[0], args.sizes[1])
-    elif kind == "hypercube":
-        g = generators.gen_hypercube(args.sizes[0])
-    elif kind == "petersen":
-        g = generators.gen_petersen()
-    elif kind == "gnp":
-        g = generators.gen_gnp(args.sizes[0], args.p, derive_seed(args.seed, "gnp"))
-    elif kind == "projective":
-        g = generators.gen_projective_incidence(args.sizes[0])
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(kind)
+    build = GEN_FAMILIES[args.family][0]
+    extra = (args.p, derive_seed(args.seed, "gnp")) if args.family == "gnp" else ()
+    g = build(*args.sizes, *extra)
     _write(to_dot(g) if args.dot else format_edge_list(g), args.out)
     return 0
 
@@ -193,7 +191,7 @@ def cmd_strategy(args) -> int:
             "schema": "copsrobbers.strategy/1",
             "strategy": "expander",
             "resamples": attempts,
-            "plan": plan_summary(plans[t.robber_placement], family),
+            "plan": plan_summary(plans[t.robber_placement], family, params),
             "transcript": json.loads(transcript_to_json(t)),
         }
         _write(_dump(doc), args.out)
@@ -291,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a generated graph as an edge list",
                        parents=[common])
-    p.add_argument("family", choices=["path", "cycle", "grid", "hypercube",
-                                      "petersen", "gnp", "projective"])
+    p.add_argument("family", choices=list(GEN_FAMILIES))
     p.add_argument("sizes", type=int, nargs="*")
     p.add_argument("--p", type=float, default=0.5, help="edge probability (gnp)")
     p.add_argument("--dot", action="store_true", help="emit DOT instead")
@@ -365,6 +362,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if getattr(args, "seed", None) is None:
         args.seed = args.global_seed
+    if args.command == "gen":
+        count = GEN_FAMILIES[args.family][1]
+        if len(args.sizes) != count:
+            ap.error(f"gen {args.family} takes {count} size(s), got {len(args.sizes)}")
     if hasattr(args, "L"):
         try:
             args.L = int(args.L)

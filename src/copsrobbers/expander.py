@@ -57,7 +57,6 @@ __all__ = [
     "desk_params",
     "verify_claim",
     "decompose_level",
-    "LevelSplit",
     "PlanLevel",
     "CapturePlan",
     "PlanFailure",
@@ -94,15 +93,13 @@ class StrategyParams:
             raise ValueError("resample limit must be >= 1")
 
 
-def desk_params(g: Graph, lam: float = 2.0, density: float = 0.5,
-                resample_limit: int = 16) -> StrategyParams:
+def desk_params(g: Graph, lam: float = 2.0, density: float = 0.5) -> StrategyParams:
     """Default desk-scale parameters: levels = ceil(log2 diameter)."""
     d = diameter(g)
     if d == math.inf:
         raise ValueError("parameters need a connected graph")
     levels = max(1, math.ceil(math.log2(max(2, d))))
-    return StrategyParams(lam=lam, density=density, levels=levels,
-                          resample_limit=resample_limit)
+    return StrategyParams(lam=lam, density=density, levels=levels)
 
 
 @dataclass(frozen=True)
@@ -236,15 +233,19 @@ def _hopcroft_karp(left: list[int], adj: dict[int, list[int]]) -> dict[int, int]
 
 
 @dataclass(frozen=True)
-class LevelSplit:
+class PlanLevel:
+    """One level of a plan; its radius is also its deadline round."""
+
+    candidate: VertexSet
     core: VertexSet                     # A: Hall-deficiency closure
     shell: VertexSet                    # D: completely matched remainder
     matching: dict                      # shell vertex -> cop home vertex
     routes: dict                        # shell vertex -> path home..shell
+    radius: int
 
 
 def decompose_level(g: Graph, candidate: VertexSet, cops_available: VertexSet,
-                    radius: int) -> LevelSplit:
+                    radius: int) -> PlanLevel:
     """Split `candidate` into a matchable shell and a deficiency core.
 
     Every shell vertex is assigned a distinct cop home within `radius`,
@@ -284,40 +285,19 @@ def _decompose(g, candidate, cops_available, radius, dist_cache):
                 q.append(u2)
     shell = [u for u in cand if u not in core]
     routes = {u: tuple(shortest_path(g, matching[u], u)) for u in shell}
-    return LevelSplit(
+    return PlanLevel(
+        candidate=candidate,
         core=VertexSet.of(g.n, core),
         shell=VertexSet.of(g.n, shell),
         matching={u: matching[u] for u in shell},
         routes=routes,
+        radius=radius,
     )
 
 
 # ---------------------------------------------------------------------------
 # Plans.
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PlanLevel:
-    index: int
-    candidate: VertexSet
-    core: VertexSet
-    shell: VertexSet
-    matching: dict
-    routes: dict
-    radius: int
-    deadline: int
-
-
-@dataclass(frozen=True)
-class GrowthRecord:
-    """Per-level expansion bookkeeping (diagnostic, not an invariant)."""
-
-    level: int
-    core_size: int
-    ball_size: int
-    lam_cap: float
-    lam_cap_held: bool
-
 
 @dataclass(frozen=True)
 class CapturePlan:
@@ -327,9 +307,7 @@ class CapturePlan:
     terminal_level: int
     capture_deadline: int
     family_fingerprint: tuple
-    immediate_home: int | None = None
-    immediate_route: tuple | None = None
-    growth: tuple[GrowthRecord, ...] = ()
+    immediate_route: tuple | None = None  # the first set's cop home .. start
 
 
 @dataclass(frozen=True)
@@ -337,7 +315,6 @@ class PlanFailure:
     reason: str
     start_vertex: int
     levels: tuple[PlanLevel, ...]
-    growth: tuple[GrowthRecord, ...] = ()
 
 
 def build_plan(g: Graph, v: int, family: CopSetFamily, params: StrategyParams):
@@ -358,53 +335,29 @@ def build_plan(g: Graph, v: int, family: CopSetFamily, params: StrategyParams):
             terminal_level=1,
             capture_deadline=1,
             family_fingerprint=fp,
-            immediate_home=w,
             immediate_route=tuple(shortest_path(g, w, v)),
         )
     dist_cache: dict = {}
     levels: list[PlanLevel] = []
-    growth: list[GrowthRecord] = []
     candidate = b1
-    for i in range(1, params.levels + 2):
-        radius = 1 << (i - 1)
-        split = _decompose(g, candidate, family.sets[i - 1], radius, dist_cache)
-        levels.append(PlanLevel(
-            index=i,
-            candidate=candidate,
-            core=split.core,
-            shell=split.shell,
-            matching=split.matching,
-            routes=split.routes,
-            radius=radius,
-            deadline=radius,
-        ))
-        if not split.core:
+    for i, cops in enumerate(family.sets, 1):
+        if levels:  # B(A_{i-1}, 2^{i-2})
+            candidate = ball(g, levels[-1].core, levels[-1].radius)
+        level = _decompose(g, candidate, cops, 1 << (i - 1), dist_cache)
+        levels.append(level)
+        if not level.core:
             return CapturePlan(
                 kind="levels",
                 start_vertex=v,
                 levels=tuple(levels),
                 terminal_level=i,
-                capture_deadline=radius,
+                capture_deadline=level.radius,
                 family_fingerprint=fp,
-                growth=tuple(growth),
             )
-        if i == params.levels + 1:
-            break
-        nxt = ball(g, split.core, radius)
-        cap = params.lam * len(split.core)
-        growth.append(GrowthRecord(
-            level=i,
-            core_size=len(split.core),
-            ball_size=len(nxt),
-            lam_cap=cap,
-            lam_cap_held=len(nxt) <= cap,
-        ))
-        candidate = nxt
     return PlanFailure(
         reason="levels-exhausted",
         start_vertex=v,
         levels=tuple(levels),
-        growth=tuple(growth),
     )
 
 
@@ -440,14 +393,12 @@ def track_at(track: tuple[int, ...], r: int) -> int:
 def _plan_scripts(plan: CapturePlan, roster) -> tuple[tuple[int, ...], ...]:
     """Per-cop track of one plan, in roster order."""
     if plan.kind == "immediate":
-        return tuple(
-            tuple(plan.immediate_route) if j == 0 and w == plan.immediate_home else (w,)
-            for j, w in roster
-        )
+        route = plan.immediate_route
+        return tuple(route if j == 0 and w == route[0] else (w,) for j, w in roster)
     by_level: dict[tuple[int, int], tuple[int, ...]] = {}
-    for lv in plan.levels:
+    for j, lv in enumerate(plan.levels):
         for u, w in lv.matching.items():
-            by_level[(lv.index - 1, w)] = lv.routes[u]
+            by_level[(j, w)] = lv.routes[u]
     return tuple(tuple(by_level.get((j, w), (w,))) for j, w in roster)
 
 
@@ -539,14 +490,13 @@ class InvisibleResult:
 
 
 def invisible_mode(g: Graph, family: CopSetFamily, params: StrategyParams,
-                   seed: int, max_repeats: int, robber=None,
-                   max_rounds: int | None = None) -> InvisibleResult:
+                   seed: int, max_repeats: int) -> InvisibleResult:
     """Play the guess-and-sweep loop against an invisible robber.
 
     Each guess adds one phase to every cop's track: the guessed start's plan
     up to its capture deadline, then the same number of rounds walking back
     home.  A guess whose plan fails adds no rounds.  The team never reads
-    the robber's position.
+    the robber's position, and plays against the greedy robber.
     """
     from .engine import GameConfig, GreedyFarRobber, play
 
@@ -574,16 +524,14 @@ def invisible_mode(g: Graph, family: CopSetFamily, params: StrategyParams,
             track.extend(track_at(back, r) for r in steps)
     cop = ScriptedCop("expander-invisible", tuple(w for _, w in roster),
                       tuple(tuple(t) for t in tracks))
-    if robber is None:
-        robber = GreedyFarRobber()
     cfg = GameConfig(
         cop_count=family.total_cops,
         # the scripted rounds (track length - 1), then n + 1 rounds of holding
-        max_rounds=max_rounds if max_rounds is not None else len(tracks[0]) + g.n,
+        max_rounds=len(tracks[0]) + g.n,
         robber_visible=False,
         seed=seed,
     )
-    transcript = play(g, cop, robber, cfg)
+    transcript = play(g, cop, GreedyFarRobber(), cfg)
     caught = transcript.caught
     if caught:
         repeats = sum(1 for first in phase_starts if first <= transcript.outcome.round)
@@ -597,8 +545,14 @@ def invisible_mode(g: Graph, family: CopSetFamily, params: StrategyParams,
     )
 
 
-def plan_summary(plan, family: CopSetFamily) -> dict:
-    """JSON-ready overview: set sizes, level sizes, terminal level, deadlines."""
+def plan_summary(plan, family: CopSetFamily, params: StrategyParams) -> dict:
+    """JSON-ready overview: set sizes, level sizes, terminal level, deadlines.
+
+    Level i is numbered from 1 and its deadline is its radius.  Each growth
+    row compares level i's core A_i with the next level's candidate
+    B(A_i, 2^{i-1}) against the cap lam*|A_i| (a diagnostic, not an
+    invariant).
+    """
     doc = {
         "set_sizes": [len(s) for s in family.sets],
         "total_cops": family.total_cops,
@@ -615,23 +569,23 @@ def plan_summary(plan, family: CopSetFamily) -> dict:
         doc["capture_deadline"] = plan.capture_deadline
     doc["levels"] = [
         {
-            "index": lv.index,
+            "index": i,
             "candidate": len(lv.candidate),
             "core": len(lv.core),
             "shell": len(lv.shell),
             "radius": lv.radius,
-            "deadline": lv.deadline,
+            "deadline": lv.radius,
         }
-        for lv in plan.levels
+        for i, lv in enumerate(plan.levels, 1)
     ]
-    doc["growth"] = [
-        {
-            "level": gr.level,
-            "core_size": gr.core_size,
-            "ball_size": gr.ball_size,
-            "lam_cap": gr.lam_cap,
-            "lam_cap_held": gr.lam_cap_held,
-        }
-        for gr in plan.growth
-    ]
+    doc["growth"] = []
+    for i, (lv, nxt) in enumerate(zip(plan.levels, plan.levels[1:]), 1):
+        cap = params.lam * len(lv.core)
+        doc["growth"].append({
+            "level": i,
+            "core_size": len(lv.core),
+            "ball_size": len(nxt.candidate),
+            "lam_cap": cap,
+            "lam_cap_held": len(nxt.candidate) <= cap,
+        })
     return doc

@@ -197,15 +197,8 @@ class Graph:
                     edges.append((u, v))
         return cls(n, edges)
 
-    @property
-    def vertex_count(self) -> int:
-        return self.n
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
-
-    def neighbor_mask(self, v: int) -> int:
-        return self._adj_masks[v]
 
     def closed_neighbor_mask(self, v: int) -> int:
         return self._adj_masks[v] | (1 << v)
@@ -516,8 +509,8 @@ def format_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(g: Graph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: Graph) -> str:
+    lines = ["graph g {"]
     lines.extend(f"  {v};" for v in range(g.n))
     lines.extend(f"  {u} -- {v};" for u, v in sorted(g.edges()))
     lines.append("}")

@@ -70,8 +70,7 @@ class _Node:
     guards: tuple = ()
     # leaf fields
     broken: bool = False
-    family_total: int = 0
-    family_set_sizes: tuple = ()
+    family_set_sizes: tuple = ()   # () when broken
     homes: tuple = ()              # original-id home per fielded cop
     march_routes: tuple = ()       # per fielded cop, route v0 -> home
     scripts: dict | None = None    # robber start (orig id) -> per-cop script
@@ -100,8 +99,10 @@ class MeynielAnalysis:
         )
 
     def _need(self, node: _Node) -> int:
+        """Cops in play at `node`: one guard per ancestor, then its own
+        guard or its leaf family."""
         if node.kind == "leaf":
-            return node.depth + (0 if node.broken else node.family_total)
+            return node.depth + sum(node.family_set_sizes)
         return node.depth + 1
 
     def _build(self, comp: VertexSet, depth: int, entry: int, label: str,
@@ -164,7 +165,6 @@ class MeynielAnalysis:
         return _Node(
             node_id=node_id, depth=depth, kind="leaf", vertices=comp,
             entry=entry, duration=march, broken=False,
-            family_total=family.total_cops,
             family_set_sizes=tuple(len(s) for s in family.sets),
             homes=homes, march_routes=march_routes,
             scripts={rmap[v]: tuple(tuple(rmap[p] for p in t) for t in tracks)
@@ -287,18 +287,14 @@ def run_meyniel(g: Graph, diameter_threshold_override: int,
     transcript = play(g, strategy, robber, run_cfg)
     node_id, _leaf_v = transcript.final_state
     final = analysis.nodes[node_id]
-    if final.kind == "leaf":
-        guards_used = final.depth
-        expander_cops = 0 if final.broken else final.family_total
-    else:
-        guards_used = final.depth + 1
-        expander_cops = 0
+    cops_used = analysis._need(final)
+    guards_used = final.depth + (final.kind == "guard")
     return MeynielResult(
         transcript=transcript,
         caught=transcript.caught,
-        cops_used=guards_used + expander_cops,
+        cops_used=cops_used,
         guards_used=guards_used,
-        expander_cops=expander_cops,
+        expander_cops=cops_used - guards_used,
         pool_size=analysis.pool_size,
         threshold=diameter_threshold_override,
         regime=f"desk-scale-override(threshold={diameter_threshold_override})",

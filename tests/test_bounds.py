@@ -47,6 +47,13 @@ def test_boundary_bracketed_to_tolerance():
     assert mpmath.mpf(trivial_margin_log(b.high + 1).b) < 0
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_boundary_rejects_tolerance_not_positive_and_finite(tol):
+    # -1 used to return an inverted bracket and nan the unrefined [2, 4096]
+    with pytest.raises(ValueError):
+        trivial_region_boundary(tol=tol)
+
+
 def test_chain_holds_at_threshold_sweep():
     for L in (1100, 1600, 2000, 10**4, 10**6):
         r = check_eq1_chain(L)

@@ -159,10 +159,17 @@ def test_resource_limit_exit_code(tmp_path, capsys):
     assert "resource limit" in err
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve"])  # missing graph argument
     assert exc.value.code == 2
+    # gen takes exactly its family's sizes
+    for argv in (["gen", "path"], ["gen", "grid", "3"], ["gen", "petersen", "4", "5"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert f"gen {argv[1]} takes" in capsys.readouterr().err
 
 
 def test_verify_budget_zero_skips(capsys):

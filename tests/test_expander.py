@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +30,7 @@ from copsrobbers import (
     verify_claim,
 )
 from copsrobbers.checks import confinement_violations
-from copsrobbers.expander import desk_params
+from copsrobbers.expander import desk_params, plan_summary
 from copsrobbers.seeds import derive_seed
 
 from conftest import random_connected
@@ -312,8 +313,10 @@ def test_sparse_family_fails():
     plan = build_plan(g, 6, fam, params)
     assert isinstance(plan, PlanFailure) and plan.reason == "levels-exhausted"
     # growth bookkeeping: each recorded level's candidate contains its core
-    for lv, gr in zip(plan.levels, plan.growth):
-        assert gr.core_size == len(lv.core) <= len(lv.candidate)
+    growth = plan_summary(plan, fam, params)["growth"]
+    assert len(growth) == len(plan.levels) - 1
+    for lv, gr in zip(plan.levels, growth):
+        assert gr["core_size"] == len(lv.core) <= len(lv.candidate)
 
 
 def test_plan_level_partition_and_growth():
@@ -328,8 +331,55 @@ def test_plan_level_partition_and_growth():
         if isinstance(plan, CapturePlan) and plan.kind == "levels":
             assert not plan.levels[-1].core
             assert plan.capture_deadline == 1 << (plan.terminal_level - 1)
-        for gr in plan.growth:
-            assert gr.core_size <= gr.ball_size  # next candidate is the ball
+        for gr in plan_summary(plan, fam, params)["growth"]:
+            assert gr["core_size"] <= gr["ball_size"]  # next candidate is the ball
+
+
+# plan_summary pinned to the bytes of an earlier revision: SHA-256 of the
+# canonical JSON list of every start's summary.  The path case is mostly
+# PlanFailures, C16 plans 3 levels at every start, the G(14, 0.3) case
+# mixes immediate, 1- and 2-level plans with failures, and on C12 some
+# growth rows have a ball of exactly lam*|A|.
+PINNED_PLAN_SUMMARY = {
+    "c12-cap-tight": "6013fc52f86e80b706d134c2a025388d8347f1ec6454e4c201c389a9d0669849",
+    "path10-failing": "e82a21546c18a646c7737aefaacda598a4b010c78c6344147d7ed88e6149e32b",
+    "c16-deep": "f4974e7cec75e425f6ca09287f09c8d3cde21dc187cb240a664af554eb992d5e",
+    "gnp14-mixed": "4bdb0235a9b62eeca1e9f61ef5aa656fbe7f93eec074a15c0fb83adc9c85b85a",
+}
+
+
+def _summary_case(name):
+    if name == "path10-failing":
+        g = gen_path(10)
+        params = StrategyParams(lam=3.0, density=0.05, levels=2)
+        fam = empty_plus_one(g, 2, cop_vertex=0)
+    elif name == "c16-deep":
+        g = gen_cycle(16)
+        params = StrategyParams(lam=6.0, density=0.4, levels=5)
+        _, fam, _, _ = make_expander_cop(g, params, seed=0)
+    elif name == "c12-cap-tight":
+        g = gen_cycle(12)
+        params = StrategyParams(lam=2.0, density=0.3, levels=3)
+        fam = sample_cop_sets(g, params, seed=0)
+    else:
+        g = random_connected(14, seed=3, p=0.3)
+        params = StrategyParams(lam=4.0, density=0.3, levels=3)
+        fam = sample_cop_sets(g, params, seed=3)
+    return [build_plan(g, v, fam, params) for v in range(g.n)], fam, params
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLAN_SUMMARY))
+def test_plan_summary_pinned(name):
+    plans, fam, params = _summary_case(name)
+    if name != "c16-deep":
+        assert any(isinstance(p, PlanFailure) for p in plans)
+    if name != "path10-failing":
+        assert max(len(p.levels) for p in plans) >= (3 if name == "c16-deep" else 2)
+    docs = [plan_summary(p, fam, params) for p in plans]
+    if name == "c12-cap-tight":
+        assert any(r["ball_size"] == r["lam_cap"] for d in docs for r in d["growth"])
+    text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_PLAN_SUMMARY[name]
 
 
 def test_plan_family_mismatch_rejected():
@@ -406,13 +456,13 @@ def test_shells_occupied_by_their_deadlines():
     t = play(g, cop, StillAt(),
              GameConfig(cop_count=fam.total_cops, max_rounds=plan.capture_deadline, seed=0))
     assert t.caught and t.outcome.round <= plan.capture_deadline
-    for lv in plan.levels:
+    for i, lv in enumerate(plan.levels, 1):
         for u, w in lv.matching.items():
             assert len(lv.routes[u]) - 1 <= lv.radius
-            for idx in range(lv.deadline - 1, len(t.rounds)):
+            for idx in range(lv.radius - 1, len(t.rounds)):
                 moves = t.rounds[idx][0]
                 assert u in moves, (
-                    f"shell vertex {u} (level {lv.index}) unoccupied at round {idx + 1}"
+                    f"shell vertex {u} (level {i}) unoccupied at round {idx + 1}"
                 )
 
 
