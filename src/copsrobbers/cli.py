@@ -37,6 +37,7 @@ from .expander import (
     plan_summary,
 )
 from .graph import (
+    MAX_PARSE_VERTICES,
     Graph,
     diameter_pair,
     format_edge_list,
@@ -82,15 +83,17 @@ def _robber(name: str):
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-# family -> (builder, number of sizes); gnp also takes --p and a derived seed
+# family -> (builder, number of sizes, vertex count from the sizes clamped at
+# 0); gnp also takes --p and a derived seed.  The hypercube count stops at
+# 2^64, so a huge dimension allocates nothing.
 GEN_FAMILIES = {
-    "path": (generators.gen_path, 1),
-    "cycle": (generators.gen_cycle, 1),
-    "grid": (generators.gen_grid, 2),
-    "hypercube": (generators.gen_hypercube, 1),
-    "petersen": (generators.gen_petersen, 0),
-    "gnp": (generators.gen_gnp, 1),
-    "projective": (generators.gen_projective_incidence, 1),
+    "path": (generators.gen_path, 1, lambda n: n),
+    "cycle": (generators.gen_cycle, 1, lambda n: n),
+    "grid": (generators.gen_grid, 2, lambda w, h: w * h),
+    "hypercube": (generators.gen_hypercube, 1, lambda d: 1 << min(d, 64)),
+    "petersen": (generators.gen_petersen, 0, lambda: 10),
+    "gnp": (generators.gen_gnp, 1, lambda n: n),
+    "projective": (generators.gen_projective_incidence, 1, lambda q: 2 * (q * q + q + 1)),
 }
 
 
@@ -363,9 +366,15 @@ def main(argv=None) -> int:
     if getattr(args, "seed", None) is None:
         args.seed = args.global_seed
     if args.command == "gen":
-        count = GEN_FAMILIES[args.family][1]
+        _, count, vertices = GEN_FAMILIES[args.family]
         if len(args.sizes) != count:
             ap.error(f"gen {args.family} takes {count} size(s), got {len(args.sizes)}")
+        n = vertices(*(max(size, 0) for size in args.sizes))
+        if n > MAX_PARSE_VERTICES:
+            ap.error(f"gen {args.family} would make {n} vertices, above the "
+                     f"{MAX_PARSE_VERTICES} an edge list may declare")
+    if args.command == "verify" and args.budget < 0:
+        ap.error(f"verify --budget must be >= 0, got {args.budget}")
     if hasattr(args, "L"):
         try:
             args.L = int(args.L)

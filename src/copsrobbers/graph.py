@@ -1,9 +1,10 @@
 """Immutable simple undirected graphs and their metric primitives.
 
-Vertices are exactly the integers ``0..n-1``.  A :class:`VertexSet` is a
-fixed-width membership bitmask over those ids, so set algebra costs
-O(n/wordsize).  Distances are exact integers; ``UNREACHABLE`` (-1) is the only
-sentinel and is never a "large number".
+Vertices are exactly the integers ``0..n-1``.  A :class:`Graph` holds sorted
+adjacency tuples only, so its memory is linear in n + m.  A
+:class:`VertexSet` is a fixed-width membership bitmask over those ids, so set
+algebra costs O(n/wordsize).  Distances are exact integers; ``UNREACHABLE``
+(-1) is the only sentinel and is never a "large number".
 
 BFS tie-breaking is pinned everywhere: when several predecessors realize a
 shortest path, the lowest vertex id wins.  This makes every derived object
@@ -151,7 +152,7 @@ class Graph:
     immutable and safe to share across concurrent tasks.
     """
 
-    __slots__ = ("n", "_adj", "_adj_masks")
+    __slots__ = ("n", "_adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -171,37 +172,12 @@ class Graph:
             adj[v].append(u)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
-        masks = []
-        for a in self._adj:
-            m = 0
-            for v in a:
-                m |= 1 << v
-            masks.append(m)
-        object.__setattr__(self, "_adj_masks", tuple(masks))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
-    @classmethod
-    def from_adjacency(cls, adj: list[list[int]]) -> "Graph":
-        """Build from an adjacency list, rejecting asymmetric input."""
-        n = len(adj)
-        edges = []
-        for u, nbrs in enumerate(adj):
-            for v in nbrs:
-                if not 0 <= v < n:
-                    raise ValueError(f"neighbor {v} of {u} outside range")
-                if u not in adj[v]:
-                    raise ValueError(f"asymmetric adjacency: {u}->{v} but not {v}->{u}")
-                if u < v:
-                    edges.append((u, v))
-        return cls(n, edges)
-
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
-
-    def closed_neighbor_mask(self, v: int) -> int:
-        return self._adj_masks[v] | (1 << v)
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -282,17 +258,19 @@ def ball(g: Graph, a: VertexSet, r: int) -> VertexSet:
 
 def _flood(g: Graph, mask: int, region: int, steps: int = -1) -> int:
     """Grow the bitmask ``mask`` by ``steps`` BFS layers (every layer when
-    negative), entering only vertices of the bitmask ``region``."""
-    frontier = mask
+    negative), entering only vertices of the bitmask ``region``.  It scans
+    the adjacency of the vertices it reaches and nothing else."""
+    adj = g._adj
+    frontier = list(VertexSet(g.n, mask))
     while frontier and steps:
         steps -= 1
-        new = 0
-        while frontier:
-            low = frontier & -frontier
-            new |= g._adj_masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = new & region & ~mask
-        mask |= frontier
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if not mask >> v & 1 and region >> v & 1:
+                    mask |= 1 << v
+                    nxt.append(v)
+        frontier = nxt
     return mask
 
 
@@ -454,7 +432,7 @@ def component_of(g: Graph, v: int, within: VertexSet | None = None) -> VertexSet
 
 
 def is_connected(g: Graph) -> bool:
-    return len(component_of(g, 0)) == g.n
+    return UNREACHABLE not in _bfs(g, _seed(g, None), (0,))
 
 
 # ---------------------------------------------------------------------------

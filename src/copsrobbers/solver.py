@@ -196,7 +196,12 @@ def is_dismantlable(g: Graph) -> tuple[bool, list[int]]:
     Returns (emptied, elimination order).
     """
     alive = (1 << g.n) - 1
-    closed = [g.closed_neighbor_mask(v) for v in range(g.n)]
+    closed = []
+    for v in range(g.n):
+        mask = 1 << v
+        for w in g.neighbors(v):
+            mask |= 1 << w
+        closed.append(mask)
     order: list[int] = []
     while alive:
         if alive.bit_count() == 1:

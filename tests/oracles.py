@@ -7,13 +7,15 @@ enumeration.  ``diameter_pair_allpairs`` and ``delete_vertices_oracle`` keep
 the plain loops that the library's pruned diameter scan and survivor-only
 vertex deletion replaced.  ``verify_claim_allsubsets`` is the hitting-claim
 check over 2^n union-ball tables that the library's small-subset walk
-replaced.  ``replay_final_state`` replays a transcript
+replaced.  ``component_oracle`` is a BFS over Python sets, checked against
+the library's bitmask flood.  ``replay_final_state`` replays a transcript
 through a cop strategy to recover the state the engine records as
 ``Transcript.final_state`` during the game.
 """
 
 import itertools
 import math
+from collections import deque
 
 from copsrobbers.engine import View
 from copsrobbers.errors import ResourceLimitError
@@ -118,6 +120,20 @@ def ball_oracle(g, center, r):
         if any(dist[c][v] <= r for c in center):
             out.add(v)
     return out
+
+
+def component_oracle(g, v, within=None):
+    """Vertices reachable from v inside ``within`` (all of g by default)."""
+    allowed = set(range(g.n)) if within is None else set(within)
+    seen = {v}
+    queue = deque([v])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w in allowed and w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
 
 
 def girth_oracle(g):
@@ -278,7 +294,12 @@ def multiset_solve(g, k):
         for c in ms:
             mask |= 1 << c
         capture.append(mask)
-    closed = [g.closed_neighbor_mask(r) for r in range(n)]
+    closed = []
+    for r in range(n):
+        mask = 1 << r
+        for w in g.neighbors(r):
+            mask |= 1 << w
+        closed.append(mask)
 
     win_cop = list(capture)
     win_rob = list(capture)

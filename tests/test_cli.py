@@ -170,6 +170,14 @@ def test_usage_error_exit_code(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert f"gen {argv[1]} takes" in capsys.readouterr().err
+    # gen refuses a graph that an edge list cannot declare, before building it
+    for argv in (["gen", "hypercube", "21"], ["gen", "hypercube", "40"],
+                 ["gen", "grid", "1025", "1024"], ["gen", "projective", "1000"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "an edge list may declare" in capsys.readouterr().err
 
 
 def test_verify_budget_zero_skips(capsys):
@@ -177,6 +185,13 @@ def test_verify_budget_zero_skips(capsys):
     doc = json.loads(out)
     assert code == 0
     assert all(c["status"] == "skipped" for c in doc["checks"])
+
+
+def test_verify_negative_budget_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--budget", "-3"])
+    assert exc.value.code == 2
+    assert "--budget must be >= 0" in capsys.readouterr().err
 
 
 def test_verify_small_budget_passes(capsys):

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from copsrobbers.graph import MAX_PARSE_VERTICES
 from copsrobbers.seeds import derive_seed, make_rng
 from oracles import (
     ball_oracle,
+    component_oracle,
     delete_vertices_oracle,
     diameter_oracle,
     diameter_pair_allpairs,
@@ -68,11 +70,6 @@ def test_rejects_duplicate_edge():
 def test_rejects_out_of_range():
     with pytest.raises(ValueError):
         Graph(3, [(0, 3)])
-
-
-def test_rejects_asymmetric_adjacency():
-    with pytest.raises(ValueError):
-        Graph.from_adjacency([[1], []])
 
 
 def test_adjacency_sorted_and_symmetric():
@@ -472,6 +469,19 @@ def test_delete_components_partition(n, data):
         assert len(ball(h, vs(h.n, [v]), radius)) == len(comp)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 30), st.sampled_from((0.05, 0.1, 0.2, 0.4)), st.data())
+def test_component_of_and_is_connected_match_oracle(n, p, data):
+    g = gen_gnp(n, p, data.draw(st.integers(0, 10**6)))
+    assert is_connected(g) == (len(component_oracle(g, 0)) == g.n)
+    v = data.draw(st.integers(0, n - 1))
+    assert set(component_of(g, v)) == component_oracle(g, v)
+    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    mask = vs(n, members)
+    for v in members:
+        assert set(component_of(g, v, within=mask)) == component_oracle(g, v, mask)
+
+
 # ---------------------------------------------------------------------------
 # Edge-list format and DOT.
 # ---------------------------------------------------------------------------
@@ -511,8 +521,21 @@ def test_edge_list_header_is_capped_by_input_length():
     assert exc.value.line == 1
     sparse = gen_gnp(30, 0.02, derive_seed(0, "gnp"))  # `gen gnp 30 --p 0.02`
     assert min_degree(sparse) == 0
-    for g in (gen_path(70_000), sparse):
-        assert parse_edge_list(format_edge_list(g)).edges() == g.edges()
+    assert parse_edge_list(format_edge_list(sparse)).edges() == sparse.edges()
+    path = gen_path(70_000)
+    text = format_edge_list(path)
+    # a graph and its metric calls cost memory linear in n + m, not n^2/8 bytes
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(text)
+        assert is_connected(g)
+        assert component_of(g, 0) == VertexSet.full(g.n)
+        assert ball(g, vs(g.n, [35_000]), 2) == vs(g.n, range(34_998, 35_003))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.edges() == path.edges()
+    assert peak < 64 << 20
 
 
 def test_dot_and_hash():
