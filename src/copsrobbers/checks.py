@@ -257,15 +257,16 @@ def _expander_corpus(seed: int, size: int = 50):
 
 def confinement_violations(g, cop, plans, deadline: int) -> list[dict]:
     """Every robber line against an expander team, expanded for ``deadline``
-    rounds: a line alive past its start's capture deadline, or outside a
-    level's core at that level's deadline (its radius), is a violation."""
+    rounds: a line still alive after its start's capture-deadline round, or
+    outside a level's core at that level's deadline (its radius), is a
+    violation.  ``layers[k]`` holds the lines alive after round k."""
     cfg = GameConfig(cop_count=cop.cop_count, max_rounds=deadline, seed=0)
     _, _, layers = expand_game_layers(g, cop, cfg, deadline)
     violations = []
     for k in range(1, deadline + 1):
         for (_, r_pos, v) in layers[k]:
             plan = plans[v]
-            if k > plan.capture_deadline:
+            if k >= plan.capture_deadline:
                 violations.append({"start": v, "alive_at": k})
             for i, lv in enumerate(plan.levels, 1):
                 if k == lv.radius and r_pos not in lv.core:

@@ -37,6 +37,7 @@ from .expander import (
     plan_summary,
 )
 from .graph import (
+    _FREE_PARSE_VERTICES,
     MAX_PARSE_VERTICES,
     Graph,
     diameter_pair,
@@ -373,6 +374,9 @@ def main(argv=None) -> int:
         if n > MAX_PARSE_VERTICES:
             ap.error(f"gen {args.family} would make {n} vertices, above the "
                      f"{MAX_PARSE_VERTICES} an edge list may declare")
+        if args.family == "gnp" and n > _FREE_PARSE_VERTICES:  # may write < n characters
+            ap.error(f"gen gnp would make {n} vertices, above the "
+                     f"{_FREE_PARSE_VERTICES} a sparse edge list may declare")
     if args.command == "verify" and args.budget < 0:
         ap.error(f"verify --budget must be >= 0, got {args.budget}")
     if hasattr(args, "L"):

@@ -12,7 +12,8 @@ complete distance-<=radius matching into C_i (those cops walk their routes
 and then hold, occupying D_i by the deadline) and a *core* A_i that does not.
 The split is computed as the Hall-deficiency closure of a maximum bipartite
 matching: A_i is everything reachable by alternating paths from unmatched
-candidate vertices, which guarantees the complete matching on the rest.
+candidate vertices (read from Hopcroft-Karp's last, failing BFS), which
+guarantees the complete matching on the rest.
 A surviving robber is confined to A_i at deadline 2^{i-1}; when some A_s is
 empty the robber is caught by round 2^{s-1}.
 
@@ -28,8 +29,8 @@ expander strategy and for the recursion's leaves alike.
 Every team that walks plans is one ``ScriptedCop``: each cop has a track
 (its route onto a matched shell vertex, then holding there), read at round r
 by ``track_at``.  The visible team keys its tracks by the robber's start; the
-invisible team walks one start-independent guess-and-sweep track set; the
-recursion's leaves build their per-start tracks with ``start_scripts``.
+invisible team walks one start-independent guess-and-sweep track set; each
+recursion leaf keeps a keyed team built with ``start_scripts``.
 """
 
 from __future__ import annotations
@@ -109,8 +110,15 @@ class CopSetFamily:
     sets: tuple[VertexSet, ...]
     density: float
     seed: int
-    total_cops: int
-    oversized: bool  # total exceeds twice its expectation
+
+    @property
+    def total_cops(self) -> int:
+        return sum(len(s) for s in self.sets)
+
+    @property
+    def oversized(self) -> bool:
+        """The total exceeds twice its expectation."""
+        return self.total_cops > 2 * len(self.sets) * self.density * self.sets[0].n
 
     def fingerprint(self):
         return (self.seed, self.density, tuple(s.mask for s in self.sets))
@@ -126,15 +134,7 @@ def sample_cop_sets(g: Graph, params: StrategyParams, seed: int) -> CopSetFamily
             if rng.random() < params.density:
                 mask |= 1 << v
         sets.append(VertexSet(g.n, mask))
-    total = sum(len(s) for s in sets)
-    expected = (params.levels + 1) * params.density * g.n
-    return CopSetFamily(
-        sets=tuple(sets),
-        density=params.density,
-        seed=seed,
-        total_cops=total,
-        oversized=total > 2 * expected,
-    )
+    return CopSetFamily(sets=tuple(sets), density=params.density, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +188,10 @@ def verify_claim(g: Graph, family: CopSetFamily, params: StrategyParams,
 # Maximum bipartite matching (Hopcroft-Karp) and the deficiency split.
 # ---------------------------------------------------------------------------
 
-def _hopcroft_karp(left: list[int], adj: dict[int, list[int]]) -> dict[int, int]:
-    """Deterministic maximum matching; adjacency lists must be sorted."""
+def _hopcroft_karp(left: list[int], adj: dict[int, list[int]]):
+    """Deterministic maximum matching (adjacency lists sorted) and its core:
+    the left vertices the last, failing BFS reaches by alternating paths, i.e.
+    those some maximum matching leaves unmatched (Dulmage-Mendelsohn)."""
     INF = math.inf
     pair_l: dict[int, int] = {}
     pair_r: dict[int, int] = {}
@@ -229,7 +231,7 @@ def _hopcroft_karp(left: list[int], adj: dict[int, list[int]]) -> dict[int, int]
         for u in left:
             if u not in pair_l:
                 dfs(u)
-    return pair_l
+    return pair_l, {u for u in left if dist[u] != INF}
 
 
 @dataclass(frozen=True)
@@ -268,21 +270,7 @@ def _decompose(g, candidate, cops_available, radius, dist_cache):
             row = bfs_distances(g, VertexSet.of(g.n, [u]))
             dist_cache[u] = row
         adj[u] = [w for w in cops if row[w] != UNREACHABLE and row[w] <= radius]
-    matching = _hopcroft_karp(cand, adj)
-    matched_by = {w: u for u, w in matching.items()}
-    core = set(u for u in cand if u not in matching)
-    q = deque(core)
-    seen_right = set()
-    while q:
-        u = q.popleft()
-        for w in adj[u]:
-            if w in seen_right:
-                continue
-            seen_right.add(w)
-            u2 = matched_by.get(w)
-            if u2 is not None and u2 not in core:
-                core.add(u2)
-                q.append(u2)
+    matching, core = _hopcroft_karp(cand, adj)
     shell = [u for u in cand if u not in core]
     routes = {u: tuple(shortest_path(g, matching[u], u)) for u in shell}
     return PlanLevel(
@@ -301,20 +289,32 @@ def _decompose(g, candidate, cops_available, radius, dist_cache):
 
 @dataclass(frozen=True)
 class CapturePlan:
-    kind: str                     # "immediate" | "levels"
+    """A successful plan: an immediate capture, or levels ending in an
+    empty core, whose radius is the capture deadline."""
+
     start_vertex: int
-    levels: tuple[PlanLevel, ...]
-    terminal_level: int
-    capture_deadline: int
+    levels: tuple[PlanLevel, ...]  # () for an immediate capture
     family_fingerprint: tuple
     immediate_route: tuple | None = None  # the first set's cop home .. start
+
+    @property
+    def kind(self) -> str:
+        return "levels" if self.levels else "immediate"
+
+    @property
+    def terminal_level(self) -> int:
+        return max(1, len(self.levels))
+
+    @property
+    def capture_deadline(self) -> int:
+        return self.levels[-1].radius if self.levels else 1
 
 
 @dataclass(frozen=True)
 class PlanFailure:
-    reason: str
     start_vertex: int
     levels: tuple[PlanLevel, ...]
+    reason = "levels-exhausted"
 
 
 def build_plan(g: Graph, v: int, family: CopSetFamily, params: StrategyParams):
@@ -329,11 +329,8 @@ def build_plan(g: Graph, v: int, family: CopSetFamily, params: StrategyParams):
     if len(b1) >= params.lam and hit:
         w = min(hit)
         return CapturePlan(
-            kind="immediate",
             start_vertex=v,
             levels=(),
-            terminal_level=1,
-            capture_deadline=1,
             family_fingerprint=fp,
             immediate_route=tuple(shortest_path(g, w, v)),
         )
@@ -346,19 +343,8 @@ def build_plan(g: Graph, v: int, family: CopSetFamily, params: StrategyParams):
         level = _decompose(g, candidate, cops, 1 << (i - 1), dist_cache)
         levels.append(level)
         if not level.core:
-            return CapturePlan(
-                kind="levels",
-                start_vertex=v,
-                levels=tuple(levels),
-                terminal_level=i,
-                capture_deadline=level.radius,
-                family_fingerprint=fp,
-            )
-    return PlanFailure(
-        reason="levels-exhausted",
-        start_vertex=v,
-        levels=tuple(levels),
-    )
+            return CapturePlan(start_vertex=v, levels=tuple(levels), family_fingerprint=fp)
+    return PlanFailure(start_vertex=v, levels=tuple(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -426,23 +412,23 @@ class ScriptedCop:
 
     def __init__(self, name: str, homes: tuple[int, ...], tracks):
         self.name = name
-        self._homes = homes
-        self._tracks = tracks
+        self.homes = homes
+        self.tracks = tracks
 
     @property
     def cop_count(self) -> int:
-        return len(self._homes)
+        return len(self.homes)
 
     def place(self, g, cfg):
-        if cfg.cop_count != len(self._homes):
-            raise ValueError(f"strategy fields {len(self._homes)} cops")
-        return self._homes
+        if cfg.cop_count != len(self.homes):
+            raise ValueError(f"strategy fields {len(self.homes)} cops")
+        return self.homes
 
     def initial_state(self):
         return None
 
     def move(self, g, view, state):
-        tracks = self._tracks
+        tracks = self.tracks
         if isinstance(tracks, dict):
             if state is None:
                 if view.robber_position is None:

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import GameConfig, GreedyFarRobber, View, play
-from .expander import StrategyParams, resample_family, start_scripts, track_at
+from .expander import ScriptedCop, StrategyParams, resample_family, start_scripts, track_at
 # Not called here; bench/tracing.py looks these two names up in this module.
 from .expander import build_plan, sample_cop_sets  # noqa: F401
 from .graph import (
@@ -63,7 +63,6 @@ class _Node:
     vertices: VertexSet            # component, original ids
     entry: int                     # stage starts at round entry + 1
     duration: int                  # guard: settle window; leaf: march window
-    guard: GuardCop | None = None
     children: tuple = ()           # (VertexSet, _Node) pairs
     # (entry, cop index, GuardCop) per deployed guard, root first; a guard
     # node's own guard is the last one
@@ -71,9 +70,8 @@ class _Node:
     # leaf fields
     broken: bool = False
     family_set_sizes: tuple = ()   # () when broken
-    homes: tuple = ()              # original-id home per fielded cop
+    team: ScriptedCop | None = None  # homes, per-start tracks; original ids
     march_routes: tuple = ()       # per fielded cop, route v0 -> home
-    scripts: dict | None = None    # robber start (orig id) -> per-cop script
     deadlines: dict | None = None  # robber start -> capture deadline
     resamples: int = 0
 
@@ -124,7 +122,6 @@ class MeynielAnalysis:
             vertices=comp,
             entry=entry,
             duration=max(1, settle),
-            guard=guard,
             guards=guards + ((entry, depth, guard),),
         )
         self.nodes.append(node)
@@ -157,8 +154,10 @@ class MeynielAnalysis:
             )
         rmap = tuple(comp)
         homes, scripts = start_scripts(family, plans)
-        homes = tuple(rmap[w] for w in homes)
-        march_routes = tuple(tuple(walk_back(g, self._dist_v0, h)) for h in homes)
+        team = ScriptedCop("meyniel-leaf", tuple(rmap[w] for w in homes),
+                           {rmap[v]: tuple(tuple(rmap[p] for p in t) for t in tracks)
+                            for v, tracks in scripts.items()})
+        march_routes = tuple(tuple(walk_back(g, self._dist_v0, h)) for h in team.homes)
         march = max((len(r) - 1 for r in march_routes), default=0)
         if depth == 0:
             march = 0  # root leaf: cops are placed on their homes directly
@@ -166,9 +165,7 @@ class MeynielAnalysis:
             node_id=node_id, depth=depth, kind="leaf", vertices=comp,
             entry=entry, duration=march, broken=False,
             family_set_sizes=tuple(len(s) for s in family.sets),
-            homes=homes, march_routes=march_routes,
-            scripts={rmap[v]: tuple(tuple(rmap[p] for p in t) for t in tracks)
-                     for v, tracks in scripts.items()},
+            team=team, march_routes=march_routes,
             deadlines={rmap[v]: plan.capture_deadline for v, plan in plans.items()},
             resamples=attempts,
         )
@@ -199,7 +196,7 @@ class MeynielCop:
         if cfg.cop_count != a.pool_size:
             raise ValueError(f"strategy fields {a.pool_size} cops")
         if self._root_is_leaf:
-            return a.root.homes
+            return a.root.team.homes
         return tuple([a.v0] * a.pool_size)
 
     def initial_state(self):
@@ -240,11 +237,9 @@ class MeynielCop:
                 for i, route in enumerate(node.march_routes):
                     moves[base + i] = track_at(route, rel)
             else:
-                if leaf_v is None:
-                    leaf_v = r if r in node.vertices else None
-                if leaf_v is not None:
-                    for i, track in enumerate(node.scripts[leaf_v]):
-                        moves[base + i] = track_at(track, rel - node.duration)
+                own = slice(base, base + node.team.cop_count)
+                moves[own], leaf_v = node.team.move(
+                    g, View(rel - node.duration, view.cop_positions[own], r), leaf_v)
         return tuple(moves), (node.node_id, leaf_v)
 
 

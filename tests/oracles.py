@@ -3,7 +3,8 @@
 Each oracle deliberately uses a different algorithm than the library code it
 checks: distances via Floyd-Warshall instead of BFS, girth via per-edge
 removal, Hall's condition and "largest non-expanding subset" by subset
-enumeration.  ``diameter_pair_allpairs`` and ``delete_vertices_oracle`` keep
+enumeration, maximum matching size by plain augmenting paths instead of
+Hopcroft-Karp.  ``diameter_pair_allpairs`` and ``delete_vertices_oracle`` keep
 the plain loops that the library's pruned diameter scan and survivor-only
 vertex deletion replaced.  ``verify_claim_allsubsets`` is the hitting-claim
 check over 2^n union-ball tables that the library's small-subset walk
@@ -177,6 +178,23 @@ def hall_condition_holds(shell, adjacency):
             if len(nbrs) < size:
                 return False
     return True
+
+
+def matching_size(left, adjacency):
+    """Size of a maximum bipartite matching, by one plain augmenting-path
+    search per left vertex (no BFS layering)."""
+    owner = {}  # right vertex -> its matched left vertex
+
+    def augment(u, seen):
+        for w in adjacency[u]:
+            if w not in seen:
+                seen.add(w)
+                if w not in owner or augment(owner[w], seen):
+                    owner[w] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in left)
 
 
 def largest_nonexpanding_subset(g, candidate, radius, lam):

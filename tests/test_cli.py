@@ -178,6 +178,13 @@ def test_usage_error_exit_code(capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "an edge list may declare" in capsys.readouterr().err
+    # gnp alone can write fewer than n characters, which the parser's
+    # length-scaled cap refuses above 2^16 vertices
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "gnp", "70000", "--p", "0"])
+    assert exc.value.code == 2
+    assert "a sparse edge list may declare" in capsys.readouterr().err
 
 
 def test_verify_budget_zero_skips(capsys):

@@ -30,7 +30,7 @@ from copsrobbers import (
     verify_claim,
 )
 from copsrobbers.checks import confinement_violations
-from copsrobbers.expander import desk_params, plan_summary
+from copsrobbers.expander import ScriptedCop, desk_params, plan_summary
 from copsrobbers.seeds import derive_seed
 
 from conftest import random_connected
@@ -38,21 +38,21 @@ from oracles import (
     fw_distances,
     hall_condition_holds,
     largest_nonexpanding_subset,
+    matching_size,
     verify_claim_allsubsets,
 )
 
 
 def full_family(g, levels, density=1.0):
     sets = tuple(VertexSet.full(g.n) for _ in range(levels + 1))
-    return CopSetFamily(sets=sets, density=density, seed=0,
-                        total_cops=g.n * (levels + 1), oversized=False)
+    return CopSetFamily(sets=sets, density=density, seed=0)
 
 
 def empty_plus_one(g, levels, cop_vertex=0):
     sets = (VertexSet.of(g.n, [cop_vertex]),) + tuple(
         VertexSet(g.n, 0) for _ in range(levels)
     )
-    return CopSetFamily(sets=sets, density=0.05, seed=0, total_cops=1, oversized=False)
+    return CopSetFamily(sets=sets, density=0.05, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_claim_reaches_the_largest_subsets(n, lam):
     params = StrategyParams(lam=lam, density=0.5, levels=1)
     for size, expected in ((amax - 1, False), (amax, True)):
         sets = tuple(VertexSet.of(n, range(size)) for _ in range(2))
-        fam = CopSetFamily(sets=sets, density=0.5, seed=0, total_cops=2 * size, oversized=False)
+        fam = CopSetFamily(sets=sets, density=0.5, seed=0)
         assert verify_claim(g, fam, params) is expected
         assert verify_claim_allsubsets(g, fam, params) is expected
 
@@ -154,8 +154,7 @@ def test_claim_reaches_both_ends_of_the_path(missing, expected):
     g = gen_path(8)
     params = StrategyParams(lam=2.0, density=0.5, levels=1)
     cops = VertexSet.of(8, [v for v in range(8) if v not in missing])
-    fam = CopSetFamily(sets=(cops, cops), density=0.5, seed=0,
-                       total_cops=2 * len(cops), oversized=False)
+    fam = CopSetFamily(sets=(cops, cops), density=0.5, seed=0)
     assert verify_claim(g, fam, params) is expected
     assert verify_claim_allsubsets(g, fam, params) is expected
 
@@ -245,6 +244,22 @@ def test_shell_satisfies_hall_exhaustively():
         for u, w in split.matching.items():
             assert dist[u][w] <= radius
             assert len(split.routes[u]) - 1 <= radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 10), st.sampled_from([0.3, 0.5, 0.8]), st.integers(0, 10**6),
+       st.integers(0, 4), st.data())
+def test_core_is_the_vertices_some_maximum_matching_misses(n, p, seed, radius, data):
+    # Dulmage-Mendelsohn: u is in the core iff dropping u keeps the maximum
+    # matching size, i.e. some maximum matching leaves u unmatched
+    g = random_connected(n, seed=seed, p=p)
+    cand = VertexSet(n, data.draw(st.integers(1, (1 << n) - 1)))
+    cops = VertexSet(n, data.draw(st.integers(0, (1 << n) - 1)))
+    dist = fw_distances(g)
+    adjacency = {u: [w for w in cops if dist[u][w] <= radius] for u in cand}
+    nu = matching_size(cand, adjacency)
+    expected = {u for u in cand if matching_size([x for x in cand if x != u], adjacency) == nu}
+    assert set(decompose_level(g, cand, cops, radius).core) == expected
 
 
 def test_core_vs_bruteforce_largest_subset():
@@ -413,6 +428,25 @@ def test_expander_confines_and_catches_small_corpus():
             g, cop, GameConfig(cop_count=fam.total_cops, max_rounds=depth, seed=0), depth
         )
         assert t.caught and t.outcome.round <= depth
+
+
+@pytest.mark.parametrize("n, graph_seed, density", [(12, 0, 0.3), (16, 22, 0.4)])
+def test_late_immediate_capture_is_a_confinement_violation(n, graph_seed, density):
+    # an immediate-capture cop that waits one round at home still catches
+    # every robber by the deepest deadline, so the adversary passes it; the
+    # robber alive after its deadline round 1 must be flagged
+    g = random_connected(n, seed=graph_seed, p=0.3)
+    params = StrategyParams(lam=2.0, density=density, levels=2)
+    cop, fam, plans, _ = make_expander_cop(g, params, seed=0)
+    depth = max(p.capture_deadline for p in plans.values())
+    assert depth == 2
+    late = ScriptedCop("late", cop.homes, {
+        v: tuple(t[:1] + t for t in tracks) if plans[v].kind == "immediate" else tracks
+        for v, tracks in cop.tracks.items()})
+    cfg = GameConfig(cop_count=fam.total_cops, max_rounds=depth, seed=0)
+    assert adversarial_robber_search(g, late, cfg, depth).caught
+    assert confinement_violations(g, cop, plans, depth) == []
+    assert confinement_violations(g, late, plans, depth)
 
 
 def test_stationary_robber_is_caught():

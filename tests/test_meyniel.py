@@ -120,7 +120,7 @@ def _walked_guards(an, node):
     cur, chain = an.root, []
     while True:
         if cur.kind == "guard":
-            chain.append((cur.entry, cur.depth, cur.guard))
+            chain.append(cur.guards[-1])
         if cur is node:
             return tuple(chain)
         cur = next(child for mask, child in cur.children if node.vertices <= mask)
@@ -158,7 +158,7 @@ def test_guard_persistence_on_transcript():
     for idx, (moves, r_move) in enumerate(rounds):
         rnd = idx + 1
         for node in guards:
-            if rnd > node.entry + node.duration and r_pos in node.guard.index_of:
+            if rnd > node.entry + node.duration and r_pos in node.guards[-1][2].index_of:
                 assert r_pos in moves, (
                     f"robber sat on a settled geodesic at round {rnd} uncaught"
                 )
@@ -191,7 +191,7 @@ def test_aggressive_threshold_validation():
 
 # Every leaf of the analysis, pinned to the bytes of an earlier revision:
 # (node id, resamples, broken, family set sizes, SHA-256 of the repr of
-# (homes, sorted deadlines, march routes, sorted per-start scripts)), with the
+# (team homes, sorted deadlines, march routes, sorted per-start team tracks)), with the
 # pool size and the timeline bound.  Resamples above 1 and the root leaf check
 # that leaf planning draws the same families from the same derived seeds.
 HALF = StrategyParams(lam=2.0, density=0.5, levels=3)
@@ -223,8 +223,9 @@ def test_leaves_pinned(name):
     got = []
     for n in an.nodes:
         if n.kind == "leaf":
-            doc = (n.homes, sorted((n.deadlines or {}).items()), n.march_routes,
-                   sorted((n.scripts or {}).items()))
+            homes, tracks = (n.team.homes, n.team.tracks) if n.team else ((), {})
+            doc = (homes, sorted((n.deadlines or {}).items()), n.march_routes,
+                   sorted(tracks.items()))
             got.append((n.node_id, n.resamples, n.broken, n.family_set_sizes,
                         hashlib.sha256(repr(doc).encode()).hexdigest()))
     assert (an.pool_size, an.timeline_bound(), tuple(got)) == (pool, timeline, leaves)
