@@ -37,7 +37,7 @@ from .expander import (
     plan_summary,
 )
 from .graph import (
-    _FREE_PARSE_VERTICES,
+    FREE_PARSE_VERTICES,
     MAX_PARSE_VERTICES,
     Graph,
     diameter_pair,
@@ -85,16 +85,19 @@ def _robber(name: str):
 # ---------------------------------------------------------------------------
 
 # family -> (builder, number of sizes, vertex count from the sizes clamped at
-# 0); gnp also takes --p and a derived seed.  The hypercube count stops at
-# 2^64, so a huge dimension allocates nothing.
+# 0, most vertices its edge list can declare); gnp also takes --p and a
+# derived seed.  The hypercube count stops at 2^64, so a huge dimension
+# allocates nothing.  gnp alone can write fewer than n characters, which the
+# parser's length-scaled cap refuses above FREE_PARSE_VERTICES.
 GEN_FAMILIES = {
-    "path": (generators.gen_path, 1, lambda n: n),
-    "cycle": (generators.gen_cycle, 1, lambda n: n),
-    "grid": (generators.gen_grid, 2, lambda w, h: w * h),
-    "hypercube": (generators.gen_hypercube, 1, lambda d: 1 << min(d, 64)),
-    "petersen": (generators.gen_petersen, 0, lambda: 10),
-    "gnp": (generators.gen_gnp, 1, lambda n: n),
-    "projective": (generators.gen_projective_incidence, 1, lambda q: 2 * (q * q + q + 1)),
+    "path": (generators.gen_path, 1, lambda n: n, MAX_PARSE_VERTICES),
+    "cycle": (generators.gen_cycle, 1, lambda n: n, MAX_PARSE_VERTICES),
+    "grid": (generators.gen_grid, 2, lambda w, h: w * h, MAX_PARSE_VERTICES),
+    "hypercube": (generators.gen_hypercube, 1, lambda d: 1 << min(d, 64), MAX_PARSE_VERTICES),
+    "petersen": (generators.gen_petersen, 0, lambda: 10, MAX_PARSE_VERTICES),
+    "gnp": (generators.gen_gnp, 1, lambda n: n, FREE_PARSE_VERTICES),
+    "projective": (generators.gen_projective_incidence, 1,
+                   lambda q: 2 * (q * q + q + 1), MAX_PARSE_VERTICES),
 }
 
 
@@ -367,16 +370,13 @@ def main(argv=None) -> int:
     if getattr(args, "seed", None) is None:
         args.seed = args.global_seed
     if args.command == "gen":
-        _, count, vertices = GEN_FAMILIES[args.family]
+        _, count, vertices, limit = GEN_FAMILIES[args.family]
         if len(args.sizes) != count:
             ap.error(f"gen {args.family} takes {count} size(s), got {len(args.sizes)}")
         n = vertices(*(max(size, 0) for size in args.sizes))
-        if n > MAX_PARSE_VERTICES:
+        if n > limit:
             ap.error(f"gen {args.family} would make {n} vertices, above the "
-                     f"{MAX_PARSE_VERTICES} an edge list may declare")
-        if args.family == "gnp" and n > _FREE_PARSE_VERTICES:  # may write < n characters
-            ap.error(f"gen gnp would make {n} vertices, above the "
-                     f"{_FREE_PARSE_VERTICES} a sparse edge list may declare")
+                     f"{limit} an edge list may declare")
     if args.command == "verify" and args.budget < 0:
         ap.error(f"verify --budget must be >= 0, got {args.budget}")
     if hasattr(args, "L"):

@@ -33,6 +33,7 @@ from .errors import NoPathError, ParseError
 __all__ = [
     "UNREACHABLE",
     "MAX_PARSE_VERTICES",
+    "FREE_PARSE_VERTICES",
     "Graph",
     "VertexSet",
     "bfs_distances",
@@ -56,10 +57,10 @@ UNREACHABLE = -1
 _OUTSIDE = -2  # BFS seed value of vertices outside a vertex mask
 
 # Largest vertex count an edge-list header may declare; checked before the
-# graph allocates its adjacency lists.  Above _FREE_PARSE_VERTICES it is also
+# graph allocates its adjacency lists.  Above FREE_PARSE_VERTICES it is also
 # capped by the input's length, so a few bytes cannot buy a huge allocation.
 MAX_PARSE_VERTICES = 1 << 20
-_FREE_PARSE_VERTICES = 1 << 16
+FREE_PARSE_VERTICES = 1 << 16
 
 
 class VertexSet:
@@ -460,7 +461,7 @@ def parse_edge_list(text: str) -> Graph:
             n, m = a, b
             if n < 1 or m < 0:
                 raise ParseError(f"invalid header n={n} m={m}", line=lineno)
-            limit = min(MAX_PARSE_VERTICES, max(_FREE_PARSE_VERTICES, len(text)))
+            limit = min(MAX_PARSE_VERTICES, max(FREE_PARSE_VERTICES, len(text)))
             if n > limit:
                 raise ParseError(
                     f"header n={n} exceeds the limit of {limit} vertices "

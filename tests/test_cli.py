@@ -184,7 +184,7 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["gen", "gnp", "70000", "--p", "0"])
     assert exc.value.code == 2
-    assert "a sparse edge list may declare" in capsys.readouterr().err
+    assert "above the 65536 an edge list may declare" in capsys.readouterr().err
 
 
 def test_verify_budget_zero_skips(capsys):

@@ -120,7 +120,7 @@ def _walked_guards(an, node):
     cur, chain = an.root, []
     while True:
         if cur.kind == "guard":
-            chain.append(cur.guards[-1])
+            chain.append((cur.entry, cur.depth, cur.guards[-1][2]))
         if cur is node:
             return tuple(chain)
         cur = next(child for mask, child in cur.children if node.vertices <= mask)
