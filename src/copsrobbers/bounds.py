@@ -50,9 +50,12 @@ _LN2 = iv.log(2)
 
 
 def _to_iv(x):
+    """Point interval for x; -inf is allowed (D = 0 is D_log = -inf)."""
     if isinstance(x, iv.mpf):
         return x
-    if isinstance(x, float) and x in (float("inf"), float("-inf")):
+    if x != x:
+        raise ValueError(f"parameter is not a number: {x}")
+    if x == float("inf"):
         raise ValueError("infinite parameter")
     return iv.mpf(x)
 
@@ -153,7 +156,6 @@ def trivial_margin_log(L):
 class BoundaryBracket(NamedTuple):
     low: mpmath.mpf
     high: mpmath.mpf
-    value: mpmath.mpf
 
 
 def trivial_region_boundary(tol: float = 1e-6) -> BoundaryBracket:
@@ -188,7 +190,7 @@ def trivial_region_boundary(tol: float = 1e-6) -> BoundaryBracket:
             a = mid
         else:
             b = mid
-    return BoundaryBracket(low=a, high=b, value=(a + b) / 2)
+    return BoundaryBracket(low=a, high=b)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,7 @@ class ChainReport:
         }
 
 
-def _step(name, slack, note="") -> ChainStep:
+def _step(name, slack, note) -> ChainStep:
     lo_v, hi_v = _lo(slack), _hi(slack)
     if lo_v >= 0:
         holds = True
@@ -250,9 +252,15 @@ def _step(name, slack, note="") -> ChainStep:
     return ChainStep(name=name, holds=holds, slack_lo=lo_v, slack_hi=hi_v, note=note)
 
 
-def _const_step(name, value: float, holds: bool, note="") -> ChainStep:
-    v = mpmath.mpf(value)
-    return ChainStep(name=name, holds=holds, slack_lo=v, slack_hi=v, note=note)
+# The degenerate D = 0 chain (offset -inf) goes through the same formulas;
+# only these notes read differently there.
+_D_ZERO_NOTES = {
+    "absorb_two": "needs D*X >= 1; fails identically at D = 0",
+    "d_small": "D = 0",
+    "exp_linearize": "x = 0",
+    "final_margin": "f(n)*x = 0; margin is the raw -2 vs -1 gap",
+    "end_to_end": "f(n) - f(n) - 1; the claim needs D > 0",
+}
 
 
 def check_eq1_chain(L, D_log=None) -> ChainReport:
@@ -266,155 +274,88 @@ def check_eq1_chain(L, D_log=None) -> ChainReport:
 
     Chain quantities never mix scales: products and powers are compared via
     their base-2 logs, and additive corrections of order D/n are carried as
-    explicit tiny intervals.
+    explicit tiny intervals.  Raises ValueError where a series envelope
+    leaves its range: D/n >= 1/2, or log2(n - D) or the end-to-end gap's
+    envelope below 0.
     """
     params = bound_params(L)
     ivL, sq, lg = params.L, params.sqrt_L, params.log2_L
     threshold = params.diameter_threshold_log
     out_of_regime = not (_lo(ivL) >= 400)
 
-    d_zero = isinstance(D_log, float) and D_log == float("-inf")
     at_threshold = D_log is None
     if at_threshold:
         offset = iv.mpf(0)       # D_log - threshold_log, symbolically zero
         d_str = "threshold"
-    elif d_zero:
-        offset = None
-        d_str = "-inf"
     else:
-        offset = _to_iv(D_log) - threshold
+        ivD = _to_iv(D_log)
+        offset = ivD - threshold
         if not _hi(offset) <= 0:
             out_of_regime = True
-        d_str = mpmath.nstr(( _lo(_to_iv(D_log)) + _hi(_to_iv(D_log)) ) / 2, 17)
+        d_str = mpmath.nstr((_lo(ivD) + _hi(ivD)) / 2, 17)
+    notes = _D_ZERO_NOTES if _hi(offset) == -mpmath.inf else {}
 
-    zero = iv.mpf(0)
-    if d_zero:
-        u = zero
-    else:
-        # u = D/n = 2^(D_log - L); the exponent has large magnitude but no
-        # cancellation, so the interval stays tight.
-        u = _pow2(threshold + offset - ivL)
-    series_ok = _hi(u) < 0.5
+    # u = D/n = 2^(D_log - L); the exponent has large magnitude but no
+    # cancellation, so the interval stays tight.
+    u = _pow2(threshold + offset - ivL)
+    if not _hi(u) < 0.5:
+        raise ValueError(f"series envelope invalid: D/n may reach "
+                         f"{mpmath.nstr(_hi(u), 8)}, not below 1/2")
 
     # log2(1 - u) trapped via u <= -ln(1-u) <= u + u^2 (u <= 1/2).
-    if d_zero:
-        c1 = zero
-    else:
-        c1 = _hull(-(u + u * u) / _LN2, -u / _LN2)
+    c1 = _hull(-(u + u * u) / _LN2, -u / _LN2)
     Lp = ivL + c1                       # log2(n - D)
+    if _lo(Lp) < 0:
+        raise ValueError(f"series envelope invalid: log2(n - D) may be as low as "
+                         f"{mpmath.nstr(_lo(Lp), 8)}, below 0")
     lgLp_minus_lg = _log2_1p(c1 / ivL)  # log2(L') - log2(L), tiny
     # sqrt(L) - sqrt(L') in factored form (no cancellation):
     sqrt_diff = (-c1) / (sq + iv.sqrt(Lp))
-
-    steps: list[ChainStep] = []
-
-    # f(n-D) <= 2 (n-D) (log n)^3 2^{-sqrt(log(n-D))}
-    # ratio in log space: 3*(log2 L - log2 L') >= 0.
-    steps.append(_step(
-        "shrink_logcube",
-        3 * (-lgLp_minus_lg),
-        note="replace (log(n-D))^3 by (log n)^3; slack in log2",
-    ))
-
-    # 2(n-D) X <= 2n X - 2  with X = (log n)^3 2^{-sqrt(log(n-D))}
-    # factored difference: log2(2 D X) >= 1, slack = D_log - thresh + (sqrt L - sqrt L').
-    if d_zero:
-        steps.append(_const_step(
-            "absorb_two",
-            float("-inf"), False,
-            note="needs D*X >= 1; fails identically at D = 0",
-        ))
-    else:
-        steps.append(_step(
-            "absorb_two",
-            offset + sqrt_diff,
-            note="subtracting 2 costs D*(log n)^3*2^{-sqrt(log(n-D))} >= 1; slack in log2",
-        ))
-
-    # D <= 2^{-20} n
-    if d_zero:
-        steps.append(_const_step("d_small", float("inf"), True, note="D = 0"))
-    else:
-        steps.append(_step(
-            "d_small",
-            (ivL - 20) - (threshold + offset),
-            note="premise for the log shift; slack in log2",
-        ))
-
-    # log2(n-D) >= log2(n) - 2D/n, i.e. log2(1-u) + 2u >= 0.
-    steps.append(_step(
-        "log_shift",
-        c1 + 2 * u,
-        note="true since 2*ln2 > 1 + u; linear slack",
-    ))
-
-    # sqrt(L - 2u) >= sqrt(L) - 2u/sqrt(L); squared form leaves 2u - 4u^2/L.
-    steps.append(_step(
-        "sqrt_shift",
-        2 * u - 4 * u * u / ivL,
-        note="squared-difference slack; RHS nonnegative since L >= 2u",
-    ))
-
-    # 2^x <= 1 + x for x = 2D/(n sqrt(log n)); true for 0 <= x <= 1.
     x = 2 * u / sq
-    if d_zero:
-        steps.append(_const_step("exp_linearize", 0.0, True, note="x = 0"))
-    else:
-        lower = x * (1 - _LN2 - x * _LN2 * _LN2)
-        upper = x * (1 - _LN2)
-        steps.append(_step(
-            "exp_linearize",
-            _hull(lower, upper),
-            note="(1+x) - 2^x; positive for x <= (1-ln2)/ln2^2 ~ 0.64",
-        ))
 
-    # 2^{-sqrt(log(n-D))} <= 2^{-sqrt(log n)} (1+x):
-    # in log space sqrt(L) - sqrt(L') <= log2(1+x).
-    steps.append(_step(
-        "assemble",
-        _log2_1p(x) - sqrt_diff,
-        note="composition of the two shifts; slack in log2",
-    ))
+    # End to end, independent of the intermediate steps: f(n) - f(n-D) > 1,
+    # through 1 - 2^-delta with delta = f_log - f'_log >= 0.  A zero lower
+    # end is the D = 0 chain's log 0 = -inf.
+    delta = (-c1) + 3 * (-lgLp_minus_lg) - sqrt_diff
+    one_minus = _hull(delta * _LN2 - (delta * _LN2) ** 2 / 2, delta * _LN2)
+    if _lo(one_minus) < 0:
+        raise ValueError(f"series envelope invalid: 1 - 2^-delta may be as low as "
+                         f"{mpmath.nstr(_lo(one_minus), 8)}, below 0")
 
-    # f(n)(1+x) - 2 < f(n) - 1  <=>  f(n)*x < 1.
-    # Exact identity: log2(f(n)*x) = f_log + 1 + D_log - L - log2(sqrt L)
-    #                              = 2 + (D_log - thresh) - log2(L)/2.
-    if d_zero:
-        steps.append(_const_step(
-            "final_margin", 1.0, True,
-            note="f(n)*x = 0; margin is the raw -2 vs -1 gap",
-        ))
-    else:
-        fx_log = 2 + offset - lg / 2
-        steps.append(_step(
-            "final_margin",
-            1 - _pow2(fx_log),
-            note="1 - f(n)*2D/(n sqrt(log n)); linear slack",
-        ))
-
-    # End to end, independent of the intermediate steps:
-    # f(n) - f(n-D) > 1.
-    if d_zero:
-        end = _const_step(
-            "end_to_end", -1.0, False,
-            note="f(n) - f(n) - 1; the claim needs D > 0",
-        )
-    else:
-        delta = (-c1) + 3 * (-lgLp_minus_lg) - sqrt_diff   # f_log - f'_log > 0
-        one_minus = _hull(delta * _LN2 - (delta * _LN2) ** 2 / 2, delta * _LN2)
-        gap_log = params.f_log + iv.log(one_minus) / _LN2
-        end = _step(
-            "end_to_end",
-            _pow2(gap_log) - 1,
-            note="f(n) - f(n-D) - 1 via the factored log gap; linear slack",
-        )
-
-    if not series_ok:
-        steps = [
-            ChainStep(s.name, None, s.slack_lo, s.slack_hi,
-                      note=s.note + " [series envelope invalid: D/n >= 1/2]")
-            for s in steps
-        ]
+    rows = (
+        # f(n-D) <= 2 (n-D) (log n)^3 2^{-sqrt(log(n-D))}
+        # ratio in log space: 3*(log2 L - log2 L') >= 0.
+        ("shrink_logcube", 3 * (-lgLp_minus_lg),
+         "replace (log(n-D))^3 by (log n)^3; slack in log2"),
+        # 2(n-D) X <= 2n X - 2  with X = (log n)^3 2^{-sqrt(log(n-D))}
+        # factored difference: log2(2 D X) >= 1, slack = D_log - thresh + (sqrt L - sqrt L').
+        ("absorb_two", offset + sqrt_diff,
+         "subtracting 2 costs D*(log n)^3*2^{-sqrt(log(n-D))} >= 1; slack in log2"),
+        # D <= 2^{-20} n
+        ("d_small", (ivL - 20) - (threshold + offset),
+         "premise for the log shift; slack in log2"),
+        # log2(n-D) >= log2(n) - 2D/n, i.e. log2(1-u) + 2u >= 0.
+        ("log_shift", c1 + 2 * u,
+         "true since 2*ln2 > 1 + u; linear slack"),
+        # sqrt(L - 2u) >= sqrt(L) - 2u/sqrt(L); squared form leaves 2u - 4u^2/L.
+        ("sqrt_shift", 2 * u - 4 * u * u / ivL,
+         "squared-difference slack; RHS nonnegative since L >= 2u"),
+        # 2^x <= 1 + x for x = 2D/(n sqrt(log n)); true for 0 <= x <= 1.
+        ("exp_linearize", _hull(x * (1 - _LN2 - x * _LN2 * _LN2), x * (1 - _LN2)),
+         "(1+x) - 2^x; positive for x <= (1-ln2)/ln2^2 ~ 0.64"),
+        # 2^{-sqrt(log(n-D))} <= 2^{-sqrt(log n)} (1+x):
+        # in log space sqrt(L) - sqrt(L') <= log2(1+x).
+        ("assemble", _log2_1p(x) - sqrt_diff,
+         "composition of the two shifts; slack in log2"),
+        # f(n)(1+x) - 2 < f(n) - 1  <=>  f(n)*x < 1.
+        # Exact identity: log2(f(n)*x) = f_log + 1 + D_log - L - log2(sqrt L)
+        #                              = 2 + (D_log - thresh) - log2(L)/2.
+        ("final_margin", 1 - _pow2(2 + offset - lg / 2),
+         "1 - f(n)*2D/(n sqrt(log n)); linear slack"),
+        ("end_to_end", _pow2(params.f_log + iv.log(one_minus) / _LN2) - 1,
+         "f(n) - f(n-D) - 1 via the factored log gap; linear slack"),
+    )
+    *steps, end = (_step(name, slack, notes.get(name, note)) for name, slack, note in rows)
 
     return ChainReport(
         L=mpmath.nstr((_lo(ivL) + _hi(ivL)) / 2, 17),

@@ -379,12 +379,12 @@ def verdict_7(doc):
 def criterion_8(seed: int, budget: int) -> dict:
     b = trivial_region_boundary(tol=1e-6)
     p = bound_params(1024)
-    mid = lambda x: (mpmath.mpf(x.a) + mpmath.mpf(x.b)) / 2
+    mid = p.point_values()
     exact = {
-        "t": (p.is_exact("t"), float(mid(p.t))),
-        "p_log": (p.is_exact("p_log"), float(mid(p.p_log))),
+        "t": (p.is_exact("t"), float(mid["t"])),
+        "p_log": (p.is_exact("p_log"), float(mid["p_log"])),
         "threshold_log": (p.is_exact("diameter_threshold_log"),
-                          float(mid(p.diameter_threshold_log))),
+                          float(mid["diameter_threshold_log"])),
     }
     sweep = {}
     for L in (1100, 1600, 2000, 10**4, 10**6):

@@ -285,6 +285,18 @@ def cmd_verify(args) -> int:
 # Parser.
 # ---------------------------------------------------------------------------
 
+def _int_or_float(text: str) -> int | float:
+    """An int where the text is one, else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="copsrobbers")
     ap.add_argument("--seed", type=int, default=0, dest="global_seed",
@@ -343,9 +355,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_strategy)
 
     p = sub.add_parser("bound", parents=[common], help="scale parameters, boundary, inequality chain")
-    p.add_argument("--L", required=True, help="log2 of the vertex count")
-    p.add_argument("--d-log", default=None, help="log2 of the deleted-path length")
-    p.add_argument("--d-zero", action="store_true", help="evaluate the degenerate D=0 chain")
+    p.add_argument("--L", required=True, type=_int_or_float, help="log2 of the vertex count")
+    d = p.add_mutually_exclusive_group()
+    d.add_argument("--d-log", type=float, default=None, help="log2 of the deleted-path length")
+    d.add_argument("--d-zero", action="store_true", help="evaluate the degenerate D=0 chain")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("-o", "--out")
@@ -379,13 +392,6 @@ def main(argv=None) -> int:
                      f"{limit} an edge list may declare")
     if args.command == "verify" and args.budget < 0:
         ap.error(f"verify --budget must be >= 0, got {args.budget}")
-    if hasattr(args, "L"):
-        try:
-            args.L = int(args.L)
-        except ValueError:
-            args.L = float(args.L)
-        if args.d_log is not None:
-            args.d_log = float(args.d_log)
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import mpmath
 import pytest
 
@@ -78,6 +81,19 @@ def test_chain_degenerate_d_zero():
     assert r.end_to_end.holds is False
 
 
+@pytest.mark.parametrize("L, D_log, match", [
+    # the series envelopes need D/n < 1/2, so D = n/2 is refused
+    (1600, 1599.0, "D/n may reach 0.5, not below 1/2"),
+    # at the threshold, D/n grows to 1 as L falls to 1
+    (1, None, "D/n may reach 1.0, not below 1/2"),
+    (1.5, None, "1 - 2\\^-delta may be as low as"),
+    (1, -0.05, "log2\\(n - D\\) may be as low as"),
+], ids=["d-half-n", "L1-threshold", "L1.5-threshold", "log-n-minus-d-below-0"])
+def test_chain_rejects_envelope_out_of_range(L, D_log, match):
+    with pytest.raises(ValueError, match="series envelope invalid: " + match):
+        check_eq1_chain(L, D_log)
+
+
 def test_chain_flags_out_of_regime():
     assert check_eq1_chain(100).out_of_regime
     # D above the threshold is reported, not a fault
@@ -119,3 +135,23 @@ def test_chain_holds_at_irregular_scales(L):
     for s in r.steps:
         assert s.holds, (L, s.name)
     assert r.end_to_end.holds
+
+
+# SHA-256 of the canonical JSON of `check_eq1_chain(L, D_log).to_dict()` over
+# L in CHAIN_PIN_SCALES, one digest per D_log, taken when D = 0 was still its
+# own code path.  Any edit to a step's note, holds or slack changes a digest.
+CHAIN_PIN_SCALES = (413, 1024, 1600, 99991, 10**6)
+PINNED_CHAIN_SHA256 = {
+    None: "08ad9c8b46218fd9614239c00a6efcc9311f7b04f8a50f046f402ad2ed08a196",
+    float("-inf"): "7f11eff70cb2957539226eff87109cb5e656914f02c769ce0eb88feb62b7c3c3",
+    -5.0: "3bcda498b09ebe07ca62e05c0c6f9f45d23edfeb3b679297cce1da7dc413aff0",
+    5.0: "4a5f83a5ff56be04bfd4cb860f4aac5208deeac74af8d7eb0af38b054c327ae8",
+    50.0: "bef40142f06a0968e20bec89f49277d7d07d958c3d429a2d5cb3ba7a93380b1a",
+}
+
+
+@pytest.mark.parametrize("d_log", list(PINNED_CHAIN_SHA256))
+def test_chain_report_pinned(d_log):
+    docs = [check_eq1_chain(L, d_log).to_dict() for L in CHAIN_PIN_SCALES]
+    text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CHAIN_SHA256[d_log]

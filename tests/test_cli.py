@@ -67,6 +67,36 @@ def test_bound_values(capsys):
     assert all(s["holds"] for s in doc["chain"]["steps"])
 
 
+def test_bound_d_zero_is_d_log_minus_inf(capsys):
+    code, out, _ = run(capsys, "bound", "--L", "1600", "--d-zero")
+    assert code == 0
+    assert run(capsys, "bound", "--L", "1600", "--d-log=-inf") == (0, out, "")
+    chain = json.loads(out)["chain"]
+    assert chain["d_log"] == "-inf" and chain["end_to_end"]["holds"] is False
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--L", "abc"], "argument --L: not a number: 'abc'"),
+    (["--L", "1024", "--d-log", "abc"], "argument --d-log: invalid float value: 'abc'"),
+    (["--L", "1024", "--d-zero", "--d-log=5"], "not allowed with argument --d-zero"),
+], ids=["L-abc", "d-log-abc", "d-zero-and-d-log"])
+def test_bound_bad_arguments_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--L", "1024", "--d-log=nan"], "parameter is not a number: nan"),
+    (["--L", "1024", "--d-log=inf"], "infinite parameter"),
+    (["--L", "1"], "series envelope invalid: D/n may reach 1.0, not below 1/2"),
+    (["--L", "1600", "--d-log=1599"], "series envelope invalid: D/n may reach 0.5, not below 1/2"),
+], ids=["d-log-nan", "d-log-inf", "L1-threshold", "d-half-n"])
+def test_bound_out_of_range_exits_1(capsys, argv, message):
+    assert run(capsys, "bound", *argv) == (1, "", f"error: {message}\n")
+
+
 def test_play_emits_valid_transcript(tmp_path, capsys):
     f = tmp_path / "c4.el"
     run(capsys, "gen", "cycle", "4", "-o", str(f))
