@@ -37,9 +37,10 @@ print(f"\nthe bound is vacuous (f(n) >= n) up to L* in "
 
 print("\ninduction-step inequality chain at L = 1600, deleted path at the threshold:")
 report = check_eq1_chain(1600)
+VERDICT = {True: "holds", False: "FAILS", None: "inconclusive"}
 for s in report.steps:
-    print(f"  {s.name:>16}: {'holds' if s.holds else 'FAILS'} "
+    print(f"  {s.name:>16}: {VERDICT[s.holds]} "
           f"(slack >= {mpmath.nstr(s.slack_lo, 6)})")
 e = report.end_to_end
-print(f"  {'end_to_end':>16}: {'holds' if e.holds else 'FAILS'} "
+print(f"  {'end_to_end':>16}: {VERDICT[e.holds]} "
       f"(slack >= {mpmath.nstr(e.slack_lo, 6)})")

@@ -52,6 +52,8 @@ from .meyniel import run_meyniel
 from .seeds import derive_seed
 
 _JSON_KW = {"sort_keys": True, "separators": (",", ":")}
+# a chain step's ``holds`` in the table format; None is an inconclusive interval
+_VERDICT = {True: "holds", False: "FAILS", None: "inconclusive"}
 
 
 def _dump(doc) -> str:
@@ -247,10 +249,10 @@ def cmd_bound(args) -> int:
         lines.append(f"trivial boundary in [{doc['trivial_region_boundary']['low']}, "
                      f"{doc['trivial_region_boundary']['high']}]")
         for s in report.steps:
-            lines.append(f"{s.name:>24}: {'holds' if s.holds else 'FAILS'} "
+            lines.append(f"{s.name:>24}: {_VERDICT[s.holds]} "
                          f"(slack >= {mpmath.nstr(s.slack_lo, 8)})")
         e = report.end_to_end
-        lines.append(f"{'end_to_end':>24}: {'holds' if e.holds else 'FAILS'} "
+        lines.append(f"{'end_to_end':>24}: {_VERDICT[e.holds]} "
                      f"(slack >= {mpmath.nstr(e.slack_lo, 8)})")
         _write("\n".join(lines), args.out)
     return 0

@@ -10,8 +10,10 @@ strategies use an explicit functional state so games can be replayed and the
 exhaustive robber adversary can memoize:
 
     place(g, cfg)              -> tuple of k start vertices
-    initial_state()            -> hashable state after placement
     move(g, view, state)       -> (tuple of k moves, new state)   # pure
+
+The engine starts every team at state ``None`` and checks that ``place``
+fields exactly ``cfg.cop_count`` cops; a strategy repeats neither.
 
 ``view.robber_position`` is ``None`` when the config hides the robber.
 Robber strategies receive a full view plus the engine-owned RNG:
@@ -41,6 +43,7 @@ from .graph import (
     bfs_distances,
     graph_hash,
     is_connected,
+    step_toward,
 )
 from .seeds import make_rng
 
@@ -109,8 +112,8 @@ class Transcript:
     robber_placement: int
     rounds: tuple[tuple[tuple[int, ...], int | None], ...]
     outcome: Outcome
-    # cop strategy state after the team's last move (the initial state if the
-    # robber was caught at placement); not part of the serialized transcript
+    # cop strategy state after the team's last move (None if the robber was
+    # caught at placement); not part of the serialized transcript
     final_state: object = field(default=None, compare=False, repr=False)
 
     @property
@@ -144,7 +147,8 @@ def _closed(g: Graph, v: int) -> list[int]:
 def _place_cops(g: Graph, cops, cfg: GameConfig) -> tuple[int, ...]:
     placement = tuple(cops.place(g, cfg))
     if len(placement) != cfg.cop_count or not all(0 <= v < g.n for v in placement):
-        raise StrategyFault("cops", 0, f"bad placement {placement}")
+        raise StrategyFault("cops", 0, f"bad placement {placement}: {len(placement)} "
+                                       f"cops for a team of {cfg.cop_count}")
     return placement
 
 
@@ -214,7 +218,6 @@ def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
     if not is_connected(g):
         raise ValueError("play requires a connected graph")
     placement = _place_cops(g, cops, cfg)
-    state = cops.initial_state()
     rng = make_rng(cfg.seed, "robber")
     r_start = robber.place(g, placement, cfg, rng)
     if not 0 <= r_start < g.n:
@@ -231,7 +234,7 @@ def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
         return m
 
     return _transcript(g, cfg, cops, getattr(robber, "name", type(robber).__name__),
-                       (placement, r_start, state), cfg.max_rounds, step, choose)
+                       (placement, r_start, None), cfg.max_rounds, step, choose)
 
 
 # ---------------------------------------------------------------------------
@@ -247,23 +250,18 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
                        node_budget: int = DEFAULT_NODE_BUDGET):
     """Forward-expand all robber lines to the given depth.
 
-    Returns (placement, initial_state, layers) where layers[k] maps node keys
+    Returns (placement, None, layers) where layers[k] maps node keys
     ``(cop_positions, robber_position, strategy_state)`` -- robber alive after
-    round k -- to their outgoing transition record.  Before each layer is
-    expanded, the nodes of it and of the layers before it are counted; above
-    `node_budget` the call raises ``ResourceLimitError``.
+    round k -- to their outgoing transition record; the middle element is the
+    start state of every team.  Before each layer is expanded, the nodes of it
+    and of the layers before it are counted; above `node_budget` the call
+    raises ``ResourceLimitError``.
     """
     if depth > cfg.max_rounds:
         raise ValueError("depth must not exceed cfg.max_rounds")
     placement = _place_cops(g, cops, cfg)
-    s0 = cops.initial_state()
-    layers: list[dict] = [
-        {
-            (placement, r0, s0): None
-            for r0 in range(g.n)
-            if r0 not in placement
-        }
-    ]
+    layers: list[dict] = [{(placement, r0, None): None
+                           for r0 in range(g.n) if r0 not in placement}]
     nodes = 0
     for k in range(depth):
         frontier = layers[k]
@@ -283,7 +281,7 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
                 if child != "caught":
                     nxt[child] = None
         layers.append(nxt)
-    return placement, s0, layers
+    return placement, None, layers
 
 
 def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int) -> Transcript:
@@ -293,45 +291,29 @@ def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int) -> Tr
     (ties broken toward the lowest-id move); the outcome is ``caught`` only
     if every robber line is caught within ``depth`` rounds.
     """
-    placement, s0, layers = expand_game_layers(g, cops, cfg, depth)
+    placement, _, layers = expand_game_layers(g, cops, cfg, depth)
 
-    # value[node] = round of capture under best play from here, or None if
-    # the robber survives to the depth cutoff.
-    INF = math.inf
-    values: list[dict] = [dict() for _ in range(depth + 1)]
-    for node in layers[depth]:
-        values[depth][node] = None
-    best_moves: list[dict] = [dict() for _ in range(depth)]
+    # survival[node]: the capture round under the robber's best play from a
+    # node of the layer at hand, inf if the robber reaches the depth cutoff.
+    survival = dict.fromkeys(layers[depth], math.inf)
+    best_moves: list[dict] = [{} for _ in range(depth)]
     for k in range(depth - 1, -1, -1):
+        later, survival = survival, {}
         for node, rec in layers[k].items():
-            if rec is None:  # layer tail beyond expansion (depth reached)
-                continue
             if rec.caught_cop_half:
-                values[k][node] = k + 1
+                survival[node] = k + 1
                 continue
-            best_val, best_m = -1, None
-            for m, child in rec.children.items():  # insertion order: ascending m
-                v = k + 1 if child == "caught" else values[k + 1][child]
-                vk = INF if v is None else v
-                if vk > best_val:
-                    best_val, best_m = vk, m
-            values[k][node] = None if best_val == INF else int(best_val)
-            best_moves[k][node] = best_m
+            options = {m: k + 1 if child == "caught" else later[child]
+                       for m, child in rec.children.items()}
+            m = max(options, key=options.get)  # the first best, moves ascending
+            survival[node], best_moves[k][node] = options[m], m
 
-    # Robber chooses the placement maximizing survival; placing onto a cop
-    # (value 0) is dominated but legal, and is the only option when cops
-    # cover every vertex.
-    best_val, best_r0 = -1, 0
-    for r0 in range(g.n):
-        if r0 in placement:
-            v = 0
-        else:
-            v = values[0][(placement, r0, s0)]
-        vk = INF if v is None else v
-        if vk > best_val:
-            best_val, best_r0 = vk, r0
+    # The robber places to maximize survival; placing onto a cop (survival 0)
+    # is dominated but legal, and the only option when cops cover every vertex.
+    best_r0 = max(range(g.n),
+                  key=lambda r0: 0 if r0 in placement else survival[(placement, r0, None)])
 
-    return _transcript(g, cfg, cops, "adversarial-search", (placement, best_r0, s0), depth,
+    return _transcript(g, cfg, cops, "adversarial-search", (placement, best_r0, None), depth,
                        lambda node, rnd: layers[rnd - 1][node],
                        lambda node, rec, rnd: best_moves[rnd - 1][node])
 
@@ -384,9 +366,6 @@ class HoldCop:
     def place(self, g, cfg):
         return self._placement
 
-    def initial_state(self):
-        return None
-
     def move(self, g, view, state):
         return view.cop_positions, state
 
@@ -404,22 +383,12 @@ class ChaserCop:
             return self._placement
         return tuple([0] * cfg.cop_count)
 
-    def initial_state(self):
-        return None
-
     def move(self, g, view, state):
         r = view.robber_position
         if r is None:
             raise ValueError("chaser needs a visible robber")
         dist = bfs_distances(g, VertexSet.of(g.n, [r]))
-        moves = []
-        for c in view.cop_positions:
-            best_v, best_d = c, dist[c]
-            for w in g.neighbors(c):
-                if dist[w] != UNREACHABLE and (best_d == UNREACHABLE or dist[w] < best_d):
-                    best_v, best_d = w, dist[w]
-            moves.append(best_v)
-        return tuple(moves), state
+        return tuple(step_toward(g, dist, c) for c in view.cop_positions), state
 
 
 # ---------------------------------------------------------------------------

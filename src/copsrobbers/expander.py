@@ -420,12 +420,7 @@ class ScriptedCop:
         return len(self.homes)
 
     def place(self, g, cfg):
-        if cfg.cop_count != len(self.homes):
-            raise ValueError(f"strategy fields {len(self.homes)} cops")
         return self.homes
-
-    def initial_state(self):
-        return None
 
     def move(self, g, view, state):
         tracks = self.tracks

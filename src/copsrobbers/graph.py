@@ -40,6 +40,7 @@ __all__ = [
     "ball",
     "shortest_path",
     "walk_back",
+    "step_toward",
     "diameter",
     "diameter_pair",
     "girth",
@@ -295,6 +296,21 @@ def walk_back(g: Graph, dist: list[int], v: int) -> list[int]:
         path.append(v)
     path.reverse()
     return path
+
+
+def step_toward(g: Graph, dist: list[int], v: int) -> int:
+    """The lowest-id neighbor of v one step closer to a source of the BFS
+    field ``dist``; v itself where ``dist[v] <= 0`` (a source, or unreachable).
+
+    ``walk_back`` repeats this step inline: its loop is on the hot path.
+    """
+    d = dist[v] - 1
+    if d < 0:
+        return v
+    for w in g._adj[v]:  # sorted, so the first predecessor is the lowest id
+        if dist[w] == d:
+            return w
+    raise AssertionError("BFS distance field has no descent step")
 
 
 def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> list[int]:

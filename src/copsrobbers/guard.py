@@ -31,6 +31,7 @@ from .graph import (
     VertexSet,
     bfs_distances,
     diameter,
+    step_toward,
 )
 
 __all__ = [
@@ -92,21 +93,12 @@ class GuardCop:
             if i == j:
                 return cop
             return self.path[i + (1 if j > i else -1)]
-        d = self.approach[cop]
-        if d == UNREACHABLE:
+        if self.approach[cop] == UNREACHABLE:
             raise ValueError(f"cop at {cop} is not connected to the path")
-        for w in g.neighbors(cop):  # sorted, so lowest id wins ties
-            if self.approach[w] == d - 1:
-                return w
-        raise AssertionError("BFS distance field has no descent step")
+        return step_toward(g, self.approach, cop)
 
     def place(self, g, cfg):
-        if cfg.cop_count != 1:
-            raise ValueError("the guard is a single-cop strategy")
         return (self.path[0],)
-
-    def initial_state(self):
-        return None
 
     def move(self, g, view, state):
         r = view.robber_position
@@ -156,8 +148,6 @@ def check_guard_soundness(g: Graph, path, extra_rounds: int = 4) -> dict:
     states = 0
     for k in range(depth):
         for node, rec in layers[k].items():
-            if rec is None:
-                continue
             states += 1
             _, r_pos, _ = node
             cop_after = rec.moves[0]

@@ -193,14 +193,9 @@ class MeynielCop:
 
     def place(self, g, cfg):
         a = self.analysis
-        if cfg.cop_count != a.pool_size:
-            raise ValueError(f"strategy fields {a.pool_size} cops")
         if self._root_is_leaf:
             return a.root.team.homes
         return tuple([a.v0] * a.pool_size)
-
-    def initial_state(self):
-        return (self.analysis.root.node_id, None)
 
     def _advance(self, node: _Node, rnd: int, r: int) -> _Node:
         while node.kind == "guard" and rnd > node.entry + node.duration:
@@ -219,7 +214,7 @@ class MeynielCop:
         if r is None:
             raise ValueError("the recursion strategy needs a visible robber")
         nodes = self.analysis.nodes
-        node_id, leaf_v = state
+        node_id, leaf_v = (self.analysis.root.node_id, None) if state is None else state
         node = self._advance(nodes[node_id], view.round, r)
         if node.node_id != node_id:
             leaf_v = None
@@ -280,8 +275,8 @@ def run_meyniel(g: Graph, diameter_threshold_override: int,
     if robber is None:
         robber = GreedyFarRobber()
     transcript = play(g, strategy, robber, run_cfg)
-    node_id, _leaf_v = transcript.final_state
-    final = analysis.nodes[node_id]
+    state = transcript.final_state  # None: caught at placement, still at the root
+    final = analysis.root if state is None else analysis.nodes[state[0]]
     cops_used = analysis._need(final)
     guards_used = final.depth + (final.kind == "guard")
     return MeynielResult(

@@ -164,9 +164,10 @@ def _tables(g: Graph, k: int, budget: int) -> _Tables:
         raise ValueError("solver requires a connected graph")
     if k < 1:
         raise ValueError("need k >= 1")
-    bits = g.n ** (k + 1)
-    if bits > budget:
-        raise ResourceLimitError(f"{bits} table bits (n**(k+1)) exceed the budget of {budget}")
+    # 2**(k+1) > budget: over budget for n >= 2 without forming n**(k+1); caps k at n = 1
+    if k + 1 >= budget.bit_length() or g.n ** (k + 1) > budget:
+        raise ResourceLimitError(
+            f"n**(k+1) table bits, n = {g.n} and k + 1 = {k + 1}, exceed the budget of {budget}")
     return _solve(g, k)
 
 
@@ -242,18 +243,12 @@ class SolverCop:
 
     def __init__(self, g: Graph, k: int, budget: int = DEFAULT_STATE_BUDGET):
         self._tables = _tables(g, k, budget)
-        self._k = k
         if self._tables.placement is None:
             raise ValueError(f"{k} cops do not win on this graph")
         self._moves: dict = {}
 
     def place(self, g, cfg):
-        if cfg.cop_count != self._k:
-            raise ValueError("config cop count does not match the solved tables")
         return self._tables.placement
-
-    def initial_state(self):
-        return None
 
     def move(self, g, view, state):
         r = view.robber_position

@@ -11,9 +11,12 @@ check over 2^n union-ball tables that the library's small-subset walk
 replaced.  ``component_oracle`` is a BFS over Python sets, checked against
 the library's bitmask flood.  ``replay_final_state`` replays a transcript
 through a cop strategy to recover the state the engine records as
-``Transcript.final_state`` during the game.
+``Transcript.final_state`` during the game.  ``robber_minimax_line`` is the
+exhaustive robber adversary as a plain memoized recursion over robber lines,
+against the library's forward layers and backward induction.
 """
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -380,9 +383,6 @@ class MultisetSolverCop:
     def place(self, g, cfg):
         return self._placement
 
-    def initial_state(self):
-        return None
-
     def move(self, g, view, state):
         r = view.robber_position
         t = self._tables
@@ -430,7 +430,7 @@ def replay_final_state(g, strategy, transcript):
     """The cop strategy's state after the last recorded round, by replaying
     every round of the transcript through ``strategy.move`` (the robber is
     visible in every view)."""
-    state = strategy.initial_state()
+    state = None
     cop_pos = transcript.cop_placement
     r_pos = transcript.robber_placement
     for idx, (moves, r_move) in enumerate(transcript.rounds):
@@ -440,3 +440,47 @@ def replay_final_state(g, strategy, transcript):
         if r_move is not None:
             r_pos = r_move
     return state
+
+
+def robber_minimax_line(g, cops, cfg, depth):
+    """The robber's best line against a deterministic cop team, by recursion.
+
+    ``best(k, node)`` is the capture round under the robber's best play from
+    a live node (cop positions, robber position, cop state) after round k, or
+    inf if the robber lasts to round ``depth``, with the first best move in
+    ascending order; it is memoized per (round, node).  The robber places on
+    the first vertex of best value, a vertex under a cop counting 0.
+    Returns (value, robber placement, rounds as a transcript records them).
+    """
+
+    @functools.cache
+    def best(k, node):
+        if k == depth:
+            return INF, None
+        cop_pos, r, state = node
+        moves, state = cops.move(g, View(k + 1, cop_pos, r), state)
+        moves = tuple(moves)
+        if r in moves:
+            return k + 1, None
+        value, move = -1, None
+        for m in sorted({r, *g.neighbors(r)}):
+            v = k + 1 if m in moves else best(k + 1, (moves, m, state))[0]
+            if v > value:
+                value, move = v, m
+        return value, move
+
+    placement = tuple(cops.place(g, cfg))
+    starts = [0 if r in placement else best(0, (placement, r, None))[0] for r in range(g.n)]
+    value = max(starts)
+    r0 = starts.index(value)
+    rounds, node = [], (placement, r0, None)
+    while r0 not in placement and len(rounds) < depth:
+        k = len(rounds)
+        cop_pos, r, state = node
+        moves, state = cops.move(g, View(k + 1, cop_pos, r), state)
+        move = best(k, node)[1]
+        rounds.append((tuple(moves), move))
+        if move is None or move in moves:
+            break
+        node = (tuple(moves), move, state)
+    return value, r0, tuple(rounds)

@@ -97,6 +97,22 @@ def test_bound_out_of_range_exits_1(capsys, argv, message):
     assert run(capsys, "bound", *argv) == (1, "", f"error: {message}\n")
 
 
+def test_bound_table_verdicts_follow_the_json_holds(capsys):
+    # log_shift's interval straddles 0 here: holds is None, shown "inconclusive"
+    argv = ["bound", "--L", "100", "--d-log", "98.75"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    chain = json.loads(out)["chain"]
+    word = {True: "holds", False: "FAILS", None: "inconclusive"}
+    expected = [(s["name"], word[s["holds"]]) for s in chain["steps"]]
+    expected.append(("end_to_end", word[chain["end_to_end"]["holds"]]))
+    assert ("log_shift", "inconclusive") in expected
+    code, out, _ = run(capsys, *argv, "--format", "table")
+    assert code == 0
+    rows = [line.split(": ", 1) for line in out.splitlines() if "(slack >=" in line]
+    assert [(name.strip(), rest.split(" ")[0]) for name, rest in rows] == expected
+
+
 def test_play_emits_valid_transcript(tmp_path, capsys):
     f = tmp_path / "c4.el"
     run(capsys, "gen", "cycle", "4", "-o", str(f))
@@ -187,6 +203,20 @@ def test_resource_limit_exit_code(tmp_path, capsys):
     code, _, err = run(capsys, "solve", str(f), "--k", "2", "--budget", "5")
     assert code == 3
     assert "resource limit" in err
+
+
+@pytest.mark.parametrize("text, k", [
+    (format_edge_list(gen_cycle(30)), 100000),
+    ("1 0\n", 1000),
+], ids=["cycle-k100000", "one-vertex-k1000"])
+def test_solve_over_budget_k_exits_3_on_k_alone(tmp_path, capsys, text, k):
+    # 30**100001 has too many digits to print, and 1**1001 fits any budget
+    # while the table loops grow with k: both are refused before the power
+    f = tmp_path / "g.el"
+    f.write_text(text)
+    code, out, err = run(capsys, "solve", str(f), "--k", str(k))
+    assert (code, out) == (3, "")
+    assert f"k + 1 = {k + 1}, exceed the budget" in err
 
 
 def test_usage_error_exit_code(capsys):

@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copsrobbers import (
     GameConfig,
@@ -25,10 +28,14 @@ from copsrobbers.engine import (
     View,
     expand_game_layers,
 )
+from copsrobbers.expander import desk_params, make_expander_cop
+from copsrobbers.graph import diameter_pair, shortest_path
+from copsrobbers.guard import GuardCop
 from copsrobbers.seeds import make_rng
 from copsrobbers.solver import SolverCop, cop_number
 
 from conftest import random_connected
+from oracles import robber_minimax_line
 
 
 def cfg(k=1, rounds=50, visible=True, seed=0):
@@ -168,9 +175,6 @@ def test_nondeterministic_strategy_detected():
         def place(self, g, cfg):
             return (0,)
 
-        def initial_state(self):
-            return None
-
         def move(self, g, view, state):
             self.n_calls += 1
             pos = view.cop_positions[0]
@@ -246,9 +250,6 @@ class CountingCop:
     def place(self, g, c):
         return self.inner.place(g, c)
 
-    def initial_state(self):
-        return self.inner.initial_state()
-
     def move(self, g, view, state):
         self.calls += 1
         return self.inner.move(g, view, state)
@@ -268,6 +269,32 @@ def test_node_budget_stops_the_expansion_before_full_depth():
     with pytest.raises(ResourceLimitError):
         expand_game_layers(g, cops, c, depth, node_budget=sizes[0] + sizes[1])
     assert cops.calls == 2 * (sizes[0] + sizes[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7), st.floats(0.25, 0.8), st.integers(0, 10**6), st.integers(1, 6))
+def test_adversary_matches_plain_minimax(n, p, seed, depth):
+    # the layered backward induction against a memoized recursion over robber
+    # lines: the same value, and the same line under lowest-id tie-breaks
+    g = random_connected(n, seed=seed, p=p)
+    k = cop_number(g, 2)
+    _, u, v = diameter_pair(g)
+    expander, family, _, _ = make_expander_cop(g, desk_params(g, lam=1.5, density=0.9), seed)
+    teams = [
+        (1, HoldCop([seed % n])),
+        (1, ChaserCop()),
+        (k, SolverCop(g, k)),
+        (1, GuardCop(g, shortest_path(g, u, v))),
+        (family.total_cops, expander),
+    ]
+    for cop_count, cops in teams:
+        c = cfg(k=cop_count, rounds=depth)
+        t = adversarial_robber_search(g, cops, c, depth)
+        value, r0, rounds = robber_minimax_line(g, cops, c, depth)
+        assert (t.caught, t.outcome.round) == (
+            (True, value) if value < math.inf else (False, depth))
+        assert (t.robber_placement, t.rounds) == (r0, rounds)
+        validate_transcript(g, t)
 
 
 def test_depth_capped_by_max_rounds():

@@ -36,7 +36,7 @@ from copsrobbers import (
 
 from conftest import all_connected_graphs
 import copsrobbers.graph
-from copsrobbers.graph import MAX_PARSE_VERTICES
+from copsrobbers.graph import MAX_PARSE_VERTICES, step_toward, walk_back
 from copsrobbers.seeds import derive_seed, make_rng
 from oracles import (
     ball_oracle,
@@ -187,6 +187,24 @@ def test_geodesic_prefixes(n, data):
     assert len(path) - 1 == dist[v]
     for i, w in enumerate(path):
         assert dist[w] == i  # every prefix is itself a geodesic
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 16), st.booleans(), st.data())
+def test_walk_back_takes_the_step_toward_its_source(n, masked, data):
+    # walk_back inlines step_toward's lowest-id descent; the two must agree
+    g = gen_gnp(n, 0.35, data.draw(st.integers(0, 10**6)))
+    within = None
+    if masked:
+        within = vs(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+    sources = data.draw(st.sets(st.sampled_from(list(within or range(n))), min_size=1,
+                                max_size=2))
+    dist = bfs_distances(g, vs(n, sources), within)
+    for v in range(n):
+        if dist[v] <= 0:
+            assert step_toward(g, dist, v) == v
+        else:
+            assert walk_back(g, dist, v)[-2] == step_toward(g, dist, v)
 
 
 # ---------------------------------------------------------------------------

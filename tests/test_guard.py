@@ -3,6 +3,7 @@ import pytest
 from copsrobbers import (
     GameConfig,
     Graph,
+    StrategyFault,
     VertexSet,
     adversarial_robber_search,
     diameter,
@@ -139,8 +140,8 @@ def test_guard_soundness_small_corpus():
 def test_guard_cop_requires_single_cop():
     g = gen_path(4)
     cop = GuardCop(g, [0, 1])
-    with pytest.raises(ValueError):
-        cop.place(g, GameConfig(cop_count=2, max_rounds=5))
+    with pytest.raises(StrategyFault, match="1 cops for a team of 2"):
+        play(g, cop, GreedyFarRobber(), GameConfig(cop_count=2, max_rounds=5))
 
 
 def test_masked_guard_shadows_inside_the_mask_and_approaches_through_g():
