@@ -394,6 +394,11 @@ def main(argv=None) -> int:
                      f"{limit} an edge list may declare")
     if args.command == "verify" and args.budget < 0:
         ap.error(f"verify --budget must be >= 0, got {args.budget}")
+    if args.command in ("solve", "play"):
+        for flag in ("k", "kmax", "budget"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                ap.error(f"{args.command} --{flag} must be >= 1, got {value}")
     try:
         return args.func(args)
     except ResourceLimitError as exc:

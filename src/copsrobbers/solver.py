@@ -2,28 +2,41 @@
 
 States are (ordered cop tuple, robber vertex, side to move).  Each side's win
 labels over all n**k ordered cop tuples and n robber vertices are one Python
-int: bit ``i*n + r`` holds cop tuple ``i`` (its base-n digits, cop 0 most
-significant) against robber ``r``.  A sweep is big-int AND/OR/shift work over
-whole slabs of the table, one pass per axis:
+int, robber-major: bit ``r*n**k + i`` holds cop tuple ``i`` (its base-n
+digits, cop 0 most significant) against robber ``r``, so robber r owns one
+contiguous slab of n**k bits.  A sweep is big-int AND/OR/shift work, with
+three kinds of pass:
 
   robber step:  (i, r) is won unless some x in N[r] has (i, x) unwon with the
-                cops to move -- one pass along the robber digit over the
-                complement of the cops-to-move labels;
-  cop step:     the cops move independently, so "some joint cop move reaches
-                a won robber-to-move state" is k passes, one per cop digit,
-                each ORing the slab at digit x into the slab at digit c for
-                every x in N[c].
+                cops to move.  The complement of the cops-to-move labels is
+                cut into its n robber slabs, slab r of the result is the OR
+                of the slabs over N[r], and Horner shifts rebuild the table.
+  lowest cop digit (weight 1): the cops move independently, so "some joint
+                cop move reaches a won robber-to-move state" is one pass per
+                cop digit.  On this one, field x of every n-bit group is
+                masked out and multiplied by ``cmask[x]``, the n-bit mask of
+                N[x].  The products carry nothing into each other: each term
+                is below 2**n and starts on its own group's boundary.
+  other cop digits: slab x (digit = x) is ORed into digit c for every c in
+                N[x], one slab of the whole table at a time.
 
 The fixpoint is computed by Jacobi-style sweeps -- every sweep reads only the
 previous sweep's labels -- so each state's first-won sweep is well defined.
 The final cops-to-move labels, and the first-won sweep of every
 robber-to-move state as ceil(log2(sweeps + 1)) bit-plane tables, are kept
 as bytes, so a state probe costs O(1) and a level costs O(log sweeps).
-A pass moves one slab at a time, so a solve holds a few tables besides the
-planes; ``budget`` bounds the bits of one table.  Labels are symmetric under
-permuting the cops, so the lowest winning ordered tuple is sorted: it is the
-lex-smallest winning multiset.  ``SolverCop`` plays the joint move with the
-least (first-won sweep, sorted target, ordered target).
+A solve holds a few tables besides the planes (the n robber slabs together
+are one); ``budget`` bounds the bits of one table.  Labels are symmetric
+under permuting the cops, so the lowest cop tuple that wins in every robber
+slab is sorted: it is the lex-smallest winning multiset.
+
+``SolverCop`` plays the joint move with the least (first-won sweep, sorted
+target, ordered target).  The joint moves are one n**k-bit mask, the product
+of the cops' closed neighbourhoods built by shifts; each plane's robber slab
+narrows it by AND-NOT while the result stays nonempty.  A search over digits
+then finds the least survivor without listing the moves: the next sorted
+value is the least vertex some unassigned cop digit can hold in the mask,
+and the search branches on every digit that ties for it.
 
 Definitions (cops win a state):
   cops to move:   capture now, or some cop move reaches a winning
@@ -57,7 +70,7 @@ DEFAULT_STATE_BUDGET = 50_000_000
 class _Tables:
     n: int
     sweeps: int          # sweeps that changed some label, capture being sweep 0
-    win_cop: bytes       # final cops-to-move labels, bit i*n + r (little-endian)
+    win_cop: bytes       # final cops-to-move labels, bit r*n**k + i (little-endian)
     planes: tuple        # bit planes of each robber-to-move state's first-won
                          # sweep, most significant first; all ones = never won
     placement: tuple | None  # lex-smallest winning cop tuple
@@ -67,7 +80,7 @@ class _Tables:
         i = 0
         for c in cops:
             i = i * self.n + c
-        return i * self.n + r
+        return r * self.n ** len(cops) + i
 
     def level(self, b: int) -> int:
         """First sweep that won robber-to-move state ``b``, or -1 if none did."""
@@ -90,6 +103,12 @@ def _tile(pattern: int, period: int, total: int) -> int:
     return pattern & ((1 << total) - 1)
 
 
+def _slabs(table: int, count: int, width: int) -> list:
+    """The `count` consecutive `width`-bit slabs of `table`, lowest first."""
+    mask = (1 << width) - 1
+    return [(table >> (x * width)) & mask for x in range(count)]
+
+
 def _some_neighbor(table: int, stride: int, zero: int, closed) -> int:
     """Bit (.., c, ..) of the result is set iff some x in N[c] has bit
     (.., x, ..) set in `table`, along the base-n digit of weight `stride`.
@@ -109,28 +128,44 @@ def _some_neighbor(table: int, stride: int, zero: int, closed) -> int:
 @lru_cache(maxsize=64)
 def _solve(g: Graph, k: int) -> _Tables:
     n = g.n
-    size = n ** (k + 1)
+    cells = n ** k          # cop tuples: the bits of one robber slab
+    size = n * cells
     nbytes = (size + 7) // 8
     ones = (1 << size) - 1
     closed = [(v,) + g.neighbors(v) for v in range(n)]
-    # zero[p]: the bits whose base-n digit p is 0 (p = 0 robber, p >= 1 cop axes)
-    zero = [_tile((1 << n**p) - 1, n ** (p + 1), size) for p in range(k + 1)]
+    cmask = [0] * n         # cmask[x]: N[x] as an n-bit mask
+    for x, nbhd in enumerate(closed):
+        for c in nbhd:
+            cmask[x] |= 1 << c
+    # zero[p]: the bits whose cop digit of weight n**p is 0
+    zero = [_tile((1 << n**p) - 1, n ** (p + 1), size) for p in range(k)]
 
-    capture = 0
-    for p in range(1, k + 1):
-        diag = zero[0] & zero[p]
+    capture = 0             # robber slab c: the tuples with some cop digit equal to c
+    for p in range(k):
+        diag = zero[p] & ((1 << cells) - 1)
         for c in range(n):
-            capture |= diag << (c * n**p + c)
-
+            capture |= diag << (c * cells + c * n**p)
     win_cop = win_rob = capture
     planes = []             # planes[j]: states whose first-won sweep has bit j set
     sweep = 0               # capture is sweep 0
     while True:
-        # robber to move: won unless some robber move reaches an unwon state
-        new_rob = win_rob | (ones ^ _some_neighbor(ones ^ win_cop, 1, zero[0], closed))
-        # cops to move: one existential pass per cop axis
-        reach = win_rob
-        for p in range(1, k + 1):
+        # robber to move: won unless some robber move reaches an unwon state;
+        # slab r of `escape` is the OR of the unwon slabs over N[r]
+        free = _slabs(ones ^ win_cop, n, cells)
+        escape = 0
+        for nbhd in reversed(closed):
+            slab = 0
+            for x in nbhd:
+                slab |= free[x]
+            escape = (escape << cells) | slab
+        del free
+        new_rob = win_rob | (ones ^ escape)
+        # cops to move: one existential pass per cop digit; on the lowest,
+        # field x of every n-bit group spreads to N[x] by one multiplication
+        reach = 0
+        for x in range(n):
+            reach |= ((win_rob >> x) & zero[0]) * cmask[x]
+        for p in range(1, k):
             reach = _some_neighbor(reach, n**p, zero[p], closed)
         new_cop = win_cop | reach
         if new_rob == win_rob and new_cop == win_cop:
@@ -146,14 +181,15 @@ def _solve(g: Graph, k: int) -> _Tables:
     # never-won states are all ones, above every level 0..sweeps-1
     planes += [0] * (sweeps.bit_length() - len(planes))
     never = ones ^ win_rob
-    planes = tuple((plane | never).to_bytes(nbytes, "little") for plane in reversed(planes))
+    # popped most significant first, so each int plane is freed once packed
+    planes = tuple((planes.pop() | never).to_bytes(nbytes, "little") for _ in range(len(planes)))
 
-    everywhere = zero[0]    # cop tuples that win against every robber vertex
-    for x in range(n):
-        everywhere &= win_cop >> x
+    everywhere = (1 << cells) - 1   # cop tuples that win against every robber vertex
+    for slab in _slabs(win_cop, n, cells):
+        everywhere &= slab
     placement = None
     if everywhere:
-        i = ((everywhere & -everywhere).bit_length() - 1) // n
+        i = (everywhere & -everywhere).bit_length() - 1
         placement = tuple(i // n ** (k - 1 - j) % n for j in range(k))
     return _Tables(n, sweeps, win_cop.to_bytes(nbytes, "little"), planes, placement)
 
@@ -230,13 +266,53 @@ def is_dismantlable(g: Graph) -> tuple[bool, list[int]]:
     return True, order
 
 
+def _least_move(mask: int, options, weights, zero) -> tuple:
+    """The cop tuple of `mask` with the least (sorted tuple, ordered tuple).
+
+    Digit j of a tuple has weight ``weights[j]`` and ranges over the ascending
+    ``options[j]``; ``zero[j]`` holds the tuples whose digit j is 0.  The next
+    sorted value is the least vertex some unassigned digit can hold inside the
+    mask.  The search branches on every digit that ties for it, with the mask
+    narrowed to that digit, and drops a prefix above the best sorted tuple.
+    """
+    best = [None, None]     # least sorted tuple found, least ordered tuple with it
+    move = [0] * len(options)
+
+    def search(mask, free, values):
+        if not free:
+            key = [values, tuple(move)]
+            if best[0] is None or key < best:
+                best[:] = key
+            return
+        least, tied = None, []
+        for j in free:
+            for v in options[j]:
+                if least is not None and v > least:
+                    break
+                if mask & (zero[j] << v * weights[j]):
+                    if least is None or v < least:
+                        least, tied = v, []
+                    tied.append(j)
+                    break
+        values += (least,)
+        if best[0] is not None and values > best[0][:len(values)]:
+            return
+        for j in tied:
+            move[j] = least
+            search(mask & (zero[j] << least * weights[j]), [f for f in free if f != j], values)
+
+    search(mask, list(range(len(options))), ())
+    return best[1]
+
+
 class SolverCop:
     """Optimal cop strategy extracted from the retrograde tables.
 
     From a winning cops-to-move state it plays the joint move minimizing
     (first-won sweep of the resulting robber state, sorted target, ordered
     target), which strictly decreases the sweep level and therefore forces
-    capture.  Moves are memoized per (cop tuple, robber).
+    capture.  Moves are memoized per (cop tuple, robber), and the robber's
+    slab of every plane is cut once per robber vertex.
     """
 
     name = "solver-optimal"
@@ -245,6 +321,10 @@ class SolverCop:
         self._tables = _tables(g, k, budget)
         if self._tables.placement is None:
             raise ValueError(f"{k} cops do not win on this graph")
+        n = g.n
+        self._weights = tuple(n ** (k - 1 - j) for j in range(k))
+        self._zero = tuple(_tile((1 << w) - 1, w * n, n**k) for w in self._weights)
+        self._plane_slabs: dict = {}
         self._moves: dict = {}
 
     def place(self, g, cfg):
@@ -259,20 +339,33 @@ class SolverCop:
             self._moves[key] = self._choose(g, *key)
         return self._moves[key], state
 
+    def _robber_planes(self, r: int) -> tuple:
+        """Robber r's slab of every plane, cut on first use."""
+        slabs = self._plane_slabs.get(r)
+        if slabs is None:
+            cells = self._tables.n ** len(self._weights)
+            lo, hi = r * cells, (r + 1) * cells
+            mask = (1 << cells) - 1
+            slabs = self._plane_slabs[r] = tuple(
+                (int.from_bytes(plane[lo >> 3:(hi + 7) >> 3], "little") >> (lo & 7)) & mask
+                for plane in self._tables.planes)
+        return slabs
+
     def _choose(self, g, cops, r):
         t = self._tables
-        n, k = t.n, len(cops)
         if not _bit(t.win_cop, t.state(cops, r)):
             # Not a winning state (robber deviated into one we cannot punish);
             # hold position.  Unreachable when play starts from our placement.
             return cops
-        targets = [(r, ())]     # (bit index, ordered cop move) of every joint move
-        for j, c in enumerate(cops):
-            step = n ** (k - j)
-            targets = [(b + x * step, m + (x,)) for b, m in targets for x in (c,) + g.neighbors(c)]
-        tied = targets          # narrowed to the least first-won sweep, plane by plane
-        for plane in t.planes:
-            zeros = [(b, m) for b, m in tied if not plane[b >> 3] >> (b & 7) & 1]
-            if zeros:
-                tied = zeros
-        return min((m for b, m in tied), key=lambda m: (sorted(m), m))
+        options = [sorted((c,) + g.neighbors(c)) for c in cops]
+        mask = 1                # every joint move: the product of the closed neighbourhoods
+        for w, nbhd in zip(reversed(self._weights), reversed(options)):
+            spread = 0
+            for x in nbhd:
+                spread |= mask << (x * w)
+            mask = spread
+        for plane in self._robber_planes(r):    # narrowed to the least first-won sweep
+            rest = mask & ~plane
+            if rest:
+                mask = rest
+        return _least_move(mask, options, self._weights, self._zero)

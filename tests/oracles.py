@@ -14,6 +14,9 @@ through a cop strategy to recover the state the engine records as
 ``Transcript.final_state`` during the game.  ``robber_minimax_line`` is the
 exhaustive robber adversary as a plain memoized recursion over robber lines,
 against the library's forward layers and backward induction.
+``solver_reference_move`` is ``SolverCop``'s move by enumerating every joint
+move and narrowing the list plane by plane, against the library's joint-move
+mask and digit search.
 """
 
 import functools
@@ -24,6 +27,7 @@ from collections import deque
 from copsrobbers.engine import View
 from copsrobbers.errors import ResourceLimitError
 from copsrobbers.graph import UNREACHABLE, Graph, VertexSet, _bfs, _seed, ball
+from copsrobbers.solver import _bit
 
 INF = math.inf
 
@@ -396,6 +400,21 @@ class MultisetSolverCop:
                 if best_key is None or key < best_key:
                     best_key = key
         return _realize(g, view.cop_positions, best_key[1]), state
+
+
+def solver_reference_move(g, tables, cops, r):
+    """The joint move with the least (first-won sweep, sorted target, ordered
+    target) from a winning cops-to-move state, else ``cops``: every joint move
+    is listed and the list is narrowed plane by plane, keeping it nonempty."""
+    if not _bit(tables.win_cop, tables.state(cops, r)):
+        return cops
+    tied = [(tables.state(m, r), m)
+            for m in itertools.product(*((c,) + g.neighbors(c) for c in cops))]
+    for plane in tables.planes:
+        zeros = [(b, m) for b, m in tied if not _bit(plane, b)]
+        if zeros:
+            tied = zeros
+    return min((m for b, m in tied), key=lambda m: (sorted(m), m))
 
 
 def _realize(g, current, target_ms):

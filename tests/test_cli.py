@@ -247,6 +247,26 @@ def test_usage_error_exit_code(capsys):
     assert "above the 65536 an edge list may declare" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--k", "0"),
+    ("solve", "--kmax", "0"),
+    ("solve", "--kmax", "-1"),
+    ("solve", "--k", "2", "--budget", "-5"),
+    ("solve", "--budget", "0"),
+    ("play", "--k", "0"),
+    ("play", "--cops", "solver", "--budget", "0"),
+])
+def test_solve_and_play_flags_below_one_are_usage_errors(tmp_path, capsys, argv):
+    f = tmp_path / "c6.el"
+    f.write_text(format_edge_list(gen_cycle(6)))
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(f), *flags])
+    assert exc.value.code == 2
+    flag = next(a for a in reversed(flags) if a.startswith("--"))
+    assert f"{command} {flag} must be >= 1" in capsys.readouterr().err
+
+
 def test_verify_budget_zero_skips(capsys):
     code, out, _ = run(capsys, "verify", "--budget", "0")
     doc = json.loads(out)

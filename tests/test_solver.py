@@ -27,7 +27,7 @@ from copsrobbers.engine import GreedyFarRobber, RandomRobber, View
 from copsrobbers.solver import SolverCop, _bit, _solve
 
 from conftest import all_connected_graphs, random_connected, random_girth5
-from oracles import MultisetSolverCop, multiset_placement, multiset_solve
+from oracles import MultisetSolverCop, multiset_placement, multiset_solve, solver_reference_move
 
 
 def test_trees_are_one_cop_win():
@@ -129,6 +129,21 @@ def test_solve_memory_is_a_few_tables():
     assert peak < (20 + 2 * len(t.planes)) * table_bytes
 
 
+@pytest.mark.parametrize("g, k", [(gen_path(40), 2), (random_girth5(24, seed=5), 3)],
+                         ids=["path40-k2", "girth5-24-k3"])
+def test_solve_memory_is_a_few_tables_with_more_cops(g, k):
+    # the robber step holds all n robber slabs of one table at once: one table, not n
+    table_bytes = g.n ** (k + 1) // 8
+    tracemalloc.start()
+    try:
+        t = _solve.__wrapped__(g, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.sweeps > 5
+    assert peak < (20 + 2 * len(t.planes)) * table_bytes
+
+
 def test_solver_strategy_beats_adversary():
     cases = [(gen_cycle(4), 2), (gen_cycle(5), 2), (gen_petersen(), 3)]
     for g, k in cases:
@@ -192,6 +207,18 @@ def test_tables_match_multiset_oracle_on_random_graphs(n):
                 _assert_matches_multiset_oracle(g, k)
 
 
+@pytest.mark.parametrize("g, k", [
+    (gen_cycle(36), 1),
+    (gen_cycle(36), 2),
+    (Graph(33, [(v, v + 1) for v in range(32)]
+           + [(0, 5), (3, 11), (8, 20), (14, 16), (21, 30), (25, 32)]), 2),
+], ids=["c36-k1", "c36-k2", "chorded-path33-k2"])
+def test_tables_match_multiset_oracle_on_masks_wider_than_a_digit(g, k):
+    # n > 30: the lowest cop digit's neighbourhood mask spans two 30-bit digits
+    assert 30 < g.n <= 40
+    _assert_matches_multiset_oracle(g, k)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 7), st.floats(0.2, 0.9), st.integers(0, 10**6))
 def test_packed_solver_matches_multiset_oracle_on_hypothesis_graphs(n, p, seed):
@@ -239,3 +266,18 @@ def test_solver_cop_moves_match_multiset_oracle_on_every_state():
                 if r not in cops:
                     view = View(round=1, cop_positions=cops, robber_position=r)
                     assert new.move(g, view, None) == old.move(g, view, None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 8), st.sampled_from([2, 3]), st.floats(0.2, 0.9), st.integers(0, 10**6))
+def test_solver_cop_moves_match_the_enumerating_reference(n, k, p, seed):
+    # dense graphs give large tie sets and cop tuples with repeated vertices
+    g = random_connected(n, seed=seed, p=p)
+    if not is_k_copwin(g, k):
+        return
+    cop, t = SolverCop(g, k), _solve(g, k)
+    for cops in itertools.product(range(n), repeat=k):
+        for r in range(n):
+            if r not in cops and _bit(t.win_cop, t.state(cops, r)):
+                view = View(round=1, cop_positions=cops, robber_position=r)
+                assert cop.move(g, view, None)[0] == solver_reference_move(g, t, cops, r)
