@@ -399,6 +399,8 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and value < 1:
                 ap.error(f"{args.command} --{flag} must be >= 1, got {value}")
+    if args.command in ("play", "strategy") and args.max_rounds < 1:
+        ap.error(f"{args.command} --max-rounds must be >= 1, got {args.max_rounds}")
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -15,6 +15,18 @@ exhaustive robber adversary can memoize:
 The engine starts every team at state ``None`` and checks that ``place``
 fields exactly ``cfg.cop_count`` cops; a strategy repeats neither.
 
+A cop strategy whose move depends only on the node (cop positions, robber
+position, state), never on ``view.round``, declares the class attribute
+``round_free = True``.  ``expand_game_layers`` then computes and checks the
+move of each distinct node once for the whole expansion, where it otherwise
+does so once per layer the node appears in.  ``GuardCop``, ``SolverCop``,
+``HoldCop`` and ``ChaserCop`` declare it.  ``ScriptedCop`` and ``MeynielCop``
+must not: a script reads its track at the round, and the recursion reads it
+to leave a guard stage and to time a leaf's march, so one node can move
+differently in two layers.  The engine reads the flag with ``getattr``, so a
+wrapper around a strategy keeps the declaration of what it wraps only if it
+forwards the attribute.
+
 ``view.robber_position`` is ``None`` when the config hides the robber.
 Robber strategies receive a full view plus the engine-owned RNG:
 
@@ -66,10 +78,11 @@ __all__ = [
 
 TRANSCRIPT_SCHEMA = "copsrobbers.transcript/1"
 
-# Nodes the exhaustive adversary may expand (two cops.move calls each),
-# summed over its layers.  It bounds the work, not the memory: the last layer
-# is built but never expanded, so it is not counted.  The largest expansion
-# in the tests, criteria and bench pools has about 4,400 nodes.
+# Nodes the exhaustive adversary may expand (two cops.move calls each, made
+# once per distinct node for a round-free team), summed over its layers.  It
+# bounds the work, not the memory: the last layer is built but never
+# expanded, so it is not counted.  The largest expansion in the tests,
+# criteria and bench pools has about 4,400 nodes.
 DEFAULT_NODE_BUDGET = 1 << 18
 
 
@@ -242,8 +255,9 @@ def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
 #
 # Against a deterministic cop strategy the game tree branches only on robber
 # choices, so the reachable positions form per-round layers of nodes.  A
-# forward expansion with per-layer memoization followed by backward induction
-# finds, for every line, the latest capture the robber can force.
+# forward expansion with per-layer memoization (whole-expansion for a
+# round-free team) followed by backward induction finds, for every line, the
+# latest capture the robber can force.
 # ---------------------------------------------------------------------------
 
 def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
@@ -255,13 +269,19 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
     round k -- to their outgoing transition record; the middle element is the
     start state of every team.  Before each layer is expanded, the nodes of it
     and of the layers before it are counted; above `node_budget` the call
-    raises ``ResourceLimitError``.
+    raises ``ResourceLimitError``.  A node's record is computed (the cop
+    half-move, its legality and a second ``move`` call that checks
+    determinism) once per layer, or, for a ``round_free`` team, once at the
+    node's earliest layer and shared by the later layers that hold it.
     """
     if depth > cfg.max_rounds:
         raise ValueError("depth must not exceed cfg.max_rounds")
     placement = _place_cops(g, cops, cfg)
     layers: list[dict] = [{(placement, r0, None): None
                            for r0 in range(g.n) if r0 not in placement}]
+    # a round-free team's record of a node serves every layer the node is in
+    round_free = getattr(cops, "round_free", False)
+    memo: dict = {}
     nodes = 0
     for k in range(depth):
         frontier = layers[k]
@@ -270,12 +290,16 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
             raise ResourceLimitError(
                 f"{nodes} adversary nodes by round {k} exceed the budget of {node_budget}")
         nxt: dict = {}
+        if not round_free:
+            memo = {}
         for node in frontier:
-            view = _view(cfg, k + 1, node)
-            rec = _cop_half(g, cops, cfg, view, node)
-            again, st_again = cops.move(g, view, node[2])
-            if (tuple(again), st_again) != (rec.moves, rec.state2):
-                raise StrategyFault("cops", k + 1, "nondeterministic strategy detected")
+            rec = memo.get(node)
+            if rec is None:
+                view = _view(cfg, k + 1, node)
+                rec = memo[node] = _cop_half(g, cops, cfg, view, node)
+                again, st_again = cops.move(g, view, node[2])
+                if (tuple(again), st_again) != (rec.moves, rec.state2):
+                    raise StrategyFault("cops", k + 1, "nondeterministic strategy detected")
             frontier[node] = rec
             for child in rec.children.values():
                 if child != "caught":
@@ -359,6 +383,7 @@ class HoldCop:
     """Cops that never move; useful as a test fixture."""
 
     name = "hold"
+    round_free = True
 
     def __init__(self, placement: Iterable[int]):
         self._placement = tuple(placement)
@@ -374,6 +399,7 @@ class ChaserCop:
     """Every cop steps along a shortest path toward the visible robber."""
 
     name = "chaser"
+    round_free = True
 
     def __init__(self, placement: Iterable[int] | None = None):
         self._placement = None if placement is None else tuple(placement)

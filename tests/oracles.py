@@ -16,7 +16,9 @@ exhaustive robber adversary as a plain memoized recursion over robber lines,
 against the library's forward layers and backward induction.
 ``solver_reference_move`` is ``SolverCop``'s move by enumerating every joint
 move and narrowing the list plane by plane, against the library's joint-move
-mask and digit search.
+mask and digit search.  ``PerLayerCop`` hides a team's ``round_free``
+declaration, so ``expand_game_layers`` recomputes every node in every layer,
+against the shared records of a declared team.
 """
 
 import functools
@@ -503,3 +505,18 @@ def robber_minimax_line(g, cops, cfg, depth):
             break
         node = (tuple(moves), move, state)
     return value, r0, tuple(rounds)
+
+
+class PerLayerCop:
+    """Forwards ``place`` and ``move`` (and the name) to a cop team, but not
+    its ``round_free`` declaration."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name = getattr(inner, "name", type(inner).__name__)
+
+    def place(self, g, cfg):
+        return self.inner.place(g, cfg)
+
+    def move(self, g, view, state):
+        return self.inner.move(g, view, state)

@@ -267,6 +267,26 @@ def test_solve_and_play_flags_below_one_are_usage_errors(tmp_path, capsys, argv)
     assert f"{command} {flag} must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [("--max-rounds", "0"), ("--max-rounds", "-1")])
+def test_play_max_rounds_below_one_is_a_usage_error(tmp_path, capsys, flags):
+    f = tmp_path / "c8.el"
+    f.write_text(format_edge_list(gen_cycle(8)))
+    with pytest.raises(SystemExit) as exc:
+        main(["play", str(f), *flags])
+    assert exc.value.code == 2
+    assert "play --max-rounds must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["guard", "meyniel"])
+def test_strategy_max_rounds_below_one_is_a_usage_error(tmp_path, capsys, which):
+    f = tmp_path / "c8.el"
+    f.write_text(format_edge_list(gen_cycle(8)))
+    with pytest.raises(SystemExit) as exc:
+        main(["strategy", which, str(f), "--max-rounds", "-3"])
+    assert exc.value.code == 2
+    assert "strategy --max-rounds must be >= 1, got -3" in capsys.readouterr().err
+
+
 def test_verify_budget_zero_skips(capsys):
     code, out, _ = run(capsys, "verify", "--budget", "0")
     doc = json.loads(out)

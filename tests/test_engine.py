@@ -1,10 +1,13 @@
+import importlib
 import json
 import math
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import copsrobbers
 from copsrobbers import (
     GameConfig,
     Graph,
@@ -15,6 +18,7 @@ from copsrobbers import (
     gen_cycle,
     gen_grid,
     gen_path,
+    gen_petersen,
     play,
     transcript_to_json,
     validate_transcript,
@@ -35,7 +39,7 @@ from copsrobbers.seeds import make_rng
 from copsrobbers.solver import SolverCop, cop_number
 
 from conftest import random_connected
-from oracles import robber_minimax_line
+from oracles import PerLayerCop, robber_minimax_line
 
 
 def cfg(k=1, rounds=50, visible=True, seed=0):
@@ -295,6 +299,76 @@ def test_adversary_matches_plain_minimax(n, p, seed, depth):
             (True, value) if value < math.inf else (False, depth))
         assert (t.robber_placement, t.rounds) == (r0, rounds)
         validate_transcript(g, t)
+
+
+# ---------------------------------------------------------------------------
+# Round-free declarations: one record per distinct node, against per-layer.
+# ---------------------------------------------------------------------------
+
+# every declaring strategy class, with a team of it on g: (cop count, team)
+_ROUND_FREE_TEAMS = {
+    GuardCop: lambda g: (1, GuardCop(g, shortest_path(g, *diameter_pair(g)[1:]))),
+    SolverCop: lambda g: (cop_number(g, 3), SolverCop(g, cop_number(g, 3))),
+    HoldCop: lambda g: (2, HoldCop([0, g.n // 2])),
+    ChaserCop: lambda g: (1, ChaserCop()),
+}
+
+
+def test_round_free_declarations_are_exactly_the_tested_ones():
+    declared = set()
+    for info in pkgutil.iter_modules(copsrobbers.__path__):
+        module = importlib.import_module(f"copsrobbers.{info.name}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and cls.__module__ == module.__name__
+                    and getattr(cls, "round_free", False)):
+                declared.add(cls)
+    assert declared == set(_ROUND_FREE_TEAMS)
+    assert not hasattr(PerLayerCop(HoldCop([0])), "round_free")
+
+
+def _assert_same_as_per_layer(g, cops, c, depth):
+    """A team's expansion and adversary line equal those of the same team
+    with its declaration hidden: layer keys in order, and every record's
+    moves, state, capture flag and children."""
+    plain = PerLayerCop(cops)
+    got, ref = expand_game_layers(g, cops, c, depth), expand_game_layers(g, plain, c, depth)
+    assert got == ref
+    assert [list(layer) for layer in got[2]] == [list(layer) for layer in ref[2]]
+    t, t_ref = (adversarial_robber_search(g, team, c, depth) for team in (cops, plain))
+    assert transcript_to_json(t) == transcript_to_json(t_ref)
+    assert t.final_state == t_ref.final_state
+
+
+@pytest.mark.parametrize("cls", list(_ROUND_FREE_TEAMS), ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("g", [gen_cycle(30), gen_grid(4, 8), gen_grid(6, 10), gen_petersen()],
+                         ids=["C30", "grid4x8", "grid6x10", "petersen"])
+def test_round_free_expansion_matches_per_layer(g, cls):
+    cop_count, cops = _ROUND_FREE_TEAMS[cls](g)
+    depth = 2 * diameter_pair(g)[0] + 4
+    _assert_same_as_per_layer(g, cops, cfg(k=cop_count, rounds=depth), depth)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 9), st.floats(0.2, 0.8), st.integers(0, 10**6), st.integers(1, 10))
+def test_round_free_expansion_matches_per_layer_on_random_graphs(n, p, seed, depth):
+    g = random_connected(n, seed=seed, p=p)
+    for make in _ROUND_FREE_TEAMS.values():
+        cop_count, cops = make(g)
+        _assert_same_as_per_layer(g, cops, cfg(k=cop_count, rounds=depth), depth)
+
+
+def test_a_false_round_free_declaration_is_caught():
+    class ParityCop(ChaserCop):
+        """Chases on odd rounds and holds on even ones, yet declares round_free."""
+
+        def move(self, g, view, state):
+            if view.round % 2:
+                return super().move(g, view, state)
+            return view.cop_positions, state
+
+    for g in (gen_cycle(30), gen_grid(4, 8)):
+        with pytest.raises(AssertionError):
+            _assert_same_as_per_layer(g, ParityCop([0]), cfg(rounds=12), 12)
 
 
 def test_depth_capped_by_max_rounds():

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from copsrobbers import (
@@ -7,6 +9,7 @@ from copsrobbers import (
     VertexSet,
     adversarial_robber_search,
     diameter,
+    diameter_pair,
     gen_cycle,
     gen_grid,
     gen_path,
@@ -135,6 +138,31 @@ def test_guard_soundness_small_corpus():
         path = shortest_path(g, 0, far)
         report = check_guard_soundness(g, path)
         assert report["violations"] == [], (g, path)
+
+
+def test_guard_soundness_expands_each_distinct_node_once(monkeypatch):
+    # the diameter geodesic of the 6x10 grid: 4,039 layer nodes, 514 distinct;
+    # each expanded node calls move twice (the second checks determinism)
+    g = gen_grid(6, 10)
+    _, u, v = diameter_pair(g)
+    path = shortest_path(g, u, v)
+    calls = []
+    real_move = GuardCop.move
+
+    def move(self, g, view, state):
+        calls.append(view)
+        return real_move(self, g, view, state)
+
+    monkeypatch.setattr(GuardCop, "move", move)
+    report = check_guard_soundness(g, path)
+    assert len(calls) == 2 * 514
+    assert report["states_checked"] == 4039 and report["violations"] == []
+    # the same report, byte for byte, with the declaration withdrawn
+    calls.clear()
+    monkeypatch.setattr(GuardCop, "round_free", False)
+    per_layer = check_guard_soundness(g, path)
+    assert len(calls) == 2 * 4039
+    assert json.dumps(per_layer, sort_keys=True) == json.dumps(report, sort_keys=True)
 
 
 def test_guard_cop_requires_single_cop():
