@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -86,19 +87,19 @@ def _robber(name: str):
 # Subcommands.
 # ---------------------------------------------------------------------------
 
-# family -> (builder, number of sizes, vertex count from the sizes clamped at
-# 0, most vertices its edge list can declare); gnp also takes --p and a
-# derived seed.  The hypercube count stops at 2^64, so a huge dimension
-# allocates nothing.  gnp alone can write fewer than n characters, which the
-# parser's length-scaled cap refuses above FREE_PARSE_VERTICES.
+# family -> (builder, least value of each size, vertex count from the sizes,
+# most vertices its edge list can declare); gnp also takes --p and a derived
+# seed.  The hypercube count stops at 2^64, so a huge dimension allocates
+# nothing.  gnp alone can write fewer than n characters, which the parser's
+# length-scaled cap refuses above FREE_PARSE_VERTICES.
 GEN_FAMILIES = {
-    "path": (generators.gen_path, 1, lambda n: n, MAX_PARSE_VERTICES),
-    "cycle": (generators.gen_cycle, 1, lambda n: n, MAX_PARSE_VERTICES),
-    "grid": (generators.gen_grid, 2, lambda w, h: w * h, MAX_PARSE_VERTICES),
-    "hypercube": (generators.gen_hypercube, 1, lambda d: 1 << min(d, 64), MAX_PARSE_VERTICES),
-    "petersen": (generators.gen_petersen, 0, lambda: 10, MAX_PARSE_VERTICES),
-    "gnp": (generators.gen_gnp, 1, lambda n: n, FREE_PARSE_VERTICES),
-    "projective": (generators.gen_projective_incidence, 1,
+    "path": (generators.gen_path, (1,), lambda n: n, MAX_PARSE_VERTICES),
+    "cycle": (generators.gen_cycle, (3,), lambda n: n, MAX_PARSE_VERTICES),
+    "grid": (generators.gen_grid, (1, 1), lambda w, h: w * h, MAX_PARSE_VERTICES),
+    "hypercube": (generators.gen_hypercube, (1,), lambda d: 1 << min(d, 64), MAX_PARSE_VERTICES),
+    "petersen": (generators.gen_petersen, (), lambda: 10, MAX_PARSE_VERTICES),
+    "gnp": (generators.gen_gnp, (1,), lambda n: n, FREE_PARSE_VERTICES),
+    "projective": (generators.gen_projective_incidence, (2,),
                    lambda q: 2 * (q * q + q + 1), MAX_PARSE_VERTICES),
 }
 
@@ -299,6 +300,28 @@ def _int_or_float(text: str) -> int | float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
 
 
+def _domain(kind, admits, words: str):
+    """An argparse type: ``kind`` of the text, refused unless ``admits`` it."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not admits(value):
+            raise argparse.ArgumentTypeError(f"must {words}, got {value}")
+        return value
+    return parse
+
+
+_positive_int = _domain(int, lambda v: v >= 1, "be >= 1")
+_nonnegative_int = _domain(int, lambda v: v >= 0, "be >= 0")
+_probability = _domain(float, lambda v: 0 <= v <= 1, "lie in [0, 1]")
+_density = _domain(float, lambda v: 0 < v <= 1, "lie in (0, 1]")
+_above_one = _domain(float, lambda v: v > 1, "exceed 1")
+_positive_finite = _domain(float, lambda v: 0 < v < math.inf, "be positive and finite")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="copsrobbers")
     ap.add_argument("--seed", type=int, default=0, dest="global_seed",
@@ -312,16 +335,16 @@ def build_parser() -> argparse.ArgumentParser:
                        parents=[common])
     p.add_argument("family", choices=list(GEN_FAMILIES))
     p.add_argument("sizes", type=int, nargs="*")
-    p.add_argument("--p", type=float, default=0.5, help="edge probability (gnp)")
+    p.add_argument("--p", type=_probability, default=0.5, help="edge probability (gnp)")
     p.add_argument("--dot", action="store_true", help="emit DOT instead")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("solve", parents=[common], help="exact cop number via retrograde analysis")
     p.add_argument("graph")
-    p.add_argument("--k", type=int)
-    p.add_argument("--kmax", type=int, default=3)
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_STATE_BUDGET,
+    p.add_argument("--k", type=_positive_int)
+    p.add_argument("--kmax", type=_positive_int, default=3)
+    p.add_argument("--budget", type=_positive_int, default=solver.DEFAULT_STATE_BUDGET,
                    help="limit on n**(k+1), the bits of one solver label table (exit 3 above it)")
     p.add_argument("--placement", action="store_true")
     p.add_argument("--format", choices=["json", "table"], default="json")
@@ -330,11 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("play", parents=[common], help="play one game and emit the transcript")
     p.add_argument("graph")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_positive_int, default=1)
     p.add_argument("--cops", choices=["chaser", "solver"], default="chaser")
     p.add_argument("--robber", choices=["greedy", "random"], default="greedy")
-    p.add_argument("--max-rounds", type=int, default=200)
-    p.add_argument("--budget", type=int, default=solver.DEFAULT_STATE_BUDGET,
+    p.add_argument("--max-rounds", type=_positive_int, default=200)
+    p.add_argument("--budget", type=_positive_int, default=solver.DEFAULT_STATE_BUDGET,
                    help="solver cops: limit on n**(k+1), the bits of one label table")
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("-o", "--out")
@@ -345,13 +368,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--path", help="guard: comma-separated geodesic")
     p.add_argument("--check", action="store_true", help="guard: exhaustively verify")
-    p.add_argument("--lam", type=float, default=2.0)
-    p.add_argument("--density", type=float, default=0.5)
-    p.add_argument("--levels", type=int, default=0, help="0: derive from diameter")
-    p.add_argument("--resample-limit", type=int, default=16)
-    p.add_argument("--threshold", type=int, default=3, help="meyniel diameter threshold")
+    p.add_argument("--lam", type=_above_one, default=2.0)
+    p.add_argument("--density", type=_density, default=0.5)
+    p.add_argument("--levels", type=_nonnegative_int, default=0, help="0: derive from diameter")
+    p.add_argument("--resample-limit", type=_positive_int, default=16)
+    p.add_argument("--threshold", type=_positive_int, default=3,
+                   help="meyniel diameter threshold")
     p.add_argument("--robber", choices=["greedy", "random"], default="greedy")
-    p.add_argument("--max-rounds", type=int, default=500)
+    p.add_argument("--max-rounds", type=_positive_int, default=500)
     p.add_argument("--require-capture", action="store_true")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_strategy)
@@ -361,13 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     d = p.add_mutually_exclusive_group()
     d.add_argument("--d-log", type=float, default=None, help="log2 of the deleted-path length")
     d.add_argument("--d-zero", action="store_true", help="evaluate the degenerate D=0 chain")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_positive_finite, default=1e-6)
     p.add_argument("--format", choices=["json", "table"], default="json")
     p.add_argument("-o", "--out")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("verify", parents=[common], help="run acceptance criteria 1-9")
-    p.add_argument("--budget", type=int, default=2,
+    p.add_argument("--budget", type=_nonnegative_int, default=2,
                    help=f"corpus scale: {checks.FULL_BUDGET} or more runs the full "
                         "acceptance data, 0 skips everything")
     p.add_argument("--corpus", help="directory of .el files added to criterion 1 "
@@ -385,22 +409,16 @@ def main(argv=None) -> int:
     if getattr(args, "seed", None) is None:
         args.seed = args.global_seed
     if args.command == "gen":
-        _, count, vertices, limit = GEN_FAMILIES[args.family]
-        if len(args.sizes) != count:
-            ap.error(f"gen {args.family} takes {count} size(s), got {len(args.sizes)}")
-        n = vertices(*(max(size, 0) for size in args.sizes))
+        _, least, vertices, limit = GEN_FAMILIES[args.family]
+        if len(args.sizes) != len(least):
+            ap.error(f"gen {args.family} takes {len(least)} size(s), got {len(args.sizes)}")
+        for size, low in zip(args.sizes, least):
+            if size < low:
+                ap.error(f"gen {args.family} sizes must be >= {low}, got {size}")
+        n = vertices(*args.sizes)
         if n > limit:
             ap.error(f"gen {args.family} would make {n} vertices, above the "
                      f"{limit} an edge list may declare")
-    if args.command == "verify" and args.budget < 0:
-        ap.error(f"verify --budget must be >= 0, got {args.budget}")
-    if args.command in ("solve", "play"):
-        for flag in ("k", "kmax", "budget"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                ap.error(f"{args.command} --{flag} must be >= 1, got {value}")
-    if args.command in ("play", "strategy") and args.max_rounds < 1:
-        ap.error(f"{args.command} --max-rounds must be >= 1, got {args.max_rounds}")
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -13,6 +13,11 @@ shortest path, the lowest vertex id wins.  This makes every derived object
 The metric functions take an optional ``within`` vertex set.  They then
 measure the subgraph induced by that set while keeping the original vertex
 ids, so a caller working on a component never relabels the graph.
+``diameter_pair`` and ``shortest_path`` run on an order-preserving compact
+copy of the set (members ascending, their adjacency kept in that order), so
+with ``within`` = C they cost O(|C| + m_C), m_C the edges at C's members,
+however large g is.  The copy is monotone in the ids, so every lowest-id
+tie-break picks what it would pick in g.
 
 ``diameter_pair`` returns the same lexicographically first diametral pair as
 one BFS per vertex would, from a bounded scan: eccentricity bounds from the
@@ -214,9 +219,9 @@ def _seed(g: Graph, within: VertexSet | None) -> list[int]:
     return dist
 
 
-def _bfs(g: Graph, dist: list[int], sources) -> list[int]:
-    """Layered BFS filling a seeded distance list in place."""
-    adj = g._adj
+def _bfs(adj, dist: list[int], sources) -> list[int]:
+    """Layered BFS over the adjacency lists ``adj``, filling a seeded
+    distance list in place."""
     frontier = list(sources)
     for s in frontier:
         dist[s] = 0
@@ -233,6 +238,24 @@ def _bfs(g: Graph, dist: list[int], sources) -> list[int]:
     return dist
 
 
+def _local(g: Graph, within: VertexSet | None):
+    """``(members, adj)``: the members of ``within`` ascending, and the
+    adjacency of the subgraph they induce with member i relabelled i.  The
+    relabel is monotone, so sorted neighbor lists stay sorted.  All of g
+    (``within`` None or full) is its own copy."""
+    if within is None:
+        return range(g.n), g._adj
+    if within.n != g.n:
+        raise ValueError("vertex set over wrong universe")
+    members = list(within)
+    if len(members) == g.n:
+        return range(g.n), g._adj
+    pos = {v: i for i, v in enumerate(members)}
+    get = pos.get
+    adj = g._adj
+    return members, [[i for w in adj[v] if (i := get(w)) is not None] for v in members]
+
+
 def bfs_distances(g: Graph, sources: VertexSet, within: VertexSet | None = None) -> list[int]:
     """Multi-source BFS hop distances; ``UNREACHABLE`` marks the rest.
 
@@ -243,7 +266,7 @@ def bfs_distances(g: Graph, sources: VertexSet, within: VertexSet | None = None)
         raise ValueError("sources must be nonempty")
     if within is not None and sources.mask & ~within.mask:
         raise ValueError("sources must lie inside the vertex mask")
-    dist = _bfs(g, _seed(g, within), sources)
+    dist = _bfs(g._adj, _seed(g, within), sources)
     if within is not None:
         dist = [UNREACHABLE if d == _OUTSIDE else d for d in dist]
     return dist
@@ -281,14 +304,18 @@ def walk_back(g: Graph, dist: list[int], v: int) -> list[int]:
 
     Walks back from v through the lowest-id predecessor at every step.
     """
-    d = dist[v]
-    if d < 0:
+    if dist[v] < 0:
         raise NoPathError(f"vertex {v} is not reachable from the BFS sources")
+    return _walk(g._adj, dist, v)
+
+
+def _walk(adj, dist: list[int], v: int) -> list[int]:
+    """``walk_back`` over the adjacency lists ``adj``, v reachable."""
+    d = dist[v]
     path = [v]
-    adj = g._adj
     while d:
         d -= 1
-        # neighbor tuples are sorted, so the first predecessor is the lowest id
+        # neighbor lists are sorted, so the first predecessor is the lowest id
         for w in adj[v]:
             if dist[w] == d:
                 v = w
@@ -320,10 +347,13 @@ def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> 
         raise ValueError("endpoint outside vertex range")
     if u == v:
         return [u]
-    dist = bfs_distances(g, VertexSet.of(g.n, [u]), within)
-    if dist[v] == UNREACHABLE:
+    members, adj = _local(g, within)
+    if within is not None and u not in within:
+        raise ValueError("sources must lie inside the vertex mask")
+    dist = _bfs(adj, [UNREACHABLE] * len(members), (members.index(u),))
+    if within is not None and v not in within or dist[members.index(v)] == UNREACHABLE:
         raise NoPathError(f"no path between {u} and {v}")
-    return walk_back(g, dist, v)
+    return [members[w] for w in _walk(adj, dist, members.index(v))]
 
 
 def diameter_pair(g: Graph, within: VertexSet | None = None) -> tuple[int | float, int, int]:
@@ -342,29 +372,28 @@ def diameter_pair(g: Graph, within: VertexSet | None = None) -> tuple[int | floa
     the first unreachable pair, found at the first source; a single vertex
     gives ``(0, v, v)``.
     """
-    seed = _seed(g, within)
-    members = range(g.n) if within is None else list(within)
+    members, adj = _local(g, within)
     if not members:
         raise ValueError("vertex mask must be nonempty")
-    first = members[0]
-    row_first = _bfs(g, seed.copy(), (first,))
+    # the scan runs on the compact copy: source i is members[i]
+    seed = [UNREACHABLE] * len(members)
+    row_first = _bfs(adj, seed.copy(), (0,))
     if UNREACHABLE in row_first:
-        return math.inf, first, row_first.index(UNREACHABLE)
+        return math.inf, members[0], members[row_first.index(UNREACHABLE)]
     far = row_first.index(max(row_first))
-    row_far = _bfs(g, seed.copy(), (far,))
+    row_far = _bfs(adj, seed.copy(), (far,))
     # A source u is skipped when hi[u] < need.  need starts at ecc(far), a
     # lower bound on the diameter, and stays above the eccentricity best
     # holds, since only a strict raise moves best.  hi[v] is a minimum of
     # ecc(w) + d(w, v) over BFS rows from sources w, so hi[v] >= ecc(v) by
-    # the triangle inequality inside the mask; entries outside it are never
-    # read.
+    # the triangle inequality inside the mask.
     need = max(row_far)
     hi = [need + d for d in row_far]
-    best = (0, first, first)
-    for u in members:
+    best = (0, 0, 0)
+    for u in range(len(members)):
         if hi[u] < need:
             continue
-        dist = row_first if u == first else row_far if u == far else _bfs(g, seed.copy(), (u,))
+        dist = row_first if u == 0 else row_far if u == far else _bfs(adj, seed.copy(), (u,))
         ecc = max(dist)
         if ecc > best[0]:
             # a vertex w < u at the eccentricity would have raised best
@@ -375,7 +404,8 @@ def diameter_pair(g: Graph, within: VertexSet | None = None) -> tuple[int | floa
             # ecc + d(u, v) >= ecc + 1 off u, so only then can the row
             # prune a later source
             hi = [h if h <= ecc + d else ecc + d for h, d in zip(hi, dist)]
-    return best
+    d, u, v = best
+    return d, members[u], members[v]
 
 
 def diameter(g: Graph) -> int | float:
@@ -449,7 +479,7 @@ def component_of(g: Graph, v: int, within: VertexSet | None = None) -> VertexSet
 
 
 def is_connected(g: Graph) -> bool:
-    return UNREACHABLE not in _bfs(g, _seed(g, None), (0,))
+    return UNREACHABLE not in _bfs(g._adj, _seed(g, None), (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,13 @@ transcripts replayable and the exhaustive adversary's memoization sound.
 Every guard keeps shadowing its geodesic forever once deployed; the robber
 therefore can never re-cross a deleted path alive, and the active component
 shrinks at every recursion step.
+
+The analysis computes what sizes the pool and fixes the timeline: every
+node's diameter pair and geodesic, its window, and every leaf's family and
+deadlines.  Both windows read d(v0, .) from one BFS at v0.  A game walks one
+root-to-leaf chain, so a node's cop objects (a guard's ``GuardCop``, a leaf's
+``ScriptedCop`` team and march routes) are built on first use, through
+:meth:`MeynielAnalysis.cops`, and kept on the node.
 """
 
 from __future__ import annotations
@@ -32,7 +39,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .engine import GameConfig, GreedyFarRobber, View, play
-from .expander import ScriptedCop, StrategyParams, resample_family, start_scripts, track_at
+from .expander import (
+    CopSetFamily,
+    ScriptedCop,
+    StrategyParams,
+    resample_family,
+    start_scripts,
+    track_at,
+)
 # Not called here; bench/tracing.py looks these two names up in this module.
 from .expander import build_plan, sample_cop_sets  # noqa: F401
 from .graph import (
@@ -55,6 +69,18 @@ __all__ = [
     "run_meyniel",
 ]
 
+@dataclass(frozen=True)
+class _Cops:
+    """A node's cop objects: the guards deployed there, and a leaf's team and
+    the routes marching it from v0 to its homes (none for a broken leaf)."""
+
+    # (entry, cop index, GuardCop) per deployed guard, root first; a guard
+    # node's own guard is the last one
+    guards: tuple = ()
+    team: ScriptedCop | None = None  # homes, per-start tracks; original ids
+    march_routes: tuple = ()         # per fielded cop, route v0 -> home
+
+
 @dataclass
 class _Node:
     node_id: int
@@ -64,16 +90,18 @@ class _Node:
     entry: int                     # stage starts at round entry + 1
     duration: int                  # guard: settle window; leaf: march window
     children: tuple = ()           # (VertexSet, _Node) pairs
-    # (entry, cop index, GuardCop) per deployed guard, root first; a guard
-    # node's own guard is the last one
-    guards: tuple = ()
+    parent: int | None = None      # id of the guard node split into this one
+    path: tuple = ()               # guard: the geodesic, original ids
     # leaf fields
     broken: bool = False
+    # the family and its plans, in the ids of the leaf's induced subgraph;
+    # the team is built from them (None when broken)
+    family: CopSetFamily | None = None
+    plans: dict | None = None
     family_set_sizes: tuple = ()   # () when broken
-    team: ScriptedCop | None = None  # homes, per-start tracks; original ids
-    march_routes: tuple = ()       # per fielded cop, route v0 -> home
     deadlines: dict | None = None  # robber start -> capture deadline
     resamples: int = 0
+    built: _Cops | None = None     # set by MeynielAnalysis.cops
 
 
 class MeynielAnalysis:
@@ -91,7 +119,7 @@ class MeynielAnalysis:
         if UNREACHABLE in self._dist_v0:
             raise ValueError("recursion requires a connected graph")
         self.nodes: list[_Node] = []
-        self.root = self._build(VertexSet.full(g.n), depth=0, entry=0, label="r", guards=())
+        self.root = self._build(VertexSet.full(g.n), depth=0, entry=0, label="r", parent=None)
         self.pool_size = max(
             max((self._need(n) for n in self.nodes), default=1), 1
         )
@@ -104,17 +132,19 @@ class MeynielAnalysis:
         return node.depth + 1
 
     def _build(self, comp: VertexSet, depth: int, entry: int, label: str,
-               guards: tuple) -> _Node:
+               parent: int | None) -> _Node:
         g = self.g
         node_id = len(self.nodes)
         d, u, v = diameter_pair(g, comp)
         if d <= self.threshold:
             node = self._build_leaf(node_id, comp, depth, entry, label)
-            node.guards = guards
+            node.parent = parent
             self.nodes.append(node)
             return node
-        guard = GuardCop(g, shortest_path(g, u, v, within=comp), within=comp)
-        settle = guard.approach[self.v0] + guard.length
+        path = tuple(shortest_path(g, u, v, within=comp))
+        # the guard reaches p0 after d(v0, p0) rounds, then settles within
+        # len(P) more
+        settle = self._dist_v0[path[0]] + len(path) - 1
         node = _Node(
             node_id=node_id,
             depth=depth,
@@ -122,10 +152,11 @@ class MeynielAnalysis:
             vertices=comp,
             entry=entry,
             duration=max(1, settle),
-            guards=guards + ((entry, depth, guard),),
+            parent=parent,
+            path=path,
         )
         self.nodes.append(node)
-        remainder = comp - VertexSet.of(g.n, guard.path)
+        remainder = comp - VertexSet.of(g.n, path)
         children = []
         seen = VertexSet(g.n, 0)
         for v0 in remainder:
@@ -135,7 +166,7 @@ class MeynielAnalysis:
             seen = seen | comp_mask
             child = self._build(
                 comp_mask, depth + 1, entry + node.duration,
-                f"{label}.{len(children)}", node.guards,
+                f"{label}.{len(children)}", node_id,
             )
             children.append((comp_mask, child))
         node.children = tuple(children)
@@ -153,22 +184,41 @@ class MeynielAnalysis:
                 entry=entry, duration=0, broken=True, resamples=attempts,
             )
         rmap = tuple(comp)
-        homes, scripts = start_scripts(family, plans)
+        # the march ends when the cop with the farthest home arrives; the
+        # root leaf's cops are placed on their homes directly
+        march = 0 if depth == 0 else max(
+            (self._dist_v0[rmap[w]] for s in family.sets for w in s), default=0)
+        return _Node(
+            node_id=node_id, depth=depth, kind="leaf", vertices=comp,
+            entry=entry, duration=march, broken=False,
+            family=family, plans=plans,
+            family_set_sizes=tuple(len(s) for s in family.sets),
+            deadlines={rmap[v]: plan.capture_deadline for v, plan in plans.items()},
+            resamples=attempts,
+        )
+
+    def cops(self, node: _Node) -> _Cops:
+        """The node's cop objects, built on its first call and kept on it."""
+        if node.built is None:
+            node.built = self._cops(node)
+        return node.built
+
+    def _cops(self, node: _Node) -> _Cops:
+        g = self.g
+        # every node above is a guard node, and its guards stay deployed
+        guards = () if node.parent is None else self.cops(self.nodes[node.parent]).guards
+        if node.kind == "guard":
+            own = GuardCop(g, node.path, within=node.vertices)
+            return _Cops(guards=guards + ((node.entry, node.depth, own),))
+        if node.broken:
+            return _Cops(guards=guards)
+        rmap = tuple(node.vertices)
+        homes, scripts = start_scripts(node.family, node.plans)
         team = ScriptedCop("meyniel-leaf", tuple(rmap[w] for w in homes),
                            {rmap[v]: tuple(tuple(rmap[p] for p in t) for t in tracks)
                             for v, tracks in scripts.items()})
         march_routes = tuple(tuple(walk_back(g, self._dist_v0, h)) for h in team.homes)
-        march = max((len(r) - 1 for r in march_routes), default=0)
-        if depth == 0:
-            march = 0  # root leaf: cops are placed on their homes directly
-        return _Node(
-            node_id=node_id, depth=depth, kind="leaf", vertices=comp,
-            entry=entry, duration=march, broken=False,
-            family_set_sizes=tuple(len(s) for s in family.sets),
-            team=team, march_routes=march_routes,
-            deadlines={rmap[v]: plan.capture_deadline for v, plan in plans.items()},
-            resamples=attempts,
-        )
+        return _Cops(guards=guards, team=team, march_routes=march_routes)
 
     def timeline_bound(self) -> int:
         bound = 1
@@ -194,7 +244,7 @@ class MeynielCop:
     def place(self, g, cfg):
         a = self.analysis
         if self._root_is_leaf:
-            return a.root.team.homes
+            return a.cops(a.root).team.homes
         return tuple([a.v0] * a.pool_size)
 
     def _advance(self, node: _Node, rnd: int, r: int) -> _Node:
@@ -220,8 +270,9 @@ class MeynielCop:
             leaf_v = None
         moves = list(view.cop_positions)
 
+        built = self.analysis.cops(node)
         # Every deployed guard keeps shadowing its geodesic.
-        for entry, idx, guard in node.guards:
+        for entry, idx, guard in built.guards:
             if view.round > entry:
                 moves[idx] = guard.step(g, view.cop_positions[idx], r)
 
@@ -229,11 +280,11 @@ class MeynielCop:
             base = node.depth
             rel = view.round - node.entry
             if rel <= node.duration:
-                for i, route in enumerate(node.march_routes):
+                for i, route in enumerate(built.march_routes):
                     moves[base + i] = track_at(route, rel)
             else:
-                own = slice(base, base + node.team.cop_count)
-                moves[own], leaf_v = node.team.move(
+                own = slice(base, base + built.team.cop_count)
+                moves[own], leaf_v = built.team.move(
                     g, View(rel - node.duration, view.cop_positions[own], r), leaf_v)
         return tuple(moves), (node.node_id, leaf_v)
 

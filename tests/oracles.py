@@ -18,7 +18,12 @@ against the library's forward layers and backward induction.
 move and narrowing the list plane by plane, against the library's joint-move
 mask and digit search.  ``PerLayerCop`` hides a team's ``round_free``
 declaration, so ``expand_game_layers`` recomputes every node in every layer,
-against the shared records of a declared team.
+against the shared records of a declared team.  ``eager_meyniel`` is the
+recursion analysis built whole, every guard and leaf team up front, over
+whole-graph BFS rows: the all-pairs diameter loop, ``walk_back`` geodesics,
+the guard's own approach field for the settle window and the march routes'
+lengths for the march window, against the library's component-local kernels
+and cop objects built on first use.
 """
 
 import functools
@@ -28,7 +33,20 @@ from collections import deque
 
 from copsrobbers.engine import View
 from copsrobbers.errors import ResourceLimitError
-from copsrobbers.graph import UNREACHABLE, Graph, VertexSet, _bfs, _seed, ball
+from copsrobbers.expander import ScriptedCop, resample_family, start_scripts
+from copsrobbers.graph import (
+    UNREACHABLE,
+    Graph,
+    VertexSet,
+    _bfs,
+    _seed,
+    ball,
+    bfs_distances,
+    component_of,
+    delete_vertices,
+    walk_back,
+)
+from copsrobbers.guard import GuardCop
 from copsrobbers.solver import _bit
 
 INF = math.inf
@@ -97,7 +115,7 @@ def diameter_pair_allpairs(g, within=None):
         raise ValueError("vertex mask must be nonempty")
     best = (0, members[0], members[0])
     for u in members:
-        dist = _bfs(g, seed.copy(), (u,))
+        dist = _bfs(g._adj, seed.copy(), (u,))
         if UNREACHABLE in dist:
             return math.inf, u, dist.index(UNREACHABLE)
         ecc = max(dist)
@@ -520,3 +538,65 @@ class PerLayerCop:
 
     def move(self, g, view, state):
         return self.inner.move(g, view, state)
+
+
+def eager_meyniel(g, threshold, params, seed):
+    """The recursion analysis with every cop object built up front.
+
+    Returns (nodes, pool size, timeline bound).  Each node is a dict with the
+    library node's id, depth, kind, vertices, entry, duration and parent id,
+    its children's ids, the ids of the guard nodes deployed there (root
+    first), and either its ``guard`` or its leaf fields: ``broken``, ``resamples``,
+    ``family_set_sizes``, ``deadlines``, ``team`` and ``march_routes``.
+    """
+    v0 = 0
+    dist_v0 = bfs_distances(g, VertexSet.of(g.n, [v0]))
+    nodes = []
+
+    def build(comp, depth, entry, label, guards):
+        node = {"node_id": len(nodes), "depth": depth, "vertices": comp, "entry": entry,
+                "parent": guards[-1] if guards else None, "children": (), "guards": guards}
+        nodes.append(node)
+        d, u, v = diameter_pair_allpairs(g, comp)
+        if d > threshold:
+            path = walk_back(g, bfs_distances(g, VertexSet.of(g.n, [u]), comp), v)
+            guard = GuardCop(g, path, within=comp)
+            node.update(kind="guard", guard=guard, guards=guards + (node["node_id"],),
+                        duration=max(1, guard.approach[v0] + guard.length))
+            rest = comp - VertexSet.of(g.n, path)
+            children = []
+            while rest:
+                part = component_of(g, min(rest), within=rest)
+                children.append(build(part, depth + 1, entry + node["duration"],
+                                      f"{label}.{len(children)}", node["guards"])["node_id"])
+                rest = rest - part
+            node["children"] = tuple(children)
+            return node
+        sub, _ = delete_vertices(g, comp.complement())
+        family, plans, attempts = resample_family(sub, params, seed, f"{label}:fam")
+        node.update(kind="leaf", broken=family is None, resamples=attempts, duration=0,
+                    family_set_sizes=(), deadlines=None, team=None, march_routes=())
+        if family is None:
+            return node
+        rmap = sorted(comp)
+        homes, scripts = start_scripts(family, plans)
+        team = ScriptedCop("meyniel-leaf", tuple(rmap[w] for w in homes),
+                           {rmap[s]: tuple(tuple(rmap[p] for p in t) for t in tracks)
+                            for s, tracks in scripts.items()})
+        routes = tuple(tuple(walk_back(g, dist_v0, h)) for h in team.homes)
+        node.update(family_set_sizes=tuple(len(c) for c in family.sets),
+                    deadlines={rmap[s]: p.capture_deadline for s, p in plans.items()},
+                    team=team, march_routes=routes,
+                    duration=0 if depth == 0 else max((len(r) - 1 for r in routes), default=0))
+        return node
+
+    build(VertexSet.full(g.n), 0, 0, "r", ())
+    need = [n["depth"] + (sum(n["family_set_sizes"]) if n["kind"] == "leaf" else 1)
+            for n in nodes]
+    bound = 1
+    for n in nodes:
+        if n["kind"] == "guard":
+            bound = max(bound, n["entry"] + n["duration"] + 1)
+        elif not n["broken"]:
+            bound = max(bound, n["entry"] + n["duration"] + max(n["deadlines"].values()))
+    return nodes, max(max(need), 1), bound + 2

@@ -264,7 +264,8 @@ def test_solve_and_play_flags_below_one_are_usage_errors(tmp_path, capsys, argv)
         main([command, str(f), *flags])
     assert exc.value.code == 2
     flag = next(a for a in reversed(flags) if a.startswith("--"))
-    assert f"{command} {flag} must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"copsrobbers {command}: error: argument {flag}: must be >= 1" in err
 
 
 @pytest.mark.parametrize("flags", [("--max-rounds", "0"), ("--max-rounds", "-1")])
@@ -274,7 +275,8 @@ def test_play_max_rounds_below_one_is_a_usage_error(tmp_path, capsys, flags):
     with pytest.raises(SystemExit) as exc:
         main(["play", str(f), *flags])
     assert exc.value.code == 2
-    assert "play --max-rounds must be >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "copsrobbers play: error: argument --max-rounds: must be >= 1" in err
 
 
 @pytest.mark.parametrize("which", ["guard", "meyniel"])
@@ -284,7 +286,40 @@ def test_strategy_max_rounds_below_one_is_a_usage_error(tmp_path, capsys, which)
     with pytest.raises(SystemExit) as exc:
         main(["strategy", which, str(f), "--max-rounds", "-3"])
     assert exc.value.code == 2
-    assert "strategy --max-rounds must be >= 1, got -3" in capsys.readouterr().err
+    assert ("copsrobbers strategy: error: argument --max-rounds: must be >= 1, got -3"
+            in capsys.readouterr().err)
+
+
+# Each flag's domain is an argparse type (gen sizes: the family's minimums),
+# so a value outside it is a usage error before any library call.
+@pytest.mark.parametrize("argv, message", [
+    (["strategy", "meyniel", "G", "--threshold", "0"],
+     "argument --threshold: must be >= 1, got 0"),
+    (["strategy", "meyniel", "G", "--lam", "-1"], "argument --lam: must exceed 1, got -1.0"),
+    (["strategy", "meyniel", "G", "--density", "2"],
+     "argument --density: must lie in (0, 1], got 2.0"),
+    (["strategy", "meyniel", "G", "--levels", "-1"], "argument --levels: must be >= 0, got -1"),
+    (["strategy", "meyniel", "G", "--resample-limit", "0"],
+     "argument --resample-limit: must be >= 1, got 0"),
+    (["bound", "--L", "1024", "--tol", "0"],
+     "argument --tol: must be positive and finite, got 0.0"),
+    (["gen", "gnp", "10", "--p", "1.5"], "argument --p: must lie in [0, 1], got 1.5"),
+    (["gen", "cycle", "-3"], "gen cycle sizes must be >= 3, got -3"),
+    (["gen", "cycle", "2"], "gen cycle sizes must be >= 3, got 2"),
+    (["gen", "path", "0"], "gen path sizes must be >= 1, got 0"),
+    (["gen", "grid", "3", "0"], "gen grid sizes must be >= 1, got 0"),
+    (["gen", "hypercube", "0"], "gen hypercube sizes must be >= 1, got 0"),
+    (["gen", "gnp", "0"], "gen gnp sizes must be >= 1, got 0"),
+    (["gen", "projective", "1"], "gen projective sizes must be >= 2, got 1"),
+], ids=["threshold", "lam", "density", "levels", "resample-limit", "tol", "p",
+        "cycle-negative", "cycle", "path", "grid", "hypercube", "gnp", "projective"])
+def test_flag_domains_are_usage_errors(tmp_path, capsys, argv, message):
+    f = tmp_path / "c8.el"
+    f.write_text(format_edge_list(gen_cycle(8)))
+    with pytest.raises(SystemExit) as exc:
+        main([str(f) if a == "G" else a for a in argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_verify_budget_zero_skips(capsys):
@@ -298,7 +333,8 @@ def test_verify_negative_budget_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--budget", "-3"])
     assert exc.value.code == 2
-    assert "--budget must be >= 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "copsrobbers verify: error: argument --budget: must be >= 0, got -3" in err
 
 
 def test_verify_small_budget_passes(capsys):

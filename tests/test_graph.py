@@ -377,6 +377,48 @@ def test_diameter_pair_prunes_bfs_sources(monkeypatch, name):
     assert len(passes) <= 25
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24), st.sampled_from((0.08, 0.15, 0.3)), st.integers(0, 10**6),
+       st.sampled_from(("random", "single", "full")), st.data())
+def test_component_local_kernels_match_whole_graph_rows(n, p, seed, shape, data):
+    # diameter_pair and shortest_path run on a compact copy of the mask; the
+    # references seed and scan n-long rows of the whole graph
+    g = gen_gnp(n, p, seed)
+    if shape == "full":
+        members = range(n)
+    elif shape == "single":
+        members = [data.draw(st.integers(0, n - 1))]
+    else:  # at these densities most random masks are disconnected
+        members = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    mask = vs(n, members)
+    assert diameter_pair(g, mask) == diameter_pair_allpairs(g, mask)
+    for u in mask:
+        dist = bfs_distances(g, vs(n, [u]), mask)
+        for v in mask:
+            if dist[v] == UNREACHABLE:
+                with pytest.raises(NoPathError):
+                    shortest_path(g, u, v, mask)
+            else:
+                assert shortest_path(g, u, v, mask) == walk_back(g, dist, v)
+
+
+def test_component_local_kernels_cost_follows_the_component():
+    # one n-long list of a 100,000-vertex path is about 800 KB; the compact
+    # copy of a 5-vertex mask needs a few small lists
+    g = gen_path(100_000)
+    mask = vs(g.n, range(50_000, 50_005))
+    tracemalloc.start()
+    try:
+        pair = diameter_pair(g, mask)
+        path = shortest_path(g, 50_004, 50_000, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair == (4, 50_000, 50_004)
+    assert path == [50_004, 50_003, 50_002, 50_001, 50_000]
+    assert peak < 64 << 10
+
+
 def test_delete_vertices_matches_full_scan():
     cases = list(_random_masked_cases())
     for name in ("grid-12x30", "tree-450"):

@@ -1,6 +1,8 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copsrobbers import (
     GameConfig,
@@ -16,10 +18,11 @@ from copsrobbers import (
     validate_transcript,
 )
 from copsrobbers.engine import GreedyFarRobber, RandomRobber
+from copsrobbers.expander import desk_params
 from copsrobbers.meyniel import MeynielAnalysis, MeynielCop
 
 from conftest import random_connected
-from oracles import replay_final_state
+from oracles import eager_meyniel, replay_final_state
 
 PARAMS = StrategyParams(lam=2.0, density=0.8, levels=3)
 
@@ -116,11 +119,12 @@ def test_component_monotonicity():
 
 
 def _walked_guards(an, node):
-    """The guards deployed at `node`, found by walking `children` from the root."""
+    """(entry, cop index, guard) per guard deployed at `node`, found by
+    walking `children` from the root."""
     cur, chain = an.root, []
     while True:
         if cur.kind == "guard":
-            chain.append((cur.entry, cur.depth, cur.guards[-1][2]))
+            chain.append((cur.entry, cur.depth, an.cops(cur).guards[-1][2]))
         if cur is node:
             return tuple(chain)
         cur = next(child for mask, child in cur.children if node.vertices <= mask)
@@ -137,9 +141,9 @@ CHAIN_CASES = {
 @pytest.mark.parametrize("name", sorted(CHAIN_CASES))
 def test_recorded_guard_chain_matches_walk_from_root(name):
     an = MeynielAnalysis(CHAIN_CASES[name](), 3, PARAMS, seed=0)
-    assert max(len(node.guards) for node in an.nodes) >= 2
+    assert max(len(an.cops(node).guards) for node in an.nodes) >= 2
     for node in an.nodes:
-        assert node.guards == _walked_guards(an, node)
+        assert an.cops(node).guards == _walked_guards(an, node)
 
 
 def test_guard_persistence_on_transcript():
@@ -158,13 +162,55 @@ def test_guard_persistence_on_transcript():
     for idx, (moves, r_move) in enumerate(rounds):
         rnd = idx + 1
         for node in guards:
-            if rnd > node.entry + node.duration and r_pos in node.guards[-1][2].index_of:
+            if rnd > node.entry + node.duration and r_pos in an.cops(node).guards[-1][2].index_of:
                 assert r_pos in moves, (
                     f"robber sat on a settled geodesic at round {rnd} uncaught"
                 )
         if r_move is None:
             break
         r_pos = r_move
+
+
+# criterion 7's parameters, and the recursion benchmark's (levels from the
+# diameter)
+PARAM_SETS = {
+    "criterion7": lambda g: PARAMS,
+    "bench": lambda g: StrategyParams(lam=2.0, density=0.5, levels=desk_params(g).levels,
+                                      resample_limit=16),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 22), st.sampled_from((3.0, 5.0)), st.integers(0, 10**6),
+       st.integers(1, 3), st.sampled_from(sorted(PARAM_SETS)))
+def test_lazy_analysis_matches_eager_build(n, spread, seed, threshold, param_set):
+    g = random_connected(n, seed, p=min(0.45, spread / n))
+    params = PARAM_SETS[param_set](g)
+    an = MeynielAnalysis(g, threshold, params, seed=seed)
+    nodes, pool, timeline = eager_meyniel(g, threshold, params, seed)
+    assert (an.pool_size, an.timeline_bound()) == (pool, timeline)
+    assert len(an.nodes) == len(nodes)
+    fields = ("node_id", "depth", "kind", "vertices", "entry", "duration", "parent")
+    for node, ref in zip(an.nodes, nodes):
+        assert tuple(getattr(node, f) for f in fields) == tuple(ref[f] for f in fields)
+        assert tuple(child.node_id for _, child in node.children) == ref["children"]
+        built = an.cops(node)
+        assert [(entry, idx, guard.path) for entry, idx, guard in built.guards] == [
+            (nodes[i]["entry"], nodes[i]["depth"], nodes[i]["guard"].path) for i in ref["guards"]]
+        if node.kind == "guard":
+            continue
+        leaf = ("broken", "resamples", "family_set_sizes", "deadlines")
+        assert tuple(getattr(node, f) for f in leaf) == tuple(ref[f] for f in leaf)
+        team = ref["team"]
+        assert (built.team is None) == (team is None)
+        if team is not None:
+            assert (built.team.homes, built.team.tracks) == (team.homes, team.tracks)
+        assert built.march_routes == ref["march_routes"]
+    # the analysis's timeline is long enough for every robber line
+    t = adversarial_robber_search(
+        g, MeynielCop(an), GameConfig(cop_count=pool, max_rounds=timeline, seed=seed), timeline
+    )
+    assert t.caught
 
 
 def test_determinism():
@@ -223,8 +269,9 @@ def test_leaves_pinned(name):
     got = []
     for n in an.nodes:
         if n.kind == "leaf":
-            homes, tracks = (n.team.homes, n.team.tracks) if n.team else ((), {})
-            doc = (homes, sorted((n.deadlines or {}).items()), n.march_routes,
+            built = an.cops(n)
+            homes, tracks = (built.team.homes, built.team.tracks) if built.team else ((), {})
+            doc = (homes, sorted((n.deadlines or {}).items()), built.march_routes,
                    sorted(tracks.items()))
             got.append((n.node_id, n.resamples, n.broken, n.family_set_sizes,
                         hashlib.sha256(repr(doc).encode()).hexdigest()))
