@@ -162,7 +162,9 @@ def cmd_strategy(args) -> int:
         if args.path:
             path = [int(x) for x in args.path.split(",")]
         else:
-            _, u, v = diameter_pair(g)
+            d, u, v = diameter_pair(g)
+            if d == math.inf:
+                raise ValueError("guard requires a connected graph")
             path = shortest_path(g, u, v)
         cops = GuardCop(g, path)
         cfg = GameConfig(cop_count=1, max_rounds=args.max_rounds, seed=seed)

@@ -16,14 +16,21 @@ ids, so a caller working on a component never relabels the graph.
 ``diameter_pair`` and ``shortest_path`` run on an order-preserving compact
 copy of the set (members ascending, their adjacency kept in that order), so
 with ``within`` = C they cost O(|C| + m_C), m_C the edges at C's members,
-however large g is.  The copy is monotone in the ids, so every lowest-id
-tie-break picks what it would pick in g.
+however large g is, plus O(|C|·n/w) to list C's members from the bitmask.
+The copy is monotone in the ids, so every lowest-id tie-break picks what it
+would pick in g.  A full mask is all of g: it is recognised by its member
+count and never listed.
 
 ``diameter_pair`` returns the same lexicographically first diametral pair as
 one BFS per vertex would, from a bounded scan: eccentricity bounds from the
 BFS rows already run skip every source that cannot change the answer.
 Vertex-transitive graphs (cycles, hypercubes) leave nothing to skip and keep
-one BFS per vertex.
+one BFS per vertex.  The whole-graph result is computed once per
+:class:`Graph` and kept on it for its lifetime, so the recursion's root, the
+desk-scale parameters and the guard's settle bound share one scan.  The kept
+value is an immutable tuple that only depends on the adjacency, and two
+tasks that fill it at once write the same value, so a graph stays safe to
+share.
 """
 
 from __future__ import annotations
@@ -156,10 +163,12 @@ class Graph:
 
     Construction validates the input and rejects (never silently fixes)
     self-loops, duplicate edges, and out-of-range endpoints.  Instances are
-    immutable and safe to share across concurrent tasks.
+    immutable and safe to share across concurrent tasks.  ``_diameter``
+    holds the whole-graph :func:`diameter_pair` once it has been asked for;
+    equality and hashing ignore it.
     """
 
-    __slots__ = ("n", "_adj")
+    __slots__ = ("n", "_adj", "_diameter")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -179,6 +188,7 @@ class Graph:
             adj[v].append(u)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        object.__setattr__(self, "_diameter", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -242,14 +252,15 @@ def _local(g: Graph, within: VertexSet | None):
     """``(members, adj)``: the members of ``within`` ascending, and the
     adjacency of the subgraph they induce with member i relabelled i.  The
     relabel is monotone, so sorted neighbor lists stay sorted.  All of g
-    (``within`` None or full) is its own copy."""
+    (``within`` None or full) is its own copy; a full mask is told by its
+    member count, without listing it."""
     if within is None:
         return range(g.n), g._adj
     if within.n != g.n:
         raise ValueError("vertex set over wrong universe")
-    members = list(within)
-    if len(members) == g.n:
+    if len(within) == g.n:
         return range(g.n), g._adj
+    members = list(within)
     pos = {v: i for i, v in enumerate(members)}
     get = pos.get
     adj = g._adj
@@ -371,11 +382,27 @@ def diameter_pair(g: Graph, within: VertexSet | None = None) -> tuple[int | floa
     one BFS per vertex.  A disconnected set gives ``(math.inf, u, v)`` for
     the first unreachable pair, found at the first source; a single vertex
     gives ``(0, v, v)``.
+
+    The whole-graph triple (``within`` None or full) is kept on g for its
+    lifetime after the first call, and later calls return it; a strict
+    sub-mask is scanned on every call and leaves the kept value alone.  The
+    triple is immutable and fixed by g's adjacency, so callers sharing g see
+    one value, and two calls racing to fill it write the same one.
     """
     members, adj = _local(g, within)
+    if len(members) == g.n:
+        if g._diameter is None:
+            object.__setattr__(g, "_diameter", _diameter_scan(members, adj))
+        return g._diameter
     if not members:
         raise ValueError("vertex mask must be nonempty")
-    # the scan runs on the compact copy: source i is members[i]
+    return _diameter_scan(members, adj)
+
+
+def _diameter_scan(members, adj) -> tuple[int | float, int, int]:
+    """The bounded scan behind :func:`diameter_pair`, on the compact copy
+    ``(members, adj)`` of a nonempty vertex set."""
+    # source i is members[i]
     seed = [UNREACHABLE] * len(members)
     row_first = _bfs(adj, seed.copy(), (0,))
     if UNREACHABLE in row_first:

@@ -13,3 +13,20 @@ def petersen():
     from copsrobbers import gen_petersen
 
     return gen_petersen()
+
+
+@pytest.fixture
+def diameter_scans(monkeypatch):
+    """The member counts of the vertex sets ``diameter_pair`` scans, one
+    entry per scan; a kept whole-graph result adds none."""
+    import copsrobbers.graph as graph_mod
+
+    sizes = []
+    scan = graph_mod._diameter_scan
+
+    def counting_scan(members, adj):
+        sizes.append(len(members))
+        return scan(members, adj)
+
+    monkeypatch.setattr(graph_mod, "_diameter_scan", counting_scan)
+    return sizes

@@ -143,19 +143,47 @@ def test_strategy_guard_explicit_path(tmp_path, capsys):
     assert "is not an edge" in err
 
 
-def test_strategy_guard_check_runs_one_diameter_scan(tmp_path, capsys, monkeypatch):
-    import copsrobbers.guard as guard_mod
-
-    calls = []
-    real = guard_mod.diameter
-    monkeypatch.setattr(guard_mod, "diameter", lambda g: calls.append(g.n) or real(g))
+def test_strategy_guard_check_runs_one_diameter_scan(tmp_path, capsys, diameter_scans):
     f = tmp_path / "g.el"
     run(capsys, "gen", "grid", "5", "6", "-o", str(f))
     code, out, _ = run(capsys, "strategy", "guard", str(f), "--path", "0,1,2,3,4", "--check")
     doc = json.loads(out)
     assert code == 0 and doc["soundness"]["violations"] == []
     assert doc["settle_bound"] == 9 + 4
-    assert calls == [30]
+    assert diameter_scans == [30]
+
+
+def test_strategy_guard_default_path_runs_one_diameter_scan(tmp_path, capsys, diameter_scans):
+    # the geodesic's pair and the settle bound share the graph's kept diameter
+    f = tmp_path / "g.el"
+    run(capsys, "gen", "grid", "5", "6", "-o", str(f))
+    for extra in ((), ("--check",)):
+        diameter_scans.clear()
+        code, out, _ = run(capsys, "strategy", "guard", str(f), *extra)
+        doc = json.loads(out)
+        assert code == 0 and len(doc["path"]) == 10
+        assert doc["settle_bound"] == 9 + 9
+        assert diameter_scans == [30]
+
+
+def test_strategy_guard_default_path_needs_a_connected_graph(tmp_path, capsys):
+    f = tmp_path / "two.el"
+    f.write_text(format_edge_list(Graph(4, [(0, 1), (2, 3)])))
+    for extra in ((), ("--check",)):
+        code, out, err = run(capsys, "strategy", "guard", str(f), *extra)
+        assert code == 1 and out == ""
+        assert "requires a connected graph" in err
+
+
+def test_strategy_meyniel_runs_one_whole_graph_scan(tmp_path, capsys, diameter_scans):
+    # desk_params (no --levels) and the recursion's root share one scan; the
+    # components below the root are scanned on their own
+    f = tmp_path / "c60.el"
+    run(capsys, "gen", "cycle", "60", "-o", str(f))
+    code, out, _ = run(capsys, "strategy", "meyniel", str(f), "--require-capture")
+    assert code == 0 and json.loads(out)["caught"]
+    assert diameter_scans.count(60) == 1
+    assert len(diameter_scans) > 1 and max(diameter_scans[1:]) < 60
 
 
 def test_strategy_expander_plan_summary(tmp_path, capsys):

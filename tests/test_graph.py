@@ -38,6 +38,7 @@ from conftest import all_connected_graphs
 import copsrobbers.graph
 from copsrobbers.graph import MAX_PARSE_VERTICES, step_toward, walk_back
 from copsrobbers.seeds import derive_seed, make_rng
+from copsrobbers.solver import _solve, is_k_copwin
 from oracles import (
     ball_oracle,
     component_oracle,
@@ -417,6 +418,94 @@ def test_component_local_kernels_cost_follows_the_component():
     assert pair == (4, 50_000, 50_004)
     assert path == [50_004, 50_003, 50_002, 50_001, 50_000]
     assert peak < 64 << 10
+
+
+def test_full_mask_takes_the_whole_graph_path_without_listing(monkeypatch):
+    # listing a full mask costs O(n^2/w); its member count says it is all of g
+    n = 20_000
+    g = gen_path(n)
+    full = VertexSet.full(n)
+
+    def no_listing(self):
+        raise AssertionError("a full mask was listed")
+
+    monkeypatch.setattr(VertexSet, "__iter__", no_listing)
+    assert diameter_pair(g, full) == (n - 1, 0, n - 1)
+    assert shortest_path(g, 0, n - 1, within=full) == list(range(n))
+    for call in (lambda m: diameter_pair(g, m), lambda m: shortest_path(g, 0, 1, within=m)):
+        with pytest.raises(ValueError, match="wrong universe"):
+            call(VertexSet.full(n + 1))
+    monkeypatch.undo()  # the empty mask is listed, with no members
+    with pytest.raises(ValueError, match="nonempty"):
+        diameter_pair(g, VertexSet(n, 0))
+
+
+def _kept_cases():
+    """Fresh graphs, so no other test can have filled their kept diameter:
+    connected, disconnected (``inf``) and single-vertex ones."""
+    yield gen_cycle(7)
+    yield gen_grid(3, 4)
+    yield gen_petersen()
+    yield gen_path(1)
+    yield Graph(4, [(0, 1), (2, 3)])
+    yield Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5), (3, 5)])
+    for seed in range(12):
+        yield gen_gnp(14, 0.15, seed)
+
+
+def test_whole_graph_diameter_is_kept_on_the_graph():
+    for g in _kept_cases():
+        expected = diameter_pair_allpairs(g)
+        assert g._diameter is None
+        first = diameter_pair(g)
+        assert first == expected and g._diameter == expected, g.edges()
+        assert diameter_pair(g) is first
+        assert diameter(g) == expected[0]
+
+
+def test_none_and_full_mask_share_one_scan(diameter_scans):
+    for full_first in (False, True):
+        g = gen_grid(4, 5)
+        masks = [None, VertexSet.full(g.n)]
+        if full_first:
+            masks.reverse()
+        pairs = {diameter_pair(g, m) for m in masks}
+        assert pairs == {diameter_pair_allpairs(g)}
+    assert diameter_scans == [20, 20]
+
+
+def test_sub_mask_neither_reads_nor_writes_the_kept_diameter(diameter_scans):
+    g = gen_cycle(8)
+    sub = vs(8, range(6))
+    assert diameter_pair(g, sub) == (5, 0, 5)
+    assert g._diameter is None
+    bogus = (99, 1, 2)
+    object.__setattr__(g, "_diameter", bogus)
+    assert diameter_pair(g, sub) == diameter_pair_allpairs(g, sub)
+    assert g._diameter is bogus
+    assert diameter_scans == [6, 6]
+
+
+def test_kept_diameter_leaves_equality_hash_and_solver_cache():
+    g = gen_cycle(9)
+    copy = Graph(g.n, g.edges())
+    assert is_k_copwin(copy, 2)
+    diameter_pair(g)
+    assert g._diameter is not None and copy._diameter is None
+    assert g == copy and hash(g) == hash(copy)
+    before = _solve.cache_info()
+    assert is_k_copwin(g, 2)
+    after = _solve.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+def test_kept_diameter_keeps_the_graph_immutable():
+    g = gen_path(4)
+    diameter_pair(g)
+    for name, value in (("n", 3), ("_adj", ()), ("_diameter", None), ("label", "x")):
+        with pytest.raises(AttributeError):
+            setattr(g, name, value)
+    assert g._diameter == (3, 0, 3)
 
 
 def test_delete_vertices_matches_full_scan():

@@ -276,3 +276,13 @@ def test_leaves_pinned(name):
             got.append((n.node_id, n.resamples, n.broken, n.family_set_sizes,
                         hashlib.sha256(repr(doc).encode()).hexdigest()))
     assert (an.pool_size, an.timeline_bound(), tuple(got)) == (pool, timeline, leaves)
+
+
+def test_desk_params_and_two_runs_share_one_whole_graph_scan(diameter_scans):
+    # the recurse bench instance: desk_params, then one analysis per robber
+    g = gen_grid(10, 10)
+    params = StrategyParams(lam=2.0, density=0.5, levels=desk_params(g).levels)
+    for robber in (GreedyFarRobber(), RandomRobber()):
+        assert run_meyniel(g, 3, params, cfg(), robber=robber).caught
+    assert diameter_scans.count(100) == 1
+    assert max(diameter_scans[1:]) < 100
