@@ -160,7 +160,7 @@ def cmd_strategy(args) -> int:
     seed = args.seed
     if args.which == "guard":
         if args.path:
-            path = [int(x) for x in args.path.split(",")]
+            path = args.path
         else:
             d, u, v = diameter_pair(g)
             if d == math.inf:
@@ -324,6 +324,15 @@ _above_one = _domain(float, lambda v: v > 1, "exceed 1")
 _positive_finite = _domain(float, lambda v: 0 < v < math.inf, "be positive and finite")
 
 
+def _vertex_list(text: str) -> list[int]:
+    """An argparse type: comma-separated integers, such as ``0,1,2``."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated vertex list: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="copsrobbers")
     ap.add_argument("--seed", type=int, default=0, dest="global_seed",
@@ -368,8 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("strategy", parents=[common], help="run a cop strategy and emit plan + transcript")
     p.add_argument("which", choices=["guard", "expander", "meyniel"])
     p.add_argument("graph")
-    p.add_argument("--path", help="guard: comma-separated geodesic")
-    p.add_argument("--check", action="store_true", help="guard: exhaustively verify")
+    p.add_argument("--path", type=_vertex_list, help="guard: comma-separated geodesic")
+    p.add_argument("--check", action="store_true",
+                   help="guard: exhaustively verify (exit 3 when the check exceeds "
+                        "the adversary's node budget)")
     p.add_argument("--lam", type=_above_one, default=2.0)
     p.add_argument("--density", type=_density, default=0.5)
     p.add_argument("--levels", type=_nonnegative_int, default=0, help="0: derive from diameter")

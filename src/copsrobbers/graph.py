@@ -12,14 +12,16 @@ shortest path, the lowest vertex id wins.  This makes every derived object
 
 The metric functions take an optional ``within`` vertex set.  They then
 measure the subgraph induced by that set while keeping the original vertex
-ids, so a caller working on a component never relabels the graph.
-``diameter_pair`` and ``shortest_path`` run on an order-preserving compact
-copy of the set (members ascending, their adjacency kept in that order), so
-with ``within`` = C they cost O(|C| + m_C), m_C the edges at C's members,
-however large g is, plus O(|C|·n/w) to list C's members from the bitmask.
-The copy is monotone in the ids, so every lowest-id tie-break picks what it
-would pick in g.  A full mask is all of g: it is recognised by its member
-count and never listed.
+ids, so a caller working on a component never relabels the graph.  Every
+masked metric (``bfs_distances``, ``shortest_path``, ``diameter_pair``) and
+``delete_vertices`` run on one order-preserving compact copy of the set
+(members ascending, their adjacency kept in that order), so with ``within``
+= C the search costs O(|C| + m_C), m_C the edges at C's members, however
+large g is, plus O(|C|·n/w) to list C's members from the bitmask;
+``bfs_distances`` then writes its row back into an n-long list.  The copy is
+monotone in the ids, so every lowest-id tie-break picks what it would pick
+in g.  A full mask is all of g: it is recognised by its member count and
+never listed.
 
 ``diameter_pair`` returns the same lexicographically first diametral pair as
 one BFS per vertex would, from a bounded scan: eccentricity bounds from the
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Iterator
 
@@ -67,7 +70,6 @@ __all__ = [
 ]
 
 UNREACHABLE = -1
-_OUTSIDE = -2  # BFS seed value of vertices outside a vertex mask
 
 # Largest vertex count an edge-list header may declare; checked before the
 # graph allocates its adjacency lists.  Above FREE_PARSE_VERTICES it is also
@@ -216,17 +218,10 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _seed(g: Graph, within: VertexSet | None) -> list[int]:
-    """Distance list before a BFS: ``UNREACHABLE`` inside ``within``, and a
-    blocking marker outside it, so the BFS never enters the outside."""
-    if within is None:
-        return [UNREACHABLE] * g.n
-    if within.n != g.n:
+def _check_universe(g: Graph, s: VertexSet) -> None:
+    """Refuse a vertex set over another universe than g's vertices."""
+    if s.n != g.n:
         raise ValueError("vertex set over wrong universe")
-    dist = [_OUTSIDE] * g.n
-    for v in within:
-        dist[v] = UNREACHABLE
-    return dist
 
 
 def _bfs(adj, dist: list[int], sources) -> list[int]:
@@ -256,8 +251,7 @@ def _local(g: Graph, within: VertexSet | None):
     member count, without listing it."""
     if within is None:
         return range(g.n), g._adj
-    if within.n != g.n:
-        raise ValueError("vertex set over wrong universe")
+    _check_universe(g, within)
     if len(within) == g.n:
         return range(g.n), g._adj
     members = list(within)
@@ -275,11 +269,16 @@ def bfs_distances(g: Graph, sources: VertexSet, within: VertexSet | None = None)
     """
     if not sources:
         raise ValueError("sources must be nonempty")
+    _check_universe(g, sources)
+    members, adj = _local(g, within)
     if within is not None and sources.mask & ~within.mask:
         raise ValueError("sources must lie inside the vertex mask")
-    dist = _bfs(g._adj, _seed(g, within), sources)
-    if within is not None:
-        dist = [UNREACHABLE if d == _OUTSIDE else d for d in dist]
+    if len(members) == g.n:
+        return _bfs(adj, [UNREACHABLE] * g.n, sources)
+    row = _bfs(adj, [UNREACHABLE] * len(members), [bisect_left(members, s) for s in sources])
+    dist = [UNREACHABLE] * g.n
+    for v, d in zip(members, row):
+        dist[v] = d
     return dist
 
 
@@ -287,6 +286,7 @@ def ball(g: Graph, a: VertexSet, r: int) -> VertexSet:
     """All vertices within hop distance ``r`` of the set ``a``."""
     if not a:
         raise ValueError("ball center must be nonempty")
+    _check_universe(g, a)
     if r < 0:
         raise ValueError("radius must be >= 0")
     return VertexSet(g.n, _flood(g, a.mask, -1, r))
@@ -356,15 +356,16 @@ def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> 
     lowest-id predecessors."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("endpoint outside vertex range")
-    if u == v:
-        return [u]
     members, adj = _local(g, within)
     if within is not None and u not in within:
         raise ValueError("sources must lie inside the vertex mask")
-    dist = _bfs(adj, [UNREACHABLE] * len(members), (members.index(u),))
-    if within is not None and v not in within or dist[members.index(v)] == UNREACHABLE:
+    if u == v:
+        return [u]
+    dist = _bfs(adj, [UNREACHABLE] * len(members), (bisect_left(members, u),))
+    target = bisect_left(members, v)
+    if within is not None and v not in within or dist[target] == UNREACHABLE:
         raise NoPathError(f"no path between {u} and {v}")
-    return [members[w] for w in _walk(adj, dist, members.index(v))]
+    return [members[w] for w in _walk(adj, dist, target)]
 
 
 def diameter_pair(g: Graph, within: VertexSet | None = None) -> tuple[int | float, int, int]:
@@ -475,20 +476,11 @@ def min_degree(g: Graph) -> int:
 
 def delete_vertices(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:
     """Induced subgraph on V - s, relabeled compactly; returns old->new map."""
-    if s.n != g.n:
-        raise ValueError("vertex set over wrong universe")
-    survivors = list(s.complement())
-    if not survivors:
+    members, adj = _local(g, s.complement())
+    if not members:
         raise ValueError("cannot delete every vertex")
-    idmap = {old: new for new, old in enumerate(survivors)}
-    adj = g._adj
-    edges = [
-        (new, idmap[v])
-        for new, u in enumerate(survivors)
-        for v in adj[u]
-        if u < v and v in idmap
-    ]
-    return Graph(len(survivors), edges), idmap
+    edges = [(i, j) for i, a in enumerate(adj) for j in a if i < j]
+    return Graph(len(members), edges), {v: i for i, v in enumerate(members)}
 
 
 def component_of(g: Graph, v: int, within: VertexSet | None = None) -> VertexSet:
@@ -497,8 +489,7 @@ def component_of(g: Graph, v: int, within: VertexSet | None = None) -> VertexSet
         raise ValueError("vertex outside range")
     region = -1
     if within is not None:
-        if within.n != g.n:
-            raise ValueError("vertex set over wrong universe")
+        _check_universe(g, within)
         if v not in within:
             raise ValueError("vertex outside the vertex mask")
         region = within.mask
@@ -506,7 +497,7 @@ def component_of(g: Graph, v: int, within: VertexSet | None = None) -> VertexSet
 
 
 def is_connected(g: Graph) -> bool:
-    return UNREACHABLE not in _bfs(g._adj, _seed(g, None), (0,))
+    return UNREACHABLE not in _bfs(g._adj, [UNREACHABLE] * g.n, (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,9 @@ class GuardCop:
         path = tuple(path)
         if not path:
             raise ValueError("path must be nonempty")
+        for v in path:
+            if not 0 <= v < g.n:
+                raise ValueError(f"path vertex {v} outside [0, {g.n})")
         for a, b in zip(path, path[1:]):
             if b not in g.neighbors(a):
                 raise ValueError(f"path step {a}->{b} is not an edge")

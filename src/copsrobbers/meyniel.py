@@ -156,19 +156,16 @@ class MeynielAnalysis:
             path=path,
         )
         self.nodes.append(node)
-        remainder = comp - VertexSet.of(g.n, path)
+        rest = comp - VertexSet.of(g.n, path)
         children = []
-        seen = VertexSet(g.n, 0)
-        for v0 in remainder:
-            if v0 in seen:
-                continue
-            comp_mask = component_of(g, v0, within=remainder)
-            seen = seen | comp_mask
+        while rest:
+            part = component_of(g, next(iter(rest)), within=rest)
             child = self._build(
-                comp_mask, depth + 1, entry + node.duration,
+                part, depth + 1, entry + node.duration,
                 f"{label}.{len(children)}", node_id,
             )
-            children.append((comp_mask, child))
+            children.append((part, child))
+            rest -= part
         node.children = tuple(children)
         return node
 

@@ -6,7 +6,9 @@ removal, Hall's condition and "largest non-expanding subset" by subset
 enumeration, maximum matching size by plain augmenting paths instead of
 Hopcroft-Karp.  ``diameter_pair_allpairs`` and ``delete_vertices_oracle`` keep
 the plain loops that the library's pruned diameter scan and survivor-only
-vertex deletion replaced.  ``verify_claim_allsubsets`` is the hitting-claim
+vertex deletion replaced.  ``masked_bfs_oracle`` is the masked BFS over an
+n-long row that blocks every vertex outside the mask, against the library's
+compact copy of the mask.  ``verify_claim_allsubsets`` is the hitting-claim
 check over 2^n union-ball tables that the library's small-subset walk
 replaced.  ``component_oracle`` is a BFS over Python sets, checked against
 the library's bitmask flood.  ``replay_final_state`` replays a transcript
@@ -39,7 +41,6 @@ from copsrobbers.graph import (
     Graph,
     VertexSet,
     _bfs,
-    _seed,
     ball,
     bfs_distances,
     component_of,
@@ -104,23 +105,38 @@ def diameter_pair_oracle(g, within=None):
     return best
 
 
+def masked_bfs_oracle(g, sources, within=None):
+    """``bfs_distances(g, sources, within)`` on an n-long row: every vertex
+    outside ``within`` is seeded with a blocking marker that the BFS never
+    overwrites, and turned back into ``UNREACHABLE`` afterwards."""
+    outside = -2
+    if within is None:
+        dist = [UNREACHABLE] * g.n
+    else:
+        dist = [outside] * g.n
+        for v in within:
+            dist[v] = UNREACHABLE
+    _bfs(g._adj, dist, sources)
+    return [UNREACHABLE if d == outside else d for d in dist]
+
+
 def diameter_pair_allpairs(g, within=None):
     """The all-pairs loop that the pruned ``diameter_pair`` replaced: one BFS
     per member, ascending, raising the best pair only on a strictly larger
     eccentricity.  Unlike Floyd-Warshall it stays fast up to several hundred
     vertices."""
-    seed = _seed(g, within)
     members = range(g.n) if within is None else list(within)
     if not members:
         raise ValueError("vertex mask must be nonempty")
     best = (0, members[0], members[0])
     for u in members:
-        dist = _bfs(g._adj, seed.copy(), (u,))
-        if UNREACHABLE in dist:
-            return math.inf, u, dist.index(UNREACHABLE)
-        ecc = max(dist)
+        dist = masked_bfs_oracle(g, (u,), within)
+        row = [dist[v] for v in members]
+        if UNREACHABLE in row:
+            return math.inf, u, members[row.index(UNREACHABLE)]
+        ecc = max(row)
         if ecc > best[0]:
-            best = (ecc, u, dist.index(ecc))
+            best = (ecc, u, members[row.index(ecc)])
     return best
 
 

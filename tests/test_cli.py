@@ -143,6 +143,26 @@ def test_strategy_guard_explicit_path(tmp_path, capsys):
     assert "is not an edge" in err
 
 
+def test_strategy_guard_path_outside_the_graph_exits_1(tmp_path, capsys):
+    f = tmp_path / "g33.el"
+    run(capsys, "gen", "grid", "3", "3", "-o", str(f))
+    for path, vertex in (("999,1000", 999), ("0,999", 999), ("9", 9)):
+        code, out, err = run(capsys, "strategy", "guard", str(f), "--path", path)
+        assert code == 1 and out == ""
+        assert f"error: path vertex {vertex} outside [0, 9)" in err
+
+
+@pytest.mark.parametrize("text", ["0,,1", "a,b", "", "0;1", "1.5"])
+def test_strategy_guard_malformed_path_is_a_usage_error(tmp_path, capsys, text):
+    f = tmp_path / "g33.el"
+    f.write_text(format_edge_list(gen_grid(3, 3)))
+    with pytest.raises(SystemExit) as exc:
+        main(["strategy", "guard", str(f), f"--path={text}"])
+    assert exc.value.code == 2
+    assert f"argument --path: not a comma-separated vertex list: {text!r}" in (
+        capsys.readouterr().err)
+
+
 def test_strategy_guard_check_runs_one_diameter_scan(tmp_path, capsys, diameter_scans):
     f = tmp_path / "g.el"
     run(capsys, "gen", "grid", "5", "6", "-o", str(f))

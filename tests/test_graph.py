@@ -47,6 +47,7 @@ from oracles import (
     diameter_pair_allpairs,
     diameter_pair_oracle,
     girth_oracle,
+    masked_bfs_oracle,
 )
 
 
@@ -378,23 +379,28 @@ def test_diameter_pair_prunes_bfs_sources(monkeypatch, name):
     assert len(passes) <= 25
 
 
+def _draw_members(n, shape, data):
+    """Ascending members of a full, single-vertex or random nonempty mask."""
+    if shape == "full":
+        return range(n)
+    if shape == "single":
+        return [data.draw(st.integers(0, n - 1))]
+    return sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 24), st.sampled_from((0.08, 0.15, 0.3)), st.integers(0, 10**6),
        st.sampled_from(("random", "single", "full")), st.data())
 def test_component_local_kernels_match_whole_graph_rows(n, p, seed, shape, data):
     # diameter_pair and shortest_path run on a compact copy of the mask; the
-    # references seed and scan n-long rows of the whole graph
+    # references seed and scan n-long rows of the whole graph that block the
+    # vertices outside the mask.  At these densities most random masks are
+    # disconnected.
     g = gen_gnp(n, p, seed)
-    if shape == "full":
-        members = range(n)
-    elif shape == "single":
-        members = [data.draw(st.integers(0, n - 1))]
-    else:  # at these densities most random masks are disconnected
-        members = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-    mask = vs(n, members)
+    mask = vs(n, _draw_members(n, shape, data))
     assert diameter_pair(g, mask) == diameter_pair_allpairs(g, mask)
     for u in mask:
-        dist = bfs_distances(g, vs(n, [u]), mask)
+        dist = masked_bfs_oracle(g, [u], mask)
         for v in mask:
             if dist[v] == UNREACHABLE:
                 with pytest.raises(NoPathError):
@@ -524,7 +530,7 @@ def test_delete_vertices_matches_full_scan():
 
 def test_masked_metrics_match_relabelled_subgraph():
     for g, mask in _random_masked_cases():
-        h, idmap = delete_vertices(g, mask.complement())
+        h, idmap = delete_vertices_oracle(g, mask.complement())
         back = {new: old for old, new in idmap.items()}
         for s in mask:
             dist = bfs_distances(g, vs(g.n, [s]), within=mask)
@@ -546,6 +552,18 @@ def test_masked_metrics_match_relabelled_subgraph():
             hdist[idmap[v]] if v in mask else UNREACHABLE for v in range(g.n)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 24), st.sampled_from((0.08, 0.15, 0.3)), st.integers(0, 10**6),
+       st.sampled_from(("random", "single", "full")), st.data())
+def test_masked_bfs_matches_blocking_row_oracle(n, p, seed, shape, data):
+    g = gen_gnp(n, p, seed)
+    members = _draw_members(n, shape, data)
+    mask = vs(n, members)
+    sources = vs(n, data.draw(st.sets(st.sampled_from(members), min_size=1, max_size=3)))
+    assert bfs_distances(g, sources, mask) == masked_bfs_oracle(g, sources, mask)
+    assert bfs_distances(g, sources) == masked_bfs_oracle(g, sources)
+
+
 def test_masked_metrics_reject_vertices_outside_the_mask():
     g = gen_cycle(6)
     mask = vs(6, [0, 1, 2])
@@ -555,6 +573,30 @@ def test_masked_metrics_reject_vertices_outside_the_mask():
         component_of(g, 4, within=mask)
     with pytest.raises(ValueError):
         bfs_distances(g, vs(6, [0]), within=vs(5, [0]))
+    # u == v is checked against the mask like any other pair
+    with pytest.raises(ValueError, match="inside the vertex mask"):
+        shortest_path(g, 3, 3, within=mask)
+    with pytest.raises(ValueError, match="inside the vertex mask"):
+        shortest_path(g, 3, 4, within=mask)
+    for other in (vs(7, [3]), vs(5, [3])):
+        for v in (3, 4):
+            with pytest.raises(ValueError, match="wrong universe"):
+                shortest_path(g, 3, v, within=other)
+    assert shortest_path(g, 2, 2, within=mask) == [2]
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_sources_and_centres_over_another_universe_are_refused(n):
+    g = gen_cycle(6)
+    other = VertexSet.full(n)
+    with pytest.raises(ValueError, match="wrong universe"):
+        bfs_distances(g, other)
+    with pytest.raises(ValueError, match="wrong universe"):
+        bfs_distances(g, other, within=VertexSet.full(6))
+    with pytest.raises(ValueError, match="wrong universe"):
+        ball(g, other, 1)
+    with pytest.raises(ValueError, match="wrong universe"):
+        delete_vertices(g, VertexSet(n, 1))
 
 
 # ---------------------------------------------------------------------------

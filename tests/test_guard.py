@@ -49,6 +49,13 @@ def test_shadow_rejects_non_geodesic():
         shadow(g, [0, 2], 5)  # not even a path
 
 
+@pytest.mark.parametrize("path", [(999, 1000), (0, 999), (-1, 0), (9,), (-1,)])
+def test_guard_cop_rejects_vertices_outside_the_graph(path):
+    # checked before any adjacency is read: -1 would index the last vertex's list
+    with pytest.raises(ValueError, match=r"path vertex -?\d+ outside \[0, 9\)"):
+        GuardCop(gen_grid(3, 3), path)
+
+
 def test_guard_cop_refuses_hidden_robber():
     g = gen_path(4)
     cop = GuardCop(g, (0, 1, 2))
