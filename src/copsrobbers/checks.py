@@ -96,7 +96,7 @@ def criterion_1(seed: int, budget: int, corpus: list[Graph] | None = None) -> di
 
     def agree(kind, key, g):
         if is_dismantlable(g)[0] != is_k_copwin(g, 1):
-            disagreements.append((kind, key, sorted(g.edges())))
+            disagreements.append((kind, key, g.edges()))
 
     exhaustive = 0
     for n in range(1, 7 if budget >= FULL_BUDGET else 6):
@@ -232,10 +232,9 @@ _MAX_DEADLINE = 64  # deepest plan the exhaustive adversary is asked to expand
 
 def _tuned_expander(g, seed):
     last = None
+    levels = min(desk_params(g).levels, 6)  # a function of the diameter alone
     for lam, density in _LADDER:
-        base = desk_params(g, lam=lam, density=density)
-        params = StrategyParams(lam=lam, density=density, levels=min(base.levels, 6),
-                                resample_limit=16)
+        params = StrategyParams(lam=lam, density=density, levels=levels, resample_limit=16)
         try:
             cop, family, plans, attempts = make_expander_cop(g, params, seed)
             return cop, family, plans, attempts, params
@@ -264,7 +263,7 @@ def confinement_violations(g, cop, plans, deadline: int) -> list[dict]:
     _, _, layers = expand_game_layers(g, cop, cfg, deadline)
     violations = []
     for k in range(1, deadline + 1):
-        for (_, r_pos, v) in layers[k]:
+        for (_, r_pos, (v, _)) in layers[k]:
             plan = plans[v]
             if k >= plan.capture_deadline:
                 violations.append({"start": v, "alive_at": k})

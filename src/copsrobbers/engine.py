@@ -15,20 +15,12 @@ exhaustive robber adversary can memoize:
 The engine starts every team at state ``None`` and checks that ``place``
 fields exactly ``cfg.cop_count`` cops; a strategy repeats neither.
 
-A cop strategy whose move depends only on the node (cop positions, robber
-position, state), never on ``view.round``, declares the class attribute
-``round_free = True``.  ``expand_game_layers`` then computes and checks the
-move of each distinct node once for the whole expansion, where it otherwise
-does so once per layer the node appears in.  ``GuardCop``, ``SolverCop``,
-``HoldCop`` and ``ChaserCop`` declare it.  ``ScriptedCop`` and ``MeynielCop``
-must not: a script reads its track at the round, and the recursion reads it
-to leave a guard stage and to time a leaf's march, so one node can move
-differently in two layers.  The engine reads the flag with ``getattr``, so a
-wrapper around a strategy keeps the declaration of what it wraps only if it
-forwards the attribute.
+The view carries no round, so a team that keeps time counts rounds in its
+state.
 
 ``view.robber_position`` is ``None`` when the config hides the robber.
-Robber strategies receive a full view plus the engine-owned RNG:
+Robber strategies receive the same two-field view, robber always shown, plus
+the engine-owned RNG:
 
     place(g, cop_positions, cfg, rng) -> vertex
     move(g, view, rng)                -> vertex
@@ -79,10 +71,10 @@ __all__ = [
 TRANSCRIPT_SCHEMA = "copsrobbers.transcript/1"
 
 # Nodes the exhaustive adversary may expand (two cops.move calls each, made
-# once per distinct node for a round-free team), summed over its layers.  It
-# bounds the work, not the memory: the last layer is built but never
-# expanded, so it is not counted.  The largest expansion in the tests,
-# criteria and bench pools has about 4,400 nodes.
+# once per distinct node), summed over its layers.  It bounds the work, not
+# the memory: the last layer is built but never expanded, so it is not
+# counted.  The largest expansion in the tests, criteria and bench pools has
+# about 4,400 nodes.
 DEFAULT_NODE_BUDGET = 1 << 18
 
 
@@ -104,7 +96,6 @@ class GameConfig:
 class View:
     """What a strategy sees when asked to move."""
 
-    round: int
     cop_positions: tuple[int, ...]
     robber_position: int | None
 
@@ -165,9 +156,9 @@ def _place_cops(g: Graph, cops, cfg: GameConfig) -> tuple[int, ...]:
     return placement
 
 
-def _view(cfg: GameConfig, rnd: int, node) -> View:
+def _view(cfg: GameConfig, node) -> View:
     cop_pos, r_pos, _ = node
-    return View(rnd, cop_pos, r_pos if cfg.robber_visible else None)
+    return View(cop_pos, r_pos if cfg.robber_visible else None)
 
 
 def _robber_options(g: Graph, moves, state, r: int) -> dict:
@@ -175,17 +166,18 @@ def _robber_options(g: Graph, moves, state, r: int) -> dict:
     return {m: "caught" if m in moves else (moves, m, state) for m in _closed(g, r)}
 
 
-def _cop_half(g: Graph, cops, cfg: GameConfig, view: View, node) -> _Trans:
-    """The cops' checked move from a live node, and the robber's options after it."""
+def _cop_half(g: Graph, cops, cfg: GameConfig, view: View, node, rnd: int) -> _Trans:
+    """The cops' checked move from a live node, and the robber's options after
+    it; rnd only names the round in a fault."""
     cop_pos, r_pos, state = node
     moves, state2 = cops.move(g, view, state)
     moves = tuple(moves)
     if len(moves) != cfg.cop_count:
-        raise StrategyFault("cops", view.round,
+        raise StrategyFault("cops", rnd,
                             f"returned {len(moves)} moves for {cfg.cop_count} cops")
     for i, (a, b) in enumerate(zip(cop_pos, moves)):
         if not (0 <= b < g.n) or (b != a and b not in g.neighbors(a)):
-            raise StrategyFault("cops", view.round, f"cop {i} illegal move {a}->{b}")
+            raise StrategyFault("cops", rnd, f"cop {i} illegal move {a}->{b}")
     if r_pos in moves:
         return _Trans(moves, state2, True, {})
     return _Trans(moves, state2, False, _robber_options(g, moves, state2, r_pos))
@@ -237,11 +229,11 @@ def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
         raise StrategyFault("robber", 0, f"bad placement {r_start}")
 
     def step(node, rnd):
-        return _cop_half(g, cops, cfg, _view(cfg, rnd, node), node)
+        return _cop_half(g, cops, cfg, _view(cfg, node), node, rnd)
 
     def choose(node, rec, rnd):
         r_pos = node[1]
-        m = robber.move(g, View(rnd, rec.moves, r_pos), rng)
+        m = robber.move(g, View(rec.moves, r_pos), rng)
         if m not in rec.children:
             raise StrategyFault("robber", rnd, f"illegal move {r_pos}->{m}")
         return m
@@ -255,9 +247,9 @@ def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
 #
 # Against a deterministic cop strategy the game tree branches only on robber
 # choices, so the reachable positions form per-round layers of nodes.  A
-# forward expansion with per-layer memoization (whole-expansion for a
-# round-free team) followed by backward induction finds, for every line, the
-# latest capture the robber can force.
+# forward expansion that computes each distinct node's record once, followed
+# by backward induction, finds, for every line, the latest capture the robber
+# can force.
 # ---------------------------------------------------------------------------
 
 def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
@@ -269,18 +261,16 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
     round k -- to their outgoing transition record; the middle element is the
     start state of every team.  Before each layer is expanded, the nodes of it
     and of the layers before it are counted; above `node_budget` the call
-    raises ``ResourceLimitError``.  A node's record is computed (the cop
-    half-move, its legality and a second ``move`` call that checks
-    determinism) once per layer, or, for a ``round_free`` team, once at the
-    node's earliest layer and shared by the later layers that hold it.
+    raises ``ResourceLimitError``.  A node's record (the cop half-move, its
+    legality and a second ``move`` call that checks determinism) is computed
+    once, at the node's earliest layer, and shared by the later layers that
+    hold it: the view carries no round, so a node moves alike in every layer.
     """
     if depth > cfg.max_rounds:
         raise ValueError("depth must not exceed cfg.max_rounds")
     placement = _place_cops(g, cops, cfg)
     layers: list[dict] = [{(placement, r0, None): None
                            for r0 in range(g.n) if r0 not in placement}]
-    # a round-free team's record of a node serves every layer the node is in
-    round_free = getattr(cops, "round_free", False)
     memo: dict = {}
     nodes = 0
     for k in range(depth):
@@ -290,13 +280,11 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
             raise ResourceLimitError(
                 f"{nodes} adversary nodes by round {k} exceed the budget of {node_budget}")
         nxt: dict = {}
-        if not round_free:
-            memo = {}
         for node in frontier:
             rec = memo.get(node)
             if rec is None:
-                view = _view(cfg, k + 1, node)
-                rec = memo[node] = _cop_half(g, cops, cfg, view, node)
+                view = _view(cfg, node)
+                rec = memo[node] = _cop_half(g, cops, cfg, view, node, k + 1)
                 again, st_again = cops.move(g, view, node[2])
                 if (tuple(again), st_again) != (rec.moves, rec.state2):
                     raise StrategyFault("cops", k + 1, "nondeterministic strategy detected")
@@ -383,7 +371,6 @@ class HoldCop:
     """Cops that never move; useful as a test fixture."""
 
     name = "hold"
-    round_free = True
 
     def __init__(self, placement: Iterable[int]):
         self._placement = tuple(placement)
@@ -399,7 +386,6 @@ class ChaserCop:
     """Every cop steps along a shortest path toward the visible robber."""
 
     name = "chaser"
-    round_free = True
 
     def __init__(self, placement: Iterable[int] | None = None):
         self._placement = None if placement is None else tuple(placement)

@@ -261,8 +261,8 @@ def decompose_level(g: Graph, candidate: VertexSet, cops_available: VertexSet,
 
 
 def _decompose(g, candidate, cops_available, radius, dist_cache):
-    cand = sorted(candidate)
-    cops = sorted(cops_available)
+    cand = list(candidate)
+    cops = list(cops_available)
     adj = {}
     for u in cand:
         row = dist_cache.get(u)
@@ -368,7 +368,7 @@ def resample_family(g: Graph, params: StrategyParams, seed: int, label: str):
 
 def _family_roster(family: CopSetFamily) -> list[tuple[int, int]]:
     """One cop per set membership: (set index, home vertex), stable order."""
-    return [(j, w) for j, s in enumerate(family.sets) for w in sorted(s)]
+    return [(j, w) for j, s in enumerate(family.sets) for w in s]
 
 
 def track_at(track: tuple[int, ...], r: int) -> int:
@@ -405,9 +405,10 @@ class ScriptedCop:
     """Cop team walking precomputed per-cop tracks, read with `track_at`.
 
     `tracks` is either one tuple of per-cop tracks, walked without ever
-    reading the robber, or a dict from robber start to such a tuple.  A
-    keyed team reads the robber's placement on its first move, keeps that
-    start as its strategy state and holds if the start has no tracks.
+    reading the robber, or a dict from robber start to such a tuple.  The
+    strategy state is ``(start, rounds moved)``, start ``None`` for an
+    unkeyed team.  A keyed team reads the robber's placement on its first
+    move as its start and holds if the start has no tracks.
     """
 
     def __init__(self, name: str, homes: tuple[int, ...], tracks):
@@ -423,16 +424,18 @@ class ScriptedCop:
         return self.homes
 
     def move(self, g, view, state):
+        start, rounds = (None, 0) if state is None else state
+        rounds += 1
         tracks = self.tracks
         if isinstance(tracks, dict):
             if state is None:
                 if view.robber_position is None:
                     raise ValueError("expander cops read the robber placement once")
-                state = view.robber_position
-            tracks = tracks.get(state)
+                start = view.robber_position
+            tracks = tracks.get(start)
             if tracks is None:
-                return view.cop_positions, state  # no plan for this start: hold
-        return tuple(track_at(t, view.round) for t in tracks), state
+                return view.cop_positions, (start, rounds)  # no plan for this start: hold
+        return tuple(track_at(t, rounds) for t in tracks), (start, rounds)
 
 
 def execute_plan(g: Graph, plan: CapturePlan, family: CopSetFamily) -> ScriptedCop:

@@ -548,14 +548,14 @@ def parse_edge_list(text: str) -> Graph:
 
 def format_edge_list(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(g.edges()))
+    lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
 
 def to_dot(g: Graph) -> str:
     lines = ["graph g {"]
     lines.extend(f"  {v};" for v in range(g.n))
-    lines.extend(f"  {u} -- {v};" for u, v in sorted(g.edges()))
+    lines.extend(f"  {u} -- {v};" for u, v in g.edges())
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -53,7 +53,6 @@ class GuardCop:
 
     __slots__ = ("path", "length", "index_of", "dist0", "approach")
     name = "guard"
-    round_free = True
 
     def __init__(self, g: Graph, path, within: VertexSet | None = None):
         path = tuple(path)

@@ -20,8 +20,9 @@ components -- branching on which component the robber ends up in -- with one
   leaf node:   march window, then plan execution relative to the read round
 
 Stage windows are fixed deadlines, so the cop team's behavior is a
-deterministic function of (round, current node, robber view), which keeps
-transcripts replayable and the exhaustive adversary's memoization sound.
+deterministic function of (round, current node, robber view).  The engine's
+view carries no round, so :class:`MeynielCop` keeps it in its state, which
+keeps transcripts replayable and the exhaustive adversary's memoization sound.
 Every guard keeps shadowing its geodesic forever once deployed; the robber
 therefore can never re-cross a deleted path alive, and the active component
 shrinks at every recursion step.
@@ -229,7 +230,13 @@ class MeynielAnalysis:
 
 
 class MeynielCop:
-    """Engine strategy walking a precomputed recursion tree."""
+    """Engine strategy walking a precomputed recursion tree.
+
+    The strategy state is ``(node id, leaf team state, rounds moved)``: the
+    current node, the state of its leaf's ``ScriptedCop`` team (``None``
+    until the team first moves, and again whenever the node changes) and the
+    round count that times the stage windows.
+    """
 
     name = "meyniel"
 
@@ -260,30 +267,33 @@ class MeynielCop:
         r = view.robber_position
         if r is None:
             raise ValueError("the recursion strategy needs a visible robber")
-        nodes = self.analysis.nodes
-        node_id, leaf_v = (self.analysis.root.node_id, None) if state is None else state
-        node = self._advance(nodes[node_id], view.round, r)
+        a = self.analysis
+        node_id, leaf_state, rnd = (a.root.node_id, None, 0) if state is None else state
+        rnd += 1
+        node = self._advance(a.nodes[node_id], rnd, r)
         if node.node_id != node_id:
-            leaf_v = None
+            leaf_state = None
         moves = list(view.cop_positions)
 
-        built = self.analysis.cops(node)
+        built = a.cops(node)
         # Every deployed guard keeps shadowing its geodesic.
         for entry, idx, guard in built.guards:
-            if view.round > entry:
+            if rnd > entry:
                 moves[idx] = guard.step(g, view.cop_positions[idx], r)
 
         if node.kind == "leaf" and not node.broken:
             base = node.depth
-            rel = view.round - node.entry
+            rel = rnd - node.entry
             if rel <= node.duration:
                 for i, route in enumerate(built.march_routes):
                     moves[base + i] = track_at(route, rel)
             else:
+                # the team's own round count is rel - node.duration: its
+                # state starts at None on the round after the march
                 own = slice(base, base + built.team.cop_count)
-                moves[own], leaf_v = built.team.move(
-                    g, View(rel - node.duration, view.cop_positions[own], r), leaf_v)
-        return tuple(moves), (node.node_id, leaf_v)
+                moves[own], leaf_state = built.team.move(
+                    g, View(view.cop_positions[own], r), leaf_state)
+        return tuple(moves), (node.node_id, leaf_state, rnd)
 
 
 @dataclass(frozen=True)

@@ -316,7 +316,6 @@ class SolverCop:
     """
 
     name = "solver-optimal"
-    round_free = True
 
     def __init__(self, g: Graph, k: int, budget: int = DEFAULT_STATE_BUDGET):
         self._tables = _tables(g, k, budget)

@@ -18,9 +18,9 @@ exhaustive robber adversary as a plain memoized recursion over robber lines,
 against the library's forward layers and backward induction.
 ``solver_reference_move`` is ``SolverCop``'s move by enumerating every joint
 move and narrowing the list plane by plane, against the library's joint-move
-mask and digit search.  ``PerLayerCop`` hides a team's ``round_free``
-declaration, so ``expand_game_layers`` recomputes every node in every layer,
-against the shared records of a declared team.  ``eager_meyniel`` is the
+mask and digit search.  ``per_layer_expansion`` calls a team's ``move`` at
+every node of every layer, against ``expand_game_layers``, which computes
+each distinct node's record once and shares it.  ``eager_meyniel`` is the
 recursion analysis built whole, every guard and leaf team up front, over
 whole-graph BFS rows: the all-pairs diameter loop, ``walk_back`` geodesics,
 the guard's own approach field for the settle window and the march routes'
@@ -489,7 +489,7 @@ def replay_final_state(g, strategy, transcript):
     cop_pos = transcript.cop_placement
     r_pos = transcript.robber_placement
     for idx, (moves, r_move) in enumerate(transcript.rounds):
-        view = View(round=idx + 1, cop_positions=cop_pos, robber_position=r_pos)
+        view = View(cop_positions=cop_pos, robber_position=r_pos)
         _, state = strategy.move(g, view, state)
         cop_pos = moves
         if r_move is not None:
@@ -513,7 +513,7 @@ def robber_minimax_line(g, cops, cfg, depth):
         if k == depth:
             return INF, None
         cop_pos, r, state = node
-        moves, state = cops.move(g, View(k + 1, cop_pos, r), state)
+        moves, state = cops.move(g, View(cop_pos, r), state)
         moves = tuple(moves)
         if r in moves:
             return k + 1, None
@@ -532,7 +532,7 @@ def robber_minimax_line(g, cops, cfg, depth):
     while r0 not in placement and len(rounds) < depth:
         k = len(rounds)
         cop_pos, r, state = node
-        moves, state = cops.move(g, View(k + 1, cop_pos, r), state)
+        moves, state = cops.move(g, View(cop_pos, r), state)
         move = best(k, node)[1]
         rounds.append((tuple(moves), move))
         if move is None or move in moves:
@@ -541,19 +541,30 @@ def robber_minimax_line(g, cops, cfg, depth):
     return value, r0, tuple(rounds)
 
 
-class PerLayerCop:
-    """Forwards ``place`` and ``move`` (and the name) to a cop team, but not
-    its ``round_free`` declaration."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.name = getattr(inner, "name", type(inner).__name__)
-
-    def place(self, g, cfg):
-        return self.inner.place(g, cfg)
-
-    def move(self, g, view, state):
-        return self.inner.move(g, view, state)
+def per_layer_expansion(g, cops, cfg, depth):
+    """``expand_game_layers`` with no record shared: ``move`` is called at
+    every node of every layer.  Returns (placement, None, layers), each
+    record as (moves, state after the move, captured on the cop half-move,
+    children), children mapping each robber move, ascending, to "caught" or
+    to the next node."""
+    placement = tuple(cops.place(g, cfg))
+    layers = [{(placement, r, None): None for r in range(g.n) if r not in placement}]
+    for _ in range(depth):
+        layer, nxt = layers[-1], {}
+        for node in layer:
+            cop_pos, r, state = node
+            view = View(cop_pos, r if cfg.robber_visible else None)
+            moves, state = cops.move(g, view, state)
+            moves = tuple(moves)
+            children = {}
+            if r not in moves:
+                for m in sorted({r, *g.neighbors(r)}):
+                    children[m] = "caught" if m in moves else (moves, m, state)
+                    if m not in moves:
+                        nxt[children[m]] = None
+            layer[node] = (moves, state, r in moves, children)
+        layers.append(nxt)
+    return placement, None, layers
 
 
 def eager_meyniel(g, threshold, params, seed):

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import math
 import pkgutil
@@ -32,14 +33,15 @@ from copsrobbers.engine import (
     View,
     expand_game_layers,
 )
-from copsrobbers.expander import desk_params, make_expander_cop
+from copsrobbers.expander import ScriptedCop, desk_params, make_expander_cop
 from copsrobbers.graph import diameter_pair, shortest_path
 from copsrobbers.guard import GuardCop
+from copsrobbers.meyniel import MeynielAnalysis, MeynielCop
 from copsrobbers.seeds import make_rng
 from copsrobbers.solver import SolverCop, cop_number
 
 from conftest import random_connected
-from oracles import PerLayerCop, robber_minimax_line
+from oracles import per_layer_expansion, robber_minimax_line
 
 
 def cfg(k=1, rounds=50, visible=True, seed=0):
@@ -120,20 +122,20 @@ def test_invisible_mode_hides_robber():
 
 def test_greedy_far_moves_away():
     g = gen_path(5)
-    v = View(round=1, cop_positions=(0,), robber_position=2)
+    v = View(cop_positions=(0,), robber_position=2)
     assert GreedyFarRobber().move(g, v, None) == 3
 
 
 def test_greedy_tie_takes_lowest_id():
     # all moves equally bad on a complete graph: stay at the lowest option
     k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
-    v = View(round=1, cop_positions=(0,), robber_position=2)
+    v = View(cop_positions=(0,), robber_position=2)
     assert GreedyFarRobber().move(k3, v, None) == 1
 
 
 def test_random_robber_reproducible():
     g = gen_cycle(8)
-    v = View(round=1, cop_positions=(0,), robber_position=4)
+    v = View(cop_positions=(0,), robber_position=4)
     a = [RandomRobber().move(g, v, make_rng(99)) for _ in range(5)]
     b = [RandomRobber().move(g, v, make_rng(99)) for _ in range(5)]
     assert a == b
@@ -268,11 +270,11 @@ def test_node_budget_stops_the_expansion_before_full_depth():
     # a budget of exactly the nodes expanded is enough
     expand_game_layers(g, HoldCop([12]), c, depth, node_budget=sum(sizes))
     # two layers' worth: the check before layer 2 fires, and no node past
-    # the first two layers is expanded (each node calls move twice)
+    # the first two layers is expanded (each distinct node calls move twice)
     cops = CountingCop(HoldCop([12]))
     with pytest.raises(ResourceLimitError):
         expand_game_layers(g, cops, c, depth, node_budget=sizes[0] + sizes[1])
-    assert cops.calls == 2 * (sizes[0] + sizes[1])
+    assert cops.calls == 2 * len(layers[0].keys() | layers[1].keys()) == 48
 
 
 @settings(max_examples=40, deadline=None)
@@ -302,73 +304,115 @@ def test_adversary_matches_plain_minimax(n, p, seed, depth):
 
 
 # ---------------------------------------------------------------------------
-# Round-free declarations: one record per distinct node, against per-layer.
+# Round-free expansion: every team's record of a node is computed once and
+# shared by every layer that holds it, against the per-layer oracle.
 # ---------------------------------------------------------------------------
 
-# every declaring strategy class, with a team of it on g: (cop count, team)
-_ROUND_FREE_TEAMS = {
-    GuardCop: lambda g: (1, GuardCop(g, shortest_path(g, *diameter_pair(g)[1:]))),
-    SolverCop: lambda g: (cop_number(g, 3), SolverCop(g, cop_number(g, 3))),
-    HoldCop: lambda g: (2, HoldCop([0, g.n // 2])),
-    ChaserCop: lambda g: (1, ChaserCop()),
+def _expander(g, seed):
+    return make_expander_cop(g, desk_params(g, lam=1.5, density=0.9), seed)[0]
+
+
+def _blind(g, seed):
+    """An unkeyed team that never reads the robber, as invisible_mode builds."""
+    keyed = _expander(g, seed)
+    return ScriptedCop("blind", keyed.homes, keyed.tracks[g.n - 1])
+
+
+def _meyniel(g, seed):
+    cop = MeynielCop(MeynielAnalysis(g, 3, desk_params(g, lam=1.5, density=0.9), seed))
+    a = cop.analysis
+    return cop, cfg(k=a.pool_size, rounds=a.timeline_bound())
+
+
+def _fielded(team, depth, visible=True):
+    return team, cfg(k=len(team.homes), rounds=depth, visible=visible)
+
+
+def _solver(g, depth):
+    k = cop_number(g, 3)
+    return SolverCop(g, k), cfg(k=k, rounds=depth)
+
+
+# every kind of cop team, built on g for `depth` rounds: (team, config); the
+# recursion runs to its own timeline bound
+_TEAMS = {
+    "GuardCop": lambda g, depth, seed: (
+        GuardCop(g, shortest_path(g, *diameter_pair(g)[1:])), cfg(rounds=depth)),
+    "SolverCop": lambda g, depth, seed: _solver(g, depth),
+    "HoldCop": lambda g, depth, seed: (HoldCop([0, g.n // 2]), cfg(k=2, rounds=depth)),
+    "ChaserCop": lambda g, depth, seed: (ChaserCop(), cfg(rounds=depth)),
+    "ScriptedCop": lambda g, depth, seed: _fielded(_expander(g, seed), depth),
+    "blind-ScriptedCop": lambda g, depth, seed: _fielded(_blind(g, seed), depth, visible=False),
+    "MeynielCop": lambda g, depth, seed: _meyniel(g, seed),
 }
 
+_GRAPHS = {"C30": gen_cycle(30), "grid4x8": gen_grid(4, 8), "grid6x10": gen_grid(6, 10),
+           "petersen": gen_petersen(), "C20": gen_cycle(20), "grid4x5": gen_grid(4, 5),
+           "C8": gen_cycle(8)}
 
-def test_round_free_declarations_are_exactly_the_tested_ones():
-    declared = set()
+_CASES = ([(gn, team) for gn in ("C30", "grid4x8", "grid6x10", "petersen")
+           for team in ("GuardCop", "SolverCop", "HoldCop", "ChaserCop")]
+          + [(gn, team) for gn in ("C20", "grid4x5", "petersen")
+             for team in ("ScriptedCop", "MeynielCop")]
+          + [(gn, "blind-ScriptedCop") for gn in ("petersen", "C8")])
+
+
+def _is_cop_team(cls) -> bool:
+    place = getattr(cls, "place", None)
+    return (callable(getattr(cls, "move", None)) and callable(place)
+            and list(inspect.signature(place).parameters) == ["self", "g", "cfg"])
+
+
+def test_every_cop_team_class_is_checked_against_the_per_layer_oracle():
+    teams = set()
     for info in pkgutil.iter_modules(copsrobbers.__path__):
         module = importlib.import_module(f"copsrobbers.{info.name}")
-        for cls in vars(module).values():
-            if (isinstance(cls, type) and cls.__module__ == module.__name__
-                    and getattr(cls, "round_free", False)):
-                declared.add(cls)
-    assert declared == set(_ROUND_FREE_TEAMS)
-    assert not hasattr(PerLayerCop(HoldCop([0])), "round_free")
+        teams |= {cls for cls in vars(module).values()
+                  if isinstance(cls, type) and cls.__module__ == module.__name__
+                  and _is_cop_team(cls)}
+    g = gen_petersen()
+    assert teams == {type(make(g, 4, 0)[0]) for make in _TEAMS.values()}
 
 
-def _assert_same_as_per_layer(g, cops, c, depth):
-    """A team's expansion and adversary line equal those of the same team
-    with its declaration hidden: layer keys in order, and every record's
-    moves, state, capture flag and children."""
-    plain = PerLayerCop(cops)
-    got, ref = expand_game_layers(g, cops, c, depth), expand_game_layers(g, plain, c, depth)
+def _assert_same_as_per_layer(g, cops, c):
+    """The expansion to c.max_rounds equals the per-layer oracle's: layer
+    keys in order, and every record's moves, state, capture flag and
+    children."""
+    got = expand_game_layers(g, cops, c, c.max_rounds)
+    ref = per_layer_expansion(g, cops, c, c.max_rounds)
     assert got == ref
     assert [list(layer) for layer in got[2]] == [list(layer) for layer in ref[2]]
-    t, t_ref = (adversarial_robber_search(g, team, c, depth) for team in (cops, plain))
-    assert transcript_to_json(t) == transcript_to_json(t_ref)
-    assert t.final_state == t_ref.final_state
 
 
-@pytest.mark.parametrize("cls", list(_ROUND_FREE_TEAMS), ids=lambda cls: cls.__name__)
-@pytest.mark.parametrize("g", [gen_cycle(30), gen_grid(4, 8), gen_grid(6, 10), gen_petersen()],
-                         ids=["C30", "grid4x8", "grid6x10", "petersen"])
-def test_round_free_expansion_matches_per_layer(g, cls):
-    cop_count, cops = _ROUND_FREE_TEAMS[cls](g)
-    depth = 2 * diameter_pair(g)[0] + 4
-    _assert_same_as_per_layer(g, cops, cfg(k=cop_count, rounds=depth), depth)
+@pytest.mark.parametrize("gname, team", _CASES, ids=[f"{gn}-{team}" for gn, team in _CASES])
+def test_round_free_expansion_matches_per_layer(gname, team):
+    g = _GRAPHS[gname]
+    cops, c = _TEAMS[team](g, 2 * diameter_pair(g)[0] + 4, 0)
+    _assert_same_as_per_layer(g, cops, c)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 9), st.floats(0.2, 0.8), st.integers(0, 10**6), st.integers(1, 10))
 def test_round_free_expansion_matches_per_layer_on_random_graphs(n, p, seed, depth):
     g = random_connected(n, seed=seed, p=p)
-    for make in _ROUND_FREE_TEAMS.values():
-        cop_count, cops = make(g)
-        _assert_same_as_per_layer(g, cops, cfg(k=cop_count, rounds=depth), depth)
+    for make in _TEAMS.values():
+        _assert_same_as_per_layer(g, *make(g, depth, seed))
 
 
-def test_a_false_round_free_declaration_is_caught():
+def test_a_team_reading_the_round_fails():
     class ParityCop(ChaserCop):
-        """Chases on odd rounds and holds on even ones, yet declares round_free."""
+        """Chases on odd rounds and holds on even ones."""
 
         def move(self, g, view, state):
             if view.round % 2:
                 return super().move(g, view, state)
             return view.cop_positions, state
 
-    for g in (gen_cycle(30), gen_grid(4, 8)):
-        with pytest.raises(AssertionError):
-            _assert_same_as_per_layer(g, ParityCop([0]), cfg(rounds=12), 12)
+    g = gen_cycle(30)
+    with pytest.raises(AttributeError):
+        expand_game_layers(g, ParityCop([0]), cfg(rounds=12), 12)
+    with pytest.raises(AttributeError):
+        play(g, ParityCop([0]), GreedyFarRobber(), cfg(rounds=12))
 
 
 def test_depth_capped_by_max_rounds():

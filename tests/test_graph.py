@@ -735,3 +735,12 @@ def test_dot_and_hash():
     assert "0 -- 1;" in dot and dot.startswith("graph g {")
     assert graph_hash(g) == graph_hash(gen_cycle(3))
     assert graph_hash(g) != graph_hash(gen_path(3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.sampled_from((0.1, 0.3, 0.6)), st.integers(0, 10**6))
+def test_edges_come_sorted_and_distinct(n, p, seed):
+    # the edge-list text, the DOT output and graph_hash list g.edges() as is
+    g = gen_gnp(n, p, seed)
+    for h in (g, _relabel(g, make_rng(seed, "edges"))):
+        assert h.edges() == sorted(set(h.edges()))

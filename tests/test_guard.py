@@ -1,4 +1,3 @@
-import json
 
 import pytest
 
@@ -60,7 +59,7 @@ def test_guard_cop_refuses_hidden_robber():
     g = gen_path(4)
     cop = GuardCop(g, (0, 1, 2))
     with pytest.raises(ValueError):
-        cop.move(g, View(round=1, cop_positions=(3,), robber_position=None), None)
+        cop.move(g, View(cop_positions=(3,), robber_position=None), None)
 
 
 def test_stationary_robber_settles_then_guards():
@@ -164,12 +163,6 @@ def test_guard_soundness_expands_each_distinct_node_once(monkeypatch):
     report = check_guard_soundness(g, path)
     assert len(calls) == 2 * 514
     assert report["states_checked"] == 4039 and report["violations"] == []
-    # the same report, byte for byte, with the declaration withdrawn
-    calls.clear()
-    monkeypatch.setattr(GuardCop, "round_free", False)
-    per_layer = check_guard_soundness(g, path)
-    assert len(calls) == 2 * 4039
-    assert json.dumps(per_layer, sort_keys=True) == json.dumps(report, sort_keys=True)
 
 
 def test_guard_cop_requires_single_cop():

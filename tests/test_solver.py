@@ -264,7 +264,7 @@ def test_solver_cop_moves_match_multiset_oracle_on_every_state():
         for cops in itertools.product(range(g.n), repeat=k):
             for r in range(g.n):
                 if r not in cops:
-                    view = View(round=1, cop_positions=cops, robber_position=r)
+                    view = View(cop_positions=cops, robber_position=r)
                     assert new.move(g, view, None) == old.move(g, view, None)
 
 
@@ -279,5 +279,5 @@ def test_solver_cop_moves_match_the_enumerating_reference(n, k, p, seed):
     for cops in itertools.product(range(n), repeat=k):
         for r in range(n):
             if r not in cops and _bit(t.win_cop, t.state(cops, r)):
-                view = View(round=1, cop_positions=cops, robber_position=r)
+                view = View(cop_positions=cops, robber_position=r)
                 assert cop.move(g, view, None)[0] == solver_reference_move(g, t, cops, r)
