@@ -520,3 +520,23 @@ def test_strategy_output_pinned(tmp_path, capsys, name):
         assert code == 0
         digests.append(hashlib.sha256(out.encode()).hexdigest())
     assert tuple(digests) == PINNED_STRATEGY_SHA256[name]
+
+
+# SHA-256 of `strategy meyniel` stdout on `gen grid 25 25`, the deepest
+# recursion of the benchmark's grids (24 nodes, depth 23), against the greedy
+# robber and against the random robber with seed 3.
+PINNED_GRID25_SHA256 = (
+    "2730bb1bda62eabfb2ccd6b653db637122e5bb53d7cd92cea8aedaf2d93d8344",
+    "5a8475e1dc5fea10c6ff3614dd44f739fdd87f117f0032a99b94413b437be5fa",
+)
+
+
+def test_strategy_meyniel_on_grid25_pinned(tmp_path, capsys):
+    f = tmp_path / "g25.el"
+    assert run(capsys, "gen", "grid", "25", "25", "-o", str(f))[0] == 0
+    digests = []
+    for robber in (["--robber", "greedy"], ["--robber", "random", "--seed", "3"]):
+        code, out, _ = run(capsys, "strategy", "meyniel", str(f), "--require-capture", *robber)
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == PINNED_GRID25_SHA256

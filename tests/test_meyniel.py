@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from copsrobbers import (
     GameConfig,
+    Graph,
     StrategyParams,
     adversarial_robber_search,
     diameter,
@@ -20,6 +21,7 @@ from copsrobbers import (
 from copsrobbers.engine import GreedyFarRobber, RandomRobber
 from copsrobbers.expander import desk_params
 from copsrobbers.meyniel import MeynielAnalysis, MeynielCop
+from copsrobbers.seeds import make_rng
 
 from conftest import random_connected
 from oracles import eager_meyniel, replay_final_state
@@ -235,11 +237,25 @@ def test_aggressive_threshold_validation():
         MeynielAnalysis(gen_path(5), 0, PARAMS, seed=0)
 
 
+def _sparse_tree(n, chords, seed):
+    """Random recursive tree plus `chords` random chords: its guard splits
+    leave many components."""
+    rng = make_rng(seed, "pin-chords")
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    while len(edges) < n - 1 + chords:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
 # Every leaf of the analysis, pinned to the bytes of an earlier revision:
 # (node id, resamples, broken, family set sizes, SHA-256 of the repr of
 # (team homes, sorted deadlines, march routes, sorted per-start team tracks)), with the
 # pool size and the timeline bound.  Resamples above 1 and the root leaf check
-# that leaf planning draws the same families from the same derived seeds.
+# that leaf planning draws the same families from the same derived seeds.  The
+# sparse tree's first split has ten children, and its leaves also pin the
+# SHA-256 of the repr of (component, entry, duration, parent id), so the order
+# of the children and the components they get are pinned too.
 HALF = StrategyParams(lam=2.0, density=0.5, levels=3)
 STARVED = StrategyParams(lam=2.0, density=1e-9, levels=1, resample_limit=1)
 PINNED_LEAVES = {
@@ -259,6 +275,38 @@ PINNED_LEAVES = {
         (2, 1, True, (),
          "8ef31c2d68fbd71420df5fce8d62f8737938441d0a2ad045f280f1a0e2a4b13b"),
     )),
+    "tree50-chords": ((_sparse_tree, 50, 3, 2), 3, HALF, 13, 33, (
+        (1, 1, False, (1, 0, 0, 1),
+         "4de2cadf272642829150fb2cd2a12b45b5597bd2ad4312b2e54289d34885c30a",
+         "e0779590c81289a2cc0ed239ab89796d90daa8e12f93af1984857f810bb2a4ae"),
+        (2, 1, False, (3, 3, 3, 3),
+         "57589a9b0e1b3933ba8763513e6705c2c79611f97ee2dda3d99864bf5d0a8666",
+         "51ac1aabc475633c5d3bd3c779d7f4e78d615d484ecf96ba98c4f5ab4363c668"),
+        (5, 1, False, (1, 1, 2, 1),
+         "a6d21cec68312b5292d58a3ce0e2fb55775ad86f7dfaa34d9290e161f84cebfd",
+         "5ad897ad6150d5e8e754e5c86b17fb453f98df53ff7d8c70f31f3d01d1650bd6"),
+        (6, 1, False, (1, 3, 2, 1),
+         "43f61a17b713568f3f6609d9e5a8352c46d7e4d14b10df54a0b9c3f6f666c69c",
+         "6ccd84163853d39777ff8ab475818b33065ce0c81bf320c03514a182a62c3427"),
+        (8, 1, False, (1, 0, 1, 1),
+         "e1e77a29ecd4162829e5dfe75e0ea4828918c34791ab93ac3960468e62a5d35a",
+         "a5e8ee4eac044f13d2295fdffd128abcfb32b7b1ddadd576055f07e0cce273bc"),
+        (9, 1, False, (1, 0, 1, 0),
+         "206e5cc55f8ee307e59e3e95b002649fb1cb53828862dc5b8c0db344f41d5b1a",
+         "8914f0d09d995d0f5a1990a54aab2a577772268ed66a4037b23940c9490d7b8f"),
+        (10, 1, False, (0, 1, 1, 0),
+         "91c0d9435e9e7e8bcb0e6fa52ab80b6cb4dd7f6cf8a9ec3f78be808230f7eb56",
+         "1ed848c97f5cd8301574a3895bb537d82d69b8ea7eefb7e56ddff389dea20a6e"),
+        (11, 1, False, (1, 0, 0, 1),
+         "66681357ca5d62c9eeae24066d55ee624f33dcc313efce761e03a9929becb29a",
+         "1cdefd18a45b944bf56cf277e41648de76f5469cf74fd73d8dff72469718298b"),
+        (12, 1, False, (1, 0, 1, 0),
+         "5de31c54dddd2d063b9423ade9e9771e93bbc4da00b14ec4c83aab9f32de1f2a",
+         "5cb596b90cce32aebfd821ec1496c06ec4bfa7d321e1a92bbc2f5e9b3ee62601"),
+        (13, 1, False, (0, 0, 0, 1),
+         "9911cb4d0e9a59656d9a742c9af36aea2ec175a3269d1ca7f8b47eeedee0eae5",
+         "333f53da83aa3d31232f49f2970b20a8c514742be82bafa189912f3aa8a8c0ae"),
+    )),
 }
 
 
@@ -273,9 +321,13 @@ def test_leaves_pinned(name):
             homes, tracks = (built.team.homes, built.team.tracks) if built.team else ((), {})
             doc = (homes, sorted((n.deadlines or {}).items()), built.march_routes,
                    sorted(tracks.items()))
+            place = (tuple(n.vertices), n.entry, n.duration, n.parent)
             got.append((n.node_id, n.resamples, n.broken, n.family_set_sizes,
-                        hashlib.sha256(repr(doc).encode()).hexdigest()))
-    assert (an.pool_size, an.timeline_bound(), tuple(got)) == (pool, timeline, leaves)
+                        hashlib.sha256(repr(doc).encode()).hexdigest(),
+                        hashlib.sha256(repr(place).encode()).hexdigest()))
+    width = len(leaves[0])  # the cases before the tree pin five fields
+    assert (an.pool_size, an.timeline_bound(), tuple(leaf[:width] for leaf in got)) == (
+        pool, timeline, leaves)
 
 
 def test_desk_params_and_two_runs_share_one_whole_graph_scan(diameter_scans):
