@@ -10,18 +10,13 @@ BFS tie-breaking is pinned everywhere: when several predecessors realize a
 shortest path, the lowest vertex id wins.  This makes every derived object
 (geodesics, transcripts) reproducible.
 
-The metric functions take an optional ``within`` vertex set.  They then
-measure the subgraph induced by that set while keeping the original vertex
-ids, so a caller working on a component never relabels the graph.  Every
-masked metric (``bfs_distances``, ``shortest_path``, ``diameter_pair``) and
-``delete_vertices`` run on one order-preserving compact copy of the set
-(members ascending, their adjacency kept in that order), so with ``within``
-= C the search costs O(|C| + m_C), m_C the edges at C's members, however
-large g is, plus O(|C|·n/w) to list C's members from the bitmask;
-``bfs_distances`` then writes its row back into an n-long list.  The copy is
-monotone in the ids, so every lowest-id tie-break picks what it would pick
-in g.  A full mask is all of g: it is recognised by its member count and
-never listed.
+The metric functions measure a whole graph.  To measure inside a vertex set
+C, build the subgraph C induces (``delete_vertices``) and measure that: its
+vertices are C's members in ascending order, relabelled 0..|C|-1, so a
+search costs O(|C| + m_C), m_C the edges at C's members, however large the
+original graph is.  The relabel is monotone, so every lowest-id tie-break
+picks what it would pick in the original graph, and results map back
+through the ascending member list.
 
 ``diameter_pair`` returns the same lexicographically first diametral pair as
 one BFS per vertex would, from a bounded scan: eccentricity bounds from the
@@ -39,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_left
 from collections import deque
 from typing import Iterable, Iterator
 
@@ -188,8 +182,20 @@ class Graph:
             seen.add(key)
             adj[u].append(v)
             adj[v].append(u)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_adj", tuple(tuple(sorted(a)) for a in adj))
+        self._fill(tuple(tuple(sorted(a)) for a in adj))
+
+    @classmethod
+    def _trusted(cls, adj: tuple) -> "Graph":
+        """The graph whose adjacency is ``adj`` as given.  Nothing is
+        checked: the caller hands over nonempty, sorted, symmetric,
+        loop-free tuples of in-range ids."""
+        g = object.__new__(cls)
+        g._fill(adj)
+        return g
+
+    def _fill(self, adj: tuple) -> None:
+        object.__setattr__(self, "n", len(adj))
+        object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_diameter", None)
 
     def __setattr__(self, name, value):
@@ -243,43 +249,47 @@ def _bfs(adj, dist: list[int], sources) -> list[int]:
     return dist
 
 
-def _local(g: Graph, within: VertexSet | None):
-    """``(members, adj)``: the members of ``within`` ascending, and the
-    adjacency of the subgraph they induce with member i relabelled i.  The
-    relabel is monotone, so sorted neighbor lists stay sorted.  All of g
-    (``within`` None or full) is its own copy; a full mask is told by its
-    member count, without listing it."""
-    if within is None:
-        return range(g.n), g._adj
-    _check_universe(g, within)
-    if len(within) == g.n:
-        return range(g.n), g._adj
-    members = list(within)
-    pos = {v: i for i, v in enumerate(members)}
+def _induced(g: Graph, pos: dict[int, int]) -> Graph:
+    """The subgraph of g induced by the keys of ``pos``, which map g's
+    vertices, ascending, to 0, 1, ... in order.  The relabel is monotone, so
+    sorted neighbor lists stay sorted.  Costs O(|pos| + m), m the edges at
+    those vertices."""
     get = pos.get
     adj = g._adj
-    return members, [[i for w in adj[v] if (i := get(w)) is not None] for v in members]
+    return Graph._trusted(tuple(tuple(i for w in adj[v] if (i := get(w)) is not None)
+                                for v in pos))
 
 
-def bfs_distances(g: Graph, sources: VertexSet, within: VertexSet | None = None) -> list[int]:
-    """Multi-source BFS hop distances; ``UNREACHABLE`` marks the rest.
+def _components(g: Graph, removed) -> list[tuple[list[int], Graph]]:
+    """The components of g minus the vertices ``removed``, in the order of
+    their lowest vertex: each as its ascending vertex list and the subgraph
+    it induces (vertex i of the list relabelled i).  Costs O(n + m)."""
+    adj = g._adj
+    taken = [False] * g.n
+    for v in removed:
+        taken[v] = True
+    parts = []
+    for s in range(g.n):
+        if taken[s]:
+            continue
+        taken[s] = True
+        part = [s]
+        for u in part:
+            for v in adj[u]:
+                if not taken[v]:
+                    taken[v] = True
+                    part.append(v)
+        part.sort()
+        parts.append((part, _induced(g, {v: i for i, v in enumerate(part)})))
+    return parts
 
-    With ``within``, distances are those of the subgraph induced by that
-    vertex set, in the original ids; every vertex outside it is unreachable.
-    """
+
+def bfs_distances(g: Graph, sources: VertexSet) -> list[int]:
+    """Multi-source BFS hop distances; ``UNREACHABLE`` marks the rest."""
     if not sources:
         raise ValueError("sources must be nonempty")
     _check_universe(g, sources)
-    members, adj = _local(g, within)
-    if within is not None and sources.mask & ~within.mask:
-        raise ValueError("sources must lie inside the vertex mask")
-    if len(members) == g.n:
-        return _bfs(adj, [UNREACHABLE] * g.n, sources)
-    row = _bfs(adj, [UNREACHABLE] * len(members), [bisect_left(members, s) for s in sources])
-    dist = [UNREACHABLE] * g.n
-    for v, d in zip(members, row):
-        dist[v] = d
-    return dist
+    return _bfs(g._adj, [UNREACHABLE] * g.n, sources)
 
 
 def ball(g: Graph, a: VertexSet, r: int) -> VertexSet:
@@ -289,13 +299,13 @@ def ball(g: Graph, a: VertexSet, r: int) -> VertexSet:
     _check_universe(g, a)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    return VertexSet(g.n, _flood(g, a.mask, -1, r))
+    return VertexSet(g.n, _flood(g, a.mask, r))
 
 
-def _flood(g: Graph, mask: int, region: int, steps: int = -1) -> int:
+def _flood(g: Graph, mask: int, steps: int = -1) -> int:
     """Grow the bitmask ``mask`` by ``steps`` BFS layers (every layer when
-    negative), entering only vertices of the bitmask ``region``.  It scans
-    the adjacency of the vertices it reaches and nothing else."""
+    negative).  It scans the adjacency of the vertices it reaches and
+    nothing else."""
     adj = g._adj
     frontier = list(VertexSet(g.n, mask))
     while frontier and steps:
@@ -303,7 +313,7 @@ def _flood(g: Graph, mask: int, region: int, steps: int = -1) -> int:
         nxt = []
         for u in frontier:
             for v in adj[u]:
-                if not mask >> v & 1 and region >> v & 1:
+                if not mask >> v & 1:
                     mask |= 1 << v
                     nxt.append(v)
         frontier = nxt
@@ -351,74 +361,62 @@ def step_toward(g: Graph, dist: list[int], v: int) -> int:
     raise AssertionError("BFS distance field has no descent step")
 
 
-def shortest_path(g: Graph, u: int, v: int, within: VertexSet | None = None) -> list[int]:
-    """A geodesic from u to v (inside ``within`` if given), deterministic via
-    lowest-id predecessors."""
+def shortest_path(g: Graph, u: int, v: int) -> list[int]:
+    """A geodesic from u to v, deterministic via lowest-id predecessors."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("endpoint outside vertex range")
-    members, adj = _local(g, within)
-    if within is not None and u not in within:
-        raise ValueError("sources must lie inside the vertex mask")
     if u == v:
         return [u]
-    dist = _bfs(adj, [UNREACHABLE] * len(members), (bisect_left(members, u),))
-    target = bisect_left(members, v)
-    if within is not None and v not in within or dist[target] == UNREACHABLE:
+    dist = _bfs(g._adj, [UNREACHABLE] * g.n, (u,))
+    if dist[v] == UNREACHABLE:
         raise NoPathError(f"no path between {u} and {v}")
-    return [members[w] for w in _walk(adj, dist, target)]
+    return _walk(g._adj, dist, v)
 
 
-def diameter_pair(g: Graph, within: VertexSet | None = None) -> tuple[int | float, int, int]:
-    """``(d, u, v)``: the diameter of the subgraph induced by ``within`` (all
-    of g by default) and the lexicographically first pair u < v realizing it.
+def diameter_pair(g: Graph) -> tuple[int | float, int, int]:
+    """``(d, u, v)``: the diameter of g and the lexicographically first pair
+    u < v realizing it.
 
-    u is the first member whose eccentricity is the diameter, and v the first
-    vertex at that distance from u.  The members are scanned in ascending
+    u is the first vertex whose eccentricity is the diameter, and v the first
+    vertex at that distance from u.  The vertices are scanned in ascending
     order, but a BFS runs only from a source that could still be u: a double
-    sweep from the first member gives a lower bound on the diameter, and BFS
-    rows give upper bounds ``ecc(w) + d(w, v)`` on the later members'
+    sweep from vertex 0 gives a lower bound on the diameter, and BFS rows
+    give upper bounds ``ecc(w) + d(w, v)`` on the later vertices'
     eccentricities (bounding diameters; Takes & Kosters 2011).  On
     long graphs a few BFS passes suffice; on vertex-transitive graphs
     (cycles, hypercubes, Petersen) nothing can be skipped and the scan keeps
-    one BFS per vertex.  A disconnected set gives ``(math.inf, u, v)`` for
+    one BFS per vertex.  A disconnected graph gives ``(math.inf, u, v)`` for
     the first unreachable pair, found at the first source; a single vertex
-    gives ``(0, v, v)``.
+    gives ``(0, 0, 0)``.
 
-    The whole-graph triple (``within`` None or full) is kept on g for its
-    lifetime after the first call, and later calls return it; a strict
-    sub-mask is scanned on every call and leaves the kept value alone.  The
-    triple is immutable and fixed by g's adjacency, so callers sharing g see
-    one value, and two calls racing to fill it write the same one.
+    The triple is kept on g for its lifetime after the first call, and later
+    calls return it.  It is immutable and fixed by g's adjacency, so callers
+    sharing g see one value, and two calls racing to fill it write the same
+    one.
     """
-    members, adj = _local(g, within)
-    if len(members) == g.n:
-        if g._diameter is None:
-            object.__setattr__(g, "_diameter", _diameter_scan(members, adj))
-        return g._diameter
-    if not members:
-        raise ValueError("vertex mask must be nonempty")
-    return _diameter_scan(members, adj)
+    if g._diameter is None:
+        object.__setattr__(g, "_diameter", _diameter_scan(g._adj))
+    return g._diameter
 
 
-def _diameter_scan(members, adj) -> tuple[int | float, int, int]:
-    """The bounded scan behind :func:`diameter_pair`, on the compact copy
-    ``(members, adj)`` of a nonempty vertex set."""
-    # source i is members[i]
-    seed = [UNREACHABLE] * len(members)
+def _diameter_scan(adj) -> tuple[int | float, int, int]:
+    """The bounded scan behind :func:`diameter_pair`, on the adjacency lists
+    ``adj``."""
+    seed = [UNREACHABLE] * len(adj)
     row_first = _bfs(adj, seed.copy(), (0,))
     if UNREACHABLE in row_first:
-        return math.inf, members[0], members[row_first.index(UNREACHABLE)]
+        return math.inf, 0, row_first.index(UNREACHABLE)
     far = row_first.index(max(row_first))
     row_far = _bfs(adj, seed.copy(), (far,))
     # A source u is skipped when hi[u] < need.  need starts at ecc(far), a
     # lower bound on the diameter, and stays above the eccentricity best
     # holds, since only a strict raise moves best.  hi[v] is a minimum of
     # ecc(w) + d(w, v) over BFS rows from sources w, so hi[v] >= ecc(v) by
-    # the triangle inequality inside the mask.
+    # the triangle inequality.
     need = max(row_far)
     hi = [need + d for d in row_far]
     best = (0, 0, 0)
-    for u in range(len(members)):
+    for u in range(len(adj)):
         if hi[u] < need:
             continue
         dist = row_first if u == 0 else row_far if u == far else _bfs(adj, seed.copy(), (u,))
@@ -432,8 +430,7 @@ def _diameter_scan(members, adj) -> tuple[int | float, int, int]:
             # ecc + d(u, v) >= ecc + 1 off u, so only then can the row
             # prune a later source
             hi = [h if h <= ecc + d else ecc + d for h, d in zip(hi, dist)]
-    d, u, v = best
-    return d, members[u], members[v]
+    return best
 
 
 def diameter(g: Graph) -> int | float:
@@ -475,25 +472,20 @@ def min_degree(g: Graph) -> int:
 
 
 def delete_vertices(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on V - s, relabeled compactly; returns old->new map."""
-    members, adj = _local(g, s.complement())
-    if not members:
+    """Induced subgraph on V - s, relabeled compactly and in order; returns
+    old->new map."""
+    _check_universe(g, s)
+    if len(s) == g.n:
         raise ValueError("cannot delete every vertex")
-    edges = [(i, j) for i, a in enumerate(adj) for j in a if i < j]
-    return Graph(len(members), edges), {v: i for i, v in enumerate(members)}
+    pos = {v: i for i, v in enumerate(s.complement())}
+    return _induced(g, pos), pos
 
 
-def component_of(g: Graph, v: int, within: VertexSet | None = None) -> VertexSet:
-    """Maximal connected vertex set containing v (inside ``within`` if given)."""
+def component_of(g: Graph, v: int) -> VertexSet:
+    """Maximal connected vertex set containing v."""
     if not 0 <= v < g.n:
         raise ValueError("vertex outside range")
-    region = -1
-    if within is not None:
-        _check_universe(g, within)
-        if v not in within:
-            raise ValueError("vertex outside the vertex mask")
-        region = within.mask
-    return VertexSet(g.n, _flood(g, 1 << v, region))
+    return VertexSet(g.n, _flood(g, 1 << v))
 
 
 def is_connected(g: Graph) -> bool:

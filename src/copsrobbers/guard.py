@@ -25,6 +25,8 @@ and plays it as a one-cop engine strategy.  The recursion in
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from .graph import (
     UNREACHABLE,
     Graph,
@@ -45,16 +47,17 @@ __all__ = [
 class GuardCop:
     """One cop guarding the geodesic `path`; also a one-cop engine strategy.
 
-    With ``within``, the path is a geodesic of the subgraph induced by that
-    vertex set and the shadow is measured inside it, while the cop still
-    approaches p_0 through all of g.  Without it both metrics are the same
-    list.  The cop starts on p_0.
+    With ``component = (h, members)``, h is the subgraph of g induced by a
+    vertex set, with ``members[i]`` the vertex of g that is h's vertex i.
+    The path is then a geodesic of h and the shadow is measured in h, by one
+    BFS there, while the cop still approaches p_0 through all of g.  Without
+    it both metrics are the same list.  The cop starts on p_0.
     """
 
     __slots__ = ("path", "length", "index_of", "dist0", "approach")
     name = "guard"
 
-    def __init__(self, g: Graph, path, within: VertexSet | None = None):
+    def __init__(self, g: Graph, path, component: tuple[Graph, Sequence[int]] | None = None):
         path = tuple(path)
         if not path:
             raise ValueError("path must be nonempty")
@@ -66,14 +69,19 @@ class GuardCop:
                 raise ValueError(f"path step {a}->{b} is not an edge")
         if len(set(path)) != len(path):
             raise ValueError("path revisits a vertex")
-        if within is not None and not VertexSet.of(g.n, path) <= within:
-            raise ValueError("path leaves the vertex mask")
         self.path = path
         self.length = len(path) - 1
         self.index_of = {v: i for i, v in enumerate(path)}
-        p0 = VertexSet.of(g.n, [path[0]])
-        self.dist0 = bfs_distances(g, p0, within)
-        self.approach = self.dist0 if within is None else bfs_distances(g, p0)
+        self.approach = bfs_distances(g, VertexSet.of(g.n, [path[0]]))
+        self.dist0 = self.approach
+        if component is not None:
+            h, members = component
+            local = {v: i for i, v in enumerate(members)}
+            if any(v not in local for v in path):
+                raise ValueError("path leaves the component")
+            self.dist0 = [UNREACHABLE] * g.n
+            for v, d in zip(members, bfs_distances(h, VertexSet.of(h.n, [local[path[0]]]))):
+                self.dist0[v] = d
         if self.dist0[path[-1]] != self.length:
             raise ValueError("path is not a geodesic")
 

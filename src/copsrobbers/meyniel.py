@@ -5,10 +5,13 @@ vertices realizing the component's exact diameter, guard the geodesic between
 them, treat it as deleted once the guard has settled, and recurse on the
 robber's component.  At or below the threshold, march a sampled cop family
 onto its home vertices inside the component, read the robber's position and
-run the level-decomposition plan.  Components are vertex masks of the
-original graph, so the diameter, the geodesic, the split and the guard's
-shadow are all measured in original ids; only a leaf builds the induced
-subgraph, for the expander.
+run the level-decomposition plan.  Each node of the recursion holds its
+component's induced subgraph, built once, and the ascending original ids of
+its vertices; the root's is the graph itself, so it shares the graph's kept
+diameter.  The diameter, the geodesic, the split, the guard's shadow and the
+leaf's expander all run on the node's subgraph, and their results map back
+to original ids through that list.  The relabel is monotone, so every
+lowest-id choice is the one the original ids would give.
 
 The whole object is realized inside a single engine game with a fixed pool of
 cops placed up front (start positions are irrelevant on a connected graph;
@@ -38,6 +41,7 @@ root-to-leaf chain, so a node's cop objects (a guard's ``GuardCop``, a leaf's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .engine import GameConfig, GreedyFarRobber, View, play
 from .expander import (
@@ -54,9 +58,8 @@ from .graph import (
     UNREACHABLE,
     Graph,
     VertexSet,
+    _components,
     bfs_distances,
-    component_of,
-    delete_vertices,
     diameter_pair,
     shortest_path,
     walk_back,
@@ -88,21 +91,35 @@ class _Node:
     depth: int
     kind: str                      # "guard" | "leaf"
     vertices: VertexSet            # component, original ids
+    graph: Graph                   # the subgraph the component induces
+    members: Sequence[int]         # original id of each graph vertex, ascending
     entry: int                     # stage starts at round entry + 1
-    duration: int                  # guard: settle window; leaf: march window
+    duration: int = 0              # guard: settle window; leaf: march window
     children: tuple = ()           # (VertexSet, _Node) pairs
     parent: int | None = None      # id of the guard node split into this one
     path: tuple = ()               # guard: the geodesic, original ids
-    # leaf fields
-    broken: bool = False
-    # the family and its plans, in the ids of the leaf's induced subgraph;
-    # the team is built from them (None when broken)
+    # leaf fields: the family and its plans, in the ids of `graph`; the team
+    # is built from them (None when broken)
     family: CopSetFamily | None = None
     plans: dict | None = None
-    family_set_sizes: tuple = ()   # () when broken
-    deadlines: dict | None = None  # robber start -> capture deadline
     resamples: int = 0
     built: _Cops | None = None     # set by MeynielAnalysis.cops
+
+    @property
+    def broken(self) -> bool:
+        return self.kind == "leaf" and self.family is None
+
+    @property
+    def family_set_sizes(self) -> tuple:
+        return () if self.family is None else tuple(len(s) for s in self.family.sets)
+
+    @property
+    def deadlines(self) -> dict | None:
+        """Robber start (original id) -> capture deadline; None off a
+        planned leaf."""
+        if self.family is None:
+            return None
+        return {self.members[v]: plan.capture_deadline for v, plan in self.plans.items()}
 
 
 class MeynielAnalysis:
@@ -120,7 +137,8 @@ class MeynielAnalysis:
         if UNREACHABLE in self._dist_v0:
             raise ValueError("recursion requires a connected graph")
         self.nodes: list[_Node] = []
-        self.root = self._build(VertexSet.full(g.n), depth=0, entry=0, label="r", parent=None)
+        self.root = self._build(g, range(g.n), VertexSet.full(g.n), depth=0, entry=0,
+                                label="r", parent=None)
         self.pool_size = max(
             max((self._need(n) for n in self.nodes), default=1), 1
         )
@@ -132,68 +150,36 @@ class MeynielAnalysis:
             return node.depth + sum(node.family_set_sizes)
         return node.depth + 1
 
-    def _build(self, comp: VertexSet, depth: int, entry: int, label: str,
-               parent: int | None) -> _Node:
-        g = self.g
-        node_id = len(self.nodes)
-        d, u, v = diameter_pair(g, comp)
-        if d <= self.threshold:
-            node = self._build_leaf(node_id, comp, depth, entry, label)
-            node.parent = parent
-            self.nodes.append(node)
+    def _build(self, h: Graph, members: Sequence[int], vertices: VertexSet, depth: int,
+               entry: int, label: str, parent: int | None) -> _Node:
+        d, u, v = diameter_pair(h)
+        node = _Node(node_id=len(self.nodes), depth=depth,
+                     kind="leaf" if d <= self.threshold else "guard", vertices=vertices,
+                     graph=h, members=members, entry=entry, parent=parent)
+        self.nodes.append(node)
+        if node.kind == "leaf":
+            family, plans, node.resamples = resample_family(
+                h, self.params, self.seed, f"{label}:fam")
+            if family is not None:
+                node.family, node.plans = family, plans
+                # the march ends when the cop with the farthest home arrives;
+                # the root leaf's cops are placed on their homes directly
+                node.duration = 0 if depth == 0 else max(
+                    (self._dist_v0[members[w]] for s in family.sets for w in s), default=0)
             return node
-        path = tuple(shortest_path(g, u, v, within=comp))
+        path = shortest_path(h, u, v)
+        node.path = tuple(members[w] for w in path)
         # the guard reaches p0 after d(v0, p0) rounds, then settles within
         # len(P) more
-        settle = self._dist_v0[path[0]] + len(path) - 1
-        node = _Node(
-            node_id=node_id,
-            depth=depth,
-            kind="guard",
-            vertices=comp,
-            entry=entry,
-            duration=max(1, settle),
-            parent=parent,
-            path=path,
-        )
-        self.nodes.append(node)
-        rest = comp - VertexSet.of(g.n, path)
+        node.duration = max(1, self._dist_v0[node.path[0]] + len(path) - 1)
         children = []
-        while rest:
-            part = component_of(g, next(iter(rest)), within=rest)
-            child = self._build(
-                part, depth + 1, entry + node.duration,
-                f"{label}.{len(children)}", node_id,
-            )
-            children.append((part, child))
-            rest -= part
+        for part, sub in _components(h, path):
+            part = tuple(members[w] for w in part)
+            child = self._build(sub, part, VertexSet.of(self.g.n, part), depth + 1,
+                                entry + node.duration, f"{label}.{len(children)}", node.node_id)
+            children.append((child.vertices, child))
         node.children = tuple(children)
         return node
-
-    def _build_leaf(self, node_id, comp, depth, entry, label) -> _Node:
-        # The expander samples over a Graph, so the leaf works on the induced
-        # subgraph; its compact ids map back through the sorted members.
-        g = self.g
-        sub, _ = delete_vertices(g, comp.complement())
-        family, plans, attempts = resample_family(sub, self.params, self.seed, f"{label}:fam")
-        if family is None:
-            return _Node(
-                node_id=node_id, depth=depth, kind="leaf", vertices=comp,
-                entry=entry, duration=0, broken=True, resamples=attempts,
-            )
-        rmap = tuple(comp)
-        # the march ends when the cop with the farthest home arrives; the
-        # root leaf's cops are placed on their homes directly
-        march = 0 if depth == 0 else max(
-            (self._dist_v0[rmap[w]] for s in family.sets for w in s), default=0)
-        return _Node(
-            node_id=node_id, depth=depth, kind="leaf", vertices=comp,
-            entry=entry, duration=march, broken=False,
-            family=family, plans=plans,
-            family_set_sizes=tuple(len(s) for s in family.sets),
-            deadlines={rmap[v]: plan.capture_deadline for v, plan in plans.items()},
-            resamples=attempts,
-        )
 
     def cops(self, node: _Node) -> _Cops:
         """The node's cop objects, built on its first call and kept on it."""
@@ -206,11 +192,11 @@ class MeynielAnalysis:
         # every node above is a guard node, and its guards stay deployed
         guards = () if node.parent is None else self.cops(self.nodes[node.parent]).guards
         if node.kind == "guard":
-            own = GuardCop(g, node.path, within=node.vertices)
+            own = GuardCop(g, node.path, component=(node.graph, node.members))
             return _Cops(guards=guards + ((node.entry, node.depth, own),))
         if node.broken:
             return _Cops(guards=guards)
-        rmap = tuple(node.vertices)
+        rmap = node.members
         homes, scripts = start_scripts(node.family, node.plans)
         team = ScriptedCop("meyniel-leaf", tuple(rmap[w] for w in homes),
                            {rmap[v]: tuple(tuple(rmap[p] for p in t) for t in tracks)
@@ -347,6 +333,6 @@ def run_meyniel(g: Graph, diameter_threshold_override: int,
         threshold=diameter_threshold_override,
         regime=f"desk-scale-override(threshold={diameter_threshold_override})",
         final_node=final.node_id,
-        leaf_broken=final.kind == "leaf" and final.broken,
-        leaf_set_sizes=final.family_set_sizes if final.kind == "leaf" else (),
+        leaf_broken=final.broken,
+        leaf_set_sizes=final.family_set_sizes,
     )

@@ -17,16 +17,16 @@ def petersen():
 
 @pytest.fixture
 def diameter_scans(monkeypatch):
-    """The member counts of the vertex sets ``diameter_pair`` scans, one
-    entry per scan; a kept whole-graph result adds none."""
+    """The vertex counts of the graphs ``diameter_pair`` scans, one entry per
+    scan; a kept result adds none."""
     import copsrobbers.graph as graph_mod
 
     sizes = []
     scan = graph_mod._diameter_scan
 
-    def counting_scan(members, adj):
-        sizes.append(len(members))
-        return scan(members, adj)
+    def counting_scan(adj):
+        sizes.append(len(adj))
+        return scan(adj)
 
     monkeypatch.setattr(graph_mod, "_diameter_scan", counting_scan)
     return sizes

@@ -6,11 +6,11 @@ removal, Hall's condition and "largest non-expanding subset" by subset
 enumeration, maximum matching size by plain augmenting paths instead of
 Hopcroft-Karp.  ``diameter_pair_allpairs`` and ``delete_vertices_oracle`` keep
 the plain loops that the library's pruned diameter scan and survivor-only
-vertex deletion replaced.  ``masked_bfs_oracle`` is the masked BFS over an
-n-long row that blocks every vertex outside the mask, against the library's
-compact copy of the mask.  ``verify_claim_allsubsets`` is the hitting-claim
-check over 2^n union-ball tables that the library's small-subset walk
-replaced.  ``component_oracle`` is a BFS over Python sets, checked against
+vertex deletion replaced.  ``masked_bfs_oracle`` measures inside a vertex
+mask on an n-long row that blocks every vertex outside it, against the
+library's metrics on the subgraph the mask induces.
+``verify_claim_allsubsets`` is the hitting-claim check over 2^n union-ball
+tables that the library's small-subset walk replaced.  ``component_oracle`` is a BFS over Python sets, checked against
 the library's bitmask flood.  ``replay_final_state`` replays a transcript
 through a cop strategy to recover the state the engine records as
 ``Transcript.final_state`` during the game.  ``robber_minimax_line`` is the
@@ -21,11 +21,13 @@ move and narrowing the list plane by plane, against the library's joint-move
 mask and digit search.  ``per_layer_expansion`` calls a team's ``move`` at
 every node of every layer, against ``expand_game_layers``, which computes
 each distinct node's record once and shares it.  ``eager_meyniel`` is the
-recursion analysis built whole, every guard and leaf team up front, over
-whole-graph BFS rows: the all-pairs diameter loop, ``walk_back`` geodesics,
-the guard's own approach field for the settle window and the march routes'
-lengths for the march window, against the library's component-local kernels
-and cop objects built on first use.
+recursion analysis built whole, every guard and leaf team up front, on
+these oracles over vertex masks of the whole graph: the all-pairs diameter
+loop, ``walk_back`` geodesics over masked rows, ``component_oracle`` splits,
+``delete_vertices_oracle`` subgraphs, the guard's own approach field for the
+settle window and the march routes' lengths for the march window, against
+the library's induced subgraph per node and cop objects built on first
+use.
 """
 
 import functools
@@ -36,17 +38,7 @@ from collections import deque
 from copsrobbers.engine import View
 from copsrobbers.errors import ResourceLimitError
 from copsrobbers.expander import ScriptedCop, resample_family, start_scripts
-from copsrobbers.graph import (
-    UNREACHABLE,
-    Graph,
-    VertexSet,
-    _bfs,
-    ball,
-    bfs_distances,
-    component_of,
-    delete_vertices,
-    walk_back,
-)
+from copsrobbers.graph import UNREACHABLE, Graph, VertexSet, _bfs, ball, walk_back
 from copsrobbers.guard import GuardCop
 from copsrobbers.solver import _bit
 
@@ -106,9 +98,10 @@ def diameter_pair_oracle(g, within=None):
 
 
 def masked_bfs_oracle(g, sources, within=None):
-    """``bfs_distances(g, sources, within)`` on an n-long row: every vertex
-    outside ``within`` is seeded with a blocking marker that the BFS never
-    overwrites, and turned back into ``UNREACHABLE`` afterwards."""
+    """BFS hop distances from ``sources`` inside the subgraph induced by
+    ``within`` (all of g by default), on an n-long row of g's ids: every
+    vertex outside ``within`` is seeded with a blocking marker that the BFS
+    never overwrites, and turned back into ``UNREACHABLE`` afterwards."""
     outside = -2
     if within is None:
         dist = [UNREACHABLE] * g.n
@@ -577,7 +570,7 @@ def eager_meyniel(g, threshold, params, seed):
     ``family_set_sizes``, ``deadlines``, ``team`` and ``march_routes``.
     """
     v0 = 0
-    dist_v0 = bfs_distances(g, VertexSet.of(g.n, [v0]))
+    dist_v0 = masked_bfs_oracle(g, (v0,))
     nodes = []
 
     def build(comp, depth, entry, label, guards):
@@ -585,27 +578,27 @@ def eager_meyniel(g, threshold, params, seed):
                 "parent": guards[-1] if guards else None, "children": (), "guards": guards}
         nodes.append(node)
         d, u, v = diameter_pair_allpairs(g, comp)
+        sub, idmap = delete_vertices_oracle(g, comp.complement())
+        rmap = sorted(comp)
         if d > threshold:
-            path = walk_back(g, bfs_distances(g, VertexSet.of(g.n, [u]), comp), v)
-            guard = GuardCop(g, path, within=comp)
+            path = walk_back(g, masked_bfs_oracle(g, (u,), comp), v)
+            guard = GuardCop(g, path, component=(sub, rmap))
             node.update(kind="guard", guard=guard, guards=guards + (node["node_id"],),
                         duration=max(1, guard.approach[v0] + guard.length))
             rest = comp - VertexSet.of(g.n, path)
             children = []
             while rest:
-                part = component_of(g, min(rest), within=rest)
+                part = VertexSet.of(g.n, component_oracle(g, min(rest), rest))
                 children.append(build(part, depth + 1, entry + node["duration"],
                                       f"{label}.{len(children)}", node["guards"])["node_id"])
                 rest = rest - part
             node["children"] = tuple(children)
             return node
-        sub, _ = delete_vertices(g, comp.complement())
         family, plans, attempts = resample_family(sub, params, seed, f"{label}:fam")
         node.update(kind="leaf", broken=family is None, resamples=attempts, duration=0,
                     family_set_sizes=(), deadlines=None, team=None, march_routes=())
         if family is None:
             return node
-        rmap = sorted(comp)
         homes, scripts = start_scripts(family, plans)
         team = ScriptedCop("meyniel-leaf", tuple(rmap[w] for w in homes),
                            {rmap[s]: tuple(tuple(rmap[p] for p in t) for t in tracks)

@@ -55,6 +55,31 @@ def vs(n, members):
     return VertexSet.of(n, members)
 
 
+def _induced_on(g, mask):
+    """The subgraph `mask` induces, built by the oracle, and its ascending
+    members: vertex i of the subgraph is members[i] of g."""
+    h, idmap = delete_vertices_oracle(g, mask.complement())
+    return h, sorted(idmap)
+
+
+def _pair_inside(g, mask):
+    """``diameter_pair`` of the subgraph `mask` induces, in g's ids."""
+    h, members = _induced_on(g, mask)
+    d, u, v = diameter_pair(h)
+    return d, members[u], members[v]
+
+
+def _row_inside(g, mask, sources):
+    """``bfs_distances`` in the subgraph `mask` induces, written back to an
+    n-long row of g's ids; every vertex outside the mask is unreachable."""
+    h, members = _induced_on(g, mask)
+    local = {v: i for i, v in enumerate(members)}
+    dist = [UNREACHABLE] * g.n
+    for v, d in zip(members, bfs_distances(h, vs(h.n, [local[s] for s in sources]))):
+        dist[v] = d
+    return dist
+
+
 # ---------------------------------------------------------------------------
 # Construction invariants.
 # ---------------------------------------------------------------------------
@@ -196,13 +221,12 @@ def test_geodesic_prefixes(n, data):
 def test_walk_back_takes_the_step_toward_its_source(n, masked, data):
     # walk_back inlines step_toward's lowest-id descent; the two must agree
     g = gen_gnp(n, 0.35, data.draw(st.integers(0, 10**6)))
-    within = None
     if masked:
-        within = vs(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
-    sources = data.draw(st.sets(st.sampled_from(list(within or range(n))), min_size=1,
-                                max_size=2))
-    dist = bfs_distances(g, vs(n, sources), within)
-    for v in range(n):
+        mask = vs(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        g = _induced_on(g, mask)[0]
+    sources = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=2))
+    dist = bfs_distances(g, vs(g.n, sources))
+    for v in range(g.n):
         if dist[v] <= 0:
             assert step_toward(g, dist, v) == v
         else:
@@ -242,11 +266,9 @@ def test_diameter_pair_examples(petersen):
     assert diameter_pair(gen_path(1)) == (0, 0, 0)
     assert diameter_pair(Graph(4, [(0, 1), (2, 3)])) == (math.inf, 0, 2)
     # inside a mask: C6 minus vertex 5 is the path 0..4
-    assert diameter_pair(gen_cycle(6), vs(6, range(5))) == (4, 0, 4)
-    assert diameter_pair(gen_cycle(6), vs(6, [4])) == (0, 4, 4)
-    assert diameter_pair(gen_cycle(6), vs(6, [1, 4])) == (math.inf, 1, 4)
-    with pytest.raises(ValueError):
-        diameter_pair(gen_cycle(6), VertexSet(6, 0))
+    assert _pair_inside(gen_cycle(6), vs(6, range(5))) == (4, 0, 4)
+    assert _pair_inside(gen_cycle(6), vs(6, [4])) == (0, 4, 4)
+    assert _pair_inside(gen_cycle(6), vs(6, [1, 4])) == (math.inf, 1, 4)
 
 
 def test_diameter_pair_matches_oracle_on_all_small_graphs():
@@ -269,7 +291,7 @@ def test_diameter_pair_matches_oracle_with_and_without_mask():
     for g, mask in _random_masked_cases():
         assert diameter_pair(g) == diameter_pair_oracle(g)
         assert diameter(g) == diameter_pair_oracle(g)[0]
-        assert diameter_pair(g, mask) == diameter_pair_oracle(g, mask), (g.edges(), list(mask))
+        assert _pair_inside(g, mask) == diameter_pair_oracle(g, mask), (g.edges(), list(mask))
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +351,9 @@ def _recursion_masks(name, threshold=3):
         out.append((comp, pair))
         if d <= threshold:
             continue
-        rest = comp - vs(g.n, shortest_path(g, u, v, within=comp))
+        rest = comp - vs(g.n, walk_back(g, masked_bfs_oracle(g, (u,), comp), v))
         while rest:
-            part = component_of(g, next(iter(rest)), within=rest)
+            part = vs(g.n, component_oracle(g, next(iter(rest)), rest))
             stack.append(part)
             rest = rest - part
     return g, out
@@ -341,13 +363,13 @@ def _recursion_masks(name, threshold=3):
 def test_diameter_pair_matches_allpairs_on_relabelled_families(name):
     g, masks = _recursion_masks(name)
     for mask, pair in masks:
-        assert diameter_pair(g, mask) == pair, list(mask)
+        assert _pair_inside(g, mask) == pair, list(mask)
     # a random mask (usually disconnected) and one of its components
     rng = make_rng(2025, f"mask:{name}")
     mask = vs(g.n, [v for v in range(g.n) if rng.random() < 0.8] or [0])
-    assert diameter_pair(g, mask) == diameter_pair_allpairs(g, mask)
-    part = component_of(g, max(mask), within=mask)
-    assert diameter_pair(g, part) == diameter_pair_allpairs(g, part)
+    assert _pair_inside(g, mask) == diameter_pair_allpairs(g, mask)
+    part = vs(g.n, component_oracle(g, max(mask), mask))
+    assert _pair_inside(g, part) == diameter_pair_allpairs(g, part)
 
 
 @settings(max_examples=80, deadline=None)
@@ -357,9 +379,9 @@ def test_diameter_pair_matches_allpairs_on_gnp(n, p, data):
     assert diameter_pair(g) == diameter_pair_allpairs(g)
     members = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
     mask = vs(n, members)
-    assert diameter_pair(g, mask) == diameter_pair_allpairs(g, mask)
-    part = component_of(g, min(members), within=mask)
-    assert diameter_pair(g, part) == diameter_pair_allpairs(g, part)
+    assert _pair_inside(g, mask) == diameter_pair_allpairs(g, mask)
+    part = vs(n, component_oracle(g, min(members), mask))
+    assert _pair_inside(g, part) == diameter_pair_allpairs(g, part)
 
 
 @pytest.mark.parametrize("name", ["grid-25x25", "path-400"])
@@ -392,58 +414,41 @@ def _draw_members(n, shape, data):
 @given(st.integers(1, 24), st.sampled_from((0.08, 0.15, 0.3)), st.integers(0, 10**6),
        st.sampled_from(("random", "single", "full")), st.data())
 def test_component_local_kernels_match_whole_graph_rows(n, p, seed, shape, data):
-    # diameter_pair and shortest_path run on a compact copy of the mask; the
-    # references seed and scan n-long rows of the whole graph that block the
-    # vertices outside the mask.  At these densities most random masks are
-    # disconnected.
+    # diameter_pair and shortest_path run on the subgraph the mask induces;
+    # the references seed and scan n-long rows of the whole graph that block
+    # the vertices outside the mask.  At these densities most random masks
+    # are disconnected.
     g = gen_gnp(n, p, seed)
     mask = vs(n, _draw_members(n, shape, data))
-    assert diameter_pair(g, mask) == diameter_pair_allpairs(g, mask)
-    for u in mask:
+    assert _pair_inside(g, mask) == diameter_pair_allpairs(g, mask)
+    h, members = _induced_on(g, mask)
+    for i, u in enumerate(members):
         dist = masked_bfs_oracle(g, [u], mask)
-        for v in mask:
+        for j, v in enumerate(members):
             if dist[v] == UNREACHABLE:
                 with pytest.raises(NoPathError):
-                    shortest_path(g, u, v, mask)
+                    shortest_path(h, i, j)
             else:
-                assert shortest_path(g, u, v, mask) == walk_back(g, dist, v)
+                assert [members[w] for w in shortest_path(h, i, j)] == walk_back(g, dist, v)
 
 
 def test_component_local_kernels_cost_follows_the_component():
-    # one n-long list of a 100,000-vertex path is about 800 KB; the compact
-    # copy of a 5-vertex mask needs a few small lists
+    # one n-long list of a 100,000-vertex path is about 800 KB; the subgraph
+    # a 5-vertex component induces, and its metrics, need a few small lists
     g = gen_path(100_000)
-    mask = vs(g.n, range(50_000, 50_005))
+    members = range(50_000, 50_005)
     tracemalloc.start()
     try:
-        pair = diameter_pair(g, mask)
-        path = shortest_path(g, 50_004, 50_000, mask)
+        h = copsrobbers.graph._induced(g, {v: i for i, v in enumerate(members)})
+        d, u, v = diameter_pair(h)
+        path = [members[w] for w in shortest_path(h, 4, 0)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert pair == (4, 50_000, 50_004)
+    assert h == gen_path(5)
+    assert (d, members[u], members[v]) == (4, 50_000, 50_004)
     assert path == [50_004, 50_003, 50_002, 50_001, 50_000]
     assert peak < 64 << 10
-
-
-def test_full_mask_takes_the_whole_graph_path_without_listing(monkeypatch):
-    # listing a full mask costs O(n^2/w); its member count says it is all of g
-    n = 20_000
-    g = gen_path(n)
-    full = VertexSet.full(n)
-
-    def no_listing(self):
-        raise AssertionError("a full mask was listed")
-
-    monkeypatch.setattr(VertexSet, "__iter__", no_listing)
-    assert diameter_pair(g, full) == (n - 1, 0, n - 1)
-    assert shortest_path(g, 0, n - 1, within=full) == list(range(n))
-    for call in (lambda m: diameter_pair(g, m), lambda m: shortest_path(g, 0, 1, within=m)):
-        with pytest.raises(ValueError, match="wrong universe"):
-            call(VertexSet.full(n + 1))
-    monkeypatch.undo()  # the empty mask is listed, with no members
-    with pytest.raises(ValueError, match="nonempty"):
-        diameter_pair(g, VertexSet(n, 0))
 
 
 def _kept_cases():
@@ -469,26 +474,20 @@ def test_whole_graph_diameter_is_kept_on_the_graph():
         assert diameter(g) == expected[0]
 
 
-def test_none_and_full_mask_share_one_scan(diameter_scans):
-    for full_first in (False, True):
-        g = gen_grid(4, 5)
-        masks = [None, VertexSet.full(g.n)]
-        if full_first:
-            masks.reverse()
-        pairs = {diameter_pair(g, m) for m in masks}
-        assert pairs == {diameter_pair_allpairs(g)}
-    assert diameter_scans == [20, 20]
-
-
 def test_sub_mask_neither_reads_nor_writes_the_kept_diameter(diameter_scans):
+    # the subgraph a mask induces keeps its own diameter, not g's
     g = gen_cycle(8)
     sub = vs(8, range(6))
-    assert diameter_pair(g, sub) == (5, 0, 5)
+    h, _ = delete_vertices(g, sub.complement())
+    assert diameter_pair(h) == (5, 0, 5)
     assert g._diameter is None
     bogus = (99, 1, 2)
     object.__setattr__(g, "_diameter", bogus)
-    assert diameter_pair(g, sub) == diameter_pair_allpairs(g, sub)
+    h, _ = delete_vertices(g, sub.complement())
+    assert diameter_pair(h) == diameter_pair_allpairs(g, sub)
     assert g._diameter is bogus
+    copy, _ = delete_vertices(g, VertexSet(8, 0))
+    assert copy == g and copy._diameter is None
     assert diameter_scans == [6, 6]
 
 
@@ -530,26 +529,37 @@ def test_delete_vertices_matches_full_scan():
 
 def test_masked_metrics_match_relabelled_subgraph():
     for g, mask in _random_masked_cases():
-        h, idmap = delete_vertices_oracle(g, mask.complement())
-        back = {new: old for old, new in idmap.items()}
-        for s in mask:
-            dist = bfs_distances(g, vs(g.n, [s]), within=mask)
-            hdist = bfs_distances(h, vs(h.n, [idmap[s]]))
-            assert dist == [hdist[idmap[v]] if v in mask else UNREACHABLE
-                            for v in range(g.n)]
-            assert set(component_of(g, s, within=mask)) == {
-                back[x] for x in component_of(h, idmap[s])}
-            for t in mask:
-                if hdist[idmap[t]] == UNREACHABLE:
+        h, members = _induced_on(g, mask)
+        for i, s in enumerate(members):
+            dist = masked_bfs_oracle(g, [s], mask)
+            assert _row_inside(g, mask, [s]) == dist
+            assert {members[x] for x in component_of(h, i)} == component_oracle(g, s, mask)
+            for j, t in enumerate(members):
+                if dist[t] == UNREACHABLE:
                     with pytest.raises(NoPathError):
-                        shortest_path(g, s, t, within=mask)
+                        shortest_path(h, i, j)
                 else:
-                    assert shortest_path(g, s, t, within=mask) == [
-                        back[x] for x in shortest_path(h, idmap[s], idmap[t])]
-        two = vs(g.n, list(mask)[:2])
-        hdist = bfs_distances(h, vs(h.n, [idmap[v] for v in two]))
-        assert bfs_distances(g, two, within=mask) == [
-            hdist[idmap[v]] if v in mask else UNREACHABLE for v in range(g.n)]
+                    assert [members[x] for x in shortest_path(h, i, j)] == walk_back(g, dist, t)
+        two = members[:2]
+        assert _row_inside(g, mask, two) == masked_bfs_oracle(g, two, mask)
+
+
+def test_components_match_oracles():
+    # the recursion's split: the components of g minus a vertex list, by
+    # lowest vertex, each with the subgraph it induces
+    cases = list(_random_masked_cases())
+    for name in ("grid-12x30", "tree-450"):
+        g, masks = _recursion_masks(name)
+        cases += [(g, mask) for mask, _ in masks]
+    for g, mask in cases:
+        removed = sorted(mask.complement())
+        rest = set(mask)
+        expected = []
+        while rest:
+            part = component_oracle(g, min(rest), mask)
+            expected.append((sorted(part), delete_vertices_oracle(g, vs(g.n, part).complement())[0]))
+            rest -= part
+        assert copsrobbers.graph._components(g, removed) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -559,30 +569,9 @@ def test_masked_bfs_matches_blocking_row_oracle(n, p, seed, shape, data):
     g = gen_gnp(n, p, seed)
     members = _draw_members(n, shape, data)
     mask = vs(n, members)
-    sources = vs(n, data.draw(st.sets(st.sampled_from(members), min_size=1, max_size=3)))
-    assert bfs_distances(g, sources, mask) == masked_bfs_oracle(g, sources, mask)
-    assert bfs_distances(g, sources) == masked_bfs_oracle(g, sources)
-
-
-def test_masked_metrics_reject_vertices_outside_the_mask():
-    g = gen_cycle(6)
-    mask = vs(6, [0, 1, 2])
-    with pytest.raises(ValueError):
-        bfs_distances(g, vs(6, [4]), within=mask)
-    with pytest.raises(ValueError):
-        component_of(g, 4, within=mask)
-    with pytest.raises(ValueError):
-        bfs_distances(g, vs(6, [0]), within=vs(5, [0]))
-    # u == v is checked against the mask like any other pair
-    with pytest.raises(ValueError, match="inside the vertex mask"):
-        shortest_path(g, 3, 3, within=mask)
-    with pytest.raises(ValueError, match="inside the vertex mask"):
-        shortest_path(g, 3, 4, within=mask)
-    for other in (vs(7, [3]), vs(5, [3])):
-        for v in (3, 4):
-            with pytest.raises(ValueError, match="wrong universe"):
-                shortest_path(g, 3, v, within=other)
-    assert shortest_path(g, 2, 2, within=mask) == [2]
+    sources = sorted(data.draw(st.sets(st.sampled_from(members), min_size=1, max_size=3)))
+    assert _row_inside(g, mask, sources) == masked_bfs_oracle(g, sources, mask)
+    assert bfs_distances(g, vs(n, sources)) == masked_bfs_oracle(g, sources)
 
 
 @pytest.mark.parametrize("n", [3, 9])
@@ -591,8 +580,6 @@ def test_sources_and_centres_over_another_universe_are_refused(n):
     other = VertexSet.full(n)
     with pytest.raises(ValueError, match="wrong universe"):
         bfs_distances(g, other)
-    with pytest.raises(ValueError, match="wrong universe"):
-        bfs_distances(g, other, within=VertexSet.full(6))
     with pytest.raises(ValueError, match="wrong universe"):
         ball(g, other, 1)
     with pytest.raises(ValueError, match="wrong universe"):
@@ -667,10 +654,10 @@ def test_component_of_and_is_connected_match_oracle(n, p, data):
     assert is_connected(g) == (len(component_oracle(g, 0)) == g.n)
     v = data.draw(st.integers(0, n - 1))
     assert set(component_of(g, v)) == component_oracle(g, v)
-    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-    mask = vs(n, members)
-    for v in members:
-        assert set(component_of(g, v, within=mask)) == component_oracle(g, v, mask)
+    mask = vs(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+    h, members = _induced_on(g, mask)
+    for i, v in enumerate(members):
+        assert {members[x] for x in component_of(h, i)} == component_oracle(g, v, mask)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,6 @@ from copsrobbers import (
     GameConfig,
     Graph,
     StrategyFault,
-    VertexSet,
     adversarial_robber_search,
     diameter,
     diameter_pair,
@@ -174,8 +173,8 @@ def test_guard_cop_requires_single_cop():
 
 def test_masked_guard_shadows_inside_the_mask_and_approaches_through_g():
     g = gen_cycle(8)
-    within = VertexSet.of(8, range(6))  # C8 minus {6, 7} is the path 0..5
-    guard = GuardCop(g, [1, 2, 3], within=within)
+    component = (gen_path(6), range(6))  # C8 minus {6, 7} is the path 0..5
+    guard = GuardCop(g, [1, 2, 3], component=component)
     assert guard.dist0[5] == 4 and guard.approach[5] == 4
     assert guard.dist0[7] == -1 and guard.approach[7] == 2
     assert guard.shadow_index(5) == 2
@@ -184,6 +183,6 @@ def test_masked_guard_shadows_inside_the_mask_and_approaches_through_g():
     # a robber outside the mask is another guard's problem: hold
     assert guard.step(g, 3, 6) == 3
     with pytest.raises(ValueError):
-        GuardCop(g, [5, 6, 7], within=within)
+        GuardCop(g, [5, 6, 7], component=component)
     plain = GuardCop(g, [1, 2, 3])
     assert plain.approach is plain.dist0

@@ -8,6 +8,7 @@ from copsrobbers import (
     GameConfig,
     Graph,
     StrategyParams,
+    VertexSet,
     adversarial_robber_search,
     diameter,
     gen_cycle,
@@ -328,6 +329,27 @@ def test_leaves_pinned(name):
     width = len(leaves[0])  # the cases before the tree pin five fields
     assert (an.pool_size, an.timeline_bound(), tuple(leaf[:width] for leaf in got)) == (
         pool, timeline, leaves)
+
+
+def test_analysis_lists_no_whole_graph_vertex_set(monkeypatch):
+    # every node measures the subgraph its component induces, so no set of
+    # g's vertices is listed from its n-bit mask, which costs O(n/w) per
+    # member.  A one-vertex BFS source (v0, each guard's p_0) is listed once,
+    # at the cost of building it.
+    g = gen_grid(12, 12)
+    listing = VertexSet.__iter__
+
+    def checked(self):
+        if self.n == g.n and len(self) > 1:
+            raise AssertionError(f"listed {len(self)} of g's vertices")
+        return listing(self)
+
+    monkeypatch.setattr(VertexSet, "__iter__", checked)
+    an = MeynielAnalysis(g, 3, PARAMS, seed=0)
+    assert an.root.kind == "guard" and max(node.depth for node in an.nodes) >= 2
+    for node in an.nodes:
+        an.cops(node)
+    assert any(an.cops(node).team for node in an.nodes)
 
 
 def test_desk_params_and_two_runs_share_one_whole_graph_scan(diameter_scans):
