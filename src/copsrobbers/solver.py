@@ -17,8 +17,14 @@ three kinds of pass:
                 masked out and multiplied by ``cmask[x]``, the n-bit mask of
                 N[x].  The products carry nothing into each other: each term
                 is below 2**n and starts on its own group's boundary.
-  other cop digits: slab x (digit = x) is ORed into digit c for every c in
-                N[x], one slab of the whole table at a time.
+  other cop digits: one pass along each diagonal of the closed-neighbourhood
+                relation.  For an offset d = c - x with c in N[x], the bits
+                whose digit is such an x are masked, shifted d places of the
+                digit and ORed in.  Closed neighbourhoods are symmetric, so
+                offset -d shifts first and then applies the mask of d.  The
+                table is cut into chunks of whole robber slabs by halving,
+                every digit runs on one chunk at a time with masks one chunk
+                wide, and the chunks are joined again.
 
 The fixpoint is computed by Jacobi-style sweeps -- every sweep reads only the
 previous sweep's labels -- so each state's first-won sweep is well defined.
@@ -26,9 +32,11 @@ The final cops-to-move labels, and the first-won sweep of every
 robber-to-move state as ceil(log2(sweeps + 1)) bit-plane tables, are kept
 as bytes, so a state probe costs O(1) and a level costs O(log sweeps).
 A solve holds a few tables besides the planes (the n robber slabs together
-are one); ``budget`` bounds the bits of one table.  Labels are symmetric
-under permuting the cops, so the lowest cop tuple that wins in every robber
-slab is sorted: it is the lex-smallest winning multiset.
+are one, and so are the chunks), and k - 1 diagonal masks one chunk wide per
+offset d > 0: at most (k - 1)(n - 1) chunks, which is under k - 1 tables
+once a chunk is one slab.  ``budget`` bounds the bits of one table.  Labels
+are symmetric under permuting the cops, so the lowest cop tuple that wins in
+every robber slab is sorted: it is the lex-smallest winning multiset.
 
 ``SolverCop`` plays the joint move with the least (first-won sweep, sorted
 target, ordered target).  The joint moves are one n**k-bit mask, the product
@@ -64,6 +72,15 @@ __all__ = [
 
 # Upper bound on n**(k+1), the bits of one label table.
 DEFAULT_STATE_BUDGET = 50_000_000
+
+# Least bits in one chunk of the cop-digit passes (CPU time on a shared
+# 2-core VM, the solve bench's graphs).  One slab per chunk made k = 2 slower
+# on small graphs: cop_number on 3x3..5x5 grids 0.53 -> 1.17 ms, on C24..C32
+# 5.2 -> 8.9 ms.  Chunks of 2**13 to 2**40 bits (the whole table) ran within
+# noise of each other there, while on larger tables 2**15 was among the
+# fastest: G(40, .1) at k = 3 352 ms against 474 ms for the whole table,
+# G(20, .2) at k = 4 238 ms against 348 ms.
+_CHUNK_BITS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -109,20 +126,62 @@ def _slabs(table: int, count: int, width: int) -> list:
     return [(table >> (x * width)) & mask for x in range(count)]
 
 
-def _some_neighbor(table: int, stride: int, zero: int, closed) -> int:
-    """Bit (.., c, ..) of the result is set iff some x in N[c] has bit
-    (.., x, ..) set in `table`, along the base-n digit of weight `stride`.
+def _chunk_slabs(n: int, k: int) -> int:
+    """Robber slabs per chunk: the fewest that reach _CHUNK_BITS, at most n."""
+    return min(n, -(-_CHUNK_BITS // n**k))
 
-    Slab x (digit = x, shifted to digit 0 by the mask `zero`) is ORed into
-    digit c for every c in N[x]; closed neighbourhoods are symmetric, and
-    only one slab exists at a time.
+
+def _diagonal_masks(closed, k: int, width: int) -> tuple:
+    """masks[p - 1]: a (d, mask) pair for every offset d > 0 with x + d in
+    N[x] for some x; the `width`-bit mask holds the bits whose cop digit of
+    weight n**p is such an x."""
+    n = len(closed)
+    masks = []
+    for p in range(1, k):
+        stride = n ** p
+        field = (1 << stride) - 1
+        rows: dict = {}
+        for x, nbhd in enumerate(closed):
+            for c in nbhd:
+                if c > x:
+                    rows[c - x] = rows.get(c - x, 0) | field << (x * stride)
+        masks.append(tuple((d, _tile(row, n * stride, width)) for d, row in sorted(rows.items())))
+    return tuple(masks)
+
+
+def _spread_digits(chunk: int, n: int, masks) -> int:
+    """Bit (.., c, ..) of the result is set iff some x in N[c] has bit
+    (.., x, ..) set in `chunk`, applied along every cop digit of `masks`.
+
+    Offset 0 keeps the chunk (x is in N[x]); offset d moves the masked
+    digits x up to x + d, and offset -d moves the digits x + d down to x.
     """
-    out = 0
-    for x, nbhd in enumerate(closed):
-        slab = (table >> (x * stride)) & zero
-        for c in nbhd:
-            out |= slab << (c * stride)
-    return out
+    for p, diagonals in enumerate(masks, 1):
+        stride = n ** p
+        out = chunk
+        for d, mask in diagonals:
+            shift = d * stride
+            out |= ((chunk & mask) << shift) | ((chunk >> shift) & mask)
+        chunk = out
+    return chunk
+
+
+def _by_chunks(table: int, count: int, per: int, cells: int, n: int, masks) -> int:
+    """`_spread_digits` applied to each chunk of `per` robber slabs of the
+    `count`-slab `table` (the last chunk may be shorter), the results joined
+    again.
+
+    The table is halved at a chunk boundary, so the cut and the join pass
+    over every bit once per level of the halving, log2(count / per) times.
+    """
+    if count <= per:
+        return _spread_digits(table, n, masks)
+    cut = (count + per - 1) // per // 2 * per    # slabs below the cut
+    bits = cut * cells
+    high = table >> bits
+    table &= (1 << bits) - 1
+    table = _by_chunks(table, cut, per, cells, n, masks)
+    return table | (_by_chunks(high, count - cut, per, cells, n, masks) << bits)
 
 
 @lru_cache(maxsize=64)
@@ -137,12 +196,13 @@ def _solve(g: Graph, k: int) -> _Tables:
     for x, nbhd in enumerate(closed):
         for c in nbhd:
             cmask[x] |= 1 << c
-    # zero[p]: the bits whose cop digit of weight n**p is 0
-    zero = [_tile((1 << n**p) - 1, n ** (p + 1), size) for p in range(k)]
+    zero = _tile(1, n, size)    # the bits whose lowest cop digit is 0
+    per = _chunk_slabs(n, k)
+    masks = _diagonal_masks(closed, k, per * cells)
 
     capture = 0             # robber slab c: the tuples with some cop digit equal to c
     for p in range(k):
-        diag = zero[p] & ((1 << cells) - 1)
+        diag = _tile((1 << n**p) - 1, n ** (p + 1), cells)
         for c in range(n):
             capture |= diag << (c * cells + c * n**p)
     win_cop = win_rob = capture
@@ -161,12 +221,13 @@ def _solve(g: Graph, k: int) -> _Tables:
         del free
         new_rob = win_rob | (ones ^ escape)
         # cops to move: one existential pass per cop digit; on the lowest,
-        # field x of every n-bit group spreads to N[x] by one multiplication
+        # field x of every n-bit group spreads to N[x] by one multiplication,
+        # and the others run along the diagonals, one chunk at a time
         reach = 0
         for x in range(n):
-            reach |= ((win_rob >> x) & zero[0]) * cmask[x]
-        for p in range(1, k):
-            reach = _some_neighbor(reach, n**p, zero[p], closed)
+            reach |= ((win_rob >> x) & zero) * cmask[x]
+        if k > 1:
+            reach = _by_chunks(reach, n, per, cells, n, masks)
         new_cop = win_cop | reach
         if new_rob == win_rob and new_cop == win_cop:
             break

@@ -18,9 +18,12 @@ exhaustive robber adversary as a plain memoized recursion over robber lines,
 against the library's forward layers and backward induction.
 ``solver_reference_move`` is ``SolverCop``'s move by enumerating every joint
 move and narrowing the list plane by plane, against the library's joint-move
-mask and digit search.  ``per_layer_expansion`` calls a team's ``move`` at
-every node of every layer, against ``expand_game_layers``, which computes
-each distinct node's record once and shares it.  ``eager_meyniel`` is the
+mask and digit search.  ``some_neighbor_reference`` is the solver's
+existential pass along one cop digit as the per-vertex loop over the whole
+table, against the library's chunked diagonal passes.
+``per_layer_expansion`` calls a team's ``move`` at every node of every
+layer, against ``expand_game_layers``, which computes each distinct node's
+record once and shares it.  ``eager_meyniel`` is the
 recursion analysis built whole, every guard and leaf team up front, on
 these oracles over vertex masks of the whole graph: the all-pairs diameter
 loop, ``walk_back`` geodesics over masked rows, ``component_oracle`` splits,
@@ -429,6 +432,23 @@ class MultisetSolverCop:
                 if best_key is None or key < best_key:
                     best_key = key
         return _realize(g, view.cop_positions, best_key[1]), state
+
+
+def some_neighbor_reference(table, closed, stride, width):
+    """Bit (.., c, ..) of the result is set iff some x in N[c] has bit
+    (.., x, ..) set in the `width`-bit `table`, along the base-n digit of
+    weight `stride`: slab x (digit = x, moved to digit 0) is ORed into digit
+    c for every c in N[x]."""
+    n = len(closed)
+    period = n * stride
+    # the bits whose digit is 0: a stride-wide field times the repunit of the period
+    zero = ((1 << stride) - 1) * (((1 << width) - 1) // ((1 << period) - 1))
+    out = 0
+    for x, nbhd in enumerate(closed):
+        slab = (table >> (x * stride)) & zero
+        for c in nbhd:
+            out |= slab << (c * stride)
+    return out
 
 
 def solver_reference_move(g, tables, cops, r):

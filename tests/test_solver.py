@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import math
+import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from copsrobbers import (
@@ -13,6 +15,7 @@ from copsrobbers import (
     adversarial_robber_search,
     cop_number,
     gen_cycle,
+    gen_gnp,
     gen_grid,
     gen_hypercube,
     gen_path,
@@ -24,10 +27,13 @@ from copsrobbers import (
     transcript_to_json,
 )
 from copsrobbers.engine import GreedyFarRobber, RandomRobber, View
-from copsrobbers.solver import SolverCop, _bit, _solve
+from copsrobbers.solver import (
+    SolverCop, _bit, _by_chunks, _chunk_slabs, _diagonal_masks, _solve)
 
 from conftest import all_connected_graphs, random_connected, random_girth5
-from oracles import MultisetSolverCop, multiset_placement, multiset_solve, solver_reference_move
+from oracles import (
+    MultisetSolverCop, multiset_placement, multiset_solve, solver_reference_move,
+    some_neighbor_reference)
 
 
 def test_trees_are_one_cop_win():
@@ -129,8 +135,9 @@ def test_solve_memory_is_a_few_tables():
     assert peak < (20 + 2 * len(t.planes)) * table_bytes
 
 
-@pytest.mark.parametrize("g, k", [(gen_path(40), 2), (random_girth5(24, seed=5), 3)],
-                         ids=["path40-k2", "girth5-24-k3"])
+@pytest.mark.parametrize("g, k", [(gen_path(40), 2), (random_girth5(24, seed=5), 3),
+                                  (gen_hypercube(5), 3), (random_connected(16, seed=2, p=0.3), 4)],
+                         ids=["path40-k2", "girth5-24-k3", "q5-k3", "gnp16-k4"])
 def test_solve_memory_is_a_few_tables_with_more_cops(g, k):
     # the robber step holds all n robber slabs of one table at once: one table, not n
     table_bytes = g.n ** (k + 1) // 8
@@ -142,6 +149,65 @@ def test_solve_memory_is_a_few_tables_with_more_cops(g, k):
         tracemalloc.stop()
     assert t.sweeps > 5
     assert peak < (20 + 2 * len(t.planes)) * table_bytes
+
+
+def test_solve_memory_allows_the_diagonal_masks():
+    # below 2**15 bits a slab, a chunk holds several slabs, and the (k - 1)
+    # masks per offset d in 1..n-1 are one chunk wide each: their allowance
+    g, k = random_connected(60, seed=1, p=0.05), 2
+    table_bytes = g.n ** (k + 1) // 8
+    masks_bytes = (k - 1) * (g.n - 1) * _chunk_slabs(g.n, k) * g.n ** k // 8
+    assert _chunk_slabs(g.n, k) > 1
+    tracemalloc.start()
+    try:
+        t = _solve.__wrapped__(g, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.sweeps > 5
+    assert peak < (20 + 2 * len(t.planes)) * table_bytes + masks_bytes
+
+
+def _tables_digest(t):
+    h = hashlib.sha256(repr((t.n, t.sweeps, t.placement)).encode())
+    h.update(t.win_cop)
+    for plane in t.planes:
+        h.update(plane)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("g, k, per, digest", [
+    (gen_hypercube(5), 3, 1, "85a4fd5fed9ba9572868adf54e5ff872873d309de25778e47f38038671ef5899"),
+    (random_girth5(14, seed=3), 3, 12,
+     "62aa226a5135ad61051606e054bf0a112bf944085c0d29e5b8118ced6b4731d7"),
+], ids=["q5-k3", "girth5-14-k3"])
+def test_tables_are_pinned_where_chunks_are_narrower_than_the_table(g, k, per, digest):
+    # Q5 runs one robber slab per chunk; 14 vertices run a 12-slab chunk and a
+    # 2-slab one.  The multiset-oracle tests stop where the table is one chunk.
+    assert _chunk_slabs(g.n, k) == per
+    assert _tables_digest(_solve.__wrapped__(g, k)) == digest
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(2, 4), st.integers(1, 14), st.floats(0.1, 0.9),
+       st.integers(0, 6), st.integers(0, 10**6))
+@example(n=14, k=3, per=1, p=0.3, sparsity=4, seed=0)     # one slab per chunk
+@example(n=14, k=3, per=14, p=0.3, sparsity=4, seed=1)    # the whole table
+@example(n=14, k=2, per=4, p=0.3, sparsity=2, seed=2)     # an uneven last chunk
+def test_chunked_diagonal_passes_match_the_per_vertex_reference(n, k, per, p, sparsity, seed):
+    g = gen_gnp(n, p, seed)        # the pass needs no connected graph
+    closed = [(v,) + g.neighbors(v) for v in range(n)]
+    cells, size = n ** k, n ** (k + 1)
+    rng = random.Random(seed)
+    table = (1 << size) - 1         # each bit set with probability 2**-(sparsity + 1)
+    for _ in range(sparsity + 1):
+        table &= rng.getrandbits(size)
+    expected = table
+    for q in range(1, k):
+        expected = some_neighbor_reference(expected, closed, n ** q, size)
+    masks = _diagonal_masks(closed, k, min(per, n) * cells)
+    got = _by_chunks(table, n, per, cells, n, masks)
+    assert got == expected
 
 
 def test_solver_strategy_beats_adversary():
