@@ -28,6 +28,14 @@ three kinds of pass:
 
 The fixpoint is computed by Jacobi-style sweeps -- every sweep reads only the
 previous sweep's labels -- so each state's first-won sweep is well defined.
+The sweeps are semi-naive: each pass works from what the last sweep won.
+The cop passes are OR-linear, and the spread of the older robber-to-move wins
+is already in the cops-to-move labels, so they spread only the robber-to-move
+states won in the last sweep (capture, at the first).  The robber step reads
+the cops-to-move labels whole, but after a sweep that won none of them it
+would rebuild the last sweep's result, so it is skipped.  Either way each
+sweep's labels, and so each state's first-won sweep, are those of the full
+sweep.
 The final cops-to-move labels, and the first-won sweep of every
 robber-to-move state as ceil(log2(sweeps + 1)) bit-plane tables, are kept
 as bytes, so a state probe costs O(1) and a level costs O(log sweeps).
@@ -40,11 +48,11 @@ every robber slab is sorted: it is the lex-smallest winning multiset.
 
 ``SolverCop`` plays the joint move with the least (first-won sweep, sorted
 target, ordered target).  The joint moves are one n**k-bit mask, the product
-of the cops' closed neighbourhoods built by shifts; each plane's robber slab
-narrows it by AND-NOT while the result stays nonempty.  A search over digits
-then finds the least survivor without listing the moves: the next sorted
-value is the least vertex some unassigned cop digit can hold in the mask,
-and the search branches on every digit that ties for it.
+of the cops' closed neighbourhoods built by shifts; the complement of each
+plane's robber slab narrows it by AND while the result stays nonempty.  A
+search over digits then finds the least survivor without listing the moves:
+the next sorted value is the least vertex some unassigned cop digit can hold
+in the mask, and the search branches on every digit that ties for it.
 
 Definitions (cops win a state):
   cops to move:   capture now, or some cop move reaches a winning
@@ -206,37 +214,44 @@ def _solve(g: Graph, k: int) -> _Tables:
         for c in range(n):
             capture |= diag << (c * cells + c * n**p)
     win_cop = win_rob = capture
+    fresh = capture         # robber-to-move states won in the last sweep
+    cop_won = True          # whether the last sweep won a cops-to-move state
     planes = []             # planes[j]: states whose first-won sweep has bit j set
     sweep = 0               # capture is sweep 0
     while True:
         # robber to move: won unless some robber move reaches an unwon state;
-        # slab r of `escape` is the OR of the unwon slabs over N[r]
-        free = _slabs(ones ^ win_cop, n, cells)
-        escape = 0
-        for nbhd in reversed(closed):
-            slab = 0
-            for x in nbhd:
-                slab |= free[x]
-            escape = (escape << cells) | slab
-        del free
-        new_rob = win_rob | (ones ^ escape)
-        # cops to move: one existential pass per cop digit; on the lowest,
+        # slab r of `escape` is the OR of the unwon slabs over N[r].  With no
+        # new cops-to-move wins, `escape` would be the last one: nothing to win
+        new_rob = win_rob
+        if cop_won:
+            free = _slabs(ones ^ win_cop, n, cells)
+            escape = 0
+            for nbhd in reversed(closed):
+                slab = 0
+                for x in nbhd:
+                    slab |= free[x]
+                escape = (escape << cells) | slab
+            del free
+            new_rob |= ones ^ escape
+        # cops to move: one existential pass per cop digit over the last
+        # sweep's wins (the older wins' spread is in win_cop); on the lowest,
         # field x of every n-bit group spreads to N[x] by one multiplication,
         # and the others run along the diagonals, one chunk at a time
         reach = 0
         for x in range(n):
-            reach |= ((win_rob >> x) & zero) * cmask[x]
+            reach |= ((fresh >> x) & zero) * cmask[x]
         if k > 1:
             reach = _by_chunks(reach, n, per, cells, n, masks)
         new_cop = win_cop | reach
-        if new_rob == win_rob and new_cop == win_cop:
+        fresh = new_rob ^ win_rob
+        cop_won = new_cop != win_cop
+        if not (fresh or cop_won):
             break
         sweep += 1
-        won = new_rob ^ win_rob
         planes += [0] * (sweep.bit_length() - len(planes))
         for j in range(len(planes)):
             if sweep >> j & 1:
-                planes[j] |= won
+                planes[j] |= fresh
         win_rob, win_cop = new_rob, new_cop
     sweeps = sweep + 1
     # never-won states are all ones, above every level 0..sweeps-1
@@ -372,8 +387,9 @@ class SolverCop:
     From a winning cops-to-move state it plays the joint move minimizing
     (first-won sweep of the resulting robber state, sorted target, ordered
     target), which strictly decreases the sweep level and therefore forces
-    capture.  Moves are memoized per (cop tuple, robber), and the robber's
-    slab of every plane is cut once per robber vertex.
+    capture.  Moves are memoized per (cop tuple, robber), each vertex's
+    sorted closed neighbourhood is built once, and the complement of the
+    robber's slab of every plane is cut once per robber vertex.
     """
 
     name = "solver-optimal"
@@ -385,6 +401,7 @@ class SolverCop:
         n = g.n
         self._weights = tuple(n ** (k - 1 - j) for j in range(k))
         self._zero = tuple(_tile((1 << w) - 1, w * n, n**k) for w in self._weights)
+        self._options = tuple(sorted((v,) + g.neighbors(v)) for v in range(n))
         self._plane_slabs: dict = {}
         self._moves: dict = {}
 
@@ -401,14 +418,14 @@ class SolverCop:
         return self._moves[key], state
 
     def _robber_planes(self, r: int) -> tuple:
-        """Robber r's slab of every plane, cut on first use."""
+        """The complement of robber r's slab of every plane, cut on first use."""
         slabs = self._plane_slabs.get(r)
         if slabs is None:
             cells = self._tables.n ** len(self._weights)
             lo, hi = r * cells, (r + 1) * cells
             mask = (1 << cells) - 1
             slabs = self._plane_slabs[r] = tuple(
-                (int.from_bytes(plane[lo >> 3:(hi + 7) >> 3], "little") >> (lo & 7)) & mask
+                ~(int.from_bytes(plane[lo >> 3:(hi + 7) >> 3], "little") >> (lo & 7)) & mask
                 for plane in self._tables.planes)
         return slabs
 
@@ -418,15 +435,15 @@ class SolverCop:
             # Not a winning state (robber deviated into one we cannot punish);
             # hold position.  Unreachable when play starts from our placement.
             return cops
-        options = [sorted((c,) + g.neighbors(c)) for c in cops]
+        options = [self._options[c] for c in cops]
         mask = 1                # every joint move: the product of the closed neighbourhoods
         for w, nbhd in zip(reversed(self._weights), reversed(options)):
             spread = 0
             for x in nbhd:
                 spread |= mask << (x * w)
             mask = spread
-        for plane in self._robber_planes(r):    # narrowed to the least first-won sweep
-            rest = mask & ~plane
+        for unset in self._robber_planes(r):    # narrowed to the least first-won sweep
+            rest = mask & unset
             if rest:
                 mask = rest
         return _least_move(mask, options, self._weights, self._zero)

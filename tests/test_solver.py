@@ -188,6 +188,20 @@ def test_tables_are_pinned_where_chunks_are_narrower_than_the_table(g, k, per, d
     assert _tables_digest(_solve.__wrapped__(g, k)) == digest
 
 
+@pytest.mark.parametrize("g, k, sweeps, digest", [
+    (gen_cycle(36), 2, 37, "81181b64faab416b90ba1c173963c90b7d53220804d34de38eb91169fb06bbf3"),
+    (random_girth5(22, seed=1), 3, 11,
+     "3f6b1854fc5a66cbe0060bea03ec5513aedddf81e299db1c721db1ce65349ca2"),
+], ids=["c36-k2", "girth5-22-k3"])
+def test_tables_are_pinned_over_many_sweeps(g, k, sweeps, digest):
+    # each sweep spreads only the robber-to-move states the last one won, and
+    # skips the robber step after a sweep that won no cops-to-move state; C36
+    # runs many sweeps that win few states, girth-5 n = 22 runs 4-slab chunks
+    t = _solve.__wrapped__(g, k)
+    assert t.sweeps == sweeps
+    assert _tables_digest(t) == digest
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 14), st.integers(2, 4), st.integers(1, 14), st.floats(0.1, 0.9),
        st.integers(0, 6), st.integers(0, 10**6))
@@ -295,6 +309,13 @@ def test_packed_solver_matches_multiset_oracle_on_hypothesis_graphs(n, p, seed):
         assert k_copwin_placement(g, k) == placement
     expected = next((k for k, pl in placements.items() if pl is not None), None)
     assert cop_number(g, 2) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 7), st.integers(1, 3), st.floats(0.2, 0.9), st.integers(0, 10**6))
+def test_tables_match_multiset_oracle_on_hypothesis_graphs(n, k, p, seed):
+    # every state's label and first-won sweep, not only the placement
+    _assert_matches_multiset_oracle(random_connected(n, seed=seed, p=p), k)
 
 
 PIN_GRAPHS = {
