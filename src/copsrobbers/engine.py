@@ -70,11 +70,13 @@ __all__ = [
 
 TRANSCRIPT_SCHEMA = "copsrobbers.transcript/1"
 
-# Nodes the exhaustive adversary may expand (two cops.move calls each, made
-# once per distinct node), summed over its layers.  It bounds the work, not
-# the memory: the last layer is built but never expanded, so it is not
-# counted.  The largest expansion in the tests, criteria and bench pools has
-# about 4,400 nodes.
+# Layer nodes the exhaustive adversary may expand, summed over its layers: a
+# node that several layers hold counts once in each of them.  The two
+# cops.move calls are made once per distinct node, at its earliest layer, so
+# the bound is not a count of moves: on C450's default guard check the
+# distinct nodes are about a fifth of the layer nodes.  The last layer is
+# built but never expanded, so it is not counted.  The largest expansion in
+# the tests, criteria and bench pools has about 4,400 nodes.
 DEFAULT_NODE_BUDGET = 1 << 18
 
 

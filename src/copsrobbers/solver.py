@@ -48,11 +48,23 @@ every robber slab is sorted: it is the lex-smallest winning multiset.
 
 ``SolverCop`` plays the joint move with the least (first-won sweep, sorted
 target, ordered target).  The joint moves are one n**k-bit mask, the product
-of the cops' closed neighbourhoods built by shifts; the complement of each
-plane's robber slab narrows it by AND while the result stays nonempty.  A
-search over digits then finds the least survivor without listing the moves:
-the next sorted value is the least vertex some unassigned cop digit can hold
-in the mask, and the search branches on every digit that ties for it.
+of the cops' closed neighbourhoods built by shifts, and the last cop tuple's
+mask is kept: the exhaustive adversary asks one tuple's robber options back
+to back.  The complement of each plane's robber slab narrows it by AND while
+the result stays nonempty.  A search over digits then finds the least
+survivor without listing the moves: the next sorted value is the least
+vertex some unassigned cop digit can hold in the mask, tested by AND with
+the selector of the tuples whose digit j is v, and the search branches on
+the digits that tie for it.  The selectors are built once per
+``SolverCop``: k*n ints of at most n**k bits, so at most k label tables on
+top of those ``budget`` bounds.  Of tied digits whose cops have the same
+closed neighbourhood (two cops on one vertex, say) only the lowest is
+branched on.
+Swapping the two digits maps the joint moves onto themselves, and the planes
+too, since the labels are symmetric under permuting the cops; so the branch
+on the higher digit finds the mirror images of the lower one's tuples: the
+same sorted tuples, and ordered ones no smaller, since there the lower digit
+takes the larger value.
 
 Definitions (cops win a state):
   cops to move:   capture now, or some cop move reaches a winning
@@ -342,43 +354,43 @@ def is_dismantlable(g: Graph) -> tuple[bool, list[int]]:
     return True, order
 
 
-def _least_move(mask: int, options, weights, zero) -> tuple:
-    """The cop tuple of `mask` with the least (sorted tuple, ordered tuple).
+def _least_move(mask: int, free, values, move, options, keys, best):
+    """The least (sorted tuple, ordered tuple) in `mask` that assigns the
+    digits `free` and extends the sorted prefix `values` and the partial
+    `move`, or `best` if it is less.
 
-    Digit j of a tuple has weight ``weights[j]`` and ranges over the ascending
-    ``options[j]``; ``zero[j]`` holds the tuples whose digit j is 0.  The next
-    sorted value is the least vertex some unassigned digit can hold inside the
-    mask.  The search branches on every digit that ties for it, with the mask
-    narrowed to that digit, and drops a prefix above the best sorted tuple.
+    ``options[j]`` lists, ascending, each value v digit j may take, with the
+    selector of the tuples whose digit j is v; digits with equal ``keys``
+    range over the same values.  The next sorted value is the least vertex
+    some free digit can hold inside the mask.  The search branches on the
+    digits that tie for it, with the mask narrowed to that digit, and drops a
+    prefix above the best sorted tuple.  Of tied digits with equal keys it
+    branches on the lowest only: the mask is symmetric in them, so a higher
+    one's branch finds the mirror images of the lowest one's tuples, with the
+    same sorted tuples and ordered ones no smaller.
     """
-    best = [None, None]     # least sorted tuple found, least ordered tuple with it
-    move = [0] * len(options)
-
-    def search(mask, free, values):
-        if not free:
-            key = [values, tuple(move)]
-            if best[0] is None or key < best:
-                best[:] = key
-            return
-        least, tied = None, []
-        for j in free:
-            for v in options[j]:
-                if least is not None and v > least:
-                    break
-                if mask & (zero[j] << v * weights[j]):
-                    if least is None or v < least:
-                        least, tied = v, []
-                    tied.append(j)
-                    break
-        values += (least,)
-        if best[0] is not None and values > best[0][:len(values)]:
-            return
-        for j in tied:
-            move[j] = least
-            search(mask & (zero[j] << least * weights[j]), [f for f in free if f != j], values)
-
-    search(mask, list(range(len(options))), ())
-    return best[1]
+    if not free:
+        return (values, move) if best is None or (values, move) < best else best
+    least, tied = None, []
+    for j in free:
+        for v, select in options[j]:
+            if least is not None and v > least:
+                break
+            if mask & select:
+                if least is None or v < least:
+                    least, tied = v, []
+                tied.append((j, select))
+                break
+    values += (least,)
+    if best is not None and values > best[0][:len(values)]:
+        return best
+    seen = []
+    for j, select in tied:
+        if keys[j] not in seen:
+            seen.append(keys[j])
+            best = _least_move(mask & select, tuple(f for f in free if f != j), values,
+                               move[:j] + (least,) + move[j + 1:], options, keys, best)
+    return best
 
 
 class SolverCop:
@@ -387,9 +399,15 @@ class SolverCop:
     From a winning cops-to-move state it plays the joint move minimizing
     (first-won sweep of the resulting robber state, sorted target, ordered
     target), which strictly decreases the sweep level and therefore forces
-    capture.  Moves are memoized per (cop tuple, robber), each vertex's
-    sorted closed neighbourhood is built once, and the complement of the
-    robber's slab of every plane is cut once per robber vertex.
+    capture.  Moves are memoized per (cop tuple, robber), and the complement
+    of the robber's slab of every plane is cut once per robber vertex.  The
+    joint-move mask of the last cop tuple is kept, since an adversary asks
+    one tuple's robber options back to back.  The selector of the tuples
+    whose digit j is v is built once, for every j and v: k*n ints of at most
+    n**k bits, so at most k label tables on top of those ``budget`` bounds.
+    Of the digits that tie in the search, those whose cops have the same
+    closed neighbourhood are branched on once, at the lowest: by the mirror
+    argument of the module docstring the others find no lesser move.
     """
 
     name = "solver-optimal"
@@ -400,10 +418,17 @@ class SolverCop:
             raise ValueError(f"{k} cops do not win on this graph")
         n = g.n
         self._weights = tuple(n ** (k - 1 - j) for j in range(k))
-        self._zero = tuple(_tile((1 << w) - 1, w * n, n**k) for w in self._weights)
-        self._options = tuple(sorted((v,) + g.neighbors(v)) for v in range(n))
+        self._closed = tuple(tuple(sorted((v,) + g.neighbors(v))) for v in range(n))
+        first: dict = {}    # the lowest vertex with each closed neighbourhood
+        self._twin = tuple(first.setdefault(nbhd, v) for v, nbhd in enumerate(self._closed))
+        self._options = []  # [j][c]: (v, the tuples whose digit j is v) for v in N[c]
+        for w in self._weights:
+            zero = _tile((1 << w) - 1, w * n, n**k)
+            select = [zero << v * w for v in range(n)]
+            self._options.append(tuple(tuple((v, select[v]) for v in nbhd) for nbhd in self._closed))
         self._plane_slabs: dict = {}
         self._moves: dict = {}
+        self._last = (None, 0, None, None)  # cop tuple, joint moves, options, keys
 
     def place(self, g, cfg):
         return self._tables.placement
@@ -429,21 +454,30 @@ class SolverCop:
                 for plane in self._tables.planes)
         return slabs
 
+    def _joint_moves(self, cops) -> tuple:
+        """Every joint move as one mask (the product of the closed
+        neighbourhoods), each digit's options and keys; kept for the last tuple."""
+        if self._last[0] != cops:
+            mask = 1
+            for w, c in zip(reversed(self._weights), reversed(cops)):
+                spread = 0
+                for x in self._closed[c]:
+                    spread |= mask << (x * w)
+                mask = spread
+            options = tuple(self._options[j][c] for j, c in enumerate(cops))
+            self._last = (cops, mask, options, tuple(self._twin[c] for c in cops))
+        return self._last[1:]
+
     def _choose(self, g, cops, r):
         t = self._tables
         if not _bit(t.win_cop, t.state(cops, r)):
             # Not a winning state (robber deviated into one we cannot punish);
             # hold position.  Unreachable when play starts from our placement.
             return cops
-        options = [self._options[c] for c in cops]
-        mask = 1                # every joint move: the product of the closed neighbourhoods
-        for w, nbhd in zip(reversed(self._weights), reversed(options)):
-            spread = 0
-            for x in nbhd:
-                spread |= mask << (x * w)
-            mask = spread
+        mask, options, keys = self._joint_moves(cops)
         for unset in self._robber_planes(r):    # narrowed to the least first-won sweep
             rest = mask & unset
             if rest:
                 mask = rest
-        return _least_move(mask, options, self._weights, self._zero)
+        k = len(cops)
+        return _least_move(mask, tuple(range(k)), (), (None,) * k, options, keys, None)[1]

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -28,7 +29,8 @@ from copsrobbers import (
 )
 from copsrobbers.engine import GreedyFarRobber, RandomRobber, View
 from copsrobbers.solver import (
-    SolverCop, _bit, _by_chunks, _chunk_slabs, _diagonal_masks, _solve)
+    DEFAULT_STATE_BUDGET, SolverCop, _bit, _by_chunks, _chunk_slabs, _diagonal_masks, _solve,
+    _tables)
 
 from conftest import all_connected_graphs, random_connected, random_girth5
 from oracles import (
@@ -166,6 +168,34 @@ def test_solve_memory_allows_the_diagonal_masks():
         tracemalloc.stop()
     assert t.sweeps > 5
     assert peak < (20 + 2 * len(t.planes)) * table_bytes + masks_bytes
+
+
+@pytest.mark.parametrize("g, k", [(gen_hypercube(5), 3), (random_connected(16, seed=2, p=0.3), 4)],
+                         ids=["q5-k3", "gnp16-k4"])
+def test_solver_cop_memory_is_its_selectors_and_robber_slabs(g, k):
+    # on top of the solved tables a SolverCop holds k*n selectors of at most
+    # n**k bits (k tables) and, once every robber vertex has been asked, the
+    # complement of each plane's robber slabs (one table per plane)
+    t = _tables(g, k, DEFAULT_STATE_BUDGET)
+    table_bytes = g.n ** (k + 1) // 8
+    rng = random.Random(0)
+    states = []
+    for r in range(g.n):
+        while len(states) < 3 * (r + 1):
+            cops = tuple(rng.randrange(g.n) for _ in range(k))
+            if r not in cops and _bit(t.win_cop, t.state(cops, r)):
+                states.append((cops, r))
+    tracemalloc.start()
+    try:
+        cop = SolverCop(g, k)
+        built = tracemalloc.get_traced_memory()[0]
+        for cops, r in states:
+            cop.move(g, View(cop_positions=cops, robber_position=r), None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built < (k + 1) * table_bytes
+    assert peak < (k + len(t.planes) + 2) * table_bytes
 
 
 def _tables_digest(t):
@@ -368,3 +398,52 @@ def test_solver_cop_moves_match_the_enumerating_reference(n, k, p, seed):
             if r not in cops and _bit(t.win_cop, t.state(cops, r)):
                 view = View(cop_positions=cops, robber_position=r)
                 assert cop.move(g, view, None)[0] == solver_reference_move(g, t, cops, r)
+
+
+@pytest.mark.parametrize("g, k", [
+    (gen_path(6), 1), (Graph(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)]), 1),
+    (gen_cycle(5), 2), (random_connected(6, seed=1, p=0.8), 2), (gen_cycle(6), 3),
+    (random_connected(6, seed=2, p=0.6), 3),
+    (Graph(4, list(itertools.combinations(range(4), 2))), 4), (gen_cycle(5), 4),
+    (random_connected(5, seed=3, p=0.8), 4),
+], ids=["path6-k1", "tree6-k1", "c5-k2", "dense6-k2", "c6-k3", "dense6-k3", "k4-k4", "c5-k4",
+        "dense5-k4"])
+def test_solver_cop_moves_match_the_reference_in_shuffled_interleaved_order(g, k):
+    # the kept last-tuple mask and the selectors must not carry one state's
+    # answer into another: one cop asks every state in a random order, a
+    # second one of the same graph asks each tuple's robbers back to back
+    t = _solve(g, k)
+    states = [(cops, r) for cops in itertools.product(range(g.n), repeat=k)
+              for r in range(g.n) if r not in cops and _bit(t.win_cop, t.state(cops, r))]
+    rng = random.Random(k * 100 + g.n)
+    scattered = rng.sample(states, len(states))
+    robbers: dict = {}
+    for cops, r in states:
+        robbers.setdefault(cops, []).append(r)
+    tuples = list(robbers)
+    rng.shuffle(tuples)
+    grouped = [(cops, r) for cops in tuples for r in rng.sample(robbers[cops], len(robbers[cops]))]
+    a, b = SolverCop(g, k), SolverCop(g, k)
+    for pair in zip(scattered, grouped):
+        for cop, (cops, r) in zip((a, b), pair):
+            view = View(cop_positions=cops, robber_position=r)
+            assert cop.move(g, view, None)[0] == solver_reference_move(g, t, cops, r)
+
+
+def test_solver_cop_moves_leave_no_cyclic_garbage(petersen):
+    # a move's search must free itself by reference counting: garbage left
+    # to the cycle collector piles up between collections
+    g, k = petersen, 3
+    cop = SolverCop(g, k)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for cops in itertools.product(range(g.n), repeat=k):
+            for r in range(g.n):
+                if r not in cops:
+                    cop.move(g, View(cop_positions=cops, robber_position=r), None)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
