@@ -145,11 +145,6 @@ class _Trans(NamedTuple):
     children: dict  # robber move -> ("caught" | node key)
 
 
-def _closed(g: Graph, v: int) -> list[int]:
-    """The robber's legal moves from v: v and its neighbors, ascending."""
-    return sorted((v, *g.neighbors(v)))
-
-
 def _place_cops(g: Graph, cops, cfg: GameConfig) -> tuple[int, ...]:
     placement = tuple(cops.place(g, cfg))
     if len(placement) != cfg.cop_count or not all(0 <= v < g.n for v in placement):
@@ -163,26 +158,31 @@ def _view(cfg: GameConfig, node) -> View:
     return View(cop_pos, r_pos if cfg.robber_visible else None)
 
 
-def _robber_options(g: Graph, moves, state, r: int) -> dict:
-    """Each robber move from r, ascending, to "caught" or to its child node."""
-    return {m: "caught" if m in moves else (moves, m, state) for m in _closed(g, r)}
-
-
-def _cop_half(g: Graph, cops, cfg: GameConfig, view: View, node, rnd: int) -> _Trans:
+def _cop_half(g: Graph, closed, cops, cfg: GameConfig, view: View, node, rnd: int) -> _Trans:
     """The cops' checked move from a live node, and the robber's options after
-    it; rnd only names the round in a fault."""
+    it; rnd only names the round in a fault.
+
+    ``closed`` is ``g.closed_neighborhoods()``, fetched once per game or
+    expansion by the caller.  The moves are checked only if some cop moved:
+    a cop's move is legal if it stays or steps into its closed neighborhood,
+    and a target outside ``0..n-1`` is in no closed neighborhood, so it fails
+    the same test.  The robber's options are the closed neighborhood of the
+    robber's vertex, ascending.
+    """
     cop_pos, r_pos, state = node
     moves, state2 = cops.move(g, view, state)
     moves = tuple(moves)
     if len(moves) != cfg.cop_count:
         raise StrategyFault("cops", rnd,
                             f"returned {len(moves)} moves for {cfg.cop_count} cops")
-    for i, (a, b) in enumerate(zip(cop_pos, moves)):
-        if not (0 <= b < g.n) or (b != a and b not in g.neighbors(a)):
-            raise StrategyFault("cops", rnd, f"cop {i} illegal move {a}->{b}")
+    if moves != cop_pos:
+        for i, (a, b) in enumerate(zip(cop_pos, moves)):
+            if a != b and b not in closed[a]:
+                raise StrategyFault("cops", rnd, f"cop {i} illegal move {a}->{b}")
     if r_pos in moves:
         return _Trans(moves, state2, True, {})
-    return _Trans(moves, state2, False, _robber_options(g, moves, state2, r_pos))
+    return _Trans(moves, state2, False,
+                  {m: "caught" if m in moves else (moves, m, state2) for m in closed[r_pos]})
 
 
 def _transcript(g: Graph, cfg: GameConfig, cops, robber_name: str, node, depth: int,
@@ -230,8 +230,10 @@ def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
     if not 0 <= r_start < g.n:
         raise StrategyFault("robber", 0, f"bad placement {r_start}")
 
+    closed = g.closed_neighborhoods()
+
     def step(node, rnd):
-        return _cop_half(g, cops, cfg, _view(cfg, node), node, rnd)
+        return _cop_half(g, closed, cops, cfg, _view(cfg, node), node, rnd)
 
     def choose(node, rec, rnd):
         r_pos = node[1]
@@ -267,12 +269,15 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
     legality and a second ``move`` call that checks determinism) is computed
     once, at the node's earliest layer, and shared by the later layers that
     hold it: the view carries no round, so a node moves alike in every layer.
+    The graph's closed-neighborhood table is fetched once, for every node's
+    move check and robber options.
     """
     if depth > cfg.max_rounds:
         raise ValueError("depth must not exceed cfg.max_rounds")
     placement = _place_cops(g, cops, cfg)
     layers: list[dict] = [{(placement, r0, None): None
                            for r0 in range(g.n) if r0 not in placement}]
+    closed = g.closed_neighborhoods()
     memo: dict = {}
     nodes = 0
     for k in range(depth):
@@ -286,7 +291,7 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
             rec = memo.get(node)
             if rec is None:
                 view = _view(cfg, node)
-                rec = memo[node] = _cop_half(g, cops, cfg, view, node, k + 1)
+                rec = memo[node] = _cop_half(g, closed, cops, cfg, view, node, k + 1)
                 again, st_again = cops.move(g, view, node[2])
                 if (tuple(again), st_again) != (rec.moves, rec.state2):
                     raise StrategyFault("cops", k + 1, "nondeterministic strategy detected")
@@ -317,10 +322,14 @@ def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int) -> Tr
             if rec.caught_cop_half:
                 survival[node] = k + 1
                 continue
-            options = {m: k + 1 if child == "caught" else later[child]
-                       for m, child in rec.children.items()}
-            m = max(options, key=options.get)  # the first best, moves ascending
-            survival[node], best_moves[k][node] = options[m], m
+            # the first best move, moves ascending; "caught" is no node of
+            # the next layer, so it reads as capture this round
+            best = 0
+            for m, child in rec.children.items():
+                s = later.get(child, k + 1)
+                if s > best:
+                    best, move = s, m
+            survival[node], best_moves[k][node] = best, move
 
     # The robber places to maximize survival; placing onto a cop (survival 0)
     # is dominated but legal, and the only option when cops cover every vertex.
@@ -350,7 +359,7 @@ class GreedyFarRobber:
     def move(self, g, view, rng):
         """Move (or stay) maximizing the min-distance to the cops; ties -> lowest id."""
         dist = bfs_distances(g, VertexSet.of(g.n, view.cop_positions))
-        return _first_farthest(_closed(g, view.robber_position), dist)
+        return _first_farthest(g.closed_neighborhoods()[view.robber_position], dist)
 
 
 class RandomRobber:
@@ -362,7 +371,7 @@ class RandomRobber:
 
     def move(self, g, view, rng):
         """Uniform choice among legal moves (neighbors and staying put)."""
-        return rng.choice(_closed(g, view.robber_position))
+        return rng.choice(g.closed_neighborhoods()[view.robber_position])
 
 
 # ---------------------------------------------------------------------------

@@ -160,11 +160,12 @@ class Graph:
     Construction validates the input and rejects (never silently fixes)
     self-loops, duplicate edges, and out-of-range endpoints.  Instances are
     immutable and safe to share across concurrent tasks.  ``_diameter``
-    holds the whole-graph :func:`diameter_pair` once it has been asked for;
-    equality and hashing ignore it.
+    holds the whole-graph :func:`diameter_pair` once it has been asked for,
+    and ``_closed`` the table of :meth:`closed_neighborhoods`, built in
+    O(n + m) on its first call; equality and hashing ignore both.
     """
 
-    __slots__ = ("n", "_adj", "_diameter")
+    __slots__ = ("n", "_adj", "_diameter", "_closed")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -197,12 +198,23 @@ class Graph:
         object.__setattr__(self, "n", len(adj))
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_diameter", None)
+        object.__setattr__(self, "_closed", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
+
+    def closed_neighborhoods(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's closed neighborhood (itself and its neighbors),
+        ascending, indexed by vertex.  The table is kept after the first
+        call; like the kept diameter it is fixed by the adjacency, so two
+        calls racing to fill it write the same value."""
+        if self._closed is None:
+            object.__setattr__(self, "_closed", tuple(tuple(sorted((v, *a)))
+                                                      for v, a in enumerate(self._adj)))
+        return self._closed
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])

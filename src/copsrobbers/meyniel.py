@@ -222,12 +222,18 @@ class MeynielCop:
     current node, the state of its leaf's ``ScriptedCop`` team (``None``
     until the team first moves, and again whenever the node changes) and the
     round count that times the stage windows.
+
+    A guard's step depends on the guard, the cop's vertex and the robber's
+    vertex alone, given the analysis's graph, which the engine passes to
+    every ``move``.  So the strategy keeps each step it computes: at most
+    (guard nodes)·n² entries, shared by every node the adversary expands.
     """
 
     name = "meyniel"
 
     def __init__(self, analysis: MeynielAnalysis):
         self.analysis = analysis
+        self._steps: dict = {}  # (GuardCop, cop, robber) -> the guard's step
         root = analysis.root
         self._root_is_leaf = root.kind == "leaf" and not root.broken
 
@@ -263,9 +269,14 @@ class MeynielCop:
 
         built = a.cops(node)
         # Every deployed guard keeps shadowing its geodesic.
+        steps = self._steps
         for entry, idx, guard in built.guards:
             if rnd > entry:
-                moves[idx] = guard.step(g, view.cop_positions[idx], r)
+                c = view.cop_positions[idx]
+                step = steps.get((guard, c, r))
+                if step is None:
+                    step = steps[guard, c, r] = guard.step(g, c, r)
+                moves[idx] = step
 
         if node.kind == "leaf" and not node.broken:
             base = node.depth

@@ -418,7 +418,7 @@ class SolverCop:
             raise ValueError(f"{k} cops do not win on this graph")
         n = g.n
         self._weights = tuple(n ** (k - 1 - j) for j in range(k))
-        self._closed = tuple(tuple(sorted((v,) + g.neighbors(v))) for v in range(n))
+        self._closed = g.closed_neighborhoods()
         first: dict = {}    # the lowest vertex with each closed neighbourhood
         self._twin = tuple(first.setdefault(nbhd, v) for v, nbhd in enumerate(self._closed))
         self._options = []  # [j][c]: (v, the tuples whose digit j is v) for v in N[c]

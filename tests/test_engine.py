@@ -92,6 +92,19 @@ def test_replay_is_byte_identical():
     assert transcript_to_json(t1) != transcript_to_json(t3)
 
 
+class _JumpCop(HoldCop):
+    """Two cops that hold on (0, 2) and return `jump` on round `at`; the
+    state counts rounds."""
+
+    def __init__(self, jump, at):
+        super().__init__([0, 2])
+        self._jump, self._at = jump, at
+
+    def move(self, g, view, state):
+        rnd = (state or 0) + 1
+        return (self._jump if rnd == self._at else view.cop_positions), rnd
+
+
 def test_illegal_cop_move_faulted():
     class TeleportCop(HoldCop):
         def move(self, g, view, state):
@@ -101,6 +114,23 @@ def test_illegal_cop_move_faulted():
     with pytest.raises(StrategyFault) as exc:
         play(g, TeleportCop([0]), GreedyFarRobber(), cfg())
     assert exc.value.agent == "cops" and exc.value.round == 1
+
+    # play and the expansion fault alike, naming the first illegal cop
+    c = GameConfig(cop_count=2, max_rounds=4)
+    for jump, message in [
+        ((5, 2), "cop 0 illegal move 0->5"),     # past the last vertex, g.n
+        ((0, -1), "cop 1 illegal move 2->-1"),   # below the first vertex
+        ((0, 4), "cop 1 illegal move 2->4"),     # a vertex, but no neighbor
+        ((3, 4), "cop 0 illegal move 0->3"),     # two illegal cops: the lower is named
+    ]:
+        for at in (1, 2):
+            with pytest.raises(StrategyFault) as played:
+                play(g, _JumpCop(jump, at), GreedyFarRobber(), c)
+            with pytest.raises(StrategyFault) as expanded:
+                expand_game_layers(g, _JumpCop(jump, at), c, c.max_rounds)
+            for exc in (played, expanded):
+                assert (exc.value.agent, exc.value.round) == ("cops", at)
+                assert str(exc.value) == f"cops strategy fault at round {at}: {message}"
 
 
 def test_invisible_mode_hides_robber():

@@ -513,6 +513,32 @@ def test_kept_diameter_keeps_the_graph_immutable():
     assert g._diameter == (3, 0, 3)
 
 
+@pytest.mark.parametrize("g", [gen_path(1), gen_cycle(9), gen_petersen(), gen_grid(3, 4),
+                               gen_gnp(12, 0.3, seed=4)],
+                         ids=["p1", "c9", "petersen", "grid-3x4", "gnp12"])
+def test_kept_closed_neighborhoods_are_sorted_closed_neighborhoods(g):
+    copy = Graph(g.n, g.edges())
+    table = g.closed_neighborhoods()
+    assert table == tuple(tuple(sorted((v, *g.neighbors(v)))) for v in range(g.n))
+    assert g.closed_neighborhoods() is table
+    assert g._closed is table and copy._closed is None
+    assert g == copy and hash(g) == hash(copy)
+
+
+def test_kept_closed_neighborhoods_leave_equality_hash_solver_cache_and_immutability():
+    g = gen_cycle(9)
+    copy = Graph(g.n, g.edges())
+    assert is_k_copwin(copy, 2)
+    g.closed_neighborhoods()
+    before = _solve.cache_info()
+    assert is_k_copwin(g, 2)
+    after = _solve.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    with pytest.raises(AttributeError):
+        g._closed = None
+    assert g._closed is not None
+
+
 def test_delete_vertices_matches_full_scan():
     cases = list(_random_masked_cases())
     for name in ("grid-12x30", "tree-450"):

@@ -15,11 +15,12 @@ from copsrobbers import (
     gen_grid,
     gen_path,
     gen_petersen,
+    play,
     run_meyniel,
     transcript_to_json,
     validate_transcript,
 )
-from copsrobbers.engine import GreedyFarRobber, RandomRobber
+from copsrobbers.engine import GreedyFarRobber, RandomRobber, View, expand_game_layers
 from copsrobbers.expander import desk_params
 from copsrobbers.meyniel import MeynielAnalysis, MeynielCop
 from copsrobbers.seeds import make_rng
@@ -70,6 +71,25 @@ def test_c20_exhaustive_adversary():
     )
     assert t.caught
     validate_transcript(g, t)
+
+
+@pytest.mark.parametrize("g, seed", [(gen_cycle(20), 3), (gen_grid(5, 5), 1), (gen_grid(6, 6), 2)],
+                         ids=["c20", "grid-5x5", "grid-6x6"])
+def test_kept_guard_steps_match_a_fresh_cop_at_every_node(g, seed):
+    # a long-lived cop answers from the guard steps it has kept; at every
+    # node of the expansion it moves as a cop asked there alone
+    an = MeynielAnalysis(g, 3, PARAMS, seed=seed)
+    depth = an.timeline_bound()
+    c = GameConfig(cop_count=an.pool_size, max_rounds=depth, seed=seed)
+    kept = MeynielCop(an)
+    play(g, kept, GreedyFarRobber(), c)
+    _, _, layers = expand_game_layers(g, kept, c, depth)
+    assert any(node.kind == "guard" for node in an.nodes)
+    for layer in layers[:depth]:
+        for (cops, r, state), rec in layer.items():
+            view = View(cops, r)
+            moved = kept.move(g, view, state)
+            assert moved == MeynielCop(an).move(g, view, state) == (rec.moves, rec.state2)
 
 
 def test_random_corpus_with_both_robbers():

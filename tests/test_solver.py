@@ -27,6 +27,7 @@ from copsrobbers import (
     play,
     transcript_to_json,
 )
+from copsrobbers import solver
 from copsrobbers.engine import GreedyFarRobber, RandomRobber, View
 from copsrobbers.solver import (
     DEFAULT_STATE_BUDGET, SolverCop, _bit, _by_chunks, _chunk_slabs, _diagonal_masks, _solve,
@@ -196,6 +197,29 @@ def test_solver_cop_memory_is_its_selectors_and_robber_slabs(g, k):
         tracemalloc.stop()
     assert built < (k + 1) * table_bytes
     assert peak < (k + len(t.planes) + 2) * table_bytes
+
+
+def test_solver_cop_at_every_winning_state_stays_within_the_solve_and_k_tables(monkeypatch):
+    # the solve's allowance plus k label tables, the bound SolverCop's
+    # docstring states for its selectors; every winning state is asked, one
+    # per cop multiset, through the move search itself: the per-state memo
+    # of `move` grows with the states asked and is not part of the bound
+    g, k = random_connected(16, seed=2, p=0.3), 4
+    t = _tables(g, k, DEFAULT_STATE_BUDGET)
+    table_bytes = g.n ** (k + 1) // 8
+    states = [(cops, r) for cops in itertools.combinations_with_replacement(range(g.n), k)
+              for r in range(g.n) if r not in cops and _bit(t.win_cop, t.state(cops, r))]
+    monkeypatch.setattr(solver, "_solve", _solve.__wrapped__)  # solve inside the trace
+    tracemalloc.start()
+    try:
+        cop = SolverCop(g, k)
+        for cops, r in states:
+            cop._choose(g, cops, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(states) > 40_000
+    assert peak < (20 + 2 * len(t.planes) + k) * table_bytes
 
 
 def _tables_digest(t):
