@@ -1,7 +1,7 @@
 """Immutable simple undirected graphs and their metric primitives.
 
 Vertices are exactly the integers ``0..n-1``.  A :class:`Graph` holds sorted
-adjacency tuples only, so its memory is linear in n + m.  A
+adjacency tuples and the values it derives from them (below).  A
 :class:`VertexSet` is a fixed-width membership bitmask over those ids, so set
 algebra costs O(n/wordsize).  Distances are exact integers; ``UNREACHABLE``
 (-1) is the only sentinel and is never a "large number".
@@ -24,10 +24,12 @@ BFS rows already run skip every source that cannot change the answer.
 Vertex-transitive graphs (cycles, hypercubes) leave nothing to skip and keep
 one BFS per vertex.  The whole-graph result is computed once per
 :class:`Graph` and kept on it for its lifetime, so the recursion's root, the
-desk-scale parameters and the guard's settle bound share one scan.  The kept
-value is an immutable tuple that only depends on the adjacency, and two
-tasks that fill it at once write the same value, so a graph stays safe to
-share.
+desk-scale parameters and the guard's settle bound share one scan.
+
+A :class:`Graph` keeps every value it derives (the diameter triple, the
+closed-neighbourhood table, the solver's tables) in one private store, filled
+through ``Graph._keep``.  The store lives and dies with the graph, so its
+memory follows the live graphs, and equal but distinct graphs keep their own.
 """
 
 from __future__ import annotations
@@ -159,13 +161,12 @@ class Graph:
 
     Construction validates the input and rejects (never silently fixes)
     self-loops, duplicate edges, and out-of-range endpoints.  Instances are
-    immutable and safe to share across concurrent tasks.  ``_diameter``
-    holds the whole-graph :func:`diameter_pair` once it has been asked for,
-    and ``_closed`` the table of :meth:`closed_neighborhoods`, built in
-    O(n + m) on its first call; equality and hashing ignore both.
+    immutable and safe to share across concurrent tasks.  ``_kept`` maps a
+    key to a value derived from the adjacency once it has been asked for
+    (see :meth:`_keep`); equality and hashing ignore it.
     """
 
-    __slots__ = ("n", "_adj", "_diameter", "_closed")
+    __slots__ = ("n", "_adj", "_kept")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -197,24 +198,33 @@ class Graph:
     def _fill(self, adj: tuple) -> None:
         object.__setattr__(self, "n", len(adj))
         object.__setattr__(self, "_adj", adj)
-        object.__setattr__(self, "_diameter", None)
-        object.__setattr__(self, "_closed", None)
+        object.__setattr__(self, "_kept", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def _keep(self, key, make):
+        """The value kept under ``key``, made by ``make()`` (never None) on
+        the first call.
+
+        Every kept value is immutable and fixed by the adjacency, so callers
+        sharing the graph see one value, and two tasks racing to fill a key
+        make and store equal values: the graph stays safe to share.
+        """
+        value = self._kept.get(key)
+        if value is None:
+            value = self._kept[key] = make()
+        return value
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]
 
     def closed_neighborhoods(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's closed neighborhood (itself and its neighbors),
-        ascending, indexed by vertex.  The table is kept after the first
-        call; like the kept diameter it is fixed by the adjacency, so two
-        calls racing to fill it write the same value."""
-        if self._closed is None:
-            object.__setattr__(self, "_closed", tuple(tuple(sorted((v, *a)))
-                                                      for v, a in enumerate(self._adj)))
-        return self._closed
+        ascending, indexed by vertex.  The table is built in O(n + m) on the
+        first call and kept."""
+        return self._keep("closed", lambda: tuple(tuple(sorted((v, *a)))
+                                                  for v, a in enumerate(self._adj)))
 
     def degree(self, v: int) -> int:
         return len(self._adj[v])
@@ -402,13 +412,9 @@ def diameter_pair(g: Graph) -> tuple[int | float, int, int]:
     gives ``(0, 0, 0)``.
 
     The triple is kept on g for its lifetime after the first call, and later
-    calls return it.  It is immutable and fixed by g's adjacency, so callers
-    sharing g see one value, and two calls racing to fill it write the same
-    one.
+    calls return it.
     """
-    if g._diameter is None:
-        object.__setattr__(g, "_diameter", _diameter_scan(g._adj))
-    return g._diameter
+    return g._keep("diameter", lambda: _diameter_scan(g._adj))
 
 
 def _diameter_scan(adj) -> tuple[int | float, int, int]:

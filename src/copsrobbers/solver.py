@@ -76,7 +76,6 @@ Definitions (cops win a state):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import ResourceLimitError
 from .graph import Graph, is_connected
@@ -204,14 +203,13 @@ def _by_chunks(table: int, count: int, per: int, cells: int, n: int, masks) -> i
     return table | (_by_chunks(high, count - cut, per, cells, n, masks) << bits)
 
 
-@lru_cache(maxsize=64)
 def _solve(g: Graph, k: int) -> _Tables:
     n = g.n
     cells = n ** k          # cop tuples: the bits of one robber slab
     size = n * cells
     nbytes = (size + 7) // 8
     ones = (1 << size) - 1
-    closed = [(v,) + g.neighbors(v) for v in range(n)]
+    closed = g.closed_neighborhoods()
     cmask = [0] * n         # cmask[x]: N[x] as an n-bit mask
     for x, nbhd in enumerate(closed):
         for c in nbhd:
@@ -283,7 +281,8 @@ def _solve(g: Graph, k: int) -> _Tables:
 
 
 def _tables(g: Graph, k: int, budget: int) -> _Tables:
-    """The cached tables of (g, k); the budget is checked on every call."""
+    """The tables of (g, k), kept on g; the budget is checked on every call,
+    so kept tables still refuse a smaller budget."""
     if not is_connected(g):
         raise ValueError("solver requires a connected graph")
     if k < 1:
@@ -292,7 +291,7 @@ def _tables(g: Graph, k: int, budget: int) -> _Tables:
     if k + 1 >= budget.bit_length() or g.n ** (k + 1) > budget:
         raise ResourceLimitError(
             f"n**(k+1) table bits, n = {g.n} and k + 1 = {k + 1}, exceed the budget of {budget}")
-    return _solve(g, k)
+    return g._keep(("tables", k), lambda: _solve(g, k))
 
 
 def is_k_copwin(g: Graph, k: int, budget: int = DEFAULT_STATE_BUDGET) -> bool:
@@ -399,12 +398,14 @@ class SolverCop:
     From a winning cops-to-move state it plays the joint move minimizing
     (first-won sweep of the resulting robber state, sorted target, ordered
     target), which strictly decreases the sweep level and therefore forces
-    capture.  Moves are memoized per (cop tuple, robber), and the complement
-    of the robber's slab of every plane is cut once per robber vertex.  The
-    joint-move mask of the last cop tuple is kept, since an adversary asks
-    one tuple's robber options back to back.  The selector of the tuples
-    whose digit j is v is built once, for every j and v: k*n ints of at most
-    n**k bits, so at most k label tables on top of those ``budget`` bounds.
+    capture.  The last (cop tuple, robber) asked and its move are kept, since
+    the engine's determinism check asks a state again right after the first
+    ask, and the complement of the robber's slab of every plane is cut once
+    per robber vertex.  The joint-move mask of the last cop tuple is kept,
+    since an adversary asks one tuple's robber options back to back.  The
+    selector of the tuples whose digit j is v is built once, for every j and
+    v: k*n ints of at most n**k bits, so at most k label tables on top of
+    those ``budget`` bounds.
     Of the digits that tie in the search, those whose cops have the same
     closed neighbourhood are branched on once, at the lowest: by the mirror
     argument of the module docstring the others find no lesser move.
@@ -427,7 +428,7 @@ class SolverCop:
             select = [zero << v * w for v in range(n)]
             self._options.append(tuple(tuple((v, select[v]) for v in nbhd) for nbhd in self._closed))
         self._plane_slabs: dict = {}
-        self._moves: dict = {}
+        self._asked = (None, None)  # the last (cop tuple, robber) asked and its move
         self._last = (None, 0, None, None)  # cop tuple, joint moves, options, keys
 
     def place(self, g, cfg):
@@ -438,9 +439,9 @@ class SolverCop:
         if r is None:
             raise ValueError("solver strategy needs a visible robber")
         key = (tuple(view.cop_positions), r)
-        if key not in self._moves:
-            self._moves[key] = self._choose(g, *key)
-        return self._moves[key], state
+        if self._asked[0] != key:
+            self._asked = (key, self._choose(g, *key))
+        return self._asked[1], state
 
     def _robber_planes(self, r: int) -> tuple:
         """The complement of robber r's slab of every plane, cut on first use."""

@@ -38,7 +38,7 @@ from conftest import all_connected_graphs
 import copsrobbers.graph
 from copsrobbers.graph import MAX_PARSE_VERTICES, step_toward, walk_back
 from copsrobbers.seeds import derive_seed, make_rng
-from copsrobbers.solver import _solve, is_k_copwin
+from copsrobbers.solver import DEFAULT_STATE_BUDGET, _tables, is_k_copwin
 from oracles import (
     ball_oracle,
     component_oracle,
@@ -467,9 +467,9 @@ def _kept_cases():
 def test_whole_graph_diameter_is_kept_on_the_graph():
     for g in _kept_cases():
         expected = diameter_pair_allpairs(g)
-        assert g._diameter is None
+        assert "diameter" not in g._kept
         first = diameter_pair(g)
-        assert first == expected and g._diameter == expected, g.edges()
+        assert first == expected and g._kept["diameter"] == expected, g.edges()
         assert diameter_pair(g) is first
         assert diameter(g) == expected[0]
 
@@ -480,37 +480,40 @@ def test_sub_mask_neither_reads_nor_writes_the_kept_diameter(diameter_scans):
     sub = vs(8, range(6))
     h, _ = delete_vertices(g, sub.complement())
     assert diameter_pair(h) == (5, 0, 5)
-    assert g._diameter is None
+    assert "diameter" not in g._kept
     bogus = (99, 1, 2)
-    object.__setattr__(g, "_diameter", bogus)
+    g._kept["diameter"] = bogus
     h, _ = delete_vertices(g, sub.complement())
     assert diameter_pair(h) == diameter_pair_allpairs(g, sub)
-    assert g._diameter is bogus
+    assert g._kept["diameter"] is bogus
     copy, _ = delete_vertices(g, VertexSet(8, 0))
-    assert copy == g and copy._diameter is None
+    assert copy == g and "diameter" not in copy._kept
     assert diameter_scans == [6, 6]
 
 
 def test_kept_diameter_leaves_equality_hash_and_solver_cache():
+    # an equal but distinct graph keeps its own values and its own tables
     g = gen_cycle(9)
     copy = Graph(g.n, g.edges())
     assert is_k_copwin(copy, 2)
     diameter_pair(g)
-    assert g._diameter is not None and copy._diameter is None
+    assert "diameter" in g._kept and "diameter" not in copy._kept
     assert g == copy and hash(g) == hash(copy)
-    before = _solve.cache_info()
+    kept = _tables(copy, 2, DEFAULT_STATE_BUDGET)
     assert is_k_copwin(g, 2)
-    after = _solve.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    own = _tables(g, 2, DEFAULT_STATE_BUDGET)
+    assert own is not kept and own == kept
+    assert _tables(copy, 2, DEFAULT_STATE_BUDGET) is kept
+    assert g == copy and hash(g) == hash(copy)
 
 
 def test_kept_diameter_keeps_the_graph_immutable():
     g = gen_path(4)
     diameter_pair(g)
-    for name, value in (("n", 3), ("_adj", ()), ("_diameter", None), ("label", "x")):
+    for name, value in (("n", 3), ("_adj", ()), ("_kept", {}), ("label", "x")):
         with pytest.raises(AttributeError):
             setattr(g, name, value)
-    assert g._diameter == (3, 0, 3)
+    assert g._kept["diameter"] == (3, 0, 3)
 
 
 @pytest.mark.parametrize("g", [gen_path(1), gen_cycle(9), gen_petersen(), gen_grid(3, 4),
@@ -521,22 +524,23 @@ def test_kept_closed_neighborhoods_are_sorted_closed_neighborhoods(g):
     table = g.closed_neighborhoods()
     assert table == tuple(tuple(sorted((v, *g.neighbors(v)))) for v in range(g.n))
     assert g.closed_neighborhoods() is table
-    assert g._closed is table and copy._closed is None
+    assert g._kept["closed"] is table and "closed" not in copy._kept
     assert g == copy and hash(g) == hash(copy)
 
 
 def test_kept_closed_neighborhoods_leave_equality_hash_solver_cache_and_immutability():
     g = gen_cycle(9)
     copy = Graph(g.n, g.edges())
-    assert is_k_copwin(copy, 2)
-    g.closed_neighborhoods()
-    before = _solve.cache_info()
+    table = g.closed_neighborhoods()
     assert is_k_copwin(g, 2)
-    after = _solve.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    kept = _tables(g, 2, DEFAULT_STATE_BUDGET)
+    assert is_k_copwin(copy, 2)
+    assert _tables(copy, 2, DEFAULT_STATE_BUDGET) is not kept
+    assert _tables(g, 2, DEFAULT_STATE_BUDGET) is kept
+    assert g == copy and hash(g) == hash(copy)
     with pytest.raises(AttributeError):
-        g._closed = None
-    assert g._closed is not None
+        g._kept = {}
+    assert g.closed_neighborhoods() is table
 
 
 def test_delete_vertices_matches_full_scan():

@@ -110,14 +110,14 @@ def test_budget_enforced():
         is_k_copwin(gen_cycle(6), 2, budget=10)
 
 
-def test_budget_counts_table_bits_outside_the_cache():
+def test_budget_counts_table_bits_outside_the_cache(monkeypatch):
     g = gen_cycle(7)
     bits = g.n ** 3
     assert is_k_copwin(g, 2, budget=bits)
-    before = _solve.cache_info()
+    kept = _tables(g, 2, bits)
+    monkeypatch.setattr(solver, "_solve", lambda g, k: pytest.fail("kept tables solved again"))
     assert k_copwin_placement(g, 2, budget=bits + 1) is not None
-    after = _solve.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert _tables(g, 2, bits + 1) is kept
     for call in (is_k_copwin, k_copwin_placement, SolverCop):
         with pytest.raises(ResourceLimitError):
             call(g, 2, budget=bits - 1)
@@ -129,7 +129,7 @@ def test_solve_memory_is_a_few_tables():
     table_bytes = g.n ** 2 // 8
     tracemalloc.start()
     try:
-        t = _solve.__wrapped__(g, 1)
+        t = _solve(g, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -146,7 +146,7 @@ def test_solve_memory_is_a_few_tables_with_more_cops(g, k):
     table_bytes = g.n ** (k + 1) // 8
     tracemalloc.start()
     try:
-        t = _solve.__wrapped__(g, k)
+        t = _solve(g, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -163,7 +163,7 @@ def test_solve_memory_allows_the_diagonal_masks():
     assert _chunk_slabs(g.n, k) > 1
     tracemalloc.start()
     try:
-        t = _solve.__wrapped__(g, k)
+        t = _solve(g, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -199,27 +199,42 @@ def test_solver_cop_memory_is_its_selectors_and_robber_slabs(g, k):
     assert peak < (k + len(t.planes) + 2) * table_bytes
 
 
-def test_solver_cop_at_every_winning_state_stays_within_the_solve_and_k_tables(monkeypatch):
+def test_solver_cop_at_every_winning_state_stays_within_the_solve_and_k_tables():
     # the solve's allowance plus k label tables, the bound SolverCop's
     # docstring states for its selectors; every winning state is asked, one
-    # per cop multiset, through the move search itself: the per-state memo
-    # of `move` grows with the states asked and is not part of the bound
+    # per cop multiset
     g, k = random_connected(16, seed=2, p=0.3), 4
-    t = _tables(g, k, DEFAULT_STATE_BUDGET)
+    t = _solve(g, k)    # not kept on g, so SolverCop solves inside the trace
     table_bytes = g.n ** (k + 1) // 8
     states = [(cops, r) for cops in itertools.combinations_with_replacement(range(g.n), k)
               for r in range(g.n) if r not in cops and _bit(t.win_cop, t.state(cops, r))]
-    monkeypatch.setattr(solver, "_solve", _solve.__wrapped__)  # solve inside the trace
     tracemalloc.start()
     try:
         cop = SolverCop(g, k)
         for cops, r in states:
-            cop._choose(g, cops, r)
+            cop.move(g, View(cop_positions=cops, robber_position=r), None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(states) > 40_000
     assert peak < (20 + 2 * len(t.planes) + k) * table_bytes
+
+
+def test_solved_tables_are_freed_with_their_graph():
+    # the tables are kept on their graph, so a loop over distinct graphs
+    # that drops each one holds less than one solve's tables afterwards
+    t = _solve(random_connected(40, seed=0, p=0.1), 2)
+    one_solve = len(t.win_cop) + sum(map(len, t.planes))
+    tracemalloc.start()
+    try:
+        for seed in range(24):
+            g = random_connected(40, seed=seed, p=0.1)
+            is_k_copwin(g, 2)
+            del g
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < one_solve
 
 
 def _tables_digest(t):
@@ -239,7 +254,7 @@ def test_tables_are_pinned_where_chunks_are_narrower_than_the_table(g, k, per, d
     # Q5 runs one robber slab per chunk; 14 vertices run a 12-slab chunk and a
     # 2-slab one.  The multiset-oracle tests stop where the table is one chunk.
     assert _chunk_slabs(g.n, k) == per
-    assert _tables_digest(_solve.__wrapped__(g, k)) == digest
+    assert _tables_digest(_solve(g, k)) == digest
 
 
 @pytest.mark.parametrize("g, k, sweeps, digest", [
@@ -251,7 +266,7 @@ def test_tables_are_pinned_over_many_sweeps(g, k, sweeps, digest):
     # each sweep spreads only the robber-to-move states the last one won, and
     # skips the robber step after a sweep that won no cops-to-move state; C36
     # runs many sweeps that win few states, girth-5 n = 22 runs 4-slab chunks
-    t = _solve.__wrapped__(g, k)
+    t = _solve(g, k)
     assert t.sweeps == sweeps
     assert _tables_digest(t) == digest
 
