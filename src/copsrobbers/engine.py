@@ -43,7 +43,6 @@ from .errors import ResourceLimitError, StrategyFault
 from .graph import (
     UNREACHABLE,
     Graph,
-    VertexSet,
     bfs_distances,
     graph_hash,
     is_connected,
@@ -354,11 +353,11 @@ class GreedyFarRobber:
     name = "greedy-far"
 
     def place(self, g, cop_positions, cfg, rng):
-        return _first_farthest(range(g.n), bfs_distances(g, VertexSet.of(g.n, cop_positions)))
+        return _first_farthest(range(g.n), bfs_distances(g, cop_positions))
 
     def move(self, g, view, rng):
         """Move (or stay) maximizing the min-distance to the cops; ties -> lowest id."""
-        dist = bfs_distances(g, VertexSet.of(g.n, view.cop_positions))
+        dist = bfs_distances(g, view.cop_positions)
         return _first_farthest(g.closed_neighborhoods()[view.robber_position], dist)
 
 
@@ -410,7 +409,7 @@ class ChaserCop:
         r = view.robber_position
         if r is None:
             raise ValueError("chaser needs a visible robber")
-        dist = bfs_distances(g, VertexSet.of(g.n, [r]))
+        dist = bfs_distances(g, (r,))
         return tuple(step_toward(g, dist, c) for c in view.cop_positions), state
 
 

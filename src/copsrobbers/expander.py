@@ -267,8 +267,7 @@ def _decompose(g, candidate, cops_available, radius, dist_cache):
     for u in cand:
         row = dist_cache.get(u)
         if row is None:
-            row = bfs_distances(g, VertexSet.of(g.n, [u]))
-            dist_cache[u] = row
+            row = dist_cache[u] = bfs_distances(g, (u,))
         adj[u] = [w for w in cops if row[w] != UNREACHABLE and row[w] <= radius]
     matching, core = _hopcroft_karp(cand, adj)
     shell = [u for u in cand if u not in core]

@@ -1,10 +1,12 @@
 """Immutable simple undirected graphs and their metric primitives.
 
-Vertices are exactly the integers ``0..n-1``.  A :class:`Graph` holds sorted
+Vertices are exactly the integers ``0..n-1``, and the package passes them as
+plain ids: a BFS starts from a sequence of ids.  A :class:`Graph` holds sorted
 adjacency tuples and the values it derives from them (below).  A
 :class:`VertexSet` is a fixed-width membership bitmask over those ids, so set
-algebra costs O(n/wordsize).  Distances are exact integers; ``UNREACHABLE``
-(-1) is the only sentinel and is never a "large number".
+algebra costs O(n/wordsize); balls and components are returned as one, and
+``bfs_distances`` accepts one too.  Distances are exact integers;
+``UNREACHABLE`` (-1) is the only sentinel and is never a "large number".
 
 BFS tie-breaking is pinned everywhere: when several predecessors realize a
 shortest path, the lowest vertex id wins.  This makes every derived object
@@ -37,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NoPathError, ParseError
 
@@ -306,11 +308,16 @@ def _components(g: Graph, removed) -> list[tuple[list[int], Graph]]:
     return parts
 
 
-def bfs_distances(g: Graph, sources: VertexSet) -> list[int]:
-    """Multi-source BFS hop distances; ``UNREACHABLE`` marks the rest."""
+def bfs_distances(g: Graph, sources: Sequence[int] | VertexSet) -> list[int]:
+    """Multi-source BFS hop distances from the vertex ids ``sources`` (a
+    sequence, repeats allowed, or a :class:`VertexSet` over g's vertices);
+    ``UNREACHABLE`` marks the rest."""
     if not sources:
         raise ValueError("sources must be nonempty")
-    _check_universe(g, sources)
+    if isinstance(sources, VertexSet):
+        _check_universe(g, sources)
+    elif not 0 <= min(sources) <= max(sources) < g.n:
+        raise ValueError(f"source vertex outside [0, {g.n})")
     return _bfs(g._adj, [UNREACHABLE] * g.n, sources)
 
 

@@ -30,7 +30,6 @@ from typing import Sequence
 from .graph import (
     UNREACHABLE,
     Graph,
-    VertexSet,
     bfs_distances,
     diameter,
     step_toward,
@@ -72,7 +71,7 @@ class GuardCop:
         self.path = path
         self.length = len(path) - 1
         self.index_of = {v: i for i, v in enumerate(path)}
-        self.approach = bfs_distances(g, VertexSet.of(g.n, [path[0]]))
+        self.approach = bfs_distances(g, (path[0],))
         self.dist0 = self.approach
         if component is not None:
             h, members = component
@@ -80,7 +79,7 @@ class GuardCop:
             if any(v not in local for v in path):
                 raise ValueError("path leaves the component")
             self.dist0 = [UNREACHABLE] * g.n
-            for v, d in zip(members, bfs_distances(h, VertexSet.of(h.n, [local[path[0]]]))):
+            for v, d in zip(members, bfs_distances(h, (local[path[0]],))):
                 self.dist0[v] = d
         if self.dist0[path[-1]] != self.length:
             raise ValueError("path is not a geodesic")
@@ -119,7 +118,10 @@ class GuardCop:
 
 
 def shadow(g: Graph, path, r: int) -> int:
-    """Shadow index of r on the geodesic `path` (checked)."""
+    """Shadow index of r on the geodesic `path`; the path and r are checked
+    (``GuardCop.shadow_index``, on the hot path, leaves r to its caller)."""
+    if not 0 <= r < g.n:
+        raise ValueError(f"vertex {r} outside [0, {g.n})")
     return GuardCop(g, path).shadow_index(r)
 
 
@@ -138,7 +140,8 @@ def settle_bound(g: Graph, path) -> int:
 def check_guard_soundness(g: Graph, path, extra_rounds: int = 4) -> dict:
     """Exhaustively verify the guard promise over every robber line.
 
-    Checks, across all robber behaviors up to settle_bound + extra_rounds:
+    Checks, across all robber behaviors up to settle_bound +
+    max(2, extra_rounds) rounds (so at least two rounds past the bound):
       * at every cop half-move from round settle_bound on, the cop stands on
         the robber's shadow (or has captured) -- the invariant whose
         persistence the Lipschitz property guarantees;

@@ -7,11 +7,14 @@ robber's component.  At or below the threshold, march a sampled cop family
 onto its home vertices inside the component, read the robber's position and
 run the level-decomposition plan.  Each node of the recursion holds its
 component's induced subgraph, built once, and the ascending original ids of
-its vertices; the root's is the graph itself, so it shares the graph's kept
-diameter.  The diameter, the geodesic, the split, the guard's shadow and the
-leaf's expander all run on the node's subgraph, and their results map back
-to original ids through that list.  The relabel is monotone, so every
-lowest-id choice is the one the original ids would give.
+its vertices; the root's is the graph itself, with ``range(n)`` for its ids,
+so it shares the graph's kept diameter.  The diameter, the geodesic, the
+split, the guard's shadow and the leaf's expander all run on the node's
+subgraph, and their results map back to original ids through that list.  The
+relabel is monotone, so every lowest-id choice is the one the original ids
+would give.  The list is the node's one record of its component: the cops
+find the robber's component among a guard node's children by a binary search
+in each child's list.
 
 The whole object is realized inside a single engine game with a fixed pool of
 cops placed up front (start positions are irrelevant on a connected graph;
@@ -40,6 +43,7 @@ root-to-leaf chain, so a node's cop objects (a guard's ``GuardCop``, a leaf's
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,7 +61,6 @@ from .expander import build_plan, sample_cop_sets  # noqa: F401
 from .graph import (
     UNREACHABLE,
     Graph,
-    VertexSet,
     _components,
     bfs_distances,
     diameter_pair,
@@ -90,12 +93,11 @@ class _Node:
     node_id: int
     depth: int
     kind: str                      # "guard" | "leaf"
-    vertices: VertexSet            # component, original ids
     graph: Graph                   # the subgraph the component induces
     members: Sequence[int]         # original id of each graph vertex, ascending
     entry: int                     # stage starts at round entry + 1
     duration: int = 0              # guard: settle window; leaf: march window
-    children: tuple = ()           # (VertexSet, _Node) pairs
+    children: tuple = ()           # guard: a _Node per component of the rest
     parent: int | None = None      # id of the guard node split into this one
     path: tuple = ()               # guard: the geodesic, original ids
     # leaf fields: the family and its plans, in the ids of `graph`; the team
@@ -133,12 +135,11 @@ class MeynielAnalysis:
         self.params = params
         self.seed = seed
         self.v0 = 0  # every cop starts here
-        self._dist_v0 = bfs_distances(g, VertexSet.of(g.n, [self.v0]))
+        self._dist_v0 = bfs_distances(g, (self.v0,))
         if UNREACHABLE in self._dist_v0:
             raise ValueError("recursion requires a connected graph")
         self.nodes: list[_Node] = []
-        self.root = self._build(g, range(g.n), VertexSet.full(g.n), depth=0, entry=0,
-                                label="r", parent=None)
+        self.root = self._build(g, range(g.n), depth=0, entry=0, label="r", parent=None)
         self.pool_size = max(
             max((self._need(n) for n in self.nodes), default=1), 1
         )
@@ -150,12 +151,12 @@ class MeynielAnalysis:
             return node.depth + sum(node.family_set_sizes)
         return node.depth + 1
 
-    def _build(self, h: Graph, members: Sequence[int], vertices: VertexSet, depth: int,
-               entry: int, label: str, parent: int | None) -> _Node:
+    def _build(self, h: Graph, members: Sequence[int], depth: int, entry: int, label: str,
+               parent: int | None) -> _Node:
         d, u, v = diameter_pair(h)
         node = _Node(node_id=len(self.nodes), depth=depth,
-                     kind="leaf" if d <= self.threshold else "guard", vertices=vertices,
-                     graph=h, members=members, entry=entry, parent=parent)
+                     kind="leaf" if d <= self.threshold else "guard", graph=h,
+                     members=members, entry=entry, parent=parent)
         self.nodes.append(node)
         if node.kind == "leaf":
             family, plans, node.resamples = resample_family(
@@ -174,10 +175,9 @@ class MeynielAnalysis:
         node.duration = max(1, self._dist_v0[node.path[0]] + len(path) - 1)
         children = []
         for part, sub in _components(h, path):
-            part = tuple(members[w] for w in part)
-            child = self._build(sub, part, VertexSet.of(self.g.n, part), depth + 1,
-                                entry + node.duration, f"{label}.{len(children)}", node.node_id)
-            children.append((child.vertices, child))
+            children.append(self._build(sub, tuple(members[w] for w in part), depth + 1,
+                                        entry + node.duration, f"{label}.{len(children)}",
+                                        node.node_id))
         node.children = tuple(children)
         return node
 
@@ -210,7 +210,8 @@ class MeynielAnalysis:
             if node.kind == "guard":
                 bound = max(bound, node.entry + node.duration + 1)
             elif not node.broken:
-                worst_exec = max(node.deadlines.values(), default=1)
+                worst_exec = max((p.capture_deadline for p in node.plans.values()),
+                                 default=1)
                 bound = max(bound, node.entry + node.duration + worst_exec)
         return bound + 2
 
@@ -245,14 +246,13 @@ class MeynielCop:
 
     def _advance(self, node: _Node, rnd: int, r: int) -> _Node:
         while node.kind == "guard" and rnd > node.entry + node.duration:
-            nxt = None
-            for comp_mask, child in node.children:
-                if r in comp_mask:
-                    nxt = child
+            for child in node.children:
+                i = bisect_left(child.members, r)
+                if i < len(child.members) and child.members[i] == r:
+                    node = child
                     break
-            if nxt is None:
+            else:
                 return node  # robber is on a guarded path; capture is imminent
-            node = nxt
         return node
 
     def move(self, g, view: View, state):

@@ -584,10 +584,12 @@ def eager_meyniel(g, threshold, params, seed):
     """The recursion analysis with every cop object built up front.
 
     Returns (nodes, pool size, timeline bound).  Each node is a dict with the
-    library node's id, depth, kind, vertices, entry, duration and parent id,
-    its children's ids, the ids of the guard nodes deployed there (root
-    first), and either its ``guard`` or its leaf fields: ``broken``, ``resamples``,
-    ``family_set_sizes``, ``deadlines``, ``team`` and ``march_routes``.
+    library node's id, depth, kind, entry, duration and parent id, its
+    ``vertices`` (the component as a VertexSet; the library node lists them
+    ascending in ``members``), its children's ids, the ids of the guard nodes
+    deployed there (root first), and either its ``guard`` or its leaf fields:
+    ``broken``, ``resamples``, ``family_set_sizes``, ``deadlines``, ``team``
+    and ``march_routes``.
     """
     v0 = 0
     dist_v0 = masked_bfs_oracle(g, (v0,))

@@ -147,6 +147,20 @@ def test_bfs_empty_sources_rejected():
         bfs_distances(gen_path(3), VertexSet(3, 0))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20), st.sampled_from((0.1, 0.2, 0.4)), st.integers(0, 10**6),
+       st.data())
+def test_bfs_from_ids_matches_the_vertex_set_of_them(n, p, seed, data):
+    # unsorted ids with repeats, as when several cops share a vertex
+    g = gen_gnp(n, p, seed)
+    ids = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    assert bfs_distances(g, ids) == bfs_distances(g, vs(n, ids))
+    assert bfs_distances(g, tuple(ids)) == masked_bfs_oracle(g, sorted(set(ids)))
+    for bad in ([], [-1], [n], [0, n]):
+        with pytest.raises(ValueError):
+            bfs_distances(g, bad)
+
+
 # ---------------------------------------------------------------------------
 # ball.
 # ---------------------------------------------------------------------------

@@ -47,6 +47,15 @@ def test_shadow_rejects_non_geodesic():
         shadow(g, [0, 2], 5)  # not even a path
 
 
+@pytest.mark.parametrize("r", [-1, -8, 8, 100])
+def test_shadow_rejects_a_robber_outside_the_graph(r):
+    # -1 would otherwise read the last vertex's distance: the shadow of 7
+    g = gen_cycle(8)
+    assert shadow(g, [0, 1, 2, 3, 4], 7) == 1
+    with pytest.raises(ValueError, match=rf"vertex {r} outside \[0, 8\)"):
+        shadow(g, [0, 1, 2, 3, 4], r)
+
+
 @pytest.mark.parametrize("path", [(999, 1000), (0, 999), (-1, 0), (9,), (-1,)])
 def test_guard_cop_rejects_vertices_outside_the_graph(path):
     # checked before any adjacency is read: -1 would index the last vertex's list

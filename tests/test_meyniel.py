@@ -136,9 +136,9 @@ def test_component_monotonicity():
     an = MeynielAnalysis(g, 3, PARAMS, seed=0)
     for node in an.nodes:
         if node.kind == "guard":
-            for comp_mask, child in node.children:
-                assert len(child.vertices) < len(node.vertices)
-                assert child.vertices <= node.vertices
+            for child in node.children:
+                assert len(child.members) < len(node.members)
+                assert set(child.members) <= set(node.members)
 
 
 def _walked_guards(an, node):
@@ -150,7 +150,7 @@ def _walked_guards(an, node):
             chain.append((cur.entry, cur.depth, an.cops(cur).guards[-1][2]))
         if cur is node:
             return tuple(chain)
-        cur = next(child for mask, child in cur.children if node.vertices <= mask)
+        cur = next(child for child in cur.children if node.members[0] in child.members)
 
 
 CHAIN_CASES = {
@@ -213,10 +213,11 @@ def test_lazy_analysis_matches_eager_build(n, spread, seed, threshold, param_set
     nodes, pool, timeline = eager_meyniel(g, threshold, params, seed)
     assert (an.pool_size, an.timeline_bound()) == (pool, timeline)
     assert len(an.nodes) == len(nodes)
-    fields = ("node_id", "depth", "kind", "vertices", "entry", "duration", "parent")
+    fields = ("node_id", "depth", "kind", "entry", "duration", "parent")
     for node, ref in zip(an.nodes, nodes):
         assert tuple(getattr(node, f) for f in fields) == tuple(ref[f] for f in fields)
-        assert tuple(child.node_id for _, child in node.children) == ref["children"]
+        assert tuple(node.members) == tuple(ref["vertices"])
+        assert tuple(child.node_id for child in node.children) == ref["children"]
         built = an.cops(node)
         assert [(entry, idx, guard.path) for entry, idx, guard in built.guards] == [
             (nodes[i]["entry"], nodes[i]["depth"], nodes[i]["guard"].path) for i in ref["guards"]]
@@ -342,7 +343,7 @@ def test_leaves_pinned(name):
             homes, tracks = (built.team.homes, built.team.tracks) if built.team else ((), {})
             doc = (homes, sorted((n.deadlines or {}).items()), built.march_routes,
                    sorted(tracks.items()))
-            place = (tuple(n.vertices), n.entry, n.duration, n.parent)
+            place = (tuple(n.members), n.entry, n.duration, n.parent)
             got.append((n.node_id, n.resamples, n.broken, n.family_set_sizes,
                         hashlib.sha256(repr(doc).encode()).hexdigest(),
                         hashlib.sha256(repr(place).encode()).hexdigest()))
@@ -352,24 +353,26 @@ def test_leaves_pinned(name):
 
 
 def test_analysis_lists_no_whole_graph_vertex_set(monkeypatch):
-    # every node measures the subgraph its component induces, so no set of
-    # g's vertices is listed from its n-bit mask, which costs O(n/w) per
-    # member.  A one-vertex BFS source (v0, each guard's p_0) is listed once,
-    # at the cost of building it.
+    # every node keeps its component as an ascending id list and measures the
+    # subgraph it induces, and every BFS starts from vertex ids, so a whole
+    # game (the analysis, every node's cops, every move of both sides) builds
+    # no set over g's vertices, whose n-bit mask costs O(n/w) per member.
     g = gen_grid(12, 12)
-    listing = VertexSet.__iter__
+    make = VertexSet.__init__
 
-    def checked(self):
-        if self.n == g.n and len(self) > 1:
-            raise AssertionError(f"listed {len(self)} of g's vertices")
-        return listing(self)
+    def checked(self, n, mask=0):
+        if n == g.n:
+            raise AssertionError("built a VertexSet over g's vertices")
+        make(self, n, mask)
 
-    monkeypatch.setattr(VertexSet, "__iter__", checked)
+    monkeypatch.setattr(VertexSet, "__init__", checked)
     an = MeynielAnalysis(g, 3, PARAMS, seed=0)
     assert an.root.kind == "guard" and max(node.depth for node in an.nodes) >= 2
     for node in an.nodes:
         an.cops(node)
     assert any(an.cops(node).team for node in an.nodes)
+    res = run_meyniel(g, 3, PARAMS, cfg(), robber=GreedyFarRobber())
+    assert res.caught and res.guards_used >= 2
 
 
 def test_desk_params_and_two_runs_share_one_whole_graph_scan(diameter_scans):
