@@ -28,8 +28,8 @@ print("\nagainst a distance-maximizing robber:", t.outcome.kind,
 # where can the robber still be once the guard has settled?  (touching the
 # path is suicide: the next cop move lands on it, so only the far arc is safe)
 bound = settle_bound(g, path)
-_, _, layers = expand_game_layers(g, cop, cfg, bound + 4)
-surviving = {r for (_, r, _) in layers[bound + 4]} - set(path)
+_, (keys, _), layers = expand_game_layers(g, cop, cfg, bound + 4)
+surviving = {keys[i][1] for i in layers[bound + 4]} - set(path)
 print(f"safe robber territory {4} rounds past the settle bound:",
       sorted(surviving))
 

@@ -258,12 +258,13 @@ def confinement_violations(g, cop, plans, deadline: int) -> list[dict]:
     """Every robber line against an expander team, expanded for ``deadline``
     rounds: a line still alive after its start's capture-deadline round, or
     outside a level's core at that level's deadline (its radius), is a
-    violation.  ``layers[k]`` holds the lines alive after round k."""
+    violation.  ``layers[k]`` lists the ids of the lines alive after round k."""
     cfg = GameConfig(cop_count=cop.cop_count, max_rounds=deadline, seed=0)
-    _, _, layers = expand_game_layers(g, cop, cfg, deadline)
+    _, (keys, _), layers = expand_game_layers(g, cop, cfg, deadline)
     violations = []
     for k in range(1, deadline + 1):
-        for (_, r_pos, (v, _)) in layers[k]:
+        for i in layers[k]:
+            _, r_pos, (v, _) = keys[i]
             plan = plans[v]
             if k >= plan.capture_deadline:
                 violations.append({"start": v, "alive_at": k})

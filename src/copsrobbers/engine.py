@@ -28,8 +28,12 @@ the engine-owned RNG:
 One round rule serves every game: ``play`` walks one robber line through the
 same cop half-move step (move check, capture, the robber's options) that
 ``expand_game_layers`` applies to every line for the exhaustive adversary,
-and both record the line through one transcript builder.  A transcript also
-carries ``final_state``, the cop strategy's state after the team's last move.
+and both record the line through one transcript builder.  The step numbers
+the positions it reaches; the expansion gives each distinct position one
+int id, hashing its key once where it occurs, and the records, the
+adversary's layers, its backward induction and the transcript walk all
+hold ids.  A transcript also carries ``final_state``, the cop strategy's
+state after the team's last move.
 """
 
 from __future__ import annotations
@@ -130,18 +134,19 @@ class Transcript:
 # The round rule.
 #
 # A live game position is a node ``(cop_positions, robber_position,
-# strategy_state)``.  One cop half-move from a node gives a transition record:
-# the cops' moves, their new state, whether they captured, and -- otherwise --
-# the robber's options: every legal move in ascending order, mapped to
-# "caught" or to the next node.  ``play`` follows one robber line through
-# these records; ``expand_game_layers`` builds them for every line.
+# strategy_state)``, known by an int id: its index in the caller's key list.
+# One cop half-move from a node gives a transition record: the cops' moves,
+# their new state, whether they captured, and -- otherwise -- the robber's
+# options: every legal move in ascending order, paired with -1 for capture or
+# with the next node's id.  ``play`` follows one robber line through these
+# records; ``expand_game_layers`` builds them for every line.
 # ---------------------------------------------------------------------------
 
 class _Trans(NamedTuple):
     moves: tuple[int, ...]
     state2: object
     caught_cop_half: bool
-    children: dict  # robber move -> ("caught" | node key)
+    children: list  # (robber move, -1 for capture or the next node's id)
 
 
 def _place_cops(g: Graph, cops, cfg: GameConfig) -> tuple[int, ...]:
@@ -157,9 +162,16 @@ def _view(cfg: GameConfig, node) -> View:
     return View(cop_pos, r_pos if cfg.robber_visible else None)
 
 
-def _cop_half(g: Graph, closed, cops, cfg: GameConfig, view: View, node, rnd: int) -> _Trans:
+def _cop_half(g: Graph, closed, cops, cfg: GameConfig, view: View, node, rnd: int,
+              number, keys: list) -> _Trans:
     """The cops' checked move from a live node, and the robber's options after
     it; rnd only names the round in a fault.
+
+    ``keys[i]`` is node i's key.  ``number(key, n)`` returns the id a next
+    node's key already has, or n, the next free id, for a key it has not
+    numbered; that key is then appended to ``keys``.  The expansion passes a
+    dict's ``setdefault``, which hashes each key once; ``play`` passes
+    ``_new_id``, which hashes none.
 
     ``closed`` is ``g.closed_neighborhoods()``, fetched once per game or
     expansion by the caller.  The moves are checked only if some cop moved:
@@ -175,36 +187,61 @@ def _cop_half(g: Graph, closed, cops, cfg: GameConfig, view: View, node, rnd: in
         raise StrategyFault("cops", rnd,
                             f"returned {len(moves)} moves for {cfg.cop_count} cops")
     if moves != cop_pos:
-        for i, (a, b) in enumerate(zip(cop_pos, moves)):
+        for a, b in zip(cop_pos, moves):
             if a != b and b not in closed[a]:
+                # the first cop to make this move is the first illegal one
+                i = list(zip(cop_pos, moves)).index((a, b))
                 raise StrategyFault("cops", rnd, f"cop {i} illegal move {a}->{b}")
     if r_pos in moves:
-        return _Trans(moves, state2, True, {})
-    return _Trans(moves, state2, False,
-                  {m: "caught" if m in moves else (moves, m, state2) for m in closed[r_pos]})
+        return _Trans(moves, state2, True, [])
+    n = len(keys)
+    children = []
+    for m in closed[r_pos]:
+        if m in moves:
+            children.append((m, -1))
+            continue
+        key = (moves, m, state2)
+        i = number(key, n)
+        if i == n:
+            keys.append(key)
+            n += 1
+        children.append((m, i))
+    return _Trans(moves, state2, False, children)
 
 
-def _transcript(g: Graph, cfg: GameConfig, cops, robber_name: str, node, depth: int,
-                step, choose) -> Transcript:
-    """Walk one robber line from its placement node for at most depth rounds.
+def _new_id(key, n: int) -> int:
+    """A new id for every key: ``play`` follows one line, so it never looks a
+    node up."""
+    return n
 
-    ``step(node, rnd)`` is the transition record of a live node at round rnd
-    and ``choose(node, rec, rnd)`` the robber's move among ``rec.children``.
+
+def _transcript(g: Graph, cfg: GameConfig, cops, robber_name: str, placement, r_start: int,
+                i: int, depth: int, step, choose) -> Transcript:
+    """Walk one robber line from its placement node, id i (unused if the
+    robber starts on a cop), for at most depth rounds.
+
+    ``step(i, rnd)`` is the transition record of live node i at round rnd and
+    ``choose(i, rec, rnd)`` the robber's move there; a move that is not among
+    ``rec.children`` is a robber fault.
     """
-    placement, r_start, state = node
     rounds: list[tuple[tuple[int, ...], int | None]] = []
+    state, r_pos = None, r_start
     caught = r_start in placement
     while not caught and len(rounds) < depth:
         rnd = len(rounds) + 1
-        rec = step(node, rnd)
+        rec = step(i, rnd)
         state = rec.state2
         m = None
         if rec.caught_cop_half:
             caught = True
         else:
-            m = choose(node, rec, rnd)
-            node = rec.children[m]
-            caught = node == "caught"
+            m = choose(i, rec, rnd)
+            for move, child in rec.children:
+                if move == m:
+                    break
+            else:
+                raise StrategyFault("robber", rnd, f"illegal move {r_pos}->{m}")
+            i, r_pos, caught = child, m, child < 0
         rounds.append((rec.moves, m))
     return Transcript(
         graph_hash=graph_hash(g),
@@ -230,19 +267,17 @@ def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
         raise StrategyFault("robber", 0, f"bad placement {r_start}")
 
     closed = g.closed_neighborhoods()
+    keys = [(placement, r_start, None)]
 
-    def step(node, rnd):
-        return _cop_half(g, closed, cops, cfg, _view(cfg, node), node, rnd)
+    def step(i, rnd):
+        node = keys[i]
+        return _cop_half(g, closed, cops, cfg, _view(cfg, node), node, rnd, _new_id, keys)
 
-    def choose(node, rec, rnd):
-        r_pos = node[1]
-        m = robber.move(g, View(rec.moves, r_pos), rng)
-        if m not in rec.children:
-            raise StrategyFault("robber", rnd, f"illegal move {r_pos}->{m}")
-        return m
+    def choose(i, rec, rnd):
+        return robber.move(g, View(rec.moves, keys[i][1]), rng)
 
     return _transcript(g, cfg, cops, getattr(robber, "name", type(robber).__name__),
-                       (placement, r_start, None), cfg.max_rounds, step, choose)
+                       placement, r_start, 0, cfg.max_rounds, step, choose)
 
 
 # ---------------------------------------------------------------------------
@@ -252,32 +287,40 @@ def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
 # choices, so the reachable positions form per-round layers of nodes.  A
 # forward expansion that computes each distinct node's record once, followed
 # by backward induction, finds, for every line, the latest capture the robber
-# can force.
+# can force.  Both work on node ids: a node's key is hashed once where it
+# occurs, as a placement or as a robber option.
 # ---------------------------------------------------------------------------
 
 def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
                        node_budget: int = DEFAULT_NODE_BUDGET):
     """Forward-expand all robber lines to the given depth.
 
-    Returns (placement, None, layers) where layers[k] maps node keys
-    ``(cop_positions, robber_position, strategy_state)`` -- robber alive after
-    round k -- to their outgoing transition record; the middle element is the
-    start state of every team.  Before each layer is expanded, the nodes of it
-    and of the layers before it are counted; above `node_budget` the call
-    raises ``ResourceLimitError``.  A node's record (the cop half-move, its
-    legality and a second ``move`` call that checks determinism) is computed
-    once, at the node's earliest layer, and shared by the later layers that
-    hold it: the view carries no round, so a node moves alike in every layer.
-    The graph's closed-neighborhood table is fetched once, for every node's
-    move check and robber options.
+    Returns ``(placement, (keys, records), layers)``.  ``layers[k]`` lists,
+    once each and in first-seen order, the ids of the nodes whose robber is
+    alive after round k (``layers[0]`` holds the placement nodes, robber
+    start ascending).  Node i's key is ``keys[i] = (cop_positions,
+    robber_position, strategy_state)`` and its transition record
+    ``records[i]``, whose children pair each robber option, ascending, with
+    -1 for capture or the next node's id; the nodes of the last layer alone
+    may have no record (``None``).  Before each layer is expanded, the nodes
+    of it and of the layers before it are counted; above `node_budget` the
+    call raises ``ResourceLimitError``.  A node's record (the cop half-move,
+    its legality and a second ``move`` call that checks determinism) is
+    computed once, at the node's earliest layer, and shared by the later
+    layers that hold it: the view carries no round, so a node moves alike in
+    every layer.  The graph's closed-neighborhood table is fetched once, for
+    every node's move check and robber options.
     """
+    if depth < 0:
+        raise ValueError("depth must not be negative")
     if depth > cfg.max_rounds:
         raise ValueError("depth must not exceed cfg.max_rounds")
     placement = _place_cops(g, cops, cfg)
-    layers: list[dict] = [{(placement, r0, None): None
-                           for r0 in range(g.n) if r0 not in placement}]
+    keys = [(placement, r0, None) for r0 in range(g.n) if r0 not in placement]
+    number = {key: i for i, key in enumerate(keys)}.setdefault  # one hash per call
+    layers = [list(range(len(keys)))]
+    recs: list = []
     closed = g.closed_neighborhoods()
-    memo: dict = {}
     nodes = 0
     for k in range(depth):
         frontier = layers[k]
@@ -285,21 +328,23 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
         if nodes > node_budget:
             raise ResourceLimitError(
                 f"{nodes} adversary nodes by round {k} exceed the budget of {node_budget}")
-        nxt: dict = {}
-        for node in frontier:
-            rec = memo.get(node)
+        recs += [None] * (len(keys) - len(recs))
+        nxt: dict = {}  # the next layer's ids, first seen first
+        for i in frontier:
+            rec = recs[i]
             if rec is None:
+                node = keys[i]
                 view = _view(cfg, node)
-                rec = memo[node] = _cop_half(g, closed, cops, cfg, view, node, k + 1)
+                rec = recs[i] = _cop_half(g, closed, cops, cfg, view, node, k + 1, number, keys)
                 again, st_again = cops.move(g, view, node[2])
                 if (tuple(again), st_again) != (rec.moves, rec.state2):
                     raise StrategyFault("cops", k + 1, "nondeterministic strategy detected")
-            frontier[node] = rec
-            for child in rec.children.values():
-                if child != "caught":
-                    nxt[child] = None
-        layers.append(nxt)
-    return placement, None, layers
+            for _, c in rec.children:
+                nxt[c] = None
+        nxt.pop(-1, None)  # capture
+        layers.append(list(nxt))
+    recs += [None] * (len(keys) - len(recs))
+    return placement, (keys, recs), layers
 
 
 def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int) -> Transcript:
@@ -309,35 +354,38 @@ def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int) -> Tr
     (ties broken toward the lowest-id move); the outcome is ``caught`` only
     if every robber line is caught within ``depth`` rounds.
     """
-    placement, _, layers = expand_game_layers(g, cops, cfg, depth)
+    placement, (keys, recs), layers = expand_game_layers(g, cops, cfg, depth)
 
-    # survival[node]: the capture round under the robber's best play from a
-    # node of the layer at hand, inf if the robber reaches the depth cutoff.
-    survival = dict.fromkeys(layers[depth], math.inf)
+    # survival[i]: the capture round under the robber's best play from node
+    # i of the layer at hand, inf if the robber reaches the depth cutoff (as
+    # from every node of the last layer); later holds the layer after it.
+    survival, later = [math.inf] * len(recs), [0] * len(recs)
     best_moves: list[dict] = [{} for _ in range(depth)]
     for k in range(depth - 1, -1, -1):
-        later, survival = survival, {}
-        for node, rec in layers[k].items():
+        later, survival = survival, later
+        moves_k = best_moves[k]
+        for i in layers[k]:
+            rec = recs[i]
             if rec.caught_cop_half:
-                survival[node] = k + 1
+                survival[i] = k + 1
                 continue
-            # the first best move, moves ascending; "caught" is no node of
-            # the next layer, so it reads as capture this round
+            # the first best move, moves ascending; -1 is capture this round
             best = 0
-            for m, child in rec.children.items():
-                s = later.get(child, k + 1)
+            for m, c in rec.children:
+                s = k + 1 if c < 0 else later[c]
                 if s > best:
                     best, move = s, m
-            survival[node], best_moves[k][node] = best, move
+            survival[i], moves_k[i] = best, move
 
     # The robber places to maximize survival; placing onto a cop (survival 0)
     # is dominated but legal, and the only option when cops cover every vertex.
-    best_r0 = max(range(g.n),
-                  key=lambda r0: 0 if r0 in placement else survival[(placement, r0, None)])
+    start = {keys[i][1]: i for i in layers[0]}
+    best_r0 = max(range(g.n), key=lambda r0: survival[start[r0]] if r0 in start else 0)
 
-    return _transcript(g, cfg, cops, "adversarial-search", (placement, best_r0, None), depth,
-                       lambda node, rnd: layers[rnd - 1][node],
-                       lambda node, rec, rnd: best_moves[rnd - 1][node])
+    return _transcript(g, cfg, cops, "adversarial-search", placement, best_r0,
+                       start.get(best_r0, -1), depth,
+                       lambda i, rnd: recs[i],
+                       lambda i, rec, rnd: best_moves[rnd - 1][i])
 
 
 # ---------------------------------------------------------------------------

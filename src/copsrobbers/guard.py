@@ -156,14 +156,15 @@ def check_guard_soundness(g: Graph, path, extra_rounds: int = 4) -> dict:
     bound = _settle_bound(g, cop)
     depth = bound + max(2, extra_rounds)
     cfg = GameConfig(cop_count=1, max_rounds=depth, robber_visible=True, seed=0)
-    _, _, layers = expand_game_layers(g, cop, cfg, depth)
+    _, (keys, recs), layers = expand_game_layers(g, cop, cfg, depth)
 
     violations = []
     states = 0
     for k in range(depth):
-        for node, rec in layers[k].items():
+        for i in layers[k]:
             states += 1
-            _, r_pos, _ = node
+            _, r_pos, _ = keys[i]
+            rec = recs[i]
             cop_after = rec.moves[0]
             if k + 1 >= bound and not rec.caught_cop_half:
                 if cop_after != cop.path[cop.shadow_index(r_pos)]:

@@ -16,6 +16,8 @@ from copsrobbers import (
     StrategyFault,
     Transcript,
     adversarial_robber_search,
+    checks,
+    engine,
     gen_cycle,
     gen_grid,
     gen_path,
@@ -33,9 +35,10 @@ from copsrobbers.engine import (
     View,
     expand_game_layers,
 )
+from copsrobbers.checks import confinement_violations
 from copsrobbers.expander import ScriptedCop, desk_params, make_expander_cop
 from copsrobbers.graph import diameter_pair, shortest_path
-from copsrobbers.guard import GuardCop
+from copsrobbers.guard import GuardCop, check_guard_soundness
 from copsrobbers.meyniel import MeynielAnalysis, MeynielCop
 from copsrobbers.seeds import make_rng
 from copsrobbers.solver import SolverCop, cop_number
@@ -238,21 +241,24 @@ def _assert_line_of_layers(g, cops, robber, c):
     expands: every node lies in its layer with the recorded cop moves, and
     the capture round and final strategy state agree."""
     t = play(g, cops, robber, c)
-    placement, s0, layers = expand_game_layers(g, cops, c, c.max_rounds)
+    placement, (keys, recs), layers = expand_game_layers(g, cops, c, c.max_rounds)
     assert t.cop_placement == placement
-    node, state, caught_at = (placement, t.robber_placement, s0), s0, None
+    ids = {key: i for i, key in enumerate(keys)}
+    node, state, caught_at = (placement, t.robber_placement, None), None, None
     if t.robber_placement in placement:
         caught_at = 0
     for k, (moves, r_move) in enumerate(t.rounds):
-        rec = layers[k][node]
+        assert ids[node] in layers[k]
+        rec = recs[ids[node]]
         assert moves == rec.moves and (r_move is None) == rec.caught_cop_half
         state = rec.state2
-        node = "caught" if r_move is None else rec.children[r_move]
-        if node == "caught":
+        child = -1 if r_move is None else dict(rec.children)[r_move]
+        if child < 0:
             caught_at = k + 1
             break
+        node = keys[child]
     if caught_at is None:
-        assert node in layers[c.max_rounds]
+        assert ids[node] in layers[c.max_rounds]
         assert t.outcome == Outcome("robber_wins", c.max_rounds)
     else:
         assert t.outcome == Outcome("caught", caught_at)
@@ -304,7 +310,62 @@ def test_node_budget_stops_the_expansion_before_full_depth():
     cops = CountingCop(HoldCop([12]))
     with pytest.raises(ResourceLimitError):
         expand_game_layers(g, cops, c, depth, node_budget=sizes[0] + sizes[1])
-    assert cops.calls == 2 * len(layers[0].keys() | layers[1].keys()) == 48
+    assert cops.calls == 2 * len(set(layers[0]) | set(layers[1])) == 48
+
+
+class _CountedState:
+    """A strategy state that counts the hashes of every state of its team."""
+
+    def __init__(self, value, hashes):
+        self.value, self.hashes = value, hashes
+
+    def __eq__(self, other):
+        return isinstance(other, _CountedState) and self.value == other.value
+
+    def __hash__(self):
+        self.hashes[0] += 1
+        return hash(self.value)
+
+
+class _CountedChaser(ChaserCop):
+    """Chases, keeping the round modulo 3 in a state that counts its hashes,
+    so that nodes repeat across layers."""
+
+    def __init__(self, placement):
+        super().__init__(placement)
+        self.hashes = [0]
+
+    def move(self, g, view, state):
+        moves, _ = super().move(g, view, None)
+        rnd = 0 if state is None else state.value
+        return moves, _CountedState((rnd + 1) % 3, self.hashes)
+
+
+def test_each_node_key_is_hashed_once_per_occurrence():
+    # one hash per placement node, and one per robber option of each distinct
+    # expanded node that is not a capture; the backward induction and the
+    # transcript walk hash no key, and play, which follows one line, none
+    g, depth = gen_cycle(24), 20
+    c = cfg(rounds=depth)
+    cops = _CountedChaser([0])
+    _, (keys, recs), layers = expand_game_layers(g, cops, c, depth)
+    occurrences = len(layers[0]) + sum(child >= 0 for rec in recs if rec is not None
+                                       for _, child in rec.children)
+    assert sum(map(len, layers)) > len(keys)  # some node repeats across layers
+    assert 0 < cops.hashes[0] <= occurrences
+    expanded = cops.hashes[0]
+    cops.hashes[0] = 0
+    t = adversarial_robber_search(g, cops, c, depth)
+    assert not t.caught and cops.hashes[0] == expanded
+    cops.hashes[0] = 0
+    assert not play(g, cops, GreedyFarRobber(), c).caught
+    assert cops.hashes[0] == 0
+
+
+def test_negative_depth_rejected():
+    for search in (expand_game_layers, adversarial_robber_search):
+        with pytest.raises(ValueError, match="negative"):
+            search(gen_cycle(6), HoldCop([0]), cfg(rounds=5), -1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -405,13 +466,21 @@ def test_every_cop_team_class_is_checked_against_the_per_layer_oracle():
 
 
 def _assert_same_as_per_layer(g, cops, c):
-    """The expansion to c.max_rounds equals the per-layer oracle's: layer
-    keys in order, and every record's moves, state, capture flag and
-    children."""
-    got = expand_game_layers(g, cops, c, c.max_rounds)
-    ref = per_layer_expansion(g, cops, c, c.max_rounds)
-    assert got == ref
-    assert [list(layer) for layer in got[2]] == [list(layer) for layer in ref[2]]
+    """The expansion to c.max_rounds, its ids mapped back to node keys, equals
+    the per-layer oracle's: layer keys in order, and every record's moves,
+    state, capture flag and children, in order.  Each distinct node has one
+    id."""
+    placement, (keys, recs), layers = expand_game_layers(g, cops, c, c.max_rounds)
+    ref_placement, _, ref_layers = per_layer_expansion(g, cops, c, c.max_rounds)
+    assert placement == ref_placement
+    assert len(set(keys)) == len(keys) == len(recs)
+    assert [[keys[i] for i in layer] for layer in layers] == [list(layer) for layer in ref_layers]
+    for layer, ref_layer in zip(layers[:-1], ref_layers):
+        for i in layer:
+            moves, state2, caught, children = recs[i]
+            assert (moves, state2, caught) == ref_layer[keys[i]][:3]
+            assert [(m, "caught" if child < 0 else keys[child]) for m, child in children] == \
+                list(ref_layer[keys[i]][3].items())
 
 
 @pytest.mark.parametrize("gname, team", _CASES, ids=[f"{gn}-{team}" for gn, team in _CASES])
@@ -448,6 +517,34 @@ def test_a_team_reading_the_round_fails():
 def test_depth_capped_by_max_rounds():
     with pytest.raises(ValueError):
         adversarial_robber_search(gen_path(3), ChaserCop([0]), cfg(rounds=5), 6)
+
+
+def test_callers_read_the_expansion_by_position(monkeypatch):
+    # a wrapper that hands back the expansion as a plain tuple, as a tracer
+    # counting layer nodes does, changes nothing its callers report
+    g = gen_grid(4, 5)
+    path = shortest_path(g, *diameter_pair(g)[1:])
+    team, _, plans, _ = make_expander_cop(g, desk_params(g, lam=1.5, density=0.9), 3)
+    deadline = max(p.capture_deadline for p in plans.values())
+
+    def reports():
+        t = adversarial_robber_search(g, GuardCop(g, path), cfg(rounds=14), 14)
+        return (check_guard_soundness(g, path), confinement_violations(g, team, plans, deadline),
+                transcript_to_json(t), t.final_state)
+
+    before = reports()
+    real, calls = engine.expand_game_layers, []
+
+    def expand_game_layers(*args, **kwargs):
+        calls.append(args)
+        placement, nodes, layers = real(*args, **kwargs)
+        return tuple([placement, nodes, layers])
+
+    monkeypatch.setattr(engine, "expand_game_layers", expand_game_layers)
+    # checks binds the name when it is imported
+    monkeypatch.setattr(checks, "expand_game_layers", expand_game_layers)
+    assert reports() == before
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------

@@ -128,11 +128,12 @@ def test_c6_guard_confines_robber():
     bound = settle_bound(g, path)
     depth = bound + 6
     cfg = GameConfig(cop_count=1, max_rounds=depth, seed=0)
-    _, _, layers = expand_game_layers(g, cop, cfg, depth)
+    _, (keys, recs), layers = expand_game_layers(g, cop, cfg, depth)
     for k in range(bound, depth):
-        for (cops_pos, r_pos, _st), rec in layers[k].items():
+        for i in layers[k]:
+            r_pos = keys[i][1]
             if r_pos in path:
-                assert rec.caught_cop_half  # stepping onto the path is fatal
+                assert recs[i].caught_cop_half  # stepping onto the path is fatal
             else:
                 assert r_pos in (4, 5)
     # and some line does survive: one cop cannot catch on the 6-cycle

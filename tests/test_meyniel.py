@@ -83,10 +83,11 @@ def test_kept_guard_steps_match_a_fresh_cop_at_every_node(g, seed):
     c = GameConfig(cop_count=an.pool_size, max_rounds=depth, seed=seed)
     kept = MeynielCop(an)
     play(g, kept, GreedyFarRobber(), c)
-    _, _, layers = expand_game_layers(g, kept, c, depth)
+    _, (keys, recs), layers = expand_game_layers(g, kept, c, depth)
     assert any(node.kind == "guard" for node in an.nodes)
     for layer in layers[:depth]:
-        for (cops, r, state), rec in layer.items():
+        for i in layer:
+            (cops, r, state), rec = keys[i], recs[i]
             view = View(cops, r)
             moved = kept.move(g, view, state)
             assert moved == MeynielCop(an).move(g, view, state) == (rec.moves, rec.state2)
