@@ -47,6 +47,8 @@ from .errors import ResourceLimitError, StrategyFault
 from .graph import (
     UNREACHABLE,
     Graph,
+    _check_sources,
+    _lower,
     bfs_distances,
     graph_hash,
     is_connected,
@@ -398,15 +400,55 @@ def _first_farthest(candidates, dist) -> int:
 
 
 class GreedyFarRobber:
+    """Places and moves as far from the cops as it can; ties -> lowest id.
+
+    The distance field from the cops is exact on every call, but it is not
+    always one whole-graph BFS.  The robber keeps the field of its last call
+    and returns it when the same cops stand on the same graph.  Where two or
+    more cops share a vertex (``MeynielCop`` stacks its idle pool on one), it
+    keeps the BFS row from the shared vertices, keyed by graph and vertex
+    set, and lowers a copy of it by a BFS from the other cops that walks
+    only where they are strictly closer.  Everything it keeps is one tuple,
+    replaced whole and read once per call; the graph is held and compared
+    by identity.
+    """
+
     name = "greedy-far"
 
+    def __init__(self):
+        # (graph, cop tuple, their field, shared vertices, their BFS row)
+        self._kept = (None,) * 5
+
     def place(self, g, cop_positions, cfg, rng):
-        return _first_farthest(range(g.n), bfs_distances(g, cop_positions))
+        return _first_farthest(range(g.n), self._field(g, cop_positions))
 
     def move(self, g, view, rng):
         """Move (or stay) maximizing the min-distance to the cops; ties -> lowest id."""
-        dist = bfs_distances(g, view.cop_positions)
+        dist = self._field(g, view.cop_positions)
         return _first_farthest(g.closed_neighborhoods()[view.robber_position], dist)
+
+    def _field(self, g: Graph, cop_positions) -> list[int]:
+        """The BFS field from ``cop_positions`` on g; never mutated."""
+        cops = tuple(cop_positions)
+        kept_g, kept_cops, dist, shared, row = self._kept
+        if g is not kept_g:
+            shared, row = (), None
+        elif cops == kept_cops:
+            return dist
+        _check_sources(g, cops)
+        seen, stacked = set(), set()
+        for c in cops:
+            (stacked if c in seen else seen).add(c)
+        if stacked:
+            key = tuple(sorted(stacked))
+            if key != shared:
+                shared, row = key, bfs_distances(g, key)
+        if not stacked or UNREACHABLE in row:
+            dist = bfs_distances(g, cops)
+        else:
+            dist = _lower(g._adj, row.copy(), seen - stacked)
+        self._kept = (g, cops, dist, shared, row)
+        return dist
 
 
 class RandomRobber:

@@ -29,7 +29,8 @@ one BFS per vertex.  The whole-graph result is computed once per
 desk-scale parameters and the guard's settle bound share one scan.
 
 A :class:`Graph` keeps every value it derives (the diameter triple, the
-closed-neighbourhood table, the solver's tables) in one private store, filled
+connectivity bit, the edge-list hash, the closed-neighbourhood table, the
+solver's tables) in one private store, filled
 through ``Graph._keep``.  The store lives and dies with the graph, so its
 memory follows the live graphs, and equal but distinct graphs keep their own.
 """
@@ -273,6 +274,30 @@ def _bfs(adj, dist: list[int], sources) -> list[int]:
     return dist
 
 
+def _lower(adj, dist: list[int], sources) -> list[int]:
+    """Lower the BFS field ``dist`` in place to the distances from its own
+    sources and ``sources`` together.  A layered BFS from ``sources``
+    relabels a vertex, and searches on from it, only where the new distance
+    is strictly smaller, so it walks only where ``sources`` are strictly
+    closer.  ``dist`` must hold no ``UNREACHABLE``."""
+    frontier = []
+    for s in sources:
+        if dist[s]:
+            dist[s] = 0
+            frontier.append(s)
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if dist[v] > d:
+                    dist[v] = d
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
 def _induced(g: Graph, pos: dict[int, int]) -> Graph:
     """The subgraph of g induced by the keys of ``pos``, which map g's
     vertices, ascending, to 0, 1, ... in order.  The relabel is monotone, so
@@ -312,13 +337,18 @@ def bfs_distances(g: Graph, sources: Sequence[int] | VertexSet) -> list[int]:
     """Multi-source BFS hop distances from the vertex ids ``sources`` (a
     sequence, repeats allowed, or a :class:`VertexSet` over g's vertices);
     ``UNREACHABLE`` marks the rest."""
+    _check_sources(g, sources)
+    return _bfs(g._adj, [UNREACHABLE] * g.n, sources)
+
+
+def _check_sources(g: Graph, sources: Sequence[int] | VertexSet) -> None:
+    """Refuse the sources ``bfs_distances`` refuses: none, or one outside g."""
     if not sources:
         raise ValueError("sources must be nonempty")
     if isinstance(sources, VertexSet):
         _check_universe(g, sources)
     elif not 0 <= min(sources) <= max(sources) < g.n:
         raise ValueError(f"source vertex outside [0, {g.n})")
-    return _bfs(g._adj, [UNREACHABLE] * g.n, sources)
 
 
 def ball(g: Graph, a: VertexSet, r: int) -> VertexSet:
@@ -514,7 +544,9 @@ def component_of(g: Graph, v: int) -> VertexSet:
 
 
 def is_connected(g: Graph) -> bool:
-    return UNREACHABLE not in _bfs(g._adj, [UNREACHABLE] * g.n, (0,))
+    """Whether every vertex is reachable from vertex 0; kept on g."""
+    return g._keep("connected",
+                   lambda: UNREACHABLE not in _bfs(g._adj, [UNREACHABLE] * g.n, (0,)))
 
 
 # ---------------------------------------------------------------------------
@@ -578,5 +610,6 @@ def to_dot(g: Graph) -> str:
 
 
 def graph_hash(g: Graph) -> str:
-    """Stable 16-hex-digit digest of the canonical edge list."""
-    return hashlib.sha256(format_edge_list(g).encode()).hexdigest()[:16]
+    """Stable 16-hex-digit digest of the canonical edge list; kept on g."""
+    return g._keep("hash",
+                   lambda: hashlib.sha256(format_edge_list(g).encode()).hexdigest()[:16])

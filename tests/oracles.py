@@ -9,6 +9,9 @@ the plain loops that the library's pruned diameter scan and survivor-only
 vertex deletion replaced.  ``masked_bfs_oracle`` measures inside a vertex
 mask on an n-long row that blocks every vertex outside it, against the
 library's metrics on the subgraph the mask induces.
+``greedy_far_oracle`` is the greedy robber's choice from a fresh field on
+every call, against the robber that keeps its last field and lowers a kept
+row from stacked cops.
 ``verify_claim_allsubsets`` is the hitting-claim check over 2^n union-ball
 tables that the library's small-subset walk replaced.  ``component_oracle`` is a BFS over Python sets, checked against
 the library's bitmask flood.  ``replay_final_state`` replays a transcript
@@ -114,6 +117,19 @@ def masked_bfs_oracle(g, sources, within=None):
             dist[v] = UNREACHABLE
     _bfs(g._adj, dist, sources)
     return [UNREACHABLE if d == outside else d for d in dist]
+
+
+def greedy_far_oracle(g, cop_positions, candidates):
+    """The greedy robber's choice with nothing kept: a fresh
+    ``masked_bfs_oracle`` field from the cops, and the first candidate at the
+    largest distance, an unreachable one counting as infinitely far."""
+    dist = masked_bfs_oracle(g, cop_positions)
+    best, far = None, -1
+    for v in candidates:
+        d = math.inf if dist[v] == UNREACHABLE else dist[v]
+        if d > far:
+            best, far = v, d
+    return best
 
 
 def diameter_pair_allpairs(g, within=None):

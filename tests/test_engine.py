@@ -5,7 +5,7 @@ import math
 import pkgutil
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import copsrobbers
@@ -44,7 +44,8 @@ from copsrobbers.seeds import make_rng
 from copsrobbers.solver import SolverCop, cop_number
 
 from conftest import random_connected
-from oracles import per_layer_expansion, robber_minimax_line
+from oracles import (greedy_far_oracle, masked_bfs_oracle, per_layer_expansion,
+                     robber_minimax_line)
 
 
 def cfg(k=1, rounds=50, visible=True, seed=0):
@@ -164,6 +165,89 @@ def test_greedy_tie_takes_lowest_id():
     k3 = Graph(3, [(0, 1), (0, 2), (1, 2)])
     v = View(cop_positions=(0,), robber_position=2)
     assert GreedyFarRobber().move(k3, v, None) == 1
+
+
+# One call of a greedy-robber sequence: the graph (0 connected, 1 not), a
+# repeat of the last cops, the cops passed as the one list mutated in place,
+# place rather than move, the cop vertices and the robber's vertex.
+GREEDY_CALL = st.tuples(st.integers(0, 1), st.booleans(), st.booleans(), st.booleans(),
+                        st.lists(st.integers(0, 5), min_size=1, max_size=5),
+                        st.integers(0, 8))
+
+
+def _greedy_graphs():
+    return random_connected(9, seed=7), Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(GREEDY_CALL, min_size=1, max_size=14))
+# a stack on the first graph, its row kept; then the second graph without and
+# with the same stack: a row is keyed by its graph too
+@example([(0, False, False, False, [1, 1, 2], 0), (1, False, False, False, [0, 3], 2),
+          (1, False, False, True, [1, 1, 5], 2), (0, False, False, True, [1, 1, 5], 2)])
+# the one list mutated in place between calls: the robber must copy it
+@example([(0, False, True, False, [1, 1, 2], 0), (0, False, True, False, [1, 1, 5], 0),
+          (0, True, True, True, [], 0), (0, False, True, False, [1, 3, 5], 4)])
+def test_greedy_far_matches_stateless_oracle(calls):
+    """One robber over a sequence of views against a fresh field per call:
+    repeated cop tuples, stacks that form and dissolve, two graphs in turn,
+    a cop list mutated in place and direct calls on a disconnected graph."""
+    graphs = _greedy_graphs()
+    robber = GreedyFarRobber()
+    held: list[int] = []
+    last = [0]
+    for which, repeat, in_place, place, cops, r in calls:
+        g = graphs[which]
+        cops = last if repeat else cops
+        last = cops
+        if in_place:
+            held[:] = cops
+            arg = held
+        else:
+            arg = tuple(cops)
+        r %= g.n
+        if place:
+            got, want = robber.place(g, arg, None, None), greedy_far_oracle(g, cops, range(g.n))
+        else:
+            got = robber.move(g, View(arg, r), None)
+            want = greedy_far_oracle(g, cops, g.closed_neighborhoods()[r])
+        assert got == want
+
+
+def test_greedy_far_refuses_cops_off_the_graph():
+    g = gen_path(5)
+    for cops in ((2, 2, 5), (2, 2, -1), ()):
+        with pytest.raises(ValueError):
+            GreedyFarRobber().move(g, View(cops, 0), None)
+
+
+def test_greedy_far_lowers_a_kept_row_in_a_meyniel_game(monkeypatch):
+    """Against MeynielCop on the 12x12 grid, which stacks its idle cops, the
+    robber runs fewer whole-graph BFS passes than it moves, and the row it
+    keeps from the shared vertices is still the BFS row from them: the
+    lowering works on a copy."""
+    import copsrobbers.graph as graph_mod
+
+    g = gen_grid(12, 12)
+    analysis = MeynielAnalysis(g, 3, desk_params(g), seed=0)
+    cops = MeynielCop(analysis)
+    c = GameConfig(cop_count=analysis.pool_size, max_rounds=analysis.timeline_bound())
+    robber = GreedyFarRobber()
+    passes = []
+    bfs = graph_mod._bfs
+
+    def counting_bfs(adj, dist, sources):
+        passes.append(adj is g._adj)
+        return bfs(adj, dist, sources)
+
+    monkeypatch.setattr(graph_mod, "_bfs", counting_bfs)
+    t = play(g, cops, robber, c)
+    monkeypatch.undo()
+    assert t.caught
+    moves = sum(m is not None for _, m in t.rounds)
+    assert 0 < sum(passes) < moves
+    _, _, _, shared, row = robber._kept
+    assert shared and row == masked_bfs_oracle(g, shared)
 
 
 def test_random_robber_reproducible():
