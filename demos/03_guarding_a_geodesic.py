@@ -33,6 +33,8 @@ surviving = {keys[i][1] for i in layers[bound + 4]} - set(path)
 print(f"safe robber territory {4} rounds past the settle bound:",
       sorted(surviving))
 
+# the promise for every round: every line up to the settle bound, then one
+# step from every settled position
 report = check_guard_soundness(g, path)
-print("exhaustive soundness check:",
+print("soundness check (base to the settle bound + one-step closure):",
       f"{report['states_checked']} states, {len(report['violations'])} violations")

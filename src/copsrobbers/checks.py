@@ -207,7 +207,7 @@ def criterion_4(seed: int, budget: int) -> dict:
     total_states = 0
     violations = []
     for idx, (g, path) in enumerate(pairs):
-        rep = check_guard_soundness(g, path, extra_rounds=3)
+        rep = check_guard_soundness(g, path)
         total_states += rep["states_checked"]
         if rep["violations"]:
             violations.append({"pair": idx, "path": list(path),

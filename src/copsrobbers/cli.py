@@ -379,8 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--path", type=_vertex_list, help="guard: comma-separated geodesic")
     p.add_argument("--check", action="store_true",
-                   help="guard: exhaustively verify (exit 3 when the check exceeds "
-                        "the adversary's node budget)")
+                   help="guard: verify every round past the settle bound, by an "
+                        "exhaustive base to the bound and a one-step closure (exit 3 "
+                        "when the base exceeds the adversary's node budget)")
     p.add_argument("--lam", type=_above_one, default=2.0)
     p.add_argument("--density", type=_density, default=0.5)
     p.add_argument("--levels", type=_nonnegative_int, default=0, help="0: derive from diameter")

@@ -21,6 +21,14 @@ both metrics, computes the shadow, owns the move rule (:meth:`GuardCop.step`)
 and plays it as a one-cop engine strategy.  The recursion in
 :mod:`copsrobbers.meyniel` calls ``step`` for each deployed guard;
 :func:`shadow` and :func:`settle_bound` are one-shot helpers over it.
+
+:func:`check_guard_soundness` proves the promise for one instance as an
+induction on the rounds: a base, the exhaustive adversary expanded to the
+settle bound, where every live robber must be caught or shadowed; and a
+step, a closure over every settled (cop, robber) pair and robber move,
+where one ``step`` must keep the shadow or capture.  Together they cover
+every round past the bound, with no horizon (Aigner and Fromme's
+geodesic-guarding argument, checked per instance).
 """
 
 from __future__ import annotations
@@ -137,48 +145,61 @@ def settle_bound(g: Graph, path) -> int:
     return _settle_bound(g, GuardCop(g, path))
 
 
-def check_guard_soundness(g: Graph, path, extra_rounds: int = 4) -> dict:
-    """Exhaustively verify the guard promise over every robber line.
+def check_guard_soundness(g: Graph, path) -> dict:
+    """Verify the guard promise over every robber line, at every round.
 
-    Checks, across all robber behaviors up to settle_bound +
-    max(2, extra_rounds) rounds (so at least two rounds past the bound):
-      * at every cop half-move from round settle_bound on, the cop stands on
-        the robber's shadow (or has captured) -- the invariant whose
-        persistence the Lipschitz property guarantees;
-      * any robber standing on the path after settle_bound is captured on the
-        following cop half-move.
+    The proof is an induction on the rounds past the settle bound B:
+      * base -- the exhaustive adversary is expanded once, to depth
+        max(B, 1), and at every live node of layer B - 1 the cop's half-move
+        of round B captures or lands on the robber's shadow vertex;
+      * step (the closure) -- for every robber vertex r whose shadow vertex
+        c is not r, and every robber move r2 in N[r] other than c, the
+        guard's step from c against r2 captures or lands on r2's shadow
+        vertex, and captures whenever r2 is on the path.
+    A live node of any layer k >= B is (c, r2) for such an r and r2, so the
+    two together cover every later round.  ``GuardCop`` keeps no clock (its
+    ``move`` only wraps ``step``), so checking ``step`` checks the move; a
+    step off N[c] is reported as an illegal move.  A bound of 0 is a
+    one-vertex graph, where the robber has nowhere to stand.
 
-    Returns a report dict with a (hopefully empty) violation list.
+    Returns a report dict with a (hopefully empty) violation list; a base
+    violation names its round, a closure violation holds at any round past
+    B and names none.  ``states_checked`` counts the base layer's nodes and
+    the closure's (r, r2) pairs.
     """
     from .engine import GameConfig, expand_game_layers
 
     cop = GuardCop(g, path)
     bound = _settle_bound(g, cop)
-    depth = bound + max(2, extra_rounds)
+    depth = max(bound, 1)  # GameConfig needs a round; B = 0 only on one vertex
     cfg = GameConfig(cop_count=1, max_rounds=depth, robber_visible=True, seed=0)
     _, (keys, recs), layers = expand_game_layers(g, cop, cfg, depth)
 
     violations = []
-    states = 0
-    for k in range(depth):
-        for i in layers[k]:
+    states = len(layers[depth - 1])
+    for i in layers[depth - 1]:
+        r, cop_after = keys[i][1], recs[i].moves[0]
+        if not recs[i].caught_cop_half and cop_after != cop.path[cop.shadow_index(r)]:
+            violations.append({"round": depth, "robber": r, "cop": cop_after, "kind": "off-shadow"})
+    closed = g.closed_neighborhoods()
+    for r in range(g.n):
+        c = cop.path[cop.shadow_index(r)]
+        for r2 in closed[r]:
+            if c in (r, r2):
+                continue
             states += 1
-            _, r_pos, _ = keys[i]
-            rec = recs[i]
-            cop_after = rec.moves[0]
-            if k + 1 >= bound and not rec.caught_cop_half:
-                if cop_after != cop.path[cop.shadow_index(r_pos)]:
-                    violations.append(
-                        {"round": k + 1, "robber": r_pos, "cop": cop_after, "kind": "off-shadow"}
-                    )
-            if k >= bound and r_pos in cop.index_of and not rec.caught_cop_half:
-                violations.append(
-                    {"round": k, "robber": r_pos, "cop": cop_after, "kind": "uncaught-on-path"}
-                )
+            c2 = cop.step(g, c, r2)
+            # on the path the robber must be caught, off it shadowed
+            want = r2 if r2 in cop.index_of else cop.path[cop.shadow_index(r2)]
+            if c2 in closed[c] and c2 in (r2, want):
+                continue
+            kind = "uncaught-on-path" if want == r2 else "off-shadow"
+            v = {"robber": r2, "cop": c2, "kind": kind if c2 in closed[c] else "illegal-move"}
+            if v not in violations:
+                violations.append(v)
     return {
         "path": list(cop.path),
         "settle_bound": bound,
-        "depth": depth,
         "states_checked": states,
         "violations": violations,
     }

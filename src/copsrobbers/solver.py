@@ -320,12 +320,7 @@ def is_dismantlable(g: Graph) -> tuple[bool, list[int]]:
     Returns (emptied, elimination order).
     """
     alive = (1 << g.n) - 1
-    closed = []
-    for v in range(g.n):
-        mask = 1 << v
-        for w in g.neighbors(v):
-            mask |= 1 << w
-        closed.append(mask)
+    closed = [sum(1 << w for w in nb) for nb in g.closed_neighborhoods()]
     order: list[int] = []
     while alive:
         if alive.bit_count() == 1:

@@ -16,6 +16,7 @@ from copsrobbers import (
     shadow,
     shortest_path,
 )
+from copsrobbers import engine
 from copsrobbers.engine import GreedyFarRobber, RandomRobber, View, expand_game_layers
 from copsrobbers.guard import GuardCop, check_guard_soundness
 
@@ -156,8 +157,9 @@ def test_guard_soundness_small_corpus():
 
 
 def test_guard_soundness_expands_each_distinct_node_once(monkeypatch):
-    # the diameter geodesic of the 6x10 grid: 4,039 layer nodes, 514 distinct;
-    # each expanded node calls move twice (the second checks determinism)
+    # the diameter geodesic of the 6x10 grid (settle bound 28): the base
+    # expansion reaches all 514 distinct nodes, and each calls move twice (the
+    # second checks determinism); the closure calls step, not move
     g = gen_grid(6, 10)
     _, u, v = diameter_pair(g)
     path = shortest_path(g, u, v)
@@ -171,7 +173,85 @@ def test_guard_soundness_expands_each_distinct_node_once(monkeypatch):
     monkeypatch.setattr(GuardCop, "move", move)
     report = check_guard_soundness(g, path)
     assert len(calls) == 2 * 514
-    assert report["states_checked"] == 4039 and report["violations"] == []
+    assert report["states_checked"] == 358 and report["violations"] == []
+
+
+@pytest.mark.parametrize("g, path, bound", [(gen_path(1), [0], 0), (gen_path(2), [0, 1], 2)])
+def test_guard_soundness_of_the_smallest_graphs(g, path, bound):
+    # bound 0 still expands one round; K2's robber is caught in round 1
+    assert check_guard_soundness(g, path) == {
+        "path": path, "settle_bound": bound, "states_checked": 0, "violations": []}
+
+
+def test_guard_soundness_base_reports_a_guard_that_never_settles(monkeypatch):
+    # a guard that never leaves p_0 = 0 unless it can capture: the closure
+    # sees no settled position with the cop on 0 away from the robber, so
+    # only the base, at the settle bound's round 20, can report it
+    g, path = gen_cycle(20), list(range(11))
+    real_step = GuardCop.step
+
+    def step(self, g, cop, robber):
+        if cop == 0 and robber not in g.closed_neighborhoods()[0]:
+            return cop
+        return real_step(self, g, cop, robber)
+
+    monkeypatch.setattr(GuardCop, "step", step)
+    violations = check_guard_soundness(g, path)["violations"]
+    assert {"round": 20, "robber": 10, "cop": 0, "kind": "off-shadow"} in violations
+    assert all(v["round"] == 20 and v["cop"] == 0 for v in violations)
+
+
+def test_guard_soundness_closure_reports_a_step_off_the_shadow(monkeypatch):
+    # C20 guarded along 0..10: a robber leaving 15 for 14 moves its shadow
+    # from 5 to 6, and a guard that holds on 5 there falls off the shadow
+    g, path = gen_cycle(20), list(range(11))
+    real_step = GuardCop.step
+    assert real_step(GuardCop(g, path), g, 5, 14) == 6
+
+    def step(self, g, cop, robber):
+        return cop if (cop, robber) == (5, 14) else real_step(self, g, cop, robber)
+
+    monkeypatch.setattr(GuardCop, "step", step)
+    violations = check_guard_soundness(g, path)["violations"]
+    # closure violations name no round; the base's carry round 20
+    assert [v for v in violations if "round" not in v] == [
+        {"robber": 14, "cop": 5, "kind": "off-shadow"}]
+
+
+def test_guard_soundness_closure_reports_an_illegal_step(monkeypatch):
+    # the guard jumps from 5 onto a robber on 14 only once the base is
+    # expanded, so the engine's move check never sees the jump
+    g, path = gen_cycle(20), list(range(11))
+    real_step, real_expand, expanded = GuardCop.step, engine.expand_game_layers, []
+
+    def step(self, g, cop, robber):
+        jump = expanded and (cop, robber) == (5, 14)
+        return robber if jump else real_step(self, g, cop, robber)
+
+    def expand_game_layers(*args):
+        result = real_expand(*args)
+        expanded.append(True)
+        return result
+
+    monkeypatch.setattr(GuardCop, "step", step)
+    monkeypatch.setattr(engine, "expand_game_layers", expand_game_layers)
+    assert check_guard_soundness(g, path)["violations"] == [
+        {"robber": 14, "cop": 14, "kind": "illegal-move"}]
+
+
+def test_guard_soundness_reports_an_uncaught_robber_on_the_path(monkeypatch):
+    # a shadow that sends the on-path vertex 3 to index 5 parks the cop on 5,
+    # and the cop holds there while the robber stays on 3: the cop is on the
+    # robber's shadow vertex, yet the robber stands on the path uncaught
+    g, path = gen_cycle(20), list(range(11))
+    real_shadow = GuardCop.shadow_index
+
+    def shadow_index(self, r):
+        return 5 if r == 3 else real_shadow(self, r)
+
+    monkeypatch.setattr(GuardCop, "shadow_index", shadow_index)
+    violations = check_guard_soundness(g, path)["violations"]
+    assert {"robber": 3, "cop": 5, "kind": "uncaught-on-path"} in violations
 
 
 def test_guard_cop_requires_single_cop():
