@@ -27,9 +27,14 @@ print("\nagainst a distance-maximizing robber:", t.outcome.kind,
 
 # where can the robber still be once the guard has settled?  (touching the
 # path is suicide: the next cop move lands on it, so only the far arc is safe)
+# The expansion numbers each distinct position once, so the lines alive after
+# a round are found by following the records from the placements.
 bound = settle_bound(g, path)
-_, (keys, _), layers = expand_game_layers(g, cop, cfg, bound + 4)
-surviving = {keys[i][1] for i in layers[bound + 4]} - set(path)
+_, (keys, recs), layers = expand_game_layers(g, cop, cfg, bound + 4)
+alive = set(layers[0])
+for _ in range(bound + 4):
+    alive = {child for i in alive for _, child in recs[i].children if child >= 0}
+surviving = {keys[i][1] for i in alive} - set(path)
 print(f"safe robber territory {4} rounds past the settle bound:",
       sorted(surviving))
 

@@ -258,7 +258,9 @@ def confinement_violations(g, cop, plans, deadline: int) -> list[dict]:
     """Every robber line against an expander team, expanded for ``deadline``
     rounds: a line still alive after its start's capture-deadline round, or
     outside a level's core at that level's deadline (its radius), is a
-    violation.  ``layers[k]`` lists the ids of the lines alive after round k."""
+    violation.  ``ScriptedCop`` counts rounds in its state, so each node is
+    in one layer, and ``layers[k]`` holds the ids of the lines alive after
+    round k."""
     cfg = GameConfig(cop_count=cop.cop_count, max_rounds=deadline, seed=0)
     _, (keys, _), layers = expand_game_layers(g, cop, cfg, deadline)
     violations = []
@@ -284,12 +286,10 @@ def criterion_5(seed: int, budget: int) -> dict:
         if deadline > _MAX_DEADLINE:
             raise ResourceLimitError(f"criterion 5 graph {gi}: plan deadline {deadline} "
                                      f"exceeds {_MAX_DEADLINE} rounds")
+        # every start's capture deadline is at most `deadline`, so a line
+        # alive after round `deadline` is reported here: no second search
         violations += [{"graph": gi, **v}
                        for v in confinement_violations(g, cop, plans, deadline)]
-        cfg = GameConfig(cop_count=family.total_cops, max_rounds=deadline, seed=0)
-        worst = adversarial_robber_search(g, cop, cfg, deadline)
-        if not worst.caught:
-            violations.append({"graph": gi, "uncaught": True})
         summaries.append({"n": g.n, "cops": family.total_cops, "deadline": deadline,
                           "resamples": attempts, "lam": params.lam, "density": params.density})
     return {"criterion": 5, "graphs": len(summaries), "summaries": summaries,

@@ -31,7 +31,7 @@ same cop half-move step (move check, capture, the robber's options) that
 and both record the line through one transcript builder.  The step numbers
 the positions it reaches; the expansion gives each distinct position one
 int id, hashing its key once where it occurs, and the records, the
-adversary's layers, its backward induction and the transcript walk all
+adversary's layers, its line-length label and the transcript walk all
 hold ids.  A transcript also carries ``final_state``, the cop strategy's
 state after the team's last move.
 """
@@ -64,6 +64,7 @@ __all__ = [
     "play",
     "adversarial_robber_search",
     "expand_game_layers",
+    "line_lengths",
     "GreedyFarRobber",
     "RandomRobber",
     "HoldCop",
@@ -75,13 +76,13 @@ __all__ = [
 
 TRANSCRIPT_SCHEMA = "copsrobbers.transcript/1"
 
-# Layer nodes the exhaustive adversary may expand, summed over its layers: a
-# node that several layers hold counts once in each of them.  The two
-# cops.move calls are made once per distinct node, at its earliest layer, so
-# the bound is not a count of moves: on C450's default guard check the
-# distinct nodes are about a fifth of the layer nodes.  The last layer is
-# built but never expanded, so it is not counted.  The largest expansion in
-# the tests, criteria and bench pools has about 4,400 nodes.
+# Distinct nodes the exhaustive adversary may number: each is expanded once
+# (two cops.move calls) and keeps one key and one record, so the bound counts
+# the work and the memory alike.  It is checked before each layer, on the
+# nodes numbered so far, which include the layer about to be expanded; the
+# last layer's nodes are numbered but never expanded, so they are not
+# counted.  The largest expansion in the tests, demos, CI and bench pools is
+# C450's default guard check, 51,073 nodes.
 DEFAULT_NODE_BUDGET = 1 << 18
 
 
@@ -286,32 +287,38 @@ def play(g: Graph, cops, robber, cfg: GameConfig) -> Transcript:
 # Exhaustive robber adversary.
 #
 # Against a deterministic cop strategy the game tree branches only on robber
-# choices, so the reachable positions form per-round layers of nodes.  A
-# forward expansion that computes each distinct node's record once, followed
-# by backward induction, finds, for every line, the latest capture the robber
-# can force.  Both work on node ids: a node's key is hashed once where it
-# occurs, as a placement or as a robber option.
+# choices, so the reachable positions form a graph of nodes, one per distinct
+# (cop positions, robber position, strategy state).  A forward expansion
+# numbers and expands each distinct node once, where a line first reaches
+# it; a retrograde label then gives every node the longest robber line from
+# it, and so, for every line, the latest capture the robber can force.  Both
+# work on node ids: a node's key is hashed once where it occurs, as a
+# placement or as a robber option.
 # ---------------------------------------------------------------------------
 
-def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
-                       node_budget: int = DEFAULT_NODE_BUDGET):
-    """Forward-expand all robber lines to the given depth.
+def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int):
+    """Forward-expand all robber lines to the given depth, each distinct node
+    once.
 
-    Returns ``(placement, (keys, records), layers)``.  ``layers[k]`` lists,
-    once each and in first-seen order, the ids of the nodes whose robber is
-    alive after round k (``layers[0]`` holds the placement nodes, robber
-    start ascending).  Node i's key is ``keys[i] = (cop_positions,
-    robber_position, strategy_state)`` and its transition record
-    ``records[i]``, whose children pair each robber option, ascending, with
-    -1 for capture or the next node's id; the nodes of the last layer alone
-    may have no record (``None``).  Before each layer is expanded, the nodes
-    of it and of the layers before it are counted; above `node_budget` the
-    call raises ``ResourceLimitError``.  A node's record (the cop half-move,
-    its legality and a second ``move`` call that checks determinism) is
-    computed once, at the node's earliest layer, and shared by the later
-    layers that hold it: the view carries no round, so a node moves alike in
-    every layer.  The graph's closed-neighborhood table is fetched once, for
-    every node's move check and robber options.
+    Returns ``(placement, (keys, records), layers)``.  Ids are given in the
+    order lines first reach the nodes: ``layers[k]`` is the ``range`` of the
+    ids first reached after round k (``layers[0]`` holds the placement
+    nodes, robber start ascending).  A line alive after round k stands on a
+    node of ``layers[j]`` for some j <= k; a team that counts rounds in its
+    state (``ScriptedCop``, ``MeynielCop``) has each node in one layer, so
+    there the layers are exactly the nodes alive after each round.  Node i's
+    key is ``keys[i] = (cop_positions, robber_position, strategy_state)`` and
+    its transition record ``records[i]``, whose children pair each robber
+    option, ascending, with -1 for capture or the next node's id; the nodes
+    first reached after round ``depth`` alone have no record (``None``).  A
+    node's record (the cop half-move, its legality and a second ``move``
+    call that checks determinism) is computed once, at its first layer: the
+    view carries no round, so a node moves alike at every round.  Before
+    each layer is expanded, the nodes numbered so far (the records made and
+    to be made) are counted; above ``DEFAULT_NODE_BUDGET``, read at call
+    time, the call raises ``ResourceLimitError``.  The graph's
+    closed-neighborhood table is fetched once, for every node's move check
+    and robber options.
     """
     if depth < 0:
         raise ValueError("depth must not be negative")
@@ -320,33 +327,66 @@ def expand_game_layers(g: Graph, cops, cfg: GameConfig, depth: int,
     placement = _place_cops(g, cops, cfg)
     keys = [(placement, r0, None) for r0 in range(g.n) if r0 not in placement]
     number = {key: i for i, key in enumerate(keys)}.setdefault  # one hash per call
-    layers = [list(range(len(keys)))]
+    layers = [range(len(keys))]
     recs: list = []
     closed = g.closed_neighborhoods()
-    nodes = 0
     for k in range(depth):
-        frontier = layers[k]
-        nodes += len(frontier)
-        if nodes > node_budget:
-            raise ResourceLimitError(
-                f"{nodes} adversary nodes by round {k} exceed the budget of {node_budget}")
-        recs += [None] * (len(keys) - len(recs))
-        nxt: dict = {}  # the next layer's ids, first seen first
-        for i in frontier:
-            rec = recs[i]
-            if rec is None:
-                node = keys[i]
-                view = _view(cfg, node)
-                rec = recs[i] = _cop_half(g, closed, cops, cfg, view, node, k + 1, number, keys)
-                again, st_again = cops.move(g, view, node[2])
-                if (tuple(again), st_again) != (rec.moves, rec.state2):
-                    raise StrategyFault("cops", k + 1, "nondeterministic strategy detected")
-            for _, c in rec.children:
-                nxt[c] = None
-        nxt.pop(-1, None)  # capture
-        layers.append(list(nxt))
+        if len(keys) > DEFAULT_NODE_BUDGET:
+            raise ResourceLimitError(f"{len(keys)} adversary nodes by round {k} exceed "
+                                     f"the budget of {DEFAULT_NODE_BUDGET}")
+        for i in layers[k]:
+            node = keys[i]
+            view = _view(cfg, node)
+            rec = _cop_half(g, closed, cops, cfg, view, node, k + 1, number, keys)
+            again, st_again = cops.move(g, view, node[2])
+            if (tuple(again), st_again) != (rec.moves, rec.state2):
+                raise StrategyFault("cops", k + 1, "nondeterministic strategy detected")
+            recs.append(rec)
+        layers.append(range(len(recs), len(keys)))
     recs += [None] * (len(keys) - len(recs))
     return placement, (keys, recs), layers
+
+
+def line_lengths(records, ends=None) -> list:
+    """``line_lengths(records)[i]``: the most rounds a robber line from node i
+    lasts before capture.  With ``ends``, one truth value per node, it is the
+    most rounds a line lasts before a node where ``ends`` holds; there it is
+    0.  It is ``inf`` where a line can reach a cycle or a node with no record.
+
+    One iterative depth-first pass.  A node is open (read as ``inf``) from
+    its first visit until its children are labelled, so a child still open
+    closes a cycle.  Roots are taken in descending id: a child of a clocked
+    team's node was first reached later and has a higher id, so there each
+    node is labelled in one visit.  ``inf`` at a node with no record is
+    exact: it is first reached at the cutoff, and a line reaches a node only
+    at or after the node's first layer.
+    """
+    lengths = [None] * len(records) if ends is None else [0 if end else None for end in ends]
+    stack = list(range(len(records)))  # the roots, highest id on top
+    while stack:
+        i = stack.pop()
+        if i < 0:  # ~i: its children are labelled now
+            i = ~i
+        elif lengths[i] is None:
+            lengths[i] = math.inf  # open; and a node with no record ends here
+            if records[i] is None:
+                continue
+        else:
+            continue
+        children = records[i].children
+        longest = 0
+        for _, c in children:
+            if c >= 0:
+                t = lengths[c]
+                if t is None:  # a first visit: label the children, then i again
+                    stack.append(~i)
+                    stack += [c for _, c in children if c >= 0 and lengths[c] is None]
+                    break
+                if t > longest:
+                    longest = t
+        else:
+            lengths[i] = longest + 1
+    return lengths
 
 
 def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int) -> Transcript:
@@ -357,37 +397,22 @@ def adversarial_robber_search(g: Graph, cops, cfg: GameConfig, depth: int) -> Tr
     if every robber line is caught within ``depth`` rounds.
     """
     placement, (keys, recs), layers = expand_game_layers(g, cops, cfg, depth)
+    lengths = line_lengths(recs) + [0]  # id -1, a capture, ends a line at once
 
-    # survival[i]: the capture round under the robber's best play from node
-    # i of the layer at hand, inf if the robber reaches the depth cutoff (as
-    # from every node of the last layer); later holds the layer after it.
-    survival, later = [math.inf] * len(recs), [0] * len(recs)
-    best_moves: list[dict] = [{} for _ in range(depth)]
-    for k in range(depth - 1, -1, -1):
-        later, survival = survival, later
-        moves_k = best_moves[k]
-        for i in layers[k]:
-            rec = recs[i]
-            if rec.caught_cop_half:
-                survival[i] = k + 1
-                continue
-            # the first best move, moves ascending; -1 is capture this round
-            best = 0
-            for m, c in rec.children:
-                s = k + 1 if c < 0 else later[c]
-                if s > best:
-                    best, move = s, m
-            survival[i], moves_k[i] = best, move
+    def survival(k, i):
+        """The capture round under the robber's best play from node i, alive
+        after round k (i = -1: caught in round k); inf past the depth cutoff."""
+        return k + lengths[i] if k + lengths[i] <= depth else math.inf
 
     # The robber places to maximize survival; placing onto a cop (survival 0)
     # is dominated but legal, and the only option when cops cover every vertex.
     start = {keys[i][1]: i for i in layers[0]}
-    best_r0 = max(range(g.n), key=lambda r0: survival[start[r0]] if r0 in start else 0)
+    best_r0 = max(range(g.n), key=lambda r0: survival(0, start.get(r0, -1)))
 
+    # the first best move, moves ascending
     return _transcript(g, cfg, cops, "adversarial-search", placement, best_r0,
-                       start.get(best_r0, -1), depth,
-                       lambda i, rnd: recs[i],
-                       lambda i, rec, rnd: best_moves[rnd - 1][i])
+                       start.get(best_r0, -1), depth, lambda i, rnd: recs[i],
+                       lambda i, rec, rnd: max(rec.children, key=lambda o: survival(rnd, o[1]))[0])
 
 
 # ---------------------------------------------------------------------------

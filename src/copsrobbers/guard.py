@@ -23,12 +23,14 @@ and plays it as a one-cop engine strategy.  The recursion in
 :func:`shadow` and :func:`settle_bound` are one-shot helpers over it.
 
 :func:`check_guard_soundness` proves the promise for one instance as an
-induction on the rounds: a base, the exhaustive adversary expanded to the
-settle bound, where every live robber must be caught or shadowed; and a
-step, a closure over every settled (cop, robber) pair and robber move,
-where one ``step`` must keep the shadow or capture.  Together they cover
-every round past the bound, with no horizon (Aigner and Fromme's
-geodesic-guarding argument, checked per instance).
+induction on the rounds: a base, the exhaustive adversary expanded once
+over distinct nodes to the settle bound, where every robber line must be
+caught or shadowed within the bound (the longest line before a settled node,
+by :func:`copsrobbers.engine.line_lengths`); and a step, a closure over
+every settled (cop, robber) pair and robber move, where one ``step`` must
+keep the shadow or capture.  Together they cover every round past the
+bound, with no horizon (Aigner and Fromme's geodesic-guarding argument,
+checked per instance).
 """
 
 from __future__ import annotations
@@ -150,24 +152,30 @@ def check_guard_soundness(g: Graph, path) -> dict:
 
     The proof is an induction on the rounds past the settle bound B:
       * base -- the exhaustive adversary is expanded once, to depth
-        max(B, 1), and at every live node of layer B - 1 the cop's half-move
-        of round B captures or lands on the robber's shadow vertex;
+        max(B, 1), over distinct nodes.  A node is settled when the cop's
+        half-move from it captures or lands on the robber's shadow vertex.
+        Every line from a placement must reach a settled node, or a capture,
+        within B rounds: a placement whose ``line_lengths`` before a settled
+        node is at least B (a cycle of unsettled nodes counts as infinite)
+        is an ``unsettled`` violation with its start and round B;
       * step (the closure) -- for every robber vertex r whose shadow vertex
         c is not r, and every robber move r2 in N[r] other than c, the
         guard's step from c against r2 captures or lands on r2's shadow
         vertex, and captures whenever r2 is on the path.
-    A live node of any layer k >= B is (c, r2) for such an r and r2, so the
-    two together cover every later round.  ``GuardCop`` keeps no clock (its
-    ``move`` only wraps ``step``), so checking ``step`` checks the move; a
-    step off N[c] is reported as an illegal move.  A bound of 0 is a
-    one-vertex graph, where the robber has nowhere to stand.
+    The closure says that a settled line stays settled, so a line settled by
+    round B is settled at every later round; then every live node of any
+    layer k >= B is (c, r2) for such an r and r2, and the two together
+    cover every later round.  ``GuardCop`` keeps no clock (its ``move`` only
+    wraps ``step``), so checking ``step`` checks the move; a step off N[c]
+    is reported as an illegal move.  A bound of 0 is a one-vertex graph,
+    where the robber has nowhere to stand.
 
     Returns a report dict with a (hopefully empty) violation list; a base
-    violation names its round, a closure violation holds at any round past
-    B and names none.  ``states_checked`` counts the base layer's nodes and
-    the closure's (r, r2) pairs.
+    violation names its start and round, a closure violation holds at any
+    round past B and names none.  ``states_checked`` counts the base's
+    distinct nodes and the closure's (r, r2) pairs.
     """
-    from .engine import GameConfig, expand_game_layers
+    from .engine import GameConfig, expand_game_layers, line_lengths
 
     cop = GuardCop(g, path)
     bound = _settle_bound(g, cop)
@@ -175,22 +183,23 @@ def check_guard_soundness(g: Graph, path) -> dict:
     cfg = GameConfig(cop_count=1, max_rounds=depth, robber_visible=True, seed=0)
     _, (keys, recs), layers = expand_game_layers(g, cop, cfg, depth)
 
-    violations = []
-    states = len(layers[depth - 1])
-    for i in layers[depth - 1]:
-        r, cop_after = keys[i][1], recs[i].moves[0]
-        if not recs[i].caught_cop_half and cop_after != cop.path[cop.shadow_index(r)]:
-            violations.append({"round": depth, "robber": r, "cop": cop_after, "kind": "off-shadow"})
+    shadows = [cop.path[cop.shadow_index(r)] for r in range(g.n)]
+    # settled: the cop's half-move captures or lands on the robber's shadow vertex
+    settled = [rec is not None and (rec.caught_cop_half or rec.moves[0] == shadows[r])
+               for (_, r, _), rec in zip(keys, recs)]
+    lengths = line_lengths(recs, settled)
+    violations = [{"start": keys[i][1], "round": bound, "kind": "unsettled"}
+                  for i in layers[0] if lengths[i] >= bound]
+    states = len(keys)
     closed = g.closed_neighborhoods()
-    for r in range(g.n):
-        c = cop.path[cop.shadow_index(r)]
+    for r, c in enumerate(shadows):
         for r2 in closed[r]:
             if c in (r, r2):
                 continue
             states += 1
             c2 = cop.step(g, c, r2)
             # on the path the robber must be caught, off it shadowed
-            want = r2 if r2 in cop.index_of else cop.path[cop.shadow_index(r2)]
+            want = r2 if r2 in cop.index_of else shadows[r2]
             if c2 in closed[c] and c2 in (r2, want):
                 continue
             kind = "uncaught-on-path" if want == r2 else "off-shadow"

@@ -18,15 +18,15 @@ the library's bitmask flood.  ``replay_final_state`` replays a transcript
 through a cop strategy to recover the state the engine records as
 ``Transcript.final_state`` during the game.  ``robber_minimax_line`` is the
 exhaustive robber adversary as a plain memoized recursion over robber lines,
-against the library's forward layers and backward induction.
+against the library's expansion over distinct nodes and line-length label.
 ``solver_reference_move`` is ``SolverCop``'s move by enumerating every joint
 move and narrowing the list plane by plane, against the library's joint-move
 mask and digit search.  ``some_neighbor_reference`` is the solver's
 existential pass along one cop digit as the per-vertex loop over the whole
 table, against the library's chunked diagonal passes.
-``per_layer_expansion`` calls a team's ``move`` at every node of every
-layer, against ``expand_game_layers``, which computes each distinct node's
-record once and shares it.  ``eager_meyniel`` is the
+``per_layer_expansion`` lists every node of every layer, repeats included,
+and calls a team's ``move`` at each, against ``expand_game_layers``, which
+numbers and expands each distinct node once, at its first layer.  ``eager_meyniel`` is the
 recursion analysis built whole, every guard and leaf team up front, on
 these oracles over vertex masks of the whole graph: the all-pairs diameter
 loop, ``walk_back`` geodesics over masked rows, ``component_oracle`` splits,
@@ -571,8 +571,10 @@ def robber_minimax_line(g, cops, cfg, depth):
 
 
 def per_layer_expansion(g, cops, cfg, depth):
-    """``expand_game_layers`` with no record shared: ``move`` is called at
-    every node of every layer.  Returns (placement, None, layers), each
+    """The exhaustive expansion layer by layer, with no record shared: each
+    layer lists the nodes alive after its round, a node that several layers
+    hold in each of them, and ``move`` is called at every node of every
+    layer.  Returns (placement, None, layers), each
     record as (moves, state after the move, captured on the cop half-move,
     children), children mapping each robber move, ascending, to "caught" or
     to the next node."""

@@ -112,7 +112,7 @@ PINNED_REPORT_SHA256 = {
     1: "fbf20c99ac1ac488e7abefd37ddf7061d9859628f066b9ed9cddb9b6f64f2f19",
     2: "3624125dafd24cc67403c844a35ea2fe475b2f85b77ee5b7bb27f82e88850d5f",
     3: "a0dd50aab7c7b3857080df82b2d9500a86e75f614b023c1ced19929efd535ac6",
-    4: "880a5dc67b6e8ca25a9d4846cadbdf46a24bffa8fabf30a6d74e8daef7ce138e",
+    4: "87e41b4360919ebe8faf7779b4ce958907bcd1fafb6bebef17552a43796fad24",
     5: "bfdc99719563208d11351fe4141d66d40a3904932fac08b85ef9f85306b831d4",
     6: "9b61d9fa1e33f3f00a1ff100cab3be69e3679b77844531a89f79602e506514d5",
     7: "4652c7687ea9af9fe331bdea53791e2d7b984c005a65c785010aac0102650d11",

@@ -34,6 +34,7 @@ from copsrobbers.engine import (
     RandomRobber,
     View,
     expand_game_layers,
+    line_lengths,
 )
 from copsrobbers.checks import confinement_violations
 from copsrobbers.expander import ScriptedCop, desk_params, make_expander_cop
@@ -322,17 +323,19 @@ def test_adversary_rejects_out_of_range_placement(placement):
 
 def _assert_line_of_layers(g, cops, robber, c):
     """The game `play` records is one of the lines `expand_game_layers`
-    expands: every node lies in its layer with the recorded cop moves, and
-    the capture round and final strategy state agree."""
+    expands: its node after round k was first reached by round k and lies in
+    the per-layer oracle's layer k, every record holds the recorded cop
+    moves, and the capture round and final strategy state agree."""
     t = play(g, cops, robber, c)
     placement, (keys, recs), layers = expand_game_layers(g, cops, c, c.max_rounds)
+    ref_layers = per_layer_expansion(g, cops, c, c.max_rounds)[2]
     assert t.cop_placement == placement
     ids = {key: i for i, key in enumerate(keys)}
     node, state, caught_at = (placement, t.robber_placement, None), None, None
     if t.robber_placement in placement:
         caught_at = 0
     for k, (moves, r_move) in enumerate(t.rounds):
-        assert ids[node] in layers[k]
+        assert ids[node] < layers[k].stop and node in ref_layers[k]
         rec = recs[ids[node]]
         assert moves == rec.moves and (r_move is None) == rec.caught_cop_half
         state = rec.state2
@@ -342,7 +345,7 @@ def _assert_line_of_layers(g, cops, robber, c):
             break
         node = keys[child]
     if caught_at is None:
-        assert ids[node] in layers[c.max_rounds]
+        assert ids[node] < layers[c.max_rounds].stop and node in ref_layers[c.max_rounds]
         assert t.outcome == Outcome("robber_wins", c.max_rounds)
     else:
         assert t.outcome == Outcome("caught", caught_at)
@@ -381,20 +384,31 @@ class CountingCop:
         return self.inner.move(g, view, state)
 
 
-def test_node_budget_stops_the_expansion_before_full_depth():
+def test_node_budget_stops_the_expansion_before_full_depth(monkeypatch):
+    # checked before each layer, against the nodes numbered so far: a node
+    # that several layers reach counts once
     g, depth = gen_grid(5, 5), 8
     c = cfg(rounds=depth)
-    _, _, layers = expand_game_layers(g, HoldCop([12]), c, depth)
-    sizes = [len(layer) for layer in layers[:depth]]
-    assert all(sizes)
-    # a budget of exactly the nodes expanded is enough
-    expand_game_layers(g, HoldCop([12]), c, depth, node_budget=sum(sizes))
-    # two layers' worth: the check before layer 2 fires, and no node past
-    # the first two layers is expanded (each distinct node calls move twice)
-    cops = CountingCop(HoldCop([12]))
+    _, _, layers = expand_game_layers(g, ChaserCop([12]), c, depth)
+    assert [len(layer) for layer in layers] == [24, 32, 36, 28, 16, 7, 3, 0, 0]
+    # held cops: the oracle's every layer repeats the 24 placement nodes
+    assert {len(layer) for layer in per_layer_expansion(g, HoldCop([12]), c, depth)[2]} == {24}
+    monkeypatch.setattr(engine, "DEFAULT_NODE_BUDGET", 24)
+    expand_game_layers(g, HoldCop([12]), c, depth)
+    # a budget of exactly the nodes expanded is enough, one less is not
+    monkeypatch.setattr(engine, "DEFAULT_NODE_BUDGET", layers[depth - 1].stop)
+    expand_game_layers(g, ChaserCop([12]), c, depth)
+    monkeypatch.setattr(engine, "DEFAULT_NODE_BUDGET", layers[depth - 1].stop - 1)
     with pytest.raises(ResourceLimitError):
-        expand_game_layers(g, cops, c, depth, node_budget=sizes[0] + sizes[1])
-    assert cops.calls == 2 * len(set(layers[0]) | set(layers[1])) == 48
+        expand_game_layers(g, ChaserCop([12]), c, depth)
+    # the nodes first reached by round 1: the check before layer 2 fires, and
+    # no node past them is expanded (each distinct node calls move twice)
+    monkeypatch.setattr(engine, "DEFAULT_NODE_BUDGET", layers[1].stop)
+    cops = CountingCop(ChaserCop([12]))
+    with pytest.raises(ResourceLimitError,
+                       match="^92 adversary nodes by round 2 exceed the budget of 56$"):
+        expand_game_layers(g, cops, c, depth)
+    assert cops.calls == 2 * layers[1].stop == 2 * 56
 
 
 class _CountedState:
@@ -435,7 +449,6 @@ def test_each_node_key_is_hashed_once_per_occurrence():
     _, (keys, recs), layers = expand_game_layers(g, cops, c, depth)
     occurrences = len(layers[0]) + sum(child >= 0 for rec in recs if rec is not None
                                        for _, child in rec.children)
-    assert sum(map(len, layers)) > len(keys)  # some node repeats across layers
     assert 0 < cops.hashes[0] <= occurrences
     expanded = cops.hashes[0]
     cops.hashes[0] = 0
@@ -444,6 +457,34 @@ def test_each_node_key_is_hashed_once_per_occurrence():
     cops.hashes[0] = 0
     assert not play(g, cops, GreedyFarRobber(), c).caught
     assert cops.hashes[0] == 0
+    # some node repeats across the per-layer oracle's layers
+    assert sum(map(len, per_layer_expansion(g, cops, c, depth)[2])) > len(keys)
+
+
+def test_line_lengths_are_infinite_on_a_cycle():
+    # held cops on C6: staying put is a one-node cycle; one chaser on C6 is
+    # outrun around the cycle; both catch only a robber next to the cop
+    inf = math.inf
+    g = gen_cycle(6)
+    for cops, want in [(HoldCop([0]), [inf] * 5), (ChaserCop([0]), [1, inf, inf, inf, 1])]:
+        _, (keys, recs), layers = expand_game_layers(g, cops, cfg(rounds=4), 4)
+        assert [keys[i][1] for i in layers[0]] == [1, 2, 3, 4, 5]
+        assert [line_lengths(recs)[i] for i in layers[0]] == want
+
+
+def test_line_lengths_at_the_cutoff():
+    # a chaser from 0 on P5 catches every robber by round 4 (the robber on 1
+    # in round 1); expanded for 3 rounds, the lines past them reach nodes
+    # with no record, where the length is inf.  With ends at the nodes with
+    # the cop on 2, a line lasts 2 rounds before one, whatever the cutoff
+    g, inf = gen_path(5), math.inf
+    for depth, want in [(3, [1, inf, inf, inf]), (4, [1, 4, 4, 4]), (6, [1, 4, 4, 4])]:
+        _, (keys, recs), layers = expand_game_layers(g, ChaserCop([0]), cfg(rounds=6), depth)
+        lengths = line_lengths(recs)
+        assert [lengths[i] for i in layers[0]] == want
+        assert all(lengths[i] == inf for i, rec in enumerate(recs) if rec is None)
+        ends = [cops == (2,) for cops, _, _ in keys]
+        assert [line_lengths(recs, ends)[i] for i in layers[0]] == [1, 2, 2, 2]
 
 
 def test_negative_depth_rejected():
@@ -479,8 +520,9 @@ def test_adversary_matches_plain_minimax(n, p, seed, depth):
 
 
 # ---------------------------------------------------------------------------
-# Round-free expansion: every team's record of a node is computed once and
-# shared by every layer that holds it, against the per-layer oracle.
+# Round-free expansion: every team's node is numbered and its record computed
+# once, at its first layer, against the per-layer oracle, which repeats it in
+# every layer that holds it.
 # ---------------------------------------------------------------------------
 
 def _expander(g, seed):
@@ -549,37 +591,51 @@ def test_every_cop_team_class_is_checked_against_the_per_layer_oracle():
     assert teams == {type(make(g, 4, 0)[0]) for make in _TEAMS.values()}
 
 
-def _assert_same_as_per_layer(g, cops, c):
+def _assert_same_as_per_layer(g, cops, c, clocked):
     """The expansion to c.max_rounds, its ids mapped back to node keys, equals
-    the per-layer oracle's: layer keys in order, and every record's moves,
-    state, capture flag and children, in order.  Each distinct node has one
-    id."""
-    placement, (keys, recs), layers = expand_game_layers(g, cops, c, c.max_rounds)
+    the per-layer oracle's: the keys are the oracle's layer keys, each at its
+    first occurrence, in order; ``layers[k]`` holds those first reached after
+    round k; and every record's moves, state, capture flag and children, in
+    order, are the oracle's at every layer that holds the node.  Each
+    distinct node has one id and calls ``move`` twice.  A clocked team's
+    nodes never repeat, so its layers are the oracle's."""
+    counted = CountingCop(cops)
+    placement, (keys, recs), layers = expand_game_layers(g, counted, c, c.max_rounds)
     ref_placement, _, ref_layers = per_layer_expansion(g, cops, c, c.max_rounds)
     assert placement == ref_placement
     assert len(set(keys)) == len(keys) == len(recs)
-    assert [[keys[i] for i in layer] for layer in layers] == [list(layer) for layer in ref_layers]
-    for layer, ref_layer in zip(layers[:-1], ref_layers):
-        for i in layer:
-            moves, state2, caught, children = recs[i]
-            assert (moves, state2, caught) == ref_layer[keys[i]][:3]
-            assert [(m, "caught" if child < 0 else keys[child]) for m, child in children] == \
-                list(ref_layer[keys[i]][3].items())
+    assert keys == list(dict.fromkeys(key for layer in ref_layers for key in layer))
+    first = [[keys[i] for i in layer] for layer in layers]
+    assert first == [[key for key in layer if key not in set().union(*ref_layers[:k])]
+                     for k, layer in enumerate(ref_layers)]
+    if clocked:
+        assert first == [list(layer) for layer in ref_layers]
+    assert counted.calls == 2 * sum(rec is not None for rec in recs) == 2 * layers[-1].start
+    ids = {key: i for i, key in enumerate(keys)}
+    for ref_layer in ref_layers[:-1]:
+        for key, (moves, state2, caught, children) in ref_layer.items():
+            rec = recs[ids[key]]
+            assert (rec.moves, rec.state2, rec.caught_cop_half) == (moves, state2, caught)
+            assert [(m, "caught" if child < 0 else keys[child]) for m, child in rec.children] == \
+                list(children.items())
+
+
+_CLOCKED = {"ScriptedCop", "blind-ScriptedCop", "MeynielCop"}
 
 
 @pytest.mark.parametrize("gname, team", _CASES, ids=[f"{gn}-{team}" for gn, team in _CASES])
 def test_round_free_expansion_matches_per_layer(gname, team):
     g = _GRAPHS[gname]
     cops, c = _TEAMS[team](g, 2 * diameter_pair(g)[0] + 4, 0)
-    _assert_same_as_per_layer(g, cops, c)
+    _assert_same_as_per_layer(g, cops, c, team in _CLOCKED)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(2, 9), st.floats(0.2, 0.8), st.integers(0, 10**6), st.integers(1, 10))
 def test_round_free_expansion_matches_per_layer_on_random_graphs(n, p, seed, depth):
     g = random_connected(n, seed=seed, p=p)
-    for make in _TEAMS.values():
-        _assert_same_as_per_layer(g, *make(g, depth, seed))
+    for team, make in _TEAMS.items():
+        _assert_same_as_per_layer(g, *make(g, depth, seed), team in _CLOCKED)
 
 
 def test_a_team_reading_the_round_fails():

@@ -16,11 +16,12 @@ from copsrobbers import (
     shadow,
     shortest_path,
 )
-from copsrobbers import engine
-from copsrobbers.engine import GreedyFarRobber, RandomRobber, View, expand_game_layers
+from copsrobbers import engine, guard
+from copsrobbers.engine import GreedyFarRobber, RandomRobber, View
 from copsrobbers.guard import GuardCop, check_guard_soundness
 
 from conftest import random_connected
+from oracles import per_layer_expansion
 
 
 def test_shadow_on_path_is_identity():
@@ -129,12 +130,12 @@ def test_c6_guard_confines_robber():
     bound = settle_bound(g, path)
     depth = bound + 6
     cfg = GameConfig(cop_count=1, max_rounds=depth, seed=0)
-    _, (keys, recs), layers = expand_game_layers(g, cop, cfg, depth)
+    layers = per_layer_expansion(g, cop, cfg, depth)[2]
+    assert all(layers[bound:depth])
     for k in range(bound, depth):
-        for i in layers[k]:
-            r_pos = keys[i][1]
+        for (_, r_pos, _), (_, _, caught, _) in layers[k].items():
             if r_pos in path:
-                assert recs[i].caught_cop_half  # stepping onto the path is fatal
+                assert caught  # stepping onto the path is fatal
             else:
                 assert r_pos in (4, 5)
     # and some line does survive: one cop cannot catch on the 6-cycle
@@ -159,7 +160,8 @@ def test_guard_soundness_small_corpus():
 def test_guard_soundness_expands_each_distinct_node_once(monkeypatch):
     # the diameter geodesic of the 6x10 grid (settle bound 28): the base
     # expansion reaches all 514 distinct nodes, and each calls move twice (the
-    # second checks determinism); the closure calls step, not move
+    # second checks determinism); the closure calls step, not move.  The
+    # states checked are the 514 nodes and the closure's 211 pairs
     g = gen_grid(6, 10)
     _, u, v = diameter_pair(g)
     path = shortest_path(g, u, v)
@@ -173,32 +175,92 @@ def test_guard_soundness_expands_each_distinct_node_once(monkeypatch):
     monkeypatch.setattr(GuardCop, "move", move)
     report = check_guard_soundness(g, path)
     assert len(calls) == 2 * 514
-    assert report["states_checked"] == 358 and report["violations"] == []
+    assert report["states_checked"] == 514 + 211 and report["violations"] == []
 
 
 @pytest.mark.parametrize("g, path, bound", [(gen_path(1), [0], 0), (gen_path(2), [0, 1], 2)])
 def test_guard_soundness_of_the_smallest_graphs(g, path, bound):
-    # bound 0 still expands one round; K2's robber is caught in round 1
+    # bound 0 still expands one round; K2's robber is caught in round 1.  The
+    # states are the placement nodes, n - 1 of them, and no closure pair
     assert check_guard_soundness(g, path) == {
-        "path": path, "settle_bound": bound, "states_checked": 0, "violations": []}
+        "path": path, "settle_bound": bound, "states_checked": g.n - 1, "violations": []}
 
 
-def test_guard_soundness_base_reports_a_guard_that_never_settles(monkeypatch):
-    # a guard that never leaves p_0 = 0 unless it can capture: the closure
-    # sees no settled position with the cop on 0 away from the robber, so
-    # only the base, at the settle bound's round 20, can report it
-    g, path = gen_cycle(20), list(range(11))
+def _hold_on_p0(monkeypatch):
+    """A guard that never leaves p_0 unless it can capture."""
     real_step = GuardCop.step
 
     def step(self, g, cop, robber):
-        if cop == 0 and robber not in g.closed_neighborhoods()[0]:
+        if cop == self.path[0] and robber not in g.closed_neighborhoods()[cop]:
             return cop
         return real_step(self, g, cop, robber)
 
     monkeypatch.setattr(GuardCop, "step", step)
-    violations = check_guard_soundness(g, path)["violations"]
-    assert {"round": 20, "robber": 10, "cop": 0, "kind": "off-shadow"} in violations
-    assert all(v["round"] == 20 and v["cop"] == 0 for v in violations)
+
+
+def test_guard_soundness_base_reports_a_guard_that_never_settles(monkeypatch):
+    # the closure sees no settled position with the cop on p_0 = 0 away from
+    # the robber, so only the base can report it: every start but 1 and 19,
+    # which the cop catches in round 1, has a line never settled by round 20
+    g, path = gen_cycle(20), list(range(11))
+    _hold_on_p0(monkeypatch)
+    assert check_guard_soundness(g, path)["violations"] == [
+        {"start": r0, "round": 20, "kind": "unsettled"} for r0 in range(2, 19)]
+
+
+def _layered_base_failures(g, path):
+    """The starts from which some line of the per-layer oracle stands, after
+    round B - 1, on a node whose cop half-move neither captures nor lands on
+    the robber's shadow vertex: the base walked start by start, layer by
+    layer."""
+    cop = GuardCop(g, path)
+    bound = settle_bound(g, path)
+    layers = per_layer_expansion(g, cop, GameConfig(cop_count=1, max_rounds=bound), bound)[2]
+    failing = []
+    for start in layers[0]:
+        line = {start}
+        for layer in layers[:bound - 1]:
+            line = {child for node in line for child in layer[node][3].values()
+                    if child != "caught"}
+        last = layers[bound - 1]
+        if any(not last[node][2] and last[node][0][0] != path[cop.shadow_index(node[1])]
+               for node in line):
+            failing.append(start[1])
+    return failing
+
+
+@pytest.mark.parametrize("mutant", ["guard", "hold-on-p0", "a-third-of-the-bound"])
+def test_guard_soundness_base_matches_a_per_start_layered_walk(monkeypatch, mutant):
+    # the third cuts the settle bound to a third, so that the real guard,
+    # too, has lines still unsettled at the bound
+    if mutant == "hold-on-p0":
+        _hold_on_p0(monkeypatch)
+    elif mutant == "a-third-of-the-bound":
+        real_bound = guard._settle_bound
+        monkeypatch.setattr(guard, "_settle_bound", lambda g, cop: max(1, real_bound(g, cop) // 3))
+    reported = 0
+    for seed in range(30):
+        g = random_connected(4 + seed % 9, seed=seed, p=0.3)
+        _, u, v = diameter_pair(g)
+        path = shortest_path(g, u, v)
+        report = check_guard_soundness(g, path)
+        starts = [x["start"] for x in report["violations"]]
+        assert starts == _layered_base_failures(g, path), (seed, path)
+        assert report["violations"] == [
+            {"start": r0, "round": report["settle_bound"], "kind": "unsettled"} for r0 in starts]
+        reported += len(starts)
+    assert (reported > 0) == (mutant != "guard")
+
+
+def test_guard_soundness_of_c450_completes():
+    # the default geodesic of C450: the base expands 51,073 distinct nodes
+    # to the settle bound 450, well inside the node budget, and the closure
+    # checks 672 pairs
+    g = gen_cycle(450)
+    _, u, v = diameter_pair(g)
+    report = check_guard_soundness(g, shortest_path(g, u, v))
+    assert report["settle_bound"] == 450 and report["violations"] == []
+    assert report["states_checked"] == 51073 + 672
 
 
 def test_guard_soundness_closure_reports_a_step_off_the_shadow(monkeypatch):
