@@ -48,7 +48,6 @@ from .graph import (
     UNREACHABLE,
     Graph,
     _check_sources,
-    _lower,
     bfs_distances,
     graph_hash,
     is_connected,
@@ -84,6 +83,12 @@ TRANSCRIPT_SCHEMA = "copsrobbers.transcript/1"
 # counted.  The largest expansion in the tests, demos, CI and bench pools is
 # C450's default guard check, 51,073 nodes.
 DEFAULT_NODE_BUDGET = 1 << 18
+
+# List entries the greedy robber's kept BFS rows may hold in all (one row on
+# a graph with more vertices), 8 MiB of list slots.  The largest game in the
+# tests, demos, CI and bench pools holds 83,750: 134 rows on one of the
+# bench's relabelled 25x25 grids.
+ROW_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -427,53 +432,55 @@ def _first_farthest(candidates, dist) -> int:
 class GreedyFarRobber:
     """Places and moves as far from the cops as it can; ties -> lowest id.
 
-    The distance field from the cops is exact on every call, but it is not
-    always one whole-graph BFS.  The robber keeps the field of its last call
-    and returns it when the same cops stand on the same graph.  Where two or
-    more cops share a vertex (``MeynielCop`` stacks its idle pool on one), it
-    keeps the BFS row from the shared vertices, keyed by graph and vertex
-    set, and lowers a copy of it by a BFS from the other cops that walks
-    only where they are strictly closer.  Everything it keeps is one tuple,
-    replaced whole and read once per call; the graph is held and compared
-    by identity.
+    ``place`` runs one multi-source BFS from the cops.  ``move`` reads the
+    cops' field only at its options, the robber's closed neighbourhood
+    N[r], and reads it from the BFS row of each option x: the graph is
+    undirected, so d(c, x) = d(x, c), and the least ``row_x[c]`` over the
+    cops c is the multi-source field at x, exactly.  Cops that the row
+    does not reach are left out; if it reaches none, x counts as infinitely
+    far.  Both calls refuse cops off the graph.
+
+    The robber keeps the row of every vertex that has been one of its
+    options, with the graph they belong to (held and compared by identity;
+    a new graph drops them all).  The robber keeps returning to a few
+    vertices, so a game pays about one BFS per distinct vertex of its
+    closed neighbourhoods rather than one per move.  The rows hold at most
+    ``ROW_ENTRIES`` list entries (one row, on a graph with more vertices):
+    when the next row would pass that, all of them are dropped first.  The
+    worst case is a robber that reaches new vertices on every move: it pays
+    up to Δ BFS per move, where one multi-source BFS would do.
     """
 
     name = "greedy-far"
 
     def __init__(self):
-        # (graph, cop tuple, their field, shared vertices, their BFS row)
-        self._kept = (None,) * 5
+        self._rows = (None, {})  # (graph, {vertex: its BFS row})
 
     def place(self, g, cop_positions, cfg, rng):
-        return _first_farthest(range(g.n), self._field(g, cop_positions))
+        return _first_farthest(range(g.n), bfs_distances(g, cop_positions))
 
     def move(self, g, view, rng):
         """Move (or stay) maximizing the min-distance to the cops; ties -> lowest id."""
-        dist = self._field(g, view.cop_positions)
-        return _first_farthest(g.closed_neighborhoods()[view.robber_position], dist)
-
-    def _field(self, g: Graph, cop_positions) -> list[int]:
-        """The BFS field from ``cop_positions`` on g; never mutated."""
-        cops = tuple(cop_positions)
-        kept_g, kept_cops, dist, shared, row = self._kept
-        if g is not kept_g:
-            shared, row = (), None
-        elif cops == kept_cops:
-            return dist
+        cops = view.cop_positions
         _check_sources(g, cops)
-        seen, stacked = set(), set()
-        for c in cops:
-            (stacked if c in seen else seen).add(c)
-        if stacked:
-            key = tuple(sorted(stacked))
-            if key != shared:
-                shared, row = key, bfs_distances(g, key)
-        if not stacked or UNREACHABLE in row:
-            dist = bfs_distances(g, cops)
-        else:
-            dist = _lower(g._adj, row.copy(), seen - stacked)
-        self._kept = (g, cops, dist, shared, row)
-        return dist
+        kept_g, rows = self._rows
+        if g is not kept_g:
+            rows = {}
+            self._rows = (g, rows)
+        best, far = None, -1
+        for x in g.closed_neighborhoods()[view.robber_position]:
+            row = rows.get(x)
+            if row is None:
+                if (len(rows) + 1) * g.n > ROW_ENTRIES:
+                    rows.clear()
+                row = rows[x] = bfs_distances(g, (x,))
+            d = min(map(row.__getitem__, cops))
+            if d == UNREACHABLE:  # some cops stand outside x's component
+                d = min((e for e in map(row.__getitem__, cops) if e != UNREACHABLE),
+                        default=math.inf)
+            if d > far:
+                best, far = x, d
+        return best
 
 
 class RandomRobber:

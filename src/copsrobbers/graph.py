@@ -274,30 +274,6 @@ def _bfs(adj, dist: list[int], sources) -> list[int]:
     return dist
 
 
-def _lower(adj, dist: list[int], sources) -> list[int]:
-    """Lower the BFS field ``dist`` in place to the distances from its own
-    sources and ``sources`` together.  A layered BFS from ``sources``
-    relabels a vertex, and searches on from it, only where the new distance
-    is strictly smaller, so it walks only where ``sources`` are strictly
-    closer.  ``dist`` must hold no ``UNREACHABLE``."""
-    frontier = []
-    for s in sources:
-        if dist[s]:
-            dist[s] = 0
-            frontier.append(s)
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] > d:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def _induced(g: Graph, pos: dict[int, int]) -> Graph:
     """The subgraph of g induced by the keys of ``pos``, which map g's
     vertices, ascending, to 0, 1, ... in order.  The relabel is monotone, so

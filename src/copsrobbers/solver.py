@@ -192,7 +192,11 @@ def _by_chunks(table: int, count: int, per: int, cells: int, n: int, masks) -> i
 
     The table is halved at a chunk boundary, so the cut and the join pass
     over every bit once per level of the halving, log2(count / per) times.
+    A big-int pass costs the full width whatever the popcount, so an empty
+    table or half is returned at once, neither cut nor spread.
     """
+    if not table:
+        return 0
     if count <= per:
         return _spread_digits(table, n, masks)
     cut = (count + per - 1) // per // 2 * per    # slabs below the cut

@@ -10,8 +10,8 @@ vertex deletion replaced.  ``masked_bfs_oracle`` measures inside a vertex
 mask on an n-long row that blocks every vertex outside it, against the
 library's metrics on the subgraph the mask induces.
 ``greedy_far_oracle`` is the greedy robber's choice from a fresh field on
-every call, against the robber that keeps its last field and lowers a kept
-row from stacked cops.
+every call, against the robber that reads the cops' distances from kept
+BFS rows of its own options.
 ``verify_claim_allsubsets`` is the hitting-claim check over 2^n union-ball
 tables that the library's small-subset walk replaced.  ``component_oracle`` is a BFS over Python sets, checked against
 the library's bitmask flood.  ``replay_final_state`` replays a transcript

@@ -181,74 +181,138 @@ def _greedy_graphs():
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.lists(GREEDY_CALL, min_size=1, max_size=14))
-# a stack on the first graph, its row kept; then the second graph without and
-# with the same stack: a row is keyed by its graph too
+@given(st.lists(GREEDY_CALL, min_size=1, max_size=14), st.booleans())
+# rows from the first graph, then the second graph from the same vertices:
+# the rows belong to their graph
 @example([(0, False, False, False, [1, 1, 2], 0), (1, False, False, False, [0, 3], 2),
-          (1, False, False, True, [1, 1, 5], 2), (0, False, False, True, [1, 1, 5], 2)])
-# the one list mutated in place between calls: the robber must copy it
+          (1, False, False, True, [1, 1, 5], 2), (0, False, False, False, [1, 1, 5], 2)], False)
+# the one list mutated in place between calls
 @example([(0, False, True, False, [1, 1, 2], 0), (0, False, True, False, [1, 1, 5], 0),
-          (0, True, True, True, [], 0), (0, False, True, False, [1, 3, 5], 4)])
-def test_greedy_far_matches_stateless_oracle(calls):
+          (0, True, True, True, [], 0), (0, False, True, False, [1, 3, 5], 4)], False)
+# vertex 1 has five options: three rows fill the capped store, which is
+# cleared inside the move, and again on the next
+@example([(0, False, False, False, [0, 5], 1), (0, False, False, False, [3], 2),
+          (0, False, False, False, [4, 4], 1)], True)
+def test_greedy_far_matches_stateless_oracle(calls, capped):
     """One robber over a sequence of views against a fresh field per call:
     repeated cop tuples, stacks that form and dissolve, two graphs in turn,
-    a cop list mutated in place and direct calls on a disconnected graph."""
+    a cop list mutated in place and direct calls on a disconnected graph.
+    Capped, the rows may hold three rows of the larger graph, so the store
+    is cleared in mid-sequence and its answers must not change."""
     graphs = _greedy_graphs()
+    cap = 3 * max(g.n for g in graphs) if capped else engine.ROW_ENTRIES
     robber = GreedyFarRobber()
     held: list[int] = []
     last = [0]
-    for which, repeat, in_place, place, cops, r in calls:
-        g = graphs[which]
-        cops = last if repeat else cops
-        last = cops
-        if in_place:
-            held[:] = cops
-            arg = held
-        else:
-            arg = tuple(cops)
-        r %= g.n
-        if place:
-            got, want = robber.place(g, arg, None, None), greedy_far_oracle(g, cops, range(g.n))
-        else:
-            got = robber.move(g, View(arg, r), None)
-            want = greedy_far_oracle(g, cops, g.closed_neighborhoods()[r])
-        assert got == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "ROW_ENTRIES", cap)
+        for which, repeat, in_place, place, cops, r in calls:
+            g = graphs[which]
+            cops = last if repeat else cops
+            last = cops
+            if in_place:
+                held[:] = cops
+                arg = held
+            else:
+                arg = tuple(cops)
+            r %= g.n
+            if place:
+                got, want = robber.place(g, arg, None, None), greedy_far_oracle(g, cops, range(g.n))
+            else:
+                got = robber.move(g, View(arg, r), None)
+                want = greedy_far_oracle(g, cops, g.closed_neighborhoods()[r])
+            assert got == want
+            kept_g, rows = robber._rows
+            assert kept_g is None or len(rows) * kept_g.n <= cap
 
 
 def test_greedy_far_refuses_cops_off_the_graph():
     g = gen_path(5)
     for cops in ((2, 2, 5), (2, 2, -1), ()):
         with pytest.raises(ValueError):
+            GreedyFarRobber().place(g, cops, None, None)
+        with pytest.raises(ValueError):
             GreedyFarRobber().move(g, View(cops, 0), None)
+        robber = GreedyFarRobber()
+        robber.move(g, View((2,), 0), None)  # with rows kept from a valid call
+        with pytest.raises(ValueError):
+            robber.move(g, View(cops, 0), None)
 
 
-def test_greedy_far_lowers_a_kept_row_in_a_meyniel_game(monkeypatch):
-    """Against MeynielCop on the 12x12 grid, which stacks its idle cops, the
-    robber runs fewer whole-graph BFS passes than it moves, and the row it
-    keeps from the shared vertices is still the BFS row from them: the
-    lowering works on a copy."""
+def _watch_greedy(monkeypatch, robber, g):
+    """Record the whole-graph BFS passes on g that ``robber`` runs, and the
+    rows it holds after each of its calls; returns both lists."""
     import copsrobbers.graph as graph_mod
 
+    passes, held, inside = [], [], []
+    bfs = graph_mod._bfs
+
+    def counting_bfs(adj, dist, sources):
+        if inside and adj is g._adj:
+            passes.append(tuple(sources))
+        return bfs(adj, dist, sources)
+
+    def watched(call):
+        def run(*args):
+            inside.append(call)
+            try:
+                return call(*args)
+            finally:
+                inside.pop()
+                held.append(len(robber._rows[1]))
+        return run
+
+    monkeypatch.setattr(graph_mod, "_bfs", counting_bfs)
+    monkeypatch.setattr(robber, "place", watched(robber.place))
+    monkeypatch.setattr(robber, "move", watched(robber.move))
+    return passes, held
+
+
+def _robber_options(g, t):
+    """Every vertex of the closed neighbourhoods the robber moved from."""
+    moves = [m for _, m in t.rounds if m is not None]
+    closed = g.closed_neighborhoods()
+    return {x for r in (t.robber_placement, *moves[:-1]) for x in closed[r]}
+
+
+def test_greedy_far_keeps_a_bfs_row_per_option_in_a_meyniel_game(monkeypatch):
+    """Against MeynielCop on the 12x12 grid the robber runs one BFS to place
+    and then one per distinct vertex of its closed neighbourhoods, fewer
+    than its moves, and every row it keeps is the BFS row from its vertex."""
     g = gen_grid(12, 12)
     analysis = MeynielAnalysis(g, 3, desk_params(g), seed=0)
     cops = MeynielCop(analysis)
     c = GameConfig(cop_count=analysis.pool_size, max_rounds=analysis.timeline_bound())
     robber = GreedyFarRobber()
-    passes = []
-    bfs = graph_mod._bfs
-
-    def counting_bfs(adj, dist, sources):
-        passes.append(adj is g._adj)
-        return bfs(adj, dist, sources)
-
-    monkeypatch.setattr(graph_mod, "_bfs", counting_bfs)
+    passes, _ = _watch_greedy(monkeypatch, robber, g)
     t = play(g, cops, robber, c)
     monkeypatch.undo()
     assert t.caught
+    options = _robber_options(g, t)
     moves = sum(m is not None for _, m in t.rounds)
-    assert 0 < sum(passes) < moves
-    _, _, _, shared, row = robber._kept
-    assert shared and row == masked_bfs_oracle(g, shared)
+    assert 0 < len(passes) <= 1 + len(options) and len(passes) < moves
+    kept_g, rows = robber._rows
+    assert kept_g is g and set(rows) == options
+    for x, row in rows.items():
+        assert row == masked_bfs_oracle(g, (x,))
+
+
+def test_greedy_far_rows_stay_under_the_cap_on_a_long_path(monkeypatch):
+    """On a 60-vertex path one cop holds vertex 0 while another walks in
+    from the far end, so the robber keeps backing onto new vertices.  Under
+    a cap of three rows the store is cleared again and again but never
+    holds more, and the game is the uncapped one."""
+    g = gen_path(60)
+    cops = ScriptedCop("sweep", (0, 59), ((0,), tuple(range(59, -1, -1))))
+    c = cfg(k=2, rounds=80)
+    free = play(g, cops, GreedyFarRobber(), c)
+    monkeypatch.setattr(engine, "ROW_ENTRIES", 3 * g.n)
+    robber = GreedyFarRobber()
+    passes, held = _watch_greedy(monkeypatch, robber, g)
+    t = play(g, cops, robber, c)
+    assert t.caught and t.rounds == free.rounds
+    assert held and max(held) <= 3
+    assert len(passes) > 1 + len(_robber_options(g, t))  # cleared rows were built again
 
 
 def test_random_robber_reproducible():
