@@ -22,11 +22,14 @@ through the ascending member list.
 
 ``diameter_pair`` returns the same lexicographically first diametral pair as
 one BFS per vertex would, from a bounded scan: eccentricity bounds from the
-BFS rows already run skip every source that cannot change the answer.
-Vertex-transitive graphs (cycles, hypercubes) leave nothing to skip and keep
-one BFS per vertex.  The whole-graph result is computed once per
-:class:`Graph` and kept on it for its lifetime, so the recursion's root, the
-desk-scale parameters and the guard's settle bound share one scan.
+BFS rows already run skip every source that cannot change the answer, and
+on a 2-connected graph the scan stops once an eccentricity reaches n // 2,
+the most any distance there can be.  So a cycle takes two BFS passes and
+one DFS, while other vertex-transitive graphs (hypercubes, Petersen) leave
+nothing to skip and keep one BFS per vertex.  The whole-graph result is
+computed once per :class:`Graph` and kept on it for its lifetime, so the
+recursion's root, the desk-scale parameters and the guard's settle bound
+share one scan.
 
 A :class:`Graph` keeps every value it derives (the diameter triple, the
 connectivity bit, the edge-list hash, the closed-neighbourhood table, the
@@ -256,21 +259,19 @@ def _check_universe(g: Graph, s: VertexSet) -> None:
 
 
 def _bfs(adj, dist: list[int], sources) -> list[int]:
-    """Layered BFS over the adjacency lists ``adj``, filling a seeded
-    distance list in place."""
-    frontier = list(sources)
-    for s in frontier:
+    """BFS over the adjacency lists ``adj``, filling a seeded distance list
+    in place.  Only ``UNREACHABLE`` entries are filled, so a seeded row may
+    block vertices with another marker."""
+    queue = list(sources)
+    for s in queue:
         dist[s] = 0
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if dist[v] == UNREACHABLE:
-                    dist[v] = d
-                    nxt.append(v)
-        frontier = nxt
+    # one FIFO queue: the loop reads the vertices it appends
+    for u in queue:
+        d = dist[u] + 1
+        for v in adj[u]:
+            if dist[v] == UNREACHABLE:
+                dist[v] = d
+                queue.append(v)
     return dist
 
 
@@ -418,11 +419,14 @@ def diameter_pair(g: Graph) -> tuple[int | float, int, int]:
     sweep from vertex 0 gives a lower bound on the diameter, and BFS rows
     give upper bounds ``ecc(w) + d(w, v)`` on the later vertices'
     eccentricities (bounding diameters; Takes & Kosters 2011).  On
-    long graphs a few BFS passes suffice; on vertex-transitive graphs
-    (cycles, hypercubes, Petersen) nothing can be skipped and the scan keeps
-    one BFS per vertex.  A disconnected graph gives ``(math.inf, u, v)`` for
-    the first unreachable pair, found at the first source; a single vertex
-    gives ``(0, 0, 0)``.
+    long graphs a few BFS passes suffice.  When the best eccentricity first
+    reaches n // 2, one O(n + m) DFS tests 2-connectivity; every distance of
+    a 2-connected graph is at most n // 2 (Whitney 1932), so the scan then
+    stops: a cycle takes two BFS passes and the DFS.  On other
+    vertex-transitive graphs (hypercubes, Petersen) nothing can be skipped
+    and the scan keeps one BFS per vertex.  A disconnected graph gives
+    ``(math.inf, u, v)`` for the first unreachable pair, found at the first
+    source; a single vertex gives ``(0, 0, 0)``.
 
     The triple is kept on g for its lifetime after the first call, and later
     calls return it.
@@ -433,7 +437,8 @@ def diameter_pair(g: Graph) -> tuple[int | float, int, int]:
 def _diameter_scan(adj) -> tuple[int | float, int, int]:
     """The bounded scan behind :func:`diameter_pair`, on the adjacency lists
     ``adj``."""
-    seed = [UNREACHABLE] * len(adj)
+    n = len(adj)
+    seed = [UNREACHABLE] * n
     row_first = _bfs(adj, seed.copy(), (0,))
     if UNREACHABLE in row_first:
         return math.inf, 0, row_first.index(UNREACHABLE)
@@ -447,7 +452,8 @@ def _diameter_scan(adj) -> tuple[int | float, int, int]:
     need = max(row_far)
     hi = [need + d for d in row_far]
     best = (0, 0, 0)
-    for u in range(len(adj)):
+    tested = False
+    for u in range(n):
         if hi[u] < need:
             continue
         dist = row_first if u == 0 else row_far if u == far else _bfs(adj, seed.copy(), (u,))
@@ -456,12 +462,65 @@ def _diameter_scan(adj) -> tuple[int | float, int, int]:
             # a vertex w < u at the eccentricity would have raised best
             # already from source w, so the first index is the first v > u
             best = (ecc, u, dist.index(ecc))
+            # Whitney (1932): in a 2-connected graph every two vertices lie
+            # on a common cycle, so no distance passes n // 2 and no later
+            # source can raise best.  Tested once, when best first gets there.
+            if 2 * ecc >= n - 1 and not tested:
+                tested = True
+                if _biconnected(adj):
+                    return best
             need = max(need, ecc + 1)
         if ecc + 1 < need:
             # ecc + d(u, v) >= ecc + 1 off u, so only then can the row
             # prune a later source
             hi = [h if h <= ecc + d else ecc + d for h, d in zip(hi, dist)]
     return best
+
+
+def _biconnected(adj) -> bool:
+    """Whether the graph on the adjacency lists ``adj`` is 2-connected: at
+    least 3 vertices, connected, and no cut vertex.  One iterative lowpoint
+    DFS from vertex 0 (Hopcroft & Tarjan 1973), O(n + m)."""
+    n = len(adj)
+    if n < 3:
+        return False
+    order = [0] * n  # DFS discovery number from 1; 0 while unvisited
+    low = [0] * n
+    parent = [0] * n
+    nxt = [0] * n  # index of the next neighbour to look at
+    order[0] = low[0] = t = 1
+    root_children = 0
+    stack = [0]
+    while stack:
+        u = stack[-1]
+        i = nxt[u]
+        if i < len(adj[u]):
+            nxt[u] = i + 1
+            v = adj[u][i]
+            if not order[v]:
+                t += 1
+                order[v] = low[v] = t
+                parent[v] = u
+                stack.append(v)
+            elif order[v] < low[u]:
+                # the tree edge to the parent counts too; it lowers low[u]
+                # only to order[parent], which leaves the test below alone
+                low[u] = order[v]
+            continue
+        stack.pop()
+        if u == 0:
+            break  # the root is done; it has no parent to report to
+        p = parent[u]
+        if p == 0:
+            # the root is a cut vertex exactly when it has two DFS children
+            root_children += 1
+            if root_children > 1:
+                return False
+        elif low[u] >= order[p]:
+            return False  # nothing below u reaches above p
+        if low[u] < low[p]:
+            low[p] = low[u]
+    return t == n
 
 
 def diameter(g: Graph) -> int | float:

@@ -7,8 +7,10 @@ enumeration, maximum matching size by plain augmenting paths instead of
 Hopcroft-Karp.  ``diameter_pair_allpairs`` and ``delete_vertices_oracle`` keep
 the plain loops that the library's pruned diameter scan and survivor-only
 vertex deletion replaced.  ``masked_bfs_oracle`` measures inside a vertex
-mask on an n-long row that blocks every vertex outside it, against the
-library's metrics on the subgraph the mask induces.
+mask on an n-long row that blocks every vertex outside it, with its own
+deque BFS, against the library's metrics on the subgraph the mask induces.
+``cut_vertices_oracle`` removes each vertex in turn and searches what is
+left, against the library's lowpoint DFS for 2-connectivity.
 ``greedy_far_oracle`` is the greedy robber's choice from a fresh field on
 every call, against the robber that reads the cops' distances from kept
 BFS rows of its own options.
@@ -44,7 +46,7 @@ from collections import deque
 from copsrobbers.engine import View
 from copsrobbers.errors import ResourceLimitError
 from copsrobbers.expander import ScriptedCop, resample_family, start_scripts
-from copsrobbers.graph import UNREACHABLE, Graph, VertexSet, _bfs, ball, walk_back
+from copsrobbers.graph import UNREACHABLE, Graph, VertexSet, ball, walk_back
 from copsrobbers.guard import GuardCop
 from copsrobbers.solver import _bit
 
@@ -115,7 +117,15 @@ def masked_bfs_oracle(g, sources, within=None):
         dist = [outside] * g.n
         for v in within:
             dist[v] = UNREACHABLE
-    _bfs(g._adj, dist, sources)
+    queue = deque(sources)
+    for s in queue:
+        dist[s] = 0
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if dist[w] == UNREACHABLE:
+                dist[w] = dist[u] + 1
+                queue.append(w)
     return [UNREACHABLE if d == outside else d for d in dist]
 
 
@@ -190,6 +200,17 @@ def component_oracle(g, v, within=None):
                 seen.add(w)
                 queue.append(w)
     return seen
+
+
+def cut_vertices_oracle(g):
+    """The vertices whose removal leaves the other vertices in more than one
+    component, by one ``component_oracle`` search per removed vertex."""
+    cuts = set()
+    for x in range(g.n):
+        rest = [v for v in range(g.n) if v != x]
+        if rest and len(component_oracle(g, rest[0], rest)) < len(rest):
+            cuts.add(x)
+    return cuts
 
 
 def girth_oracle(g):

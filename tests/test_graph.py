@@ -1,5 +1,8 @@
+import __future__
 import functools
+import inspect
 import math
+import textwrap
 import tracemalloc
 
 import pytest
@@ -42,6 +45,7 @@ from copsrobbers.solver import DEFAULT_STATE_BUDGET, _tables, is_k_copwin
 from oracles import (
     ball_oracle,
     component_oracle,
+    cut_vertices_oracle,
     delete_vertices_oracle,
     diameter_oracle,
     diameter_pair_allpairs,
@@ -398,10 +402,29 @@ def test_diameter_pair_matches_allpairs_on_gnp(n, p, data):
     assert _pair_inside(g, part) == diameter_pair_allpairs(g, part)
 
 
-@pytest.mark.parametrize("name", ["grid-25x25", "path-400"])
+def _relabelled_cycle_pair(n):
+    """A relabelled n-cycle and its all-pairs diameter pair.  Every vertex
+    has eccentricity n // 2, so the all-pairs loop keeps the pair from
+    source 0: (n // 2, 0, the first vertex at that distance)."""
+    rng = make_rng(2025, f"diameter:cycle-{n}")
+    g = _relabel(gen_cycle(n), rng)
+    return g, (n // 2, 0, masked_bfs_oracle(g, (0,)).index(n // 2))
+
+
+# BFS passes allowed to the scan.  The cycles are 2-connected: the scan
+# stops once best reaches n // 2, after the BFS from vertex 0 and the double
+# sweep's second pass.
+_SCAN_PASSES = {"grid-25x25": 25, "path-400": 25, "cycle-450": 2, "cycle-4000": 2,
+                "cycle-4001": 2}
+
+
+@pytest.mark.parametrize("name", sorted(_SCAN_PASSES))
 def test_diameter_pair_prunes_bfs_sources(monkeypatch, name):
-    g = _family_graph(name)
-    expected = diameter_pair_allpairs(g)
+    if name in _FAMILIES:
+        g = _family_graph(name)
+        expected = diameter_pair_allpairs(g)
+    else:
+        g, expected = _relabelled_cycle_pair(int(name.split("-")[1]))
     passes = []
     bfs = copsrobbers.graph._bfs
 
@@ -412,7 +435,135 @@ def test_diameter_pair_prunes_bfs_sources(monkeypatch, name):
     monkeypatch.setattr(copsrobbers.graph, "_bfs", counting_bfs)
     assert diameter_pair(g) == expected
     # the all-pairs loop takes g.n passes
-    assert len(passes) <= 25
+    assert len(passes) <= _SCAN_PASSES[name]
+
+
+# ---------------------------------------------------------------------------
+# The 2-connected cap: Whitney (1932) bounds every distance in a 2-connected
+# graph by n // 2, so the scan stops when best first reaches it and
+# _biconnected holds.
+# ---------------------------------------------------------------------------
+
+def _cycle_edges(ids):
+    return [(ids[i - 1], ids[i]) for i in range(len(ids))]
+
+
+def _path_edges(ids):
+    return list(zip(ids, ids[1:]))
+
+
+def _theta(a, b, c):
+    """Three internally disjoint paths of a, b and c edges between vertices
+    0 and 1 (at most one of them a single edge)."""
+    n, edges = 2, []
+    for length in (a, b, c):
+        inner = list(range(n, n + length - 1))
+        n += length - 1
+        edges += _path_edges([0, *inner, 1])
+    return n, edges
+
+
+def _bowtie(a, b):
+    """Cycles of a and b vertices sharing vertex 0, its only cut vertex."""
+    return a + b - 1, _cycle_edges(range(a)) + _cycle_edges([0, *range(a, a + b - 1)])
+
+
+def _lollipop(k, tail):
+    """K_k with a path of ``tail`` edges hanging from its vertex k - 1."""
+    clique = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    return k + tail, clique + _path_edges(range(k - 1, k + tail))
+
+
+def _mid_path(n):
+    """A path of n vertices whose middle vertex is 0."""
+    mid = n // 2
+    return n, _path_edges([*range(1, mid + 1), 0, *range(mid + 1, n)])
+
+
+@st.composite
+def _cap_graphs(draw):
+    """2-connected graphs whose diameter is n // 2 or close to it, and graphs
+    with a cut vertex where a source reaches n // 2 while the diameter is
+    larger: the mid-path from vertex 0 itself, and the bowtie with vertex 0,
+    the DFS root, as its only cut vertex.  Relabelled at random, keeping
+    vertex 0 where it sits for those two."""
+    kind = draw(st.sampled_from(("cycle", "cycle+chord", "theta", "mid-path", "lollipop",
+                                 "bowtie")))
+    if kind == "cycle":
+        n = draw(st.integers(3, 60))
+        edges = _cycle_edges(range(n))
+    elif kind == "cycle+chord":
+        n = draw(st.integers(4, 60))
+        edges = _cycle_edges(range(n)) + [(0, draw(st.integers(2, n - 2)))]
+    elif kind == "theta":
+        n, edges = _theta(draw(st.integers(1, 20)), draw(st.integers(2, 20)),
+                          draw(st.integers(2, 20)))
+    elif kind == "mid-path":
+        n, edges = _mid_path(draw(st.integers(3, 60)))
+    elif kind == "lollipop":
+        n, edges = _lollipop(draw(st.integers(3, 7)), draw(st.integers(1, 30)))
+    else:
+        n, edges = _bowtie(draw(st.integers(3, 30)), draw(st.integers(3, 30)))
+    if kind in ("mid-path", "bowtie"):
+        perm = [0, *draw(st.permutations(range(1, n)))]
+    else:
+        perm = draw(st.permutations(range(n)))
+    return kind, Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cap_graphs())
+def test_diameter_pair_matches_allpairs_around_the_cap(case):
+    kind, g = case
+    assert diameter_pair(g) == diameter_pair_allpairs(g), (kind, g.edges())
+    if kind == "mid-path":
+        # the cap is reached at the first source, and D is larger
+        assert 2 * max(masked_bfs_oracle(g, (0,))) >= g.n - 1 < 2 * diameter(g)
+
+
+def test_biconnected_matches_cut_vertex_oracle_on_all_small_graphs():
+    for n in range(1, 7):
+        for g in all_connected_graphs(n):
+            expected = n >= 3 and not cut_vertices_oracle(g)
+            assert copsrobbers.graph._biconnected(g._adj) == expected, g.edges()
+
+
+def _cap_witnesses():
+    """Fresh graphs (nothing kept) on which each mutant of the cap errs: the
+    middle of P3 and of P7 is vertex 0, and ecc(0) = n // 2 < D; the theta
+    graph is a 10-cycle with an ear of 3 edges, and ecc(0) = n // 2 - 1 < D =
+    n // 2; the bowtie's two 4-cycles share vertex 0, its only cut vertex, and
+    the source 1 first reaches n // 2 < D."""
+    return [Graph(*_mid_path(3)), Graph(*_mid_path(7)), Graph(*_theta(1, 3, 7)),
+            Graph(*_bowtie(4, 4))]
+
+
+def _mutate(monkeypatch, fn, old, new):
+    """Replace the module function fn by a copy of its source with the
+    single occurrence of ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    code = compile(source.replace(old, new), inspect.getsourcefile(fn), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    namespace = {}
+    exec(code, fn.__globals__, namespace)
+    monkeypatch.setattr(copsrobbers.graph, fn.__name__, namespace[fn.__name__])
+
+
+@pytest.mark.parametrize("mutant", [
+    "none", "no-2-connectivity-test", "cap-one-lower", "no-root-children-rule"])
+def test_cap_mutants_are_caught(monkeypatch, mutant):
+    if mutant == "no-2-connectivity-test":
+        monkeypatch.setattr(copsrobbers.graph, "_biconnected", lambda adj: True)
+    elif mutant == "cap-one-lower":
+        _mutate(monkeypatch, copsrobbers.graph._diameter_scan,
+                "2 * ecc >= n - 1", "2 * ecc >= n - 2")
+    elif mutant == "no-root-children-rule":
+        _mutate(monkeypatch, copsrobbers.graph._biconnected,
+                "if root_children > 1:", "if False:")
+    wrong = [g.edges() for g in _cap_witnesses()
+             if diameter_pair(g) != diameter_pair_allpairs(g)]
+    assert bool(wrong) == (mutant != "none"), wrong
 
 
 def _draw_members(n, shape, data):
