@@ -13,6 +13,11 @@ near-equal numbers; they are bounded by explicit series envelopes
 (e.g. -ln(1-u) is trapped between u and u+u^2 for u <= 1/2), which keeps the
 checks meaningful for n as large as 2^(10^6).
 
+The bisection for the trivial-region boundary signs midpoints far from the
+root in float and by interval evaluation near it.  The float-signed
+endpoints of its last bracket are re-signed by interval evaluation, so the
+bracket it returns is interval-certified: the one interval signs alone give.
+
 Derived parameters at scale L:
 
     levels     t            = sqrt(L) - 3*log2(L)
@@ -25,6 +30,7 @@ Derived parameters at scale L:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -158,39 +164,82 @@ class BoundaryBracket(NamedTuple):
     high: mpmath.mpf
 
 
+# The float margin is trusted only where it clears this; on [2, 4096] its
+# error is below 1e-13.
+_SCREEN_MARGIN = 1e-9
+
+
+def _float_margin(x: float) -> float:
+    """``trivial_margin_log`` in double precision, to screen midpoints."""
+    return 1 + 3 * math.log2(x) - math.sqrt(x)
+
+
+def _interval_sign(x) -> int:
+    """The sign of ``trivial_margin_log(x)``, or 0 if its interval holds 0."""
+    m = trivial_margin_log(x)
+    if _hi(m) < 0:
+        return -1
+    if _lo(m) > 0:
+        return 1
+    return 0
+
+
+def _bisect(a, b, tol, screen: bool):
+    """Bisect [a, b] to width `tol`; with `screen`, a midpoint whose float
+    margin clears ``_SCREEN_MARGIN`` takes the float sign.
+
+    Returns the bracket and the endpoints of the last bisected bracket whose
+    sign came from float, each paired with that sign.
+    """
+    a_float = b_float = False
+    stuck = None
+    while b - a > tol:
+        mid = (a + b) / 2
+        s = 0
+        if screen:
+            m = _float_margin(float(mid))
+            if abs(m) > _SCREEN_MARGIN:
+                s = 1 if m > 0 else -1
+        from_float = s != 0
+        if not from_float:
+            s = _interval_sign(mid)
+        if s == 0:
+            stuck = mid
+            break
+        if s > 0:
+            a, a_float = mid, from_float
+        else:
+            b, b_float = mid, from_float
+    screened = [(x, sgn) for x, sgn, f in ((a, 1, a_float), (b, -1, b_float)) if f]
+    if stuck is not None:
+        # interval evaluation cannot decide; shrink around the midpoint
+        a, b = stuck - tol / 4, stuck + tol / 4
+    return BoundaryBracket(low=a, high=b), screened
+
+
 def trivial_region_boundary(tol: float = 1e-6) -> BoundaryBracket:
     """The unique L* > 1 where 2 L^3 2^{-sqrt(L)} = 1, by bisection.
 
     Below L* the bound exceeds n and is vacuous; above it the bound bites.
     The margin is positive at L = 2 and negative at L = 4096; bisection
     narrows that bracket to `tol`, which must be positive and finite.
+
+    Midpoints are signed in float where the float margin is far from 0, and
+    by interval evaluation elsewhere.  The float-signed endpoints of the last
+    bracket are then re-signed by interval evaluation.  Every other midpoint
+    signed in float lies beyond one of them, on the same side of L*, so if
+    they agree the bracket is the one interval signs alone give; if not, the
+    bisection reruns on interval signs alone.
     """
     if not (tol > 0 and mpmath.isfinite(tol)):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     a, b = mpmath.mpf(2), mpmath.mpf(4096)
-
-    def sign(x) -> int:
-        m = trivial_margin_log(x)
-        if _hi(m) < 0:
-            return -1
-        if _lo(m) > 0:
-            return 1
-        return 0
-
-    if sign(a) <= 0 or sign(b) >= 0:
+    if _interval_sign(a) <= 0 or _interval_sign(b) >= 0:
         raise ValueError("bracket does not straddle the boundary")
-    while b - a > tol:
-        mid = (a + b) / 2
-        s = sign(mid)
-        if s == 0:
-            # interval evaluation cannot decide; shrink around mid
-            a, b = mid - tol / 4, mid + tol / 4
-            break
-        if s > 0:
-            a = mid
-        else:
-            b = mid
-    return BoundaryBracket(low=a, high=b)
+    bracket, screened = _bisect(a, b, tol, screen=True)
+    if any(_interval_sign(x) != sgn for x, sgn in screened):
+        bracket, _ = _bisect(a, b, tol, screen=False)
+    return bracket
 
 
 # ---------------------------------------------------------------------------

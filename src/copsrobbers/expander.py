@@ -500,11 +500,12 @@ def invisible_mode(g: Graph, family: CopSetFamily, params: StrategyParams,
         plan = plan_cache[guess]
         if isinstance(plan, PlanFailure):
             continue
-        steps = range(1, plan.capture_deadline + 1)
+        d = plan.capture_deadline
         for track, s in zip(tracks, _plan_scripts(plan, roster)):
-            back = s[::-1]
-            track.extend(track_at(s, r) for r in steps)
-            track.extend(track_at(back, r) for r in steps)
+            # rounds 1..d of the route, then of its reverse, as track_at
+            # reads them: a walked-out route holds its last vertex
+            for t in (s, s[::-1]):
+                track.extend(t[1:d + 1] + t[-1:] * (d + 1 - len(t)))
     cop = ScriptedCop("expander-invisible", tuple(w for _, w in roster),
                       tuple(tuple(t) for t in tracks))
     cfg = GameConfig(

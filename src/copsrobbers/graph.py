@@ -420,9 +420,10 @@ def diameter_pair(g: Graph) -> tuple[int | float, int, int]:
     give upper bounds ``ecc(w) + d(w, v)`` on the later vertices'
     eccentricities (bounding diameters; Takes & Kosters 2011).  On
     long graphs a few BFS passes suffice.  When the best eccentricity first
-    reaches n // 2, one O(n + m) DFS tests 2-connectivity; every distance of
-    a 2-connected graph is at most n // 2 (Whitney 1932), so the scan then
-    stops: a cycle takes two BFS passes and the DFS.  On other
+    reaches n // 2, and no distance known so far passes n // 2, one
+    O(n + m) DFS tests 2-connectivity; every distance of a 2-connected graph
+    is at most n // 2 (Whitney 1932), so the scan then stops: a cycle takes
+    two BFS passes and the DFS, a path no DFS.  On other
     vertex-transitive graphs (hypercubes, Petersen) nothing can be skipped
     and the scan keeps one BFS per vertex.  A disconnected graph gives
     ``(math.inf, u, v)`` for the first unreachable pair, found at the first
@@ -449,7 +450,7 @@ def _diameter_scan(adj) -> tuple[int | float, int, int]:
     # holds, since only a strict raise moves best.  hi[v] is a minimum of
     # ecc(w) + d(w, v) over BFS rows from sources w, so hi[v] >= ecc(v) by
     # the triangle inequality.
-    need = max(row_far)
+    need = far_ecc = max(row_far)
     hi = [need + d for d in row_far]
     best = (0, 0, 0)
     tested = False
@@ -464,10 +465,12 @@ def _diameter_scan(adj) -> tuple[int | float, int, int]:
             best = (ecc, u, dist.index(ecc))
             # Whitney (1932): in a 2-connected graph every two vertices lie
             # on a common cycle, so no distance passes n // 2 and no later
-            # source can raise best.  Tested once, when best first gets there.
+            # source can raise best.  Considered once, when best first gets
+            # there; a distance already known above n // 2 proves a cut
+            # vertex, so the DFS runs only when none is.
             if 2 * ecc >= n - 1 and not tested:
                 tested = True
-                if _biconnected(adj):
+                if max(ecc, far_ecc) <= n // 2 and _biconnected(adj):
                     return best
             need = max(need, ecc + 1)
         if ecc + 1 < need:

@@ -26,6 +26,11 @@ move and narrowing the list plane by plane, against the library's joint-move
 mask and digit search.  ``some_neighbor_reference`` is the solver's
 existential pass along one cop digit as the per-vertex loop over the whole
 table, against the library's chunked diagonal passes.
+``boundary_bisection_oracle`` bisects for the trivial-region boundary on
+interval signs alone, against the library's bisection that screens
+midpoints in float.  ``invisible_mode_oracle`` builds the guess-and-sweep
+tracks by stepping ``track_at`` over each phase's rounds, against the
+library's slices of the plan routes.
 ``per_layer_expansion`` lists every node of every layer, repeats included,
 and calls a team's ``move`` at each, against ``expand_game_layers``, which
 numbers and expands each distinct node once, at its first layer.  ``eager_meyniel`` is the
@@ -43,11 +48,25 @@ import itertools
 import math
 from collections import deque
 
-from copsrobbers.engine import View
+import mpmath
+
+from copsrobbers.bounds import BoundaryBracket, trivial_margin_log
+from copsrobbers.engine import GameConfig, GreedyFarRobber, View, play
 from copsrobbers.errors import ResourceLimitError
-from copsrobbers.expander import ScriptedCop, resample_family, start_scripts
+from copsrobbers.expander import (
+    InvisibleResult,
+    PlanFailure,
+    ScriptedCop,
+    _family_roster,
+    _plan_scripts,
+    build_plan,
+    resample_family,
+    start_scripts,
+    track_at,
+)
 from copsrobbers.graph import UNREACHABLE, Graph, VertexSet, ball, walk_back
 from copsrobbers.guard import GuardCop
+from copsrobbers.seeds import make_rng
 from copsrobbers.solver import _bit
 
 INF = math.inf
@@ -681,3 +700,63 @@ def eager_meyniel(g, threshold, params, seed):
         elif not n["broken"]:
             bound = max(bound, n["entry"] + n["duration"] + max(n["deadlines"].values()))
     return nodes, max(max(need), 1), bound + 2
+
+
+def boundary_bisection_oracle(tol):
+    """The trivial-region boundary's bisection with every midpoint signed by
+    interval evaluation of ``trivial_margin_log``."""
+    a, b = mpmath.mpf(2), mpmath.mpf(4096)
+
+    def sign(x):
+        m = trivial_margin_log(x)
+        if mpmath.mpf(m.b) < 0:
+            return -1
+        if mpmath.mpf(m.a) > 0:
+            return 1
+        return 0
+
+    while b - a > tol:
+        mid = (a + b) / 2
+        s = sign(mid)
+        if s == 0:
+            a, b = mid - tol / 4, mid + tol / 4
+            break
+        if s > 0:
+            a = mid
+        else:
+            b = mid
+    return BoundaryBracket(low=a, high=b)
+
+
+def invisible_mode_oracle(g, family, params, seed, max_repeats):
+    """``invisible_mode`` with each phase's track read round by round with
+    ``track_at``: the plan's route for rounds 1..deadline, then the reversed
+    route for as many rounds."""
+    roster = _family_roster(family)
+    rng = make_rng(seed, "guesses")
+    tracks = [[w] for _, w in roster]
+    guesses = []
+    phase_starts = []
+    for _ in range(max_repeats):
+        guess = rng.randrange(g.n)
+        guesses.append(guess)
+        phase_starts.append(len(tracks[0]))
+        plan = build_plan(g, guess, family, params)
+        if isinstance(plan, PlanFailure):
+            continue
+        steps = range(1, plan.capture_deadline + 1)
+        for track, s in zip(tracks, _plan_scripts(plan, roster)):
+            back = s[::-1]
+            track.extend(track_at(s, r) for r in steps)
+            track.extend(track_at(back, r) for r in steps)
+    cop = ScriptedCop("expander-invisible", tuple(w for _, w in roster),
+                      tuple(tuple(t) for t in tracks))
+    cfg = GameConfig(cop_count=family.total_cops, max_rounds=len(tracks[0]) + g.n,
+                     robber_visible=False, seed=seed)
+    transcript = play(g, cop, GreedyFarRobber(), cfg)
+    if transcript.caught:
+        repeats = sum(1 for first in phase_starts if first <= transcript.outcome.round)
+    else:
+        repeats = max_repeats
+    return InvisibleResult(transcript=transcript, caught=transcript.caught,
+                           repeats=repeats, guesses=tuple(guesses))

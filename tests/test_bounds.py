@@ -3,13 +3,18 @@ import json
 
 import mpmath
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import copsrobbers.bounds
 from copsrobbers.bounds import (
     bound_params,
     check_eq1_chain,
     trivial_margin_log,
     trivial_region_boundary,
 )
+
+from oracles import boundary_bisection_oracle
 
 
 def mid(x):
@@ -55,6 +60,60 @@ def test_boundary_rejects_tolerance_not_positive_and_finite(tol):
     # -1 used to return an inverted bracket and nan the unrefined [2, 4096]
     with pytest.raises(ValueError):
         trivial_region_boundary(tol=tol)
+
+
+def _same_bracket(got, want):
+    # mpf equality: every one of the 192 bits
+    return got.low == want.low and got.high == want.high
+
+
+@pytest.mark.parametrize("tol", [0.5, 1e-3, 1e-6, 3e-7, 1e-9, 1e-12, 1e-15, 1e-20, 1e-30,
+                                 1e-60])
+def test_boundary_matches_interval_bisection(tol):
+    assert _same_bracket(trivial_region_boundary(tol), boundary_bisection_oracle(tol))
+
+
+@seed(2025)
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-40, 3))
+def test_boundary_matches_interval_bisection_at_drawn_tolerances(log_tol):
+    tol = 10.0 ** log_tol
+    assert _same_bracket(trivial_region_boundary(tol), boundary_bisection_oracle(tol))
+
+
+def test_boundary_screens_most_midpoints_in_float(monkeypatch):
+    calls = []
+    margin = copsrobbers.bounds.trivial_margin_log
+
+    def counting_margin(x):
+        calls.append(x)
+        return margin(x)
+
+    monkeypatch.setattr(copsrobbers.bounds, "trivial_margin_log", counting_margin)
+    trivial_region_boundary(1e-6)
+    # the interval-only bisection makes 34 evaluations here
+    assert len(calls) <= 6
+
+
+@pytest.mark.parametrize("tol", [0.5, 1e-6, 1e-30])
+def test_boundary_falls_back_when_the_float_screen_lies(monkeypatch, tol):
+    # the screen's first midpoint is 2049, far above L*; its sign flipped
+    # sends the bisection up the wrong side, and only the interval re-sign of
+    # the bracket's float-signed endpoints notices
+    margin = copsrobbers.bounds._float_margin
+    calls = []
+
+    def lying_margin(x):
+        calls.append(x)
+        m = margin(x)
+        return -m if len(calls) == 1 else m
+
+    monkeypatch.setattr(copsrobbers.bounds, "_float_margin", lying_margin)
+    want = boundary_bisection_oracle(tol)
+    raw, _ = copsrobbers.bounds._bisect(mpmath.mpf(2), mpmath.mpf(4096), tol, screen=True)
+    assert not _same_bracket(raw, want)
+    calls.clear()
+    assert _same_bracket(trivial_region_boundary(tol), want)
 
 
 def test_chain_holds_at_threshold_sweep():

@@ -37,6 +37,7 @@ from conftest import random_connected
 from oracles import (
     fw_distances,
     hall_condition_holds,
+    invisible_mode_oracle,
     largest_nonexpanding_subset,
     matching_size,
     verify_claim_allsubsets,
@@ -581,3 +582,41 @@ def test_invisible_mode_pinned(name):
     text = transcript_to_json(res.transcript)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert (res.repeats, res.guesses) == (repeats, guesses)
+
+
+def _sliced_track_cases():
+    """(name, graph, family, params, seed, max_repeats) for invisible_mode.
+    K5 with full sets has immediate plans (routes (0, v) against deadline 1)
+    and cops holding at home; the stars and G(n, 0.3) mix level plans whose
+    routes end before their deadline with holding cops; on the paths one
+    cop and lam = 4 fail every plan, so no guess adds rounds."""
+    k5 = Graph(5, [(a, b) for a in range(5) for b in range(a + 1, 5)])
+    cases = [("k5", k5, full_family(k5, 1), StrategyParams(lam=2.0, density=1.0, levels=1),
+              8, 10)]
+    star = Graph(6, [(0, i) for i in range(1, 6)])
+    star_params = StrategyParams(lam=2.0, density=0.7, levels=2)
+    for seed in (3, 5, 20):
+        fam = sample_cop_sets(star, star_params, seed=derive_seed(5, f"inv:{seed}"))
+        cases.append((f"star-{seed}", star, fam, star_params, seed, 40))
+    for n in (6, 10):
+        g = gen_path(n)
+        cases.append((f"path-{n}-failing", g, empty_plus_one(g, 2, cop_vertex=0),
+                      StrategyParams(lam=4.0, density=0.05, levels=2), n, 12))
+        params = StrategyParams(lam=2.0, density=0.6, levels=2)
+        cases.append((f"path-{n}", g, sample_cop_sets(g, params, seed=n), params, n, 20))
+    for n in (7, 9, 12):
+        g = random_connected(n, seed=n, p=0.3)
+        for levels in (1, 2):
+            params = StrategyParams(lam=2.0, density=0.5, levels=levels)
+            cases.append((f"gnp-{n}-levels-{levels}", g, sample_cop_sets(g, params, seed=n),
+                          params, n + levels, 20))
+    return [c for c in cases if c[2].total_cops]
+
+
+@pytest.mark.parametrize("case", _sliced_track_cases(), ids=lambda c: c[0])
+def test_invisible_mode_matches_track_at_reference(case):
+    _, g, fam, params, seed, max_repeats = case
+    got = invisible_mode(g, fam, params, seed=seed, max_repeats=max_repeats)
+    want = invisible_mode_oracle(g, fam, params, seed, max_repeats)
+    assert transcript_to_json(got.transcript) == transcript_to_json(want.transcript)
+    assert (got.caught, got.repeats, got.guesses) == (want.caught, want.repeats, want.guesses)

@@ -416,6 +416,11 @@ def _relabelled_cycle_pair(n):
 # sweep's second pass.
 _SCAN_PASSES = {"grid-25x25": 25, "path-400": 25, "cycle-450": 2, "cycle-4000": 2,
                 "cycle-4001": 2}
+# 2-connectivity DFS runs in the scan: the grid never reaches n // 2, and
+# the path's double sweep already finds a distance above n // 2, which
+# proves a cut vertex; each cycle needs one.
+_SCAN_DFS = {"grid-25x25": 0, "path-400": 0, "cycle-450": 1, "cycle-4000": 1,
+             "cycle-4001": 1}
 
 
 @pytest.mark.parametrize("name", sorted(_SCAN_PASSES))
@@ -427,15 +432,23 @@ def test_diameter_pair_prunes_bfs_sources(monkeypatch, name):
         g, expected = _relabelled_cycle_pair(int(name.split("-")[1]))
     passes = []
     bfs = copsrobbers.graph._bfs
+    dfs_runs = []
+    biconnected = copsrobbers.graph._biconnected
 
     def counting_bfs(*args):
         passes.append(args)
         return bfs(*args)
 
+    def counting_biconnected(adj):
+        dfs_runs.append(len(adj))
+        return biconnected(adj)
+
     monkeypatch.setattr(copsrobbers.graph, "_bfs", counting_bfs)
+    monkeypatch.setattr(copsrobbers.graph, "_biconnected", counting_biconnected)
     assert diameter_pair(g) == expected
     # the all-pairs loop takes g.n passes
     assert len(passes) <= _SCAN_PASSES[name]
+    assert len(dfs_runs) == _SCAN_DFS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +541,19 @@ def test_biconnected_matches_cut_vertex_oracle_on_all_small_graphs():
             assert copsrobbers.graph._biconnected(g._adj) == expected, g.edges()
 
 
+def _cycle_with_tail():
+    """An 8-cycle through 0 and its antipode 1, with a path of 2 edges hanging
+    from vertex 2, a neighbour of 0: the double sweep goes 0 -> 1 and sees
+    ecc(1) = 5 = n // 2, while D = 6 runs from the tail's end to vertex 5."""
+    return 10, _cycle_edges([0, 2, 3, 4, 1, 5, 6, 7]) + _path_edges([2, 8, 9])
+
+
 def _cap_witnesses():
     """Fresh graphs (nothing kept) on which each mutant of the cap errs: the
-    middle of P3 and of P7 is vertex 0, and ecc(0) = n // 2 < D; the theta
-    graph is a 10-cycle with an ear of 3 edges, and ecc(0) = n // 2 - 1 < D =
-    n // 2; the bowtie's two 4-cycles share vertex 0, its only cut vertex, and
-    the source 1 first reaches n // 2 < D."""
-    return [Graph(*_mid_path(3)), Graph(*_mid_path(7)), Graph(*_theta(1, 3, 7)),
-            Graph(*_bowtie(4, 4))]
+    cycle with a tail first reaches n // 2 < D at source 1, with no distance
+    above n // 2 known yet; the theta graph is a 10-cycle with an ear of 3
+    edges, and ecc(0) = n // 2 - 1 < D = n // 2."""
+    return [Graph(*_cycle_with_tail()), Graph(*_theta(1, 3, 7))]
 
 
 def _mutate(monkeypatch, fn, old, new):
@@ -563,6 +581,13 @@ def test_cap_mutants_are_caught(monkeypatch, mutant):
                 "if root_children > 1:", "if False:")
     wrong = [g.edges() for g in _cap_witnesses()
              if diameter_pair(g) != diameter_pair_allpairs(g)]
+    if mutant == "no-root-children-rule":
+        # A lone cut vertex at the root leaves no distance above n // 2 that
+        # the double sweep misses, so the scan never asks; the DFS errs on
+        # the bowtie, whose two 4-cycles share vertex 0.
+        assert not wrong
+        g = Graph(*_bowtie(4, 4))
+        wrong = [g.edges()] if copsrobbers.graph._biconnected(g._adj) else []
     assert bool(wrong) == (mutant != "none"), wrong
 
 
