@@ -222,7 +222,9 @@ def trivial_region_boundary(tol: float = 1e-6) -> BoundaryBracket:
 
     Below L* the bound exceeds n and is vacuous; above it the bound bites.
     The margin is positive at L = 2 and negative at L = 4096; bisection
-    narrows that bracket to `tol`, which must be positive and finite.
+    narrows that bracket to `tol`, which must be positive and finite, and
+    wide enough that the bracket keeps two distinct ends at
+    ``PRECISION_BITS`` bits (tol of about 1e-54 and up).
 
     Midpoints are signed in float where the float margin is far from 0, and
     by interval evaluation elsewhere.  The float-signed endpoints of the last
@@ -239,6 +241,11 @@ def trivial_region_boundary(tol: float = 1e-6) -> BoundaryBracket:
     bracket, screened = _bisect(a, b, tol, screen=True)
     if any(_interval_sign(x) != sgn for x, sgn in screened):
         bracket, _ = _bisect(a, b, tol, screen=False)
+    if not bracket.low < bracket.high:
+        # a midpoint interval evaluation cannot sign, shrunk by tol/4 to each
+        # side, rounds back onto itself: the bracket would be one point
+        raise ValueError(f"tolerance {tol} is below the {PRECISION_BITS}-bit resolution "
+                         "of the boundary")
     return bracket
 
 

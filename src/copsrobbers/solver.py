@@ -10,7 +10,10 @@ three kinds of pass:
   robber step:  (i, r) is won unless some x in N[r] has (i, x) unwon with the
                 cops to move.  The complement of the cops-to-move labels is
                 cut into its n robber slabs, slab r of the result is the OR
-                of the slabs over N[r], and Horner shifts rebuild the table.
+                of the slabs over N[r], and the table is rebuilt.  A table
+                of one chunk (below) is cut by shifts and rebuilt by Horner
+                shifts; a wider one is cut and joined by halving, so each
+                bit is passed over about log2(n) times, not n/2.
   lowest cop digit (weight 1): the cops move independently, so "some joint
                 cop move reaches a won robber-to-move state" is one pass per
                 cop digit.  On this one, field x of every n-bit group is
@@ -21,30 +24,39 @@ three kinds of pass:
                 relation.  For an offset d = c - x with c in N[x], the bits
                 whose digit is such an x are masked, shifted d places of the
                 digit and ORed in.  Closed neighbourhoods are symmetric, so
-                offset -d shifts first and then applies the mask of d.  The
-                table is cut into chunks of whole robber slabs by halving,
-                every digit runs on one chunk at a time with masks one chunk
-                wide, and the chunks are joined again.
+                offset -d shifts first and then applies the mask of d.
+
+The cop passes run on chunks of whole robber slabs, cut by halving and
+joined again: every digit, the lowest included, runs on one chunk at a time
+with masks one chunk wide.  A cop pass keeps the robber's vertex and is only
+ORed into the cops-to-move labels, which only grow, so a chunk that is empty
+or whose robber slabs were all cops-won at the last robber step is skipped:
+it would change no label.
 
 The fixpoint is computed by Jacobi-style sweeps -- every sweep reads only the
 previous sweep's labels -- so each state's first-won sweep is well defined.
 The sweeps are semi-naive: each pass works from what the last sweep won.
 The cop passes are OR-linear, and the spread of the older robber-to-move wins
 is already in the cops-to-move labels, so they spread only the robber-to-move
-states won in the last sweep (capture, at the first).  The robber step reads
-the cops-to-move labels whole, but after a sweep that won none of them it
-would rebuild the last sweep's result, so it is skipped.  Either way each
-sweep's labels, and so each state's first-won sweep, are those of the full
-sweep.
+states won in the last sweep.  The robber step reads the cops-to-move labels
+whole, but after a sweep that won none of them it would rebuild the last
+sweep's result, so it is skipped.  Either way each sweep's labels, and so
+each state's first-won sweep, are those of the full sweep.
+Sweep 0 is built slab by slab in closed form: slab c of capture is the cop
+tuples with some digit equal to c, and slab r of its spread by the first cop
+pass is the tuples with some digit in N[r] (a cop on x can step onto r iff
+x is in N[r]).  A table of one chunk spreads capture by its one chunk pass
+instead, which for tables that small costs less than the n + 2m slab ORs.
 The final cops-to-move labels, and the first-won sweep of every
 robber-to-move state as ceil(log2(sweeps + 1)) bit-plane tables, are kept
 as bytes, so a state probe costs O(1) and a level costs O(log sweeps).
 A solve holds a few tables besides the planes (the n robber slabs together
-are one, and so are the chunks), and k - 1 diagonal masks one chunk wide per
-offset d > 0: at most (k - 1)(n - 1) chunks, which is under k - 1 tables
-once a chunk is one slab.  ``budget`` bounds the bits of one table.  Labels
-are symmetric under permuting the cops, so the lowest cop tuple that wins in
-every robber slab is sorted: it is the lex-smallest winning multiset.
+are one, and so are the chunks and each level of a halving), and k - 1
+diagonal masks one chunk wide per offset d > 0: at most (k - 1)(n - 1)
+chunks, which is under k - 1 tables once a chunk is one slab.  ``budget``
+bounds the bits of one table.  Labels are symmetric under permuting the
+cops, so the lowest cop tuple that wins in every robber slab is sorted: it
+is the lex-smallest winning multiset.
 
 ``SolverCop`` plays the joint move with the least (first-won sweep, sorted
 target, ordered target).  The joint moves are one n**k-bit mask, the product
@@ -76,6 +88,8 @@ Definitions (cops win a state):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .errors import ResourceLimitError
 from .graph import Graph, is_connected
@@ -145,6 +159,33 @@ def _slabs(table: int, count: int, width: int) -> list:
     return [(table >> (x * width)) & mask for x in range(count)]
 
 
+def _horner(slabs, width: int) -> int:
+    """The table whose consecutive `width`-bit slabs are `slabs`, lowest first."""
+    table = 0
+    for slab in reversed(slabs):
+        table = (table << width) | slab
+    return table
+
+
+def _halve(table: int, count: int, width: int) -> list:
+    """`_slabs` by halving: every bit is passed over once per level, about
+    log2(count) times, where the shifts pass over count/2 tables."""
+    if count == 1:
+        return [table]
+    half = count // 2
+    bits = half * width
+    low = table & ((1 << bits) - 1)
+    return _halve(low, half, width) + _halve(table >> bits, count - half, width)
+
+
+def _unhalve(slabs, width: int) -> int:
+    """`_horner` by halving."""
+    if len(slabs) == 1:
+        return slabs[0]
+    half = len(slabs) // 2
+    return _unhalve(slabs[:half], width) | (_unhalve(slabs[half:], width) << (half * width))
+
+
 def _chunk_slabs(n: int, k: int) -> int:
     """Robber slabs per chunk: the fewest that reach _CHUNK_BITS, at most n."""
     return min(n, -(-_CHUNK_BITS // n**k))
@@ -168,43 +209,70 @@ def _diagonal_masks(closed, k: int, width: int) -> tuple:
     return tuple(masks)
 
 
-def _spread_digits(chunk: int, n: int, masks) -> int:
-    """Bit (.., c, ..) of the result is set iff some x in N[c] has bit
-    (.., x, ..) set in `chunk`, applied along every cop digit of `masks`.
+def _spread_cops(chunk: int, cmask, zero, masks) -> int:
+    """The cop pass over every cop digit of `chunk`, whole robber slabs: bit
+    (.., c, ..) of the result is set iff some x in N[c] has bit (.., x, ..)
+    set, along each digit.
 
-    Offset 0 keeps the chunk (x is in N[x]); offset d moves the masked
-    digits x up to x + d, and offset -d moves the digits x + d down to x.
+    On the lowest digit field x of every n-bit group is masked out by `zero`
+    and multiplied by ``cmask[x]``.  On the others, offset 0 keeps the chunk
+    (x is in N[x]); offset d of `masks` moves the masked digits x up to
+    x + d, and offset -d moves the digits x + d down to x.
     """
+    n = len(cmask)
+    reach = 0
+    for x, spread in enumerate(cmask):
+        reach |= ((chunk >> x) & zero) * spread
     for p, diagonals in enumerate(masks, 1):
         stride = n ** p
-        out = chunk
+        out = reach
         for d, mask in diagonals:
             shift = d * stride
-            out |= ((chunk & mask) << shift) | ((chunk >> shift) & mask)
-        chunk = out
-    return chunk
+            out |= ((reach & mask) << shift) | ((reach >> shift) & mask)
+        reach = out
+    return reach
 
 
-def _by_chunks(table: int, count: int, per: int, cells: int, n: int, masks) -> int:
-    """`_spread_digits` applied to each chunk of `per` robber slabs of the
-    `count`-slab `table` (the last chunk may be shorter), the results joined
-    again.
+def _by_chunks(table: int, first: int, count: int, per: int, cells: int, free,
+               cmask, zero, masks) -> int:
+    """`_spread_cops` applied to each chunk of `per` robber slabs of the
+    `count`-slab `table` whose lowest slab is slab `first` (the last chunk
+    may be shorter), the results joined again.
 
     The table is halved at a chunk boundary, so the cut and the join pass
     over every bit once per level of the halving, log2(count / per) times.
-    A big-int pass costs the full width whatever the popcount, so an empty
-    table or half is returned at once, neither cut nor spread.
+    A big-int pass costs the full width whatever the popcount, so a part
+    that is empty, or whose slabs of `free` (the unwon cops-to-move labels)
+    are all 0, is returned as 0, neither cut nor spread.
     """
-    if not table:
+    if not table or not any(free[first:first + count]):
         return 0
     if count <= per:
-        return _spread_digits(table, n, masks)
+        return _spread_cops(table, cmask, zero, masks)
     cut = (count + per - 1) // per // 2 * per    # slabs below the cut
     bits = cut * cells
     high = table >> bits
-    table &= (1 << bits) - 1
-    table = _by_chunks(table, cut, per, cells, n, masks)
-    return table | (_by_chunks(high, count - cut, per, cells, n, masks) << bits)
+    table = _by_chunks(table & ((1 << bits) - 1), first, cut, per, cells, free, cmask, zero, masks)
+    return table | (_by_chunks(high, first + cut, count - cut, per, cells, free, cmask, zero, masks)
+                    << bits)
+
+
+def _capture(n: int, k: int) -> list:
+    """Capture slab by slab: slab c is the cop tuples with some digit equal to c."""
+    cells = n ** k
+    caps = [0] * n
+    for p in range(k):
+        w = n ** p
+        digit = _tile((1 << w) - 1, n * w, cells)   # the tuples whose digit of weight w is 0
+        caps = [slab | digit << (c * w) for c, slab in enumerate(caps)]
+    return caps
+
+
+def _first_reach(caps, closed) -> list:
+    """Sweep 0's cop pass in closed form, slab by slab: a cop on x can step
+    onto r iff x is in N[r], so slab r of the spread of capture is the
+    tuples with some digit in N[r], the OR of capture's slabs over N[r]."""
+    return [reduce(or_, map(caps.__getitem__, nbhd)) for nbhd in closed]
 
 
 def _solve(g: Graph, k: int) -> _Tables:
@@ -213,22 +281,29 @@ def _solve(g: Graph, k: int) -> _Tables:
     size = n * cells
     nbytes = (size + 7) // 8
     ones = (1 << size) - 1
+    full = (1 << cells) - 1
     closed = g.closed_neighborhoods()
     cmask = [0] * n         # cmask[x]: N[x] as an n-bit mask
     for x, nbhd in enumerate(closed):
         for c in nbhd:
             cmask[x] |= 1 << c
-    zero = _tile(1, n, size)    # the bits whose lowest cop digit is 0
     per = _chunk_slabs(n, k)
+    zero = _tile(1, n, per * cells)     # the bits of a chunk whose lowest cop digit is 0
     masks = _diagonal_masks(closed, k, per * cells)
+    # tables of one chunk are cut and joined by shifts, wider ones by halving
+    cut, join = (_slabs, _horner) if per == n else (_halve, _unhalve)
 
-    capture = 0             # robber slab c: the tuples with some cop digit equal to c
-    for p in range(k):
-        diag = _tile((1 << n**p) - 1, n ** (p + 1), cells)
-        for c in range(n):
-            capture |= diag << (c * cells + c * n**p)
-    win_cop = win_rob = capture
-    fresh = capture         # robber-to-move states won in the last sweep
+    caps = _capture(n, k)
+    win_cop = win_rob = join(caps, cells)
+    free = [full ^ slab for slab in caps]  # slabs of the unwon cops-to-move labels
+    # the cop pass of the coming sweep: a table of one chunk spreads capture
+    # by its chunk's pass, which for tables that small costs less than the
+    # closed form's n + 2m slab ORs
+    if per == n:
+        reach = _spread_cops(win_rob, cmask, zero, masks)
+    else:
+        reach = join(_first_reach(caps, closed), cells)
+    del caps
     cop_won = True          # whether the last sweep won a cops-to-move state
     planes = []             # planes[j]: states whose first-won sweep has bit j set
     sweep = 0               # capture is sweep 0
@@ -238,24 +313,16 @@ def _solve(g: Graph, k: int) -> _Tables:
         # new cops-to-move wins, `escape` would be the last one: nothing to win
         new_rob = win_rob
         if cop_won:
-            free = _slabs(ones ^ win_cop, n, cells)
-            escape = 0
-            for nbhd in reversed(closed):
-                slab = 0
-                for x in nbhd:
-                    slab |= free[x]
-                escape = (escape << cells) | slab
-            del free
+            if per == n:    # one chunk: Horner shifts rebuild the table as it is made
+                escape = 0
+                for nbhd in reversed(closed):
+                    slab = 0
+                    for x in nbhd:
+                        slab |= free[x]
+                    escape = (escape << cells) | slab
+            else:
+                escape = join([reduce(or_, map(free.__getitem__, nbhd)) for nbhd in closed], cells)
             new_rob |= ones ^ escape
-        # cops to move: one existential pass per cop digit over the last
-        # sweep's wins (the older wins' spread is in win_cop); on the lowest,
-        # field x of every n-bit group spreads to N[x] by one multiplication,
-        # and the others run along the diagonals, one chunk at a time
-        reach = 0
-        for x in range(n):
-            reach |= ((fresh >> x) & zero) * cmask[x]
-        if k > 1:
-            reach = _by_chunks(reach, n, per, cells, n, masks)
         new_cop = win_cop | reach
         fresh = new_rob ^ win_rob
         cop_won = new_cop != win_cop
@@ -267,6 +334,16 @@ def _solve(g: Graph, k: int) -> _Tables:
             if sweep >> j & 1:
                 planes[j] |= fresh
         win_rob, win_cop = new_rob, new_cop
+        if cop_won:
+            free = cut(ones ^ win_cop, n, cells)
+        # cops to move: one existential pass per cop digit over the last
+        # sweep's wins (the older wins' spread is in win_cop), one chunk at a
+        # time.  A cop pass keeps the robber's vertex and win_cop only grows,
+        # so a chunk whose slabs are all won already is skipped
+        if per == n:    # one chunk: what `_by_chunks` does, without its calls
+            reach = _spread_cops(fresh, cmask, zero, masks) if fresh and any(free) else 0
+        else:
+            reach = _by_chunks(fresh, 0, n, per, cells, free, cmask, zero, masks)
     sweeps = sweep + 1
     # never-won states are all ones, above every level 0..sweeps-1
     planes += [0] * (sweeps.bit_length() - len(planes))
@@ -274,9 +351,9 @@ def _solve(g: Graph, k: int) -> _Tables:
     # popped most significant first, so each int plane is freed once packed
     planes = tuple((planes.pop() | never).to_bytes(nbytes, "little") for _ in range(len(planes)))
 
-    everywhere = (1 << cells) - 1   # cop tuples that win against every robber vertex
-    for slab in _slabs(win_cop, n, cells):
-        everywhere &= slab
+    # `free` is cut from the final cops-to-move labels: the cop tuples that
+    # win against every robber vertex are those unwon in no slab
+    everywhere = full ^ reduce(or_, free)
     placement = None
     if everywhere:
         i = (everywhere & -everywhere).bit_length() - 1

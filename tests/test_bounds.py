@@ -68,9 +68,26 @@ def _same_bracket(got, want):
 
 
 @pytest.mark.parametrize("tol", [0.5, 1e-3, 1e-6, 3e-7, 1e-9, 1e-12, 1e-15, 1e-20, 1e-30,
-                                 1e-60])
+                                 1e-54])
 def test_boundary_matches_interval_bisection(tol):
     assert _same_bracket(trivial_region_boundary(tol), boundary_bisection_oracle(tol))
+
+
+def test_boundary_keeps_two_ends_just_above_its_resolution():
+    # 1e-54 stops at a midpoint interval evaluation cannot sign; tol/4 to
+    # each side is still more than half an ulp of L* at 192 bits
+    b = trivial_region_boundary(1e-54)
+    assert b.low < b.high
+    assert b.high - b.low <= 1e-54
+
+
+@pytest.mark.parametrize("tol", [3e-55, 1e-55, 1e-60])
+def test_boundary_rejects_a_tolerance_below_its_resolution(tol):
+    # the midpoint shrunk by tol/4 to each side rounds back onto itself, so
+    # the bracket would be one point: low == high
+    assert boundary_bisection_oracle(tol).low == boundary_bisection_oracle(tol).high
+    with pytest.raises(ValueError, match="below the 192-bit resolution"):
+        trivial_region_boundary(tol)
 
 
 @seed(2025)

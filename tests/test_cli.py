@@ -67,6 +67,15 @@ def test_bound_values(capsys):
     assert all(s["holds"] for s in doc["chain"]["steps"])
 
 
+def test_bound_tolerance_just_above_the_resolution_brackets(capsys):
+    # 1e-60 exits 1 (test_bound_out_of_range_exits_1); 1e-54 still has two
+    # ends, though they print alike at 17 digits
+    code, out, _ = run(capsys, "bound", "--L", "1024", "--tol", "1e-54")
+    bracket = json.loads(out)["trivial_region_boundary"]
+    assert code == 0
+    assert 900 < float(bracket["low"]) <= float(bracket["high"]) < 1024
+
+
 def test_bound_d_zero_is_d_log_minus_inf(capsys):
     code, out, _ = run(capsys, "bound", "--L", "1600", "--d-zero")
     assert code == 0
@@ -92,7 +101,9 @@ def test_bound_bad_arguments_are_usage_errors(capsys, argv, message):
     (["--L", "1024", "--d-log=inf"], "infinite parameter"),
     (["--L", "1"], "series envelope invalid: D/n may reach 1.0, not below 1/2"),
     (["--L", "1600", "--d-log=1599"], "series envelope invalid: D/n may reach 0.5, not below 1/2"),
-], ids=["d-log-nan", "d-log-inf", "L1-threshold", "d-half-n"])
+    (["--L", "1024", "--tol", "1e-60"],
+     "tolerance 1e-60 is below the 192-bit resolution of the boundary"),
+], ids=["d-log-nan", "d-log-inf", "L1-threshold", "d-half-n", "tol-below-resolution"])
 def test_bound_out_of_range_exits_1(capsys, argv, message):
     assert run(capsys, "bound", *argv) == (1, "", f"error: {message}\n")
 

@@ -21,6 +21,7 @@ from copsrobbers import (
     gen_hypercube,
     gen_path,
     gen_petersen,
+    gen_projective_incidence,
     is_dismantlable,
     is_k_copwin,
     k_copwin_placement,
@@ -30,8 +31,8 @@ from copsrobbers import (
 from copsrobbers import solver
 from copsrobbers.engine import GreedyFarRobber, RandomRobber, View
 from copsrobbers.solver import (
-    DEFAULT_STATE_BUDGET, SolverCop, _bit, _by_chunks, _chunk_slabs, _diagonal_masks, _solve,
-    _tables)
+    DEFAULT_STATE_BUDGET, SolverCop, _bit, _by_chunks, _capture, _chunk_slabs, _diagonal_masks,
+    _first_reach, _halve, _horner, _slabs, _solve, _spread_cops, _tables, _tile, _unhalve)
 
 from conftest import all_connected_graphs, random_connected, random_girth5
 from oracles import (
@@ -272,25 +273,136 @@ def test_tables_are_pinned_over_many_sweeps(g, k, sweeps, digest):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 14), st.integers(2, 4), st.integers(1, 14), st.floats(0.1, 0.9),
+@given(st.integers(1, 14), st.integers(1, 4), st.integers(1, 14), st.floats(0.1, 0.9),
        st.integers(0, 6), st.integers(0, 10**6))
 @example(n=14, k=3, per=1, p=0.3, sparsity=4, seed=0)     # one slab per chunk
 @example(n=14, k=3, per=14, p=0.3, sparsity=4, seed=1)    # the whole table
 @example(n=14, k=2, per=4, p=0.3, sparsity=2, seed=2)     # an uneven last chunk
-def test_chunked_diagonal_passes_match_the_per_vertex_reference(n, k, per, p, sparsity, seed):
+@example(n=9, k=1, per=9, p=0.5, sparsity=0, seed=3)      # the lowest digit alone
+def test_chunked_cop_passes_match_the_per_vertex_reference(n, k, per, p, sparsity, seed):
+    # every cop digit, the lowest (stride 1) included; a chunk whose slabs of
+    # `free` are all 0 (all won) is left out, so it is 0 in the result
     g = gen_gnp(n, p, seed)        # the pass needs no connected graph
     closed = [(v,) + g.neighbors(v) for v in range(n)]
     cells, size = n ** k, n ** (k + 1)
+    per = min(per, n)
     rng = random.Random(seed)
     table = (1 << size) - 1         # each bit set with probability 2**-(sparsity + 1)
     for _ in range(sparsity + 1):
         table &= rng.getrandbits(size)
+    free = [int(rng.random() < 0.7) for _ in range(n)]
     expected = table
-    for q in range(1, k):
+    for q in range(k):
         expected = some_neighbor_reference(expected, closed, n ** q, size)
-    masks = _diagonal_masks(closed, k, min(per, n) * cells)
-    got = _by_chunks(table, n, per, cells, n, masks)
-    assert got == expected
+    for first in range(0, n, per):
+        if not any(free[first:first + per]):
+            expected &= ~(((1 << (per * cells)) - 1) << (first * cells))
+    cmask = [sum(1 << c for c in nbhd) for nbhd in closed]
+    zero = _tile(1, n, per * cells)
+    masks = _diagonal_masks(closed, k, per * cells)
+    assert _by_chunks(table, 0, n, per, cells, free, cmask, zero, masks) == expected
+
+
+def _capture_reference(n, k):
+    """The capture table bit by bit: bit r*n**k + i is set iff some base-n
+    digit of cop tuple i equals r."""
+    cells = n ** k
+    bits = bytearray((n * cells + 7) // 8)
+    for i in range(cells):
+        for r in {i // n**q % n for q in range(k)}:
+            b = r * cells + i
+            bits[b >> 3] |= 1 << (b & 7)
+    return int.from_bytes(bits, "little")
+
+
+@pytest.mark.parametrize("g, k, per", [
+    (gen_cycle(5), 1, 5), (gen_cycle(5), 2, 5), (gen_cycle(5), 3, 5), (gen_cycle(5), 4, 5),
+    (gen_petersen(), 3, 10), (gen_petersen(), 4, 4),
+    (gen_projective_incidence(2), 3, 12),
+    (random_connected(16, seed=2, p=0.3), 4, 1),
+], ids=["c5-k1", "c5-k2", "c5-k3", "c5-k4", "petersen-k3", "petersen-k4", "heawood-k3",
+        "gnp16-k4"])
+def test_first_sweep_is_capture_and_its_spread(g, k, per):
+    # one chunk (C5, Petersen at k = 3), several (Petersen at k = 4, Heawood),
+    # and 16 vertices at k = 4, whose 65,536-bit slab is wider than a chunk:
+    # the halving cut stops at one slab.  Tables of one chunk spread capture
+    # by the chunk's pass, wider ones take the closed form.
+    n, cells = g.n, g.n ** k
+    assert _chunk_slabs(n, k) == per
+    closed = g.closed_neighborhoods()
+    capture = _capture_reference(n, k)
+    spread = capture
+    for q in range(k):
+        spread = some_neighbor_reference(spread, closed, n ** q, n * cells)
+    caps = _capture(n, k)
+    assert caps == _slabs(capture, n, cells) == _halve(capture, n, cells)
+    first = _first_reach(caps, closed)
+    assert _horner(first, cells) == _unhalve(first, cells) == spread
+    cmask = [sum(1 << c for c in nbhd) for nbhd in closed]
+    zero = _tile(1, n, per * cells)
+    masks = _diagonal_masks(closed, k, per * cells)
+    assert _by_chunks(capture, 0, n, per, cells, [1] * n, cmask, zero, masks) == spread
+    if per == n:
+        assert _spread_cops(capture, cmask, zero, masks) == spread
+
+
+# Pinned at the solver before chunks the cops have won were skipped.
+MULTI_CHUNK_PINS = {
+    "heawood": (lambda: gen_projective_incidence(2), 7,
+                "5cc360c61664beadd73c265143065fdd5f9ff8746f4655406071ae9be31524c2"),
+    "girth5-28": (lambda: random_girth5(28, seed=0), 13,
+                  "27428a6a1f0cf0cfde61f711d64b263af319142f92f6d2017fb8ee8366a07d0d"),
+}
+
+
+def _count_skips(monkeypatch):
+    """The (first slab, slab count) of every nonzero part of a cop pass that
+    ``_by_chunks`` leaves out because all its slabs are won."""
+    skips = []
+    real = solver._by_chunks
+
+    def counting(table, first, count, per, cells, free, *rest):
+        if table and not any(free[first:first + count]):
+            skips.append((first, count))
+        return real(table, first, count, per, cells, free, *rest)
+
+    monkeypatch.setattr(solver, "_by_chunks", counting)
+    return skips
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_CHUNK_PINS))
+def test_multi_chunk_solves_that_skip_won_slabs_match_the_multiset_oracle(monkeypatch, name):
+    # Heawood runs a 12-slab and a 2-slab chunk, 28 vertices 14 chunks of 2
+    # slabs; on both, cop passes with new wins reach slabs already all won
+    make, sweeps, digest = MULTI_CHUNK_PINS[name]
+    g = make()
+    assert _chunk_slabs(g.n, 3) < g.n
+    skips = _count_skips(monkeypatch)
+    t = _solve(g, 3)
+    assert skips
+    assert t.sweeps == sweeps
+    assert _tables_digest(t) == digest
+    _assert_matches_multiset_oracle(g, 3)
+
+
+@pytest.mark.parametrize("mutant", ["none", "skip-a-chunk-with-a-live-slab",
+                                    "first-reach-drops-a-neighbour"])
+def test_sweep_mutants_change_the_pinned_tables(monkeypatch, mutant):
+    if mutant == "skip-a-chunk-with-a-live-slab":
+        real = solver._by_chunks
+
+        def skip_part_won(table, first, count, per, cells, free, *rest):
+            if count <= per and not all(free[first:first + count]):
+                return 0
+            return real(table, first, count, per, cells, free, *rest)
+
+        monkeypatch.setattr(solver, "_by_chunks", skip_part_won)
+    elif mutant == "first-reach-drops-a-neighbour":
+        real = solver._first_reach
+        monkeypatch.setattr(solver, "_first_reach",
+                            lambda caps, closed: real(caps, (closed[0][:-1],) + tuple(closed[1:])))
+    make, _, digest = MULTI_CHUNK_PINS["girth5-28"]
+    assert (_tables_digest(_solve(make(), 3)) == digest) == (mutant == "none")
 
 
 def test_solver_strategy_beats_adversary():
