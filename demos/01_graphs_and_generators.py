@@ -16,15 +16,14 @@ from copsrobbers import (
     girth,
     min_degree,
     shortest_path,
-    VertexSet,
 )
 
 g = gen_petersen()
 print("Petersen graph:", g)
 print("  diameter:", diameter(g))
 print("  girth:   ", girth(g))
-print("  ball of radius 1 around vertex 0:", sorted(ball(g, VertexSet.of(10, [0]), 1)))
-print("  ball of radius 2 covers everything:", len(ball(g, VertexSet.of(10, [0]), 2)) == 10)
+print("  ball of radius 1 around vertex 0:", list(ball(g, [0], 1)))
+print("  ball of radius 2 covers everything:", len(ball(g, [0], 2)) == 10)
 
 grid = gen_grid(4, 3)
 print("\n4x3 grid geodesic between opposite corners:", shortest_path(grid, 0, 11))

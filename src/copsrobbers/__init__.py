@@ -29,8 +29,6 @@ from .expander import (
     PlanFailure,
     StrategyParams,
     build_plan,
-    decompose_level,
-    execute_plan,
     invisible_mode,
     make_expander_cop,
     sample_cop_sets,
@@ -48,11 +46,8 @@ from .generators import (
 from .graph import (
     UNREACHABLE,
     Graph,
-    VertexSet,
     ball,
     bfs_distances,
-    component_of,
-    delete_vertices,
     diameter,
     diameter_pair,
     format_edge_list,

@@ -236,12 +236,17 @@ def cmd_bound(args) -> int:
     d_log = float("-inf") if args.d_zero else args.d_log
     report = bounds.check_eq1_chain(args.L, d_log)
     bracket = bounds.trivial_region_boundary(tol=args.tol)
+    # 17 significant digits, or as many more as a narrow bracket needs for
+    # its two ends to print apart
+    digits = 17
+    while mpmath.nstr(bracket.low, digits) == mpmath.nstr(bracket.high, digits):
+        digits += 1
     doc = {
         "schema": "copsrobbers.bound/1",
         "params": {k: mpmath.nstr(v, 17) for k, v in vals.items()},
         "trivial_region_boundary": {
-            "low": mpmath.nstr(bracket.low, 17),
-            "high": mpmath.nstr(bracket.high, 17),
+            "low": mpmath.nstr(bracket.low, digits),
+            "high": mpmath.nstr(bracket.high, digits),
         },
         "chain": report.to_dict(),
     }

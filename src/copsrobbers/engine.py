@@ -66,7 +66,6 @@ __all__ = [
     "line_lengths",
     "GreedyFarRobber",
     "RandomRobber",
-    "HoldCop",
     "ChaserCop",
     "validate_transcript",
     "transcript_to_json",
@@ -498,21 +497,6 @@ class RandomRobber:
 # ---------------------------------------------------------------------------
 # Baseline cops.
 # ---------------------------------------------------------------------------
-
-class HoldCop:
-    """Cops that never move; useful as a test fixture."""
-
-    name = "hold"
-
-    def __init__(self, placement: Iterable[int]):
-        self._placement = tuple(placement)
-
-    def place(self, g, cfg):
-        return self._placement
-
-    def move(self, g, view, state):
-        return view.cop_positions, state
-
 
 class ChaserCop:
     """Every cop steps along a shortest path toward the visible robber."""

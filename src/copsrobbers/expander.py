@@ -43,7 +43,6 @@ from .errors import ResourceLimitError
 from .graph import (
     UNREACHABLE,
     Graph,
-    VertexSet,
     ball,
     bfs_distances,
     diameter,
@@ -57,7 +56,6 @@ __all__ = [
     "sample_cop_sets",
     "desk_params",
     "verify_claim",
-    "decompose_level",
     "PlanLevel",
     "CapturePlan",
     "PlanFailure",
@@ -66,7 +64,6 @@ __all__ = [
     "track_at",
     "start_scripts",
     "ScriptedCop",
-    "execute_plan",
     "make_expander_cop",
     "invisible_mode",
     "InvisibleResult",
@@ -107,7 +104,8 @@ def desk_params(g: Graph, lam: float = 2.0, density: float = 0.5) -> StrategyPar
 class CopSetFamily:
     """The sampled sets C_1..C_{t+1}; one cop lives on each membership."""
 
-    sets: tuple[VertexSet, ...]
+    sets: tuple[tuple[int, ...], ...]   # each set's vertex ids, ascending
+    n: int                              # vertices of the graph sampled from
     density: float
     seed: int
 
@@ -118,23 +116,18 @@ class CopSetFamily:
     @property
     def oversized(self) -> bool:
         """The total exceeds twice its expectation."""
-        return self.total_cops > 2 * len(self.sets) * self.density * self.sets[0].n
+        return self.total_cops > 2 * len(self.sets) * self.density * self.n
 
     def fingerprint(self):
-        return (self.seed, self.density, tuple(s.mask for s in self.sets))
+        return (self.seed, self.density, self.sets)
 
 
 def sample_cop_sets(g: Graph, params: StrategyParams, seed: int) -> CopSetFamily:
     """t+1 independent Bernoulli(density) subsets from one seeded stream."""
     rng = make_rng(seed)
-    sets = []
-    for _ in range(params.levels + 1):
-        mask = 0
-        for v in range(g.n):
-            if rng.random() < params.density:
-                mask |= 1 << v
-        sets.append(VertexSet(g.n, mask))
-    return CopSetFamily(sets=tuple(sets), density=params.density, seed=seed)
+    sets = tuple(tuple(v for v in range(g.n) if rng.random() < params.density)
+                 for _ in range(params.levels + 1))
+    return CopSetFamily(sets=sets, n=g.n, density=params.density, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +156,9 @@ def verify_claim(g: Graph, family: CopSetFamily, params: StrategyParams,
         raise ResourceLimitError(
             f"{work} subset-radius checks exceed the budget of {budget}")
     radii = [1 << i for i in range(params.levels + 1)]
-    per_vertex = [tuple(ball(g, VertexSet.of(n, [v]), r).mask for r in radii)
-                  for v in range(n)]
-    set_masks = [s.mask for s in family.sets]
+    # the walk ORs balls together, so balls and sets are bitmasks here
+    per_vertex = [tuple(_mask(ball(g, (v,), r)) for r in radii) for v in range(n)]
+    set_masks = [_mask(s) for s in family.sets]
     lam = params.lam
 
     def walk(first: int, balls: tuple, a: int) -> bool:
@@ -182,6 +175,11 @@ def verify_claim(g: Graph, family: CopSetFamily, params: StrategyParams,
         return True
 
     return walk(0, (0,) * len(radii), 1)
+
+
+def _mask(ids) -> int:
+    """The bitmask whose set bits are the distinct ``ids``."""
+    return sum(1 << v for v in ids)
 
 
 # ---------------------------------------------------------------------------
@@ -238,44 +236,36 @@ def _hopcroft_karp(left: list[int], adj: dict[int, list[int]]):
 class PlanLevel:
     """One level of a plan; its radius is also its deadline round."""
 
-    candidate: VertexSet
-    core: VertexSet                     # A: Hall-deficiency closure
-    shell: VertexSet                    # D: completely matched remainder
+    candidate: tuple[int, ...]          # ids, ascending
+    core: tuple[int, ...]               # A: Hall-deficiency closure, ascending
+    shell: tuple[int, ...]              # D: completely matched remainder, ascending
     matching: dict                      # shell vertex -> cop home vertex
     routes: dict                        # shell vertex -> path home..shell
     radius: int
 
 
-def decompose_level(g: Graph, candidate: VertexSet, cops_available: VertexSet,
-                    radius: int) -> PlanLevel:
-    """Split `candidate` into a matchable shell and a deficiency core.
+def _decompose(g, candidate, cops, radius, dist_cache):
+    """Split the ascending ids ``candidate`` into a matchable shell and a
+    deficiency core.
 
-    Every shell vertex is assigned a distinct cop home within `radius`,
-    with the connecting geodesic recorded.  The split is purely
+    Every shell vertex is assigned a distinct cop home of ``cops`` within
+    ``radius``, with the connecting geodesic recorded.  The split is purely
     matching-theoretic: the core is the Hall-deficiency closure of a
-    maximum matching.
+    maximum matching.  ``dist_cache`` keeps each candidate's BFS row.
     """
-    if not candidate:
-        raise ValueError("candidate set must be nonempty")
-    return _decompose(g, candidate, cops_available, radius, {})
-
-
-def _decompose(g, candidate, cops_available, radius, dist_cache):
-    cand = list(candidate)
-    cops = list(cops_available)
     adj = {}
-    for u in cand:
+    for u in candidate:
         row = dist_cache.get(u)
         if row is None:
             row = dist_cache[u] = bfs_distances(g, (u,))
         adj[u] = [w for w in cops if row[w] != UNREACHABLE and row[w] <= radius]
-    matching, core = _hopcroft_karp(cand, adj)
-    shell = [u for u in cand if u not in core]
+    matching, core = _hopcroft_karp(candidate, adj)
+    shell = tuple(u for u in candidate if u not in core)
     routes = {u: tuple(shortest_path(g, matching[u], u)) for u in shell}
     return PlanLevel(
         candidate=candidate,
-        core=VertexSet.of(g.n, core),
-        shell=VertexSet.of(g.n, shell),
+        core=tuple(u for u in candidate if u in core),
+        shell=shell,
         matching={u: matching[u] for u in shell},
         routes=routes,
         radius=radius,
@@ -323,10 +313,11 @@ def build_plan(g: Graph, v: int, family: CopSetFamily, params: StrategyParams):
     if len(family.sets) != params.levels + 1:
         raise ValueError("family size does not match the level count")
     fp = family.fingerprint()
-    b1 = ball(g, VertexSet.of(g.n, [v]), 1)
-    hit = b1 & family.sets[0]
-    if len(b1) >= params.lam and hit:
-        w = min(hit)
+    b1 = g.closed_neighborhoods()[v]  # B(v, 1), ascending
+    first = family.sets[0]
+    hit = [w for w in b1 if w in first] if len(b1) >= params.lam else ()
+    if hit:
+        w = hit[0]
         return CapturePlan(
             start_vertex=v,
             levels=(),
@@ -435,13 +426,6 @@ class ScriptedCop:
             if tracks is None:
                 return view.cop_positions, (start, rounds)  # no plan for this start: hold
         return tuple(track_at(t, rounds) for t in tracks), (start, rounds)
-
-
-def execute_plan(g: Graph, plan: CapturePlan, family: CopSetFamily) -> ScriptedCop:
-    """Engine strategy walking one successful plan (for its start vertex)."""
-    if not isinstance(plan, CapturePlan):
-        raise ValueError("cannot execute a failed plan")
-    return ScriptedCop("expander", *start_scripts(family, {plan.start_vertex: plan}))
 
 
 def make_expander_cop(g: Graph, params: StrategyParams, seed: int):

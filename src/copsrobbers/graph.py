@@ -1,11 +1,9 @@
 """Immutable simple undirected graphs and their metric primitives.
 
 Vertices are exactly the integers ``0..n-1``, and the package passes them as
-plain ids: a BFS starts from a sequence of ids.  A :class:`Graph` holds sorted
-adjacency tuples and the values it derives from them (below).  A
-:class:`VertexSet` is a fixed-width membership bitmask over those ids, so set
-algebra costs O(n/wordsize); balls and components are returned as one, and
-``bfs_distances`` accepts one too.  Distances are exact integers;
+plain ids: a BFS starts from a sequence of ids, and a ball is returned as an
+ascending tuple of them.  A :class:`Graph` holds sorted adjacency tuples and
+the values it derives from them (below).  Distances are exact integers;
 ``UNREACHABLE`` (-1) is the only sentinel and is never a "large number".
 
 BFS tie-breaking is pinned everywhere: when several predecessors realize a
@@ -13,10 +11,11 @@ shortest path, the lowest vertex id wins.  This makes every derived object
 (geodesics, transcripts) reproducible.
 
 The metric functions measure a whole graph.  To measure inside a vertex set
-C, build the subgraph C induces (``delete_vertices``) and measure that: its
-vertices are C's members in ascending order, relabelled 0..|C|-1, so a
-search costs O(|C| + m_C), m_C the edges at C's members, however large the
-original graph is.  The relabel is monotone, so every lowest-id tie-break
+C, build the subgraph C induces and measure that (``_components`` builds one
+for each component of what deleted vertices leave): its vertices are C's
+members in ascending order, relabelled 0..|C|-1, so a search costs
+O(|C| + m_C), m_C the edges at C's members, however large the original
+graph is.  The relabel is monotone, so every lowest-id tie-break
 picks what it would pick in the original graph, and results map back
 through the ascending member list.
 
@@ -52,7 +51,6 @@ __all__ = [
     "MAX_PARSE_VERTICES",
     "FREE_PARSE_VERTICES",
     "Graph",
-    "VertexSet",
     "bfs_distances",
     "ball",
     "shortest_path",
@@ -62,8 +60,6 @@ __all__ = [
     "diameter_pair",
     "girth",
     "min_degree",
-    "delete_vertices",
-    "component_of",
     "is_connected",
     "parse_edge_list",
     "format_edge_list",
@@ -80,6 +76,9 @@ MAX_PARSE_VERTICES = 1 << 20
 FREE_PARSE_VERTICES = 1 << 16
 
 
+# Nothing in the package builds a VertexSet any more.  Its last caller is the
+# benchmark's diameter_geodesic, which passes one to bfs_distances as an
+# iterable of ids; the class goes when that workload stops doing so.
 class VertexSet:
     """Immutable subset of ``0..n-1`` backed by an integer bitmask."""
 
@@ -252,12 +251,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _check_universe(g: Graph, s: VertexSet) -> None:
-    """Refuse a vertex set over another universe than g's vertices."""
-    if s.n != g.n:
-        raise ValueError("vertex set over wrong universe")
-
-
 def _bfs(adj, dist: list[int], sources) -> list[int]:
     """BFS over the adjacency lists ``adj``, filling a seeded distance list
     in place.  Only ``UNREACHABLE`` entries are filled, so a seeded row may
@@ -310,50 +303,41 @@ def _components(g: Graph, removed) -> list[tuple[list[int], Graph]]:
     return parts
 
 
-def bfs_distances(g: Graph, sources: Sequence[int] | VertexSet) -> list[int]:
-    """Multi-source BFS hop distances from the vertex ids ``sources`` (a
-    sequence, repeats allowed, or a :class:`VertexSet` over g's vertices);
-    ``UNREACHABLE`` marks the rest."""
+def bfs_distances(g: Graph, sources: Sequence[int]) -> list[int]:
+    """Multi-source BFS hop distances from the vertex ids ``sources`` (repeats
+    allowed); ``UNREACHABLE`` marks the rest."""
     _check_sources(g, sources)
     return _bfs(g._adj, [UNREACHABLE] * g.n, sources)
 
 
-def _check_sources(g: Graph, sources: Sequence[int] | VertexSet) -> None:
+def _check_sources(g: Graph, sources: Sequence[int]) -> None:
     """Refuse the sources ``bfs_distances`` refuses: none, or one outside g."""
     if not sources:
         raise ValueError("sources must be nonempty")
-    if isinstance(sources, VertexSet):
-        _check_universe(g, sources)
-    elif not 0 <= min(sources) <= max(sources) < g.n:
+    if not 0 <= min(sources) <= max(sources) < g.n:
         raise ValueError(f"source vertex outside [0, {g.n})")
 
 
-def ball(g: Graph, a: VertexSet, r: int) -> VertexSet:
-    """All vertices within hop distance ``r`` of the set ``a``."""
-    if not a:
-        raise ValueError("ball center must be nonempty")
-    _check_universe(g, a)
+def ball(g: Graph, ids: Sequence[int], r: int) -> tuple[int, ...]:
+    """The vertices within hop distance ``r`` of the vertex ids ``ids``,
+    ascending.  It scans the adjacency of the vertices it reaches and
+    nothing else."""
+    _check_sources(g, ids)
     if r < 0:
         raise ValueError("radius must be >= 0")
-    return VertexSet(g.n, _flood(g, a.mask, r))
-
-
-def _flood(g: Graph, mask: int, steps: int = -1) -> int:
-    """Grow the bitmask ``mask`` by ``steps`` BFS layers (every layer when
-    negative).  It scans the adjacency of the vertices it reaches and
-    nothing else."""
     adj = g._adj
-    frontier = list(VertexSet(g.n, mask))
-    while frontier and steps:
-        steps -= 1
+    seen = set(ids)
+    frontier = list(seen)
+    while frontier and r:
+        r -= 1
         nxt = []
         for u in frontier:
             for v in adj[u]:
-                if not mask >> v & 1:
-                    mask |= 1 << v
+                if v not in seen:
+                    seen.add(v)
                     nxt.append(v)
         frontier = nxt
-    return mask
+    return tuple(sorted(seen))
 
 
 def walk_back(g: Graph, dist: list[int], v: int) -> list[int]:
@@ -562,23 +546,6 @@ def girth(g: Graph) -> int | float:
 
 def min_degree(g: Graph) -> int:
     return min(g.degree(v) for v in range(g.n))
-
-
-def delete_vertices(g: Graph, s: VertexSet) -> tuple[Graph, dict[int, int]]:
-    """Induced subgraph on V - s, relabeled compactly and in order; returns
-    old->new map."""
-    _check_universe(g, s)
-    if len(s) == g.n:
-        raise ValueError("cannot delete every vertex")
-    pos = {v: i for i, v in enumerate(s.complement())}
-    return _induced(g, pos), pos
-
-
-def component_of(g: Graph, v: int) -> VertexSet:
-    """Maximal connected vertex set containing v."""
-    if not 0 <= v < g.n:
-        raise ValueError("vertex outside range")
-    return VertexSet(g.n, _flood(g, 1 << v))
 
 
 def is_connected(g: Graph) -> bool:

@@ -16,7 +16,7 @@ every call, against the robber that reads the cops' distances from kept
 BFS rows of its own options.
 ``verify_claim_allsubsets`` is the hitting-claim check over 2^n union-ball
 tables that the library's small-subset walk replaced.  ``component_oracle`` is a BFS over Python sets, checked against
-the library's bitmask flood.  ``replay_final_state`` replays a transcript
+the library's component split.  ``replay_final_state`` replays a transcript
 through a cop strategy to recover the state the engine records as
 ``Transcript.final_state`` during the game.  ``robber_minimax_line`` is the
 exhaustive robber adversary as a plain memoized recursion over robber lines,
@@ -64,7 +64,7 @@ from copsrobbers.expander import (
     start_scripts,
     track_at,
 )
-from copsrobbers.graph import UNREACHABLE, Graph, VertexSet, ball, walk_back
+from copsrobbers.graph import UNREACHABLE, Graph, ball, walk_back
 from copsrobbers.guard import GuardCop
 from copsrobbers.seeds import make_rng
 from copsrobbers.solver import _bit
@@ -182,10 +182,10 @@ def diameter_pair_allpairs(g, within=None):
 
 
 def delete_vertices_oracle(g, s):
-    """Induced subgraph on V - s by a scan over every vertex and every edge;
-    returns the compact graph and the old->new map."""
-    if s.n != g.n:
-        raise ValueError("vertex set over wrong universe")
+    """Induced subgraph on V - s, s any collection of vertex ids, by a scan
+    over every vertex and every edge; returns the compact graph and the
+    old->new map."""
+    s = set(s)
     survivors = [v for v in range(g.n) if v not in s]
     if not survivors:
         raise ValueError("cannot delete every vertex")
@@ -323,17 +323,16 @@ def verify_claim_allsubsets(g, family, params, budget=1 << 20):
     if (1 << n) > budget:
         raise ResourceLimitError(f"2^{n} subsets exceed the budget of {budget}")
     radii = [1 << i for i in range(params.levels + 1)]
-    single = [VertexSet.of(n, [v]) for v in range(n)]
     # union_ball[ri][mask] built by peeling the lowest bit; O(2^n) per radius
     union_balls = []
     for r in radii:
-        per_vertex = [ball(g, single[v], r).mask for v in range(n)]
+        per_vertex = [sum(1 << u for u in ball(g, (v,), r)) for v in range(n)]
         table = [0] * (1 << n)
         for mask in range(1, 1 << n):
             low = mask & -mask
             table[mask] = table[mask ^ low] | per_vertex[low.bit_length() - 1]
         union_balls.append(table)
-    set_masks = [s.mask for s in family.sets]
+    set_masks = [sum(1 << w for w in s) for s in family.sets]
     amax = n / params.lam
     for mask in range(1, 1 << n):
         a = mask.bit_count()
@@ -643,8 +642,8 @@ def eager_meyniel(g, threshold, params, seed):
 
     Returns (nodes, pool size, timeline bound).  Each node is a dict with the
     library node's id, depth, kind, entry, duration and parent id, its
-    ``vertices`` (the component as a VertexSet; the library node lists them
-    ascending in ``members``), its children's ids, the ids of the guard nodes
+    ``vertices`` (the component's ids, ascending, as the library node lists
+    them in ``members``), its children's ids, the ids of the guard nodes
     deployed there (root first), and either its ``guard`` or its leaf fields:
     ``broken``, ``resamples``, ``family_set_sizes``, ``deadlines``, ``team``
     and ``march_routes``.
@@ -658,20 +657,20 @@ def eager_meyniel(g, threshold, params, seed):
                 "parent": guards[-1] if guards else None, "children": (), "guards": guards}
         nodes.append(node)
         d, u, v = diameter_pair_allpairs(g, comp)
-        sub, idmap = delete_vertices_oracle(g, comp.complement())
+        sub, idmap = delete_vertices_oracle(g, set(range(g.n)) - set(comp))
         rmap = sorted(comp)
         if d > threshold:
             path = walk_back(g, masked_bfs_oracle(g, (u,), comp), v)
             guard = GuardCop(g, path, component=(sub, rmap))
             node.update(kind="guard", guard=guard, guards=guards + (node["node_id"],),
                         duration=max(1, guard.approach[v0] + guard.length))
-            rest = comp - VertexSet.of(g.n, path)
+            rest = set(comp) - set(path)
             children = []
             while rest:
-                part = VertexSet.of(g.n, component_oracle(g, min(rest), rest))
-                children.append(build(part, depth + 1, entry + node["duration"],
+                part = component_oracle(g, min(rest), rest)
+                children.append(build(tuple(sorted(part)), depth + 1, entry + node["duration"],
                                       f"{label}.{len(children)}", node["guards"])["node_id"])
-                rest = rest - part
+                rest -= part
             node["children"] = tuple(children)
             return node
         family, plans, attempts = resample_family(sub, params, seed, f"{label}:fam")
@@ -690,7 +689,7 @@ def eager_meyniel(g, threshold, params, seed):
                     duration=0 if depth == 0 else max((len(r) - 1 for r in routes), default=0))
         return node
 
-    build(VertexSet.full(g.n), 0, 0, "r", ())
+    build(tuple(range(g.n)), 0, 0, "r", ())
     need = [n["depth"] + (sum(n["family_set_sizes"]) if n["kind"] == "leaf" else 1)
             for n in nodes]
     bound = 1

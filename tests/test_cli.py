@@ -2,6 +2,7 @@ import hashlib
 import json
 import sys
 import warnings
+from decimal import Decimal
 
 import pytest
 
@@ -69,11 +70,23 @@ def test_bound_values(capsys):
 
 def test_bound_tolerance_just_above_the_resolution_brackets(capsys):
     # 1e-60 exits 1 (test_bound_out_of_range_exits_1); 1e-54 still has two
-    # ends, though they print alike at 17 digits
+    # ends
     code, out, _ = run(capsys, "bound", "--L", "1024", "--tol", "1e-54")
     bracket = json.loads(out)["trivial_region_boundary"]
     assert code == 0
     assert 900 < float(bracket["low"]) <= float(bracket["high"]) < 1024
+
+
+@pytest.mark.parametrize("tol", ["1e-6", "1e-20", "1e-30", "1e-50"])
+def test_bound_prints_the_bracket_ends_apart(capsys, tol):
+    # 17 significant digits, or as many more as keep a narrow bracket's ends
+    # apart
+    code, out, _ = run(capsys, "bound", "--L", "1024", "--tol", tol)
+    bracket = json.loads(out)["trivial_region_boundary"]
+    assert code == 0
+    assert Decimal(bracket["low"]) < Decimal(bracket["high"])
+    if tol == "1e-6":
+        assert bracket == {"low": "937.44901955174282", "high": "937.44902050495148"}
 
 
 def test_bound_d_zero_is_d_log_minus_inf(capsys):

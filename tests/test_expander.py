@@ -13,11 +13,8 @@ from copsrobbers import (
     PlanFailure,
     ResourceLimitError,
     StrategyParams,
-    VertexSet,
     adversarial_robber_search,
     build_plan,
-    decompose_level,
-    execute_plan,
     gen_cycle,
     gen_gnp,
     gen_path,
@@ -30,7 +27,13 @@ from copsrobbers import (
     verify_claim,
 )
 from copsrobbers.checks import confinement_violations
-from copsrobbers.expander import ScriptedCop, desk_params, plan_summary
+from copsrobbers.expander import (
+    ScriptedCop,
+    _decompose,
+    desk_params,
+    plan_summary,
+    start_scripts,
+)
 from copsrobbers.seeds import derive_seed
 
 from conftest import random_connected
@@ -45,15 +48,13 @@ from oracles import (
 
 
 def full_family(g, levels, density=1.0):
-    sets = tuple(VertexSet.full(g.n) for _ in range(levels + 1))
-    return CopSetFamily(sets=sets, density=density, seed=0)
+    sets = tuple(tuple(range(g.n)) for _ in range(levels + 1))
+    return CopSetFamily(sets=sets, n=g.n, density=density, seed=0)
 
 
 def empty_plus_one(g, levels, cop_vertex=0):
-    sets = (VertexSet.of(g.n, [cop_vertex]),) + tuple(
-        VertexSet(g.n, 0) for _ in range(levels)
-    )
-    return CopSetFamily(sets=sets, density=0.05, seed=0)
+    sets = ((cop_vertex,),) + ((),) * levels
+    return CopSetFamily(sets=sets, n=g.n, density=0.05, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +74,7 @@ def test_sampling_density_one_and_determinism():
     g = gen_cycle(7)
     params = StrategyParams(lam=2.0, density=1.0, levels=2)
     fam = sample_cop_sets(g, params, seed=4)
-    assert all(s == VertexSet.full(7) for s in fam.sets)
+    assert all(s == tuple(range(7)) for s in fam.sets)
     assert fam.total_cops == 21
     p2 = StrategyParams(lam=2.0, density=0.4, levels=3)
     assert sample_cop_sets(g, p2, seed=9).fingerprint() == sample_cop_sets(g, p2, seed=9).fingerprint()
@@ -85,6 +86,7 @@ def test_oversized_flag():
     params = StrategyParams(lam=2.0, density=0.05, levels=1)
     for seed in range(40):
         fam = sample_cop_sets(g, params, seed=seed)
+        assert fam.n == g.n
         expected = 2 * params.density * g.n
         assert fam.oversized == (fam.total_cops > 2 * expected)
 
@@ -141,8 +143,8 @@ def test_claim_reaches_the_largest_subsets(n, lam):
     amax = int(n // lam)
     params = StrategyParams(lam=lam, density=0.5, levels=1)
     for size, expected in ((amax - 1, False), (amax, True)):
-        sets = tuple(VertexSet.of(n, range(size)) for _ in range(2))
-        fam = CopSetFamily(sets=sets, density=0.5, seed=0)
+        sets = (tuple(range(size)),) * 2
+        fam = CopSetFamily(sets=sets, n=n, density=0.5, seed=0)
         assert verify_claim(g, fam, params) is expected
         assert verify_claim_allsubsets(g, fam, params) is expected
 
@@ -154,8 +156,8 @@ def test_claim_reaches_both_ends_of_the_path(missing, expected):
     # only at subsets holding that end; missing one end vertex never fails
     g = gen_path(8)
     params = StrategyParams(lam=2.0, density=0.5, levels=1)
-    cops = VertexSet.of(8, [v for v in range(8) if v not in missing])
-    fam = CopSetFamily(sets=(cops, cops), density=0.5, seed=0)
+    cops = tuple(v for v in range(8) if v not in missing)
+    fam = CopSetFamily(sets=(cops, cops), n=8, density=0.5, seed=0)
     assert verify_claim(g, fam, params) is expected
     assert verify_claim_allsubsets(g, fam, params) is expected
 
@@ -204,13 +206,13 @@ def test_claim_fraction_and_resampling_policy_p8():
 
 
 # ---------------------------------------------------------------------------
-# decompose_level.
+# The level split.
 # ---------------------------------------------------------------------------
 
 def test_identity_matching_radius_zero():
     g = gen_path(5)
-    cand = VertexSet.of(5, [1, 2, 3])
-    split = decompose_level(g, cand, cand, 0)
+    cand = (1, 2, 3)
+    split = _decompose(g, cand, cand, 0, {})
     assert not split.core
     assert split.shell == cand
     assert split.matching == {1: 1, 2: 2, 3: 3}
@@ -220,8 +222,8 @@ def test_identity_matching_radius_zero():
 def test_hall_violation_pulls_whole_closure():
     # two candidates can only reach one cop: the alternating closure absorbs both
     g = gen_path(3)  # 0-1-2
-    split = decompose_level(g, VertexSet.of(3, [0, 1]), VertexSet.of(3, [1]), 1)
-    assert sorted(split.core) == [0, 1]
+    split = _decompose(g, (0, 1), (1,), 1, {})
+    assert split.core == (0, 1)
     assert not split.shell
 
 
@@ -230,9 +232,9 @@ def test_shell_satisfies_hall_exhaustively():
         g = random_connected(9, seed=seed)
         params = StrategyParams(lam=2.0, density=0.5, levels=2)
         fam = sample_cop_sets(g, params, seed=seed)
-        cand = VertexSet.full(9)
+        cand = tuple(range(9))
         radius = 2
-        split = decompose_level(g, cand, fam.sets[0], radius)
+        split = _decompose(g, cand, fam.sets[0], radius, {})
         dist = fw_distances(g)
         adjacency = {
             u: {w for w in fam.sets[0] if dist[u][w] <= radius}
@@ -254,22 +256,25 @@ def test_core_is_the_vertices_some_maximum_matching_misses(n, p, seed, radius, d
     # Dulmage-Mendelsohn: u is in the core iff dropping u keeps the maximum
     # matching size, i.e. some maximum matching leaves u unmatched
     g = random_connected(n, seed=seed, p=p)
-    cand = VertexSet(n, data.draw(st.integers(1, (1 << n) - 1)))
-    cops = VertexSet(n, data.draw(st.integers(0, (1 << n) - 1)))
+    cand = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))))
+    cops = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
     dist = fw_distances(g)
     adjacency = {u: [w for w in cops if dist[u][w] <= radius] for u in cand}
     nu = matching_size(cand, adjacency)
     expected = {u for u in cand if matching_size([x for x in cand if x != u], adjacency) == nu}
-    assert set(decompose_level(g, cand, cops, radius).core) == expected
+    split = _decompose(g, cand, cops, radius, {})
+    assert set(split.core) == expected
+    assert split.core == tuple(sorted(split.core))
+    assert split.shell == tuple(u for u in cand if u not in expected)
 
 
 def test_core_vs_bruteforce_largest_subset():
     # the exponential "largest non-expanding subset" need not equal the
     # Hall-deficiency closure; both must be self-consistent on tiny instances
     g = gen_path(6)
-    cand = VertexSet.of(6, [1, 2, 3])
-    cops = VertexSet.of(6, [0])
-    split = decompose_level(g, cand, cops, 1)
+    cand = (1, 2, 3)
+    cops = (0,)
+    split = _decompose(g, cand, cops, 1, {})
     brute = largest_nonexpanding_subset(g, [1, 2, 3], 1, 2.0)
     dist = fw_distances(g)
     if brute:
@@ -295,8 +300,7 @@ def test_star_all_of_b1_matches_at_radius_one():
     # with cops everywhere the whole closed neighborhood of the center is a
     # matchable shell: empty core at the first level
     star = Graph(6, [(0, i) for i in range(1, 6)])
-    split = decompose_level(g=star, candidate=VertexSet.full(6),
-                            cops_available=VertexSet.full(6), radius=1)
+    split = _decompose(star, tuple(range(6)), tuple(range(6)), 1, {})
     assert not split.core and len(split.shell) == 6
 
 
@@ -306,7 +310,7 @@ def test_star_plan_catches_by_round_one():
     fam = full_family(star, 2)
     plan = build_plan(star, 0, fam, params)
     assert isinstance(plan, CapturePlan) and plan.capture_deadline == 1
-    cop = execute_plan(star, plan, fam)
+    cop = ScriptedCop("expander", *start_scripts(fam, {0: plan}))
     cfg = GameConfig(cop_count=fam.total_cops, max_rounds=5, seed=0)
 
     class Still:
@@ -342,8 +346,9 @@ def test_plan_level_partition_and_growth():
     for v in range(g.n):
         plan = build_plan(g, v, fam, params)
         for lv in plan.levels:
-            assert not (lv.core & lv.shell)
-            assert (lv.core | lv.shell) == lv.candidate
+            assert lv.candidate == tuple(sorted(set(lv.candidate)))
+            assert not set(lv.core) & set(lv.shell)
+            assert sorted(lv.core + lv.shell) == list(lv.candidate)
         if isinstance(plan, CapturePlan) and plan.kind == "levels":
             assert not plan.levels[-1].core
             assert plan.capture_deadline == 1 << (plan.terminal_level - 1)
@@ -405,11 +410,11 @@ def test_plan_family_mismatch_rejected():
     fam2 = sample_cop_sets(g, StrategyParams(lam=2.0, density=0.5, levels=1), seed=2)
     plan = build_plan(g, 0, fam1, params)
     with pytest.raises(ValueError):
-        execute_plan(g, plan, fam2)
+        start_scripts(fam2, {0: plan})
 
 
 # ---------------------------------------------------------------------------
-# execute_plan against the exhaustive adversary.
+# Scripted expander teams against the exhaustive adversary.
 # ---------------------------------------------------------------------------
 
 def test_expander_confines_and_catches_small_corpus():

