@@ -159,22 +159,24 @@ def verify_claim(g: Graph, family: CopSetFamily, params: StrategyParams,
     # the walk ORs balls together, so balls and sets are bitmasks here
     per_vertex = [tuple(_mask(ball(g, (v,), r)) for r in radii) for v in range(n)]
     set_masks = [_mask(s) for s in family.sets]
-    lam = params.lam
+    return _claim_walk(0, (0,) * len(radii), 1, amax, per_vertex, set_masks, params.lam)
 
-    def walk(first: int, balls: tuple, a: int) -> bool:
-        # balls[i] = B(A, 2^i) for the current A of size a-1; extend by v >= first
-        for v in range(first, n):
-            grown = tuple(b | pv for b, pv in zip(balls, per_vertex[v]))
-            for bmask in grown:
-                if bmask.bit_count() >= lam * a:
-                    for smask in set_masks:
-                        if (bmask & smask).bit_count() < a:
-                            return False
-            if a < amax and not walk(v + 1, grown, a + 1):
-                return False
-        return True
 
-    return walk(0, (0,) * len(radii), 1)
+def _claim_walk(first: int, balls: tuple, a: int, amax: int, per_vertex: list,
+                set_masks: list, lam: float) -> bool:
+    """``verify_claim``'s walk below the current subset A of size a-1, whose
+    union balls are ``balls[i] = B(A, 2^i)``: extend A by each v >= first.
+    A module function, not a closure, so a call leaves no reference cycle."""
+    for v in range(first, len(per_vertex)):
+        grown = tuple(b | pv for b, pv in zip(balls, per_vertex[v]))
+        for bmask in grown:
+            if bmask.bit_count() >= lam * a:
+                for smask in set_masks:
+                    if (bmask & smask).bit_count() < a:
+                        return False
+        if a < amax and not _claim_walk(v + 1, grown, a + 1, amax, per_vertex, set_masks, lam):
+            return False
+    return True
 
 
 def _mask(ids) -> int:
@@ -215,21 +217,25 @@ def _hopcroft_karp(left: list[int], adj: dict[int, list[int]]):
                     q.append(u2)
         return found
 
-    def dfs(u: int) -> bool:
-        for w in adj[u]:
-            u2 = pair_r.get(w)
-            if u2 is None or (dist[u2] == dist[u] + 1 and dfs(u2)):
-                pair_l[u] = w
-                pair_r[w] = u
-                return True
-        dist[u] = INF
-        return False
-
     while bfs():
         for u in left:
             if u not in pair_l:
-                dfs(u)
+                _augment(u, adj, pair_l, pair_r, dist)
     return pair_l, {u for u in left if dist[u] != INF}
+
+
+def _augment(u: int, adj: dict, pair_l: dict, pair_r: dict, dist: dict) -> bool:
+    """Hopcroft-Karp's DFS: an augmenting path from u along the BFS layers
+    ``dist``, lowest neighbour first, flipped into the matching if found.  A
+    module function, not a closure, so a call leaves no reference cycle."""
+    for w in adj[u]:
+        u2 = pair_r.get(w)
+        if u2 is None or (dist[u2] == dist[u] + 1 and _augment(u2, adj, pair_l, pair_r, dist)):
+            pair_l[u] = w
+            pair_r[w] = u
+            return True
+    dist[u] = math.inf
+    return False
 
 
 @dataclass(frozen=True)

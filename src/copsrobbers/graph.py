@@ -32,9 +32,13 @@ share one scan.
 
 A :class:`Graph` keeps every value it derives (the diameter triple, the
 connectivity bit, the edge-list hash, the closed-neighbourhood table, the
-solver's tables) in one private store, filled
-through ``Graph._keep``.  The store lives and dies with the graph, so its
-memory follows the live graphs, and equal but distinct graphs keep their own.
+solver's tables) in one private store, filled through ``Graph._keep``.  A
+value that also depends on arguments beyond the adjacency (the recursion
+tree of :mod:`copsrobbers.meyniel`, fixed by its threshold, parameters and
+seed) is kept through ``Graph._keep_latest``, one value per slot: the last
+one made.  No kept value refers to its graph, so the store lives and dies
+with the graph without a reference cycle, its memory follows the live
+graphs, and equal but distinct graphs keep their own.
 """
 
 from __future__ import annotations
@@ -214,11 +218,30 @@ class Graph:
 
         Every kept value is immutable and fixed by the adjacency, so callers
         sharing the graph see one value, and two tasks racing to fill a key
-        make and store equal values: the graph stays safe to share.
+        make and store equal values: the graph stays safe to share.  No kept
+        value refers to the graph, so none forms a cycle through ``_kept``
+        that only the cyclic garbage collector could free.
         """
         value = self._kept.get(key)
         if value is None:
             value = self._kept[key] = make()
+        return value
+
+    def _keep_latest(self, slot, key, make):
+        """The value kept in ``slot`` if it was made for an equal ``key``;
+        otherwise ``make()``, which then replaces it.
+
+        The slot holds the last value made, so a sweep over keys keeps one
+        value, never a value per key.  It holds one ``(key, value)`` tuple,
+        read once, so a task sharing the graph never pairs a key with the
+        value made for another.  As with :meth:`_keep`, the value is fixed by
+        the adjacency (and here the key) and does not refer to the graph.
+        """
+        kept = self._kept.get(slot)
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        value = make()
+        self._kept[slot] = (key, value)
         return value
 
     def neighbors(self, v: int) -> tuple[int, ...]:

@@ -7,10 +7,11 @@ robber's component.  At or below the threshold, march a sampled cop family
 onto its home vertices inside the component, read the robber's position and
 run the level-decomposition plan.  Each node of the recursion holds its
 component's induced subgraph, built once, and the ascending original ids of
-its vertices; the root's is the graph itself, with ``range(n)`` for its ids,
-so it shares the graph's kept diameter.  The diameter, the geodesic, the
-split, the guard's shadow and the leaf's expander all run on the node's
-subgraph, and their results map back to original ids through that list.  The
+its vertices; the root's is a second graph on the same adjacency tuple, with
+``range(n)`` for its ids.  The diameter, the geodesic, the split, the
+guard's shadow and the leaf's expander all run on the node's subgraph (at
+the root on the graph itself, so the root reads and fills the graph's kept
+diameter), and their results map back to original ids through that list.  The
 relabel is monotone, so every lowest-id choice is the one the original ids
 would give.  The list is the node's one record of its component: the cops
 find the robber's component among a guard node's children by a binary search
@@ -39,6 +40,16 @@ deadlines.  Both windows read d(v0, .) from one BFS at v0.  A game walks one
 root-to-leaf chain, so a node's cop objects (a guard's ``GuardCop``, a leaf's
 ``ScriptedCop`` team and march routes) are built on first use, through
 :meth:`MeynielAnalysis.cops`, and kept on the node.
+
+The tree (its nodes, the pool size and the v0 distance row) is kept on the
+graph, as the diameter and the solver's tables are: a second analysis with
+the same threshold, parameters and seed, such as the second robber's game
+or an exhaustive check after a game, reads it instead of building it
+again, cop objects included.  A graph keeps only the last tree built on it,
+so a seed sweep holds one.  The tree never refers to the graph (the root's
+twin shares only its adjacency tuple), so the graph's store forms no
+reference cycle; :class:`MeynielAnalysis` is the per-call view that holds
+the graph and builds the cop objects from it.
 """
 
 from __future__ import annotations
@@ -124,8 +135,22 @@ class _Node:
         return {self.members[v]: plan.capture_deadline for v, plan in self.plans.items()}
 
 
+@dataclass(frozen=True)
+class _Tree:
+    """What an analysis keeps on its graph; it refers to no graph but the
+    nodes' own subgraphs."""
+
+    nodes: tuple      # every _Node, by id; the root first
+    pool_size: int
+    dist_v0: list     # d(v0, .) in the whole graph
+
+
 class MeynielAnalysis:
-    """Precomputed recursion tree, stage windows and cop-pool sizing."""
+    """Precomputed recursion tree, stage windows and cop-pool sizing.
+
+    The tree is kept on ``g`` under its (threshold, params, seed) and built
+    only when the last one kept there has another key.
+    """
 
     def __init__(self, g: Graph, threshold: int, params: StrategyParams, seed: int):
         if threshold < 1:
@@ -135,14 +160,21 @@ class MeynielAnalysis:
         self.params = params
         self.seed = seed
         self.v0 = 0  # every cop starts here
+        tree = g._keep_latest("meyniel", (threshold, params, seed), self._grow)
+        self.nodes = tree.nodes
+        self.root = tree.nodes[0]
+        self.pool_size = tree.pool_size
+        self._dist_v0 = tree.dist_v0
+
+    def _grow(self) -> _Tree:
+        g = self.g
         self._dist_v0 = bfs_distances(g, (self.v0,))
         if UNREACHABLE in self._dist_v0:
             raise ValueError("recursion requires a connected graph")
-        self.nodes: list[_Node] = []
-        self.root = self._build(g, range(g.n), depth=0, entry=0, label="r", parent=None)
-        self.pool_size = max(
-            max((self._need(n) for n in self.nodes), default=1), 1
-        )
+        self.nodes = []
+        self._build(g, range(g.n), depth=0, entry=0, label="r", parent=None)
+        nodes = tuple(self.nodes)
+        return _Tree(nodes, max(1, max(self._need(n) for n in nodes)), self._dist_v0)
 
     def _need(self, node: _Node) -> int:
         """Cops in play at `node`: one guard per ancestor, then its own
@@ -154,8 +186,11 @@ class MeynielAnalysis:
     def _build(self, h: Graph, members: Sequence[int], depth: int, entry: int, label: str,
                parent: int | None) -> _Node:
         d, u, v = diameter_pair(h)
+        # the root measures the graph itself but keeps a twin on its
+        # adjacency: a kept node never refers to the graph
         node = _Node(node_id=len(self.nodes), depth=depth,
-                     kind="leaf" if d <= self.threshold else "guard", graph=h,
+                     kind="leaf" if d <= self.threshold else "guard",
+                     graph=h if parent is not None else Graph._trusted(h._adj),
                      members=members, entry=entry, parent=parent)
         self.nodes.append(node)
         if node.kind == "leaf":

@@ -1,4 +1,6 @@
+import gc
 import hashlib
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,8 @@ from copsrobbers import (
     validate_transcript,
 )
 from copsrobbers.engine import GreedyFarRobber, RandomRobber, View, expand_game_layers
-from copsrobbers.expander import desk_params
+from copsrobbers import checks
+from copsrobbers.expander import desk_params, sample_cop_sets, verify_claim
 from copsrobbers.meyniel import MeynielAnalysis, MeynielCop
 from copsrobbers.seeds import make_rng
 
@@ -375,3 +378,104 @@ def test_desk_params_and_two_runs_share_one_whole_graph_scan(diameter_scans):
         assert run_meyniel(g, 3, params, cfg(), robber=robber).caught
     assert diameter_scans.count(100) == 1
     assert max(diameter_scans[1:]) < 100
+
+
+# ---------------------------------------------------------------------------
+# The recursion tree kept on its graph.
+# ---------------------------------------------------------------------------
+
+def _count_builds(monkeypatch):
+    """The graphs whose tree is built from here on, one entry per build."""
+    built = []
+    grow = MeynielAnalysis._grow
+
+    def counting_grow(self):
+        built.append(self.g)
+        return grow(self)
+
+    monkeypatch.setattr(MeynielAnalysis, "_grow", counting_grow)
+    return built
+
+
+def test_same_key_reuses_the_kept_tree(monkeypatch):
+    g = gen_grid(10, 10)
+    an = MeynielAnalysis(g, 3, PARAMS, seed=1)
+    an.cops(an.nodes[-1])
+    monkeypatch.setattr(MeynielAnalysis, "_build",
+                        lambda *a, **kw: pytest.fail("kept tree built again"))
+    # an equal but distinct params object is the same key
+    again = MeynielAnalysis(g, 3, StrategyParams(lam=2.0, density=0.8, levels=3), seed=1)
+    assert again.nodes is an.nodes and again.root is an.root
+    assert (again.pool_size, again.timeline_bound()) == (an.pool_size, an.timeline_bound())
+    assert again.cops(again.nodes[-1]) is an.cops(an.nodes[-1])
+    assert again.g is g
+
+
+@pytest.mark.parametrize("make, threshold", [(lambda: gen_grid(12, 12), 3),
+                                             (lambda: gen_cycle(40), 3),
+                                             (lambda: random_connected(30, seed=4, p=0.1), 2)],
+                         ids=["grid12x12", "c40", "rand30"])
+def test_game_on_the_kept_tree_matches_a_fresh_graph(make, threshold):
+    # each robber's game on the tree the other robber's game left, against
+    # its game on a fresh, equal graph
+    robbers = (GreedyFarRobber, RandomRobber)
+    for first, second in (robbers, robbers[::-1]):
+        g = make()
+        run_meyniel(g, threshold, PARAMS, cfg(seed=7), robber=first())
+        kept = run_meyniel(g, threshold, PARAMS, cfg(seed=7), robber=second())
+        fresh = run_meyniel(make(), threshold, PARAMS, cfg(seed=7), robber=second())
+        assert transcript_to_json(kept.transcript) == transcript_to_json(fresh.transcript)
+        assert kept == fresh
+
+
+def test_another_key_builds_a_tree_that_replaces_the_kept_one(monkeypatch):
+    g = gen_cycle(40)
+    built = _count_builds(monkeypatch)
+    first = MeynielAnalysis(g, 3, PARAMS, seed=0)
+    keys = [(3, PARAMS, 1), (4, PARAMS, 1), (4, HALF, 1), (3, PARAMS, 0)]
+    for threshold, params, seed in keys:
+        replaced = weakref.ref(g._kept["meyniel"][1])
+        an = MeynielAnalysis(g, threshold, params, seed)
+        assert an.nodes is not first.nodes
+        key, tree = g._kept["meyniel"]
+        assert key == (threshold, params, seed) and tree.nodes is an.nodes
+        # the slot held the only reference to the tree it held before
+        assert replaced() is None
+    # the last key is the first one's, whose tree had been replaced, and it
+    # is kept again
+    assert len(built) == 1 + len(keys)
+    MeynielAnalysis(g, 3, PARAMS, seed=0)
+    assert len(built) == 1 + len(keys)
+
+
+def test_criterion_7_builds_each_case_tree_once(monkeypatch):
+    built = _count_builds(monkeypatch)
+    doc = checks.criterion_7(3, 1)
+    assert not doc["failures"]
+    cases = {run["case"] for run in doc["runs"]}
+    # two games per case, and an exhaustive adversary on the small ones
+    assert sum(run["robber"] == "adversarial" for run in doc["runs"]) >= 2
+    assert len(built) == len({id(g) for g in built}) == len(cases)
+
+
+def _games_and_claim():
+    g = gen_grid(10, 10)
+    params = StrategyParams(lam=2.0, density=0.5, levels=desk_params(g).levels)
+    for robber in (GreedyFarRobber(), RandomRobber()):
+        assert run_meyniel(g, 3, params, cfg(seed=1), robber=robber).caught
+    h = random_connected(10, seed=3, p=0.4)
+    verify_claim(h, sample_cop_sets(h, PARAMS, 5), PARAMS)
+
+
+def test_games_and_claim_leave_no_cyclic_garbage():
+    # the kept tree refers to no graph, and no recursive helper keeps itself
+    # alive, so reference counting frees everything the calls made
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        _games_and_claim()
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
