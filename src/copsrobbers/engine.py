@@ -83,12 +83,6 @@ TRANSCRIPT_SCHEMA = "copsrobbers.transcript/1"
 # C450's default guard check, 51,073 nodes.
 DEFAULT_NODE_BUDGET = 1 << 18
 
-# List entries the greedy robber's kept BFS rows may hold in all (one row on
-# a graph with more vertices), 8 MiB of list slots.  The largest game in the
-# tests, demos, CI and bench pools holds 83,750: 134 rows on one of the
-# bench's relabelled 25x25 grids.
-ROW_ENTRIES = 1 << 20
-
 
 @dataclass(frozen=True)
 class GameConfig:
@@ -439,21 +433,18 @@ class GreedyFarRobber:
     does not reach are left out; if it reaches none, x counts as infinitely
     far.  Both calls refuse cops off the graph.
 
-    The robber keeps the row of every vertex that has been one of its
-    options, with the graph they belong to (held and compared by identity;
-    a new graph drops them all).  The robber keeps returning to a few
-    vertices, so a game pays about one BFS per distinct vertex of its
-    closed neighbourhoods rather than one per move.  The rows hold at most
-    ``ROW_ENTRIES`` list entries (one row, on a graph with more vertices):
-    when the next row would pass that, all of them are dropped first.  The
-    worst case is a robber that reaches new vertices on every move: it pays
-    up to Δ BFS per move, where one multi-source BFS would do.
+    The rows are the graph's kept BFS rows (``Graph._row``), so they live on
+    the graph and outlive one robber: a second game on the same graph, and
+    the expander's planning before it, share them.  The robber keeps
+    returning to a few vertices, so a game pays at most one BFS per
+    distinct vertex of its closed neighbourhoods rather than one per move.
+    The graph caps its rows at ``graph.ROW_ENTRIES`` list entries and drops
+    them all when the next row would pass that.  The worst case is a robber
+    that reaches new vertices on every move: it pays up to Δ BFS per move,
+    where one multi-source BFS would do.
     """
 
     name = "greedy-far"
-
-    def __init__(self):
-        self._rows = (None, {})  # (graph, {vertex: its BFS row})
 
     def place(self, g, cop_positions, cfg, rng):
         return _first_farthest(range(g.n), bfs_distances(g, cop_positions))
@@ -462,17 +453,12 @@ class GreedyFarRobber:
         """Move (or stay) maximizing the min-distance to the cops; ties -> lowest id."""
         cops = view.cop_positions
         _check_sources(g, cops)
-        kept_g, rows = self._rows
-        if g is not kept_g:
-            rows = {}
-            self._rows = (g, rows)
+        rows = g._rows
         best, far = None, -1
         for x in g.closed_neighborhoods()[view.robber_position]:
             row = rows.get(x)
             if row is None:
-                if (len(rows) + 1) * g.n > ROW_ENTRIES:
-                    rows.clear()
-                row = rows[x] = bfs_distances(g, (x,))
+                row = g._row(x)
             d = min(map(row.__getitem__, cops))
             if d == UNREACHABLE:  # some cops stand outside x's component
                 d = min((e for e in map(row.__getitem__, cops) if e != UNREACHABLE),
@@ -515,7 +501,7 @@ class ChaserCop:
         r = view.robber_position
         if r is None:
             raise ValueError("chaser needs a visible robber")
-        dist = bfs_distances(g, (r,))
+        dist = g._row(r)
         return tuple(step_toward(g, dist, c) for c in view.cop_positions), state
 
 

@@ -38,15 +38,16 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 
 from .errors import ResourceLimitError
 from .graph import (
     UNREACHABLE,
     Graph,
     ball,
-    bfs_distances,
     diameter,
-    shortest_path,
+    walk_back,
 )
 from .seeds import derive_seed, make_rng
 
@@ -144,7 +145,8 @@ def verify_claim(g: Graph, family: CopSetFamily, params: StrategyParams,
 
     A depth-first walk visits the subsets in ascending element order,
     carrying one union ball per radius down the stack, and stops at the
-    first violation.  `budget` limits the subset-radius checks,
+    first violation.  Each vertex's balls are read off its kept BFS row.
+    `budget` limits the subset-radius checks,
     sum_{a <= n/lam} C(n, a) * (levels+1), counted before any work.
     """
     n = g.n
@@ -157,7 +159,7 @@ def verify_claim(g: Graph, family: CopSetFamily, params: StrategyParams,
             f"{work} subset-radius checks exceed the budget of {budget}")
     radii = [1 << i for i in range(params.levels + 1)]
     # the walk ORs balls together, so balls and sets are bitmasks here
-    per_vertex = [tuple(_mask(ball(g, (v,), r)) for r in radii) for v in range(n)]
+    per_vertex = [_ball_masks(g._row(v), radii) for v in range(n)]
     set_masks = [_mask(s) for s in family.sets]
     return _claim_walk(0, (0,) * len(radii), 1, amax, per_vertex, set_masks, params.lam)
 
@@ -177,6 +179,17 @@ def _claim_walk(first: int, balls: tuple, a: int, amax: int, per_vertex: list,
         if a < amax and not _claim_walk(v + 1, grown, a + 1, amax, per_vertex, set_masks, lam):
             return False
     return True
+
+
+def _ball_masks(row: list[int], radii: list[int]) -> tuple[int, ...]:
+    """The bitmask of the ball of each radius of ``radii`` around the source
+    of the BFS row ``row``: the OR of the rings at distance 0..r."""
+    rings = [0] * (max(row) + 1)
+    for u, d in enumerate(row):
+        if d != UNREACHABLE:
+            rings[d] |= 1 << u
+    prefix = list(accumulate(rings, or_))
+    return tuple(prefix[min(r, len(prefix) - 1)] for r in radii)
 
 
 def _mask(ids) -> int:
@@ -250,24 +263,25 @@ class PlanLevel:
     radius: int
 
 
-def _decompose(g, candidate, cops, radius, dist_cache):
+def _decompose(g, candidate, cops, radius):
     """Split the ascending ids ``candidate`` into a matchable shell and a
     deficiency core.
 
     Every shell vertex is assigned a distinct cop home of ``cops`` within
-    ``radius``, with the connecting geodesic recorded.  The split is purely
+    ``radius``, with the connecting geodesic recorded: the lowest-id walk
+    back from the shell vertex over the home's BFS row.  The split is purely
     matching-theoretic: the core is the Hall-deficiency closure of a
-    maximum matching.  ``dist_cache`` keeps each candidate's BFS row.
+    maximum matching.  Both the candidates' rows and the homes' are the
+    graph's kept rows, so every start planned on g shares them.
     """
+    row_of = g._row
     adj = {}
     for u in candidate:
-        row = dist_cache.get(u)
-        if row is None:
-            row = dist_cache[u] = bfs_distances(g, (u,))
+        row = row_of(u)
         adj[u] = [w for w in cops if row[w] != UNREACHABLE and row[w] <= radius]
     matching, core = _hopcroft_karp(candidate, adj)
     shell = tuple(u for u in candidate if u not in core)
-    routes = {u: tuple(shortest_path(g, matching[u], u)) for u in shell}
+    routes = {u: tuple(walk_back(g, row_of(matching[u]), u)) for u in shell}
     return PlanLevel(
         candidate=candidate,
         core=tuple(u for u in candidate if u in core),
@@ -313,7 +327,12 @@ class PlanFailure:
 
 
 def build_plan(g: Graph, v: int, family: CopSetFamily, params: StrategyParams):
-    """Level decomposition around robber start v; Failure is a value."""
+    """Level decomposition around robber start v; Failure is a value.
+
+    Every BFS row it reads (the level split's and every route's) is one of
+    g's kept rows, so planning all starts of a family, and resampled
+    families after it, runs at most one BFS per vertex of g.
+    """
     if not 0 <= v < g.n:
         raise ValueError("robber vertex outside range")
     if len(family.sets) != params.levels + 1:
@@ -328,15 +347,14 @@ def build_plan(g: Graph, v: int, family: CopSetFamily, params: StrategyParams):
             start_vertex=v,
             levels=(),
             family_fingerprint=fp,
-            immediate_route=tuple(shortest_path(g, w, v)),
+            immediate_route=tuple(walk_back(g, g._row(w), v)),
         )
-    dist_cache: dict = {}
     levels: list[PlanLevel] = []
     candidate = b1
     for i, cops in enumerate(family.sets, 1):
         if levels:  # B(A_{i-1}, 2^{i-2})
             candidate = ball(g, levels[-1].core, levels[-1].radius)
-        level = _decompose(g, candidate, cops, 1 << (i - 1), dist_cache)
+        level = _decompose(g, candidate, cops, 1 << (i - 1))
         levels.append(level)
         if not level.core:
             return CapturePlan(start_vertex=v, levels=tuple(levels), family_fingerprint=fp)

@@ -39,6 +39,14 @@ seed) is kept through ``Graph._keep_latest``, one value per slot: the last
 one made.  No kept value refers to its graph, so the store lives and dies
 with the graph without a reference cycle, its memory follows the live
 graphs, and equal but distinct graphs keep their own.
+
+Single-source BFS rows are kept beside that store, one per source asked
+for, through ``Graph._row``: the greedy robber, the chaser, the expander's
+level split and routes and the hitting claim's balls all read them, so the
+starts, resampled families and games on one graph run one BFS per source.
+The rows of a graph hold at most ``ROW_ENTRIES`` list entries in all (one
+row on a graph with more vertices), up to 8 MiB of list slots per live
+graph; when the next row would pass that, every kept row is dropped first.
 """
 
 from __future__ import annotations
@@ -78,6 +86,13 @@ UNREACHABLE = -1
 # capped by the input's length, so a few bytes cannot buy a huge allocation.
 MAX_PARSE_VERTICES = 1 << 20
 FREE_PARSE_VERTICES = 1 << 16
+
+# List entries the BFS rows kept on one graph may hold in all (one row on a
+# graph with more vertices), 8 MiB of list slots.  In the tests, demos, CI
+# and bench pools, only CI's guard game on C4000 fills it (262 rows) and
+# clears it; the next largest stores are C1200's guard game, 303 rows, and
+# the 20x20 grid's expander planning, all 400 rows.
+ROW_ENTRIES = 1 << 20
 
 
 # Nothing in the package builds a VertexSet any more.  Its last caller is the
@@ -172,10 +187,12 @@ class Graph:
     self-loops, duplicate edges, and out-of-range endpoints.  Instances are
     immutable and safe to share across concurrent tasks.  ``_kept`` maps a
     key to a value derived from the adjacency once it has been asked for
-    (see :meth:`_keep`); equality and hashing ignore it.
+    (see :meth:`_keep`), and ``_rows`` maps a vertex to its kept BFS row
+    (see :meth:`_row`); equality and hashing ignore both.  No caller
+    mutates a kept row: every row is handed out as the list that is kept.
     """
 
-    __slots__ = ("n", "_adj", "_kept")
+    __slots__ = ("n", "_adj", "_kept", "_rows")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:
@@ -208,6 +225,7 @@ class Graph:
         object.__setattr__(self, "n", len(adj))
         object.__setattr__(self, "_adj", adj)
         object.__setattr__(self, "_kept", {})
+        object.__setattr__(self, "_rows", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -243,6 +261,27 @@ class Graph:
         value = make()
         self._kept[slot] = (key, value)
         return value
+
+    def _row(self, v: int) -> list[int]:
+        """The BFS hop distances from vertex v, ``UNREACHABLE`` off its
+        component; kept after the first call.
+
+        A caller reading many rows fetches ``_rows`` once and calls this
+        only on a miss, which refuses a v outside the graph as
+        ``bfs_distances`` does.  The kept rows hold at most ``ROW_ENTRIES``
+        list entries: when the next row would pass that, all of them are
+        dropped first.  A row is fixed by the graph and v, so two tasks
+        racing to fill the store keep equal rows, and a row handed out
+        stays valid after the store drops it.
+        """
+        rows = self._rows
+        row = rows.get(v)
+        if row is None:
+            _check_sources(self, (v,))
+            if (len(rows) + 1) * self.n > ROW_ENTRIES:
+                rows.clear()
+            row = rows[v] = _bfs(self._adj, [UNREACHABLE] * self.n, (v,))
+        return row
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj[v]

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import copsrobbers
+import copsrobbers.graph as graph_mod
 from copsrobbers import (
     GameConfig,
     Graph,
@@ -211,15 +212,15 @@ def test_greedy_far_matches_stateless_oracle(calls, capped):
     """One robber over a sequence of views against a fresh field per call:
     repeated cop tuples, stacks that form and dissolve, two graphs in turn,
     a cop list mutated in place and direct calls on a disconnected graph.
-    Capped, the rows may hold three rows of the larger graph, so the store
-    is cleared in mid-sequence and its answers must not change."""
+    Capped, each graph's store may hold three rows of the larger graph, so
+    it is cleared in mid-sequence and its answers must not change."""
     graphs = _greedy_graphs()
-    cap = 3 * max(g.n for g in graphs) if capped else engine.ROW_ENTRIES
+    cap = 3 * max(g.n for g in graphs) if capped else graph_mod.ROW_ENTRIES
     robber = GreedyFarRobber()
     held: list[int] = []
     last = [0]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(engine, "ROW_ENTRIES", cap)
+        mp.setattr(graph_mod, "ROW_ENTRIES", cap)
         for which, repeat, in_place, place, cops, r in calls:
             g = graphs[which]
             cops = last if repeat else cops
@@ -236,8 +237,7 @@ def test_greedy_far_matches_stateless_oracle(calls, capped):
                 got = robber.move(g, View(arg, r), None)
                 want = greedy_far_oracle(g, cops, g.closed_neighborhoods()[r])
             assert got == want
-            kept_g, rows = robber._rows
-            assert kept_g is None or len(rows) * kept_g.n <= cap
+            assert all(len(h._rows) * h.n <= cap for h in graphs)
 
 
 def test_greedy_far_refuses_cops_off_the_graph():
@@ -255,9 +255,7 @@ def test_greedy_far_refuses_cops_off_the_graph():
 
 def _watch_greedy(monkeypatch, robber, g):
     """Record the whole-graph BFS passes on g that ``robber`` runs, and the
-    rows it holds after each of its calls; returns both lists."""
-    import copsrobbers.graph as graph_mod
-
+    rows g keeps after each of its calls; returns both lists."""
     passes, held, inside = [], [], []
     bfs = graph_mod._bfs
 
@@ -273,7 +271,7 @@ def _watch_greedy(monkeypatch, robber, g):
                 return call(*args)
             finally:
                 inside.pop()
-                held.append(len(robber._rows[1]))
+                held.append(len(g._rows))
         return run
 
     monkeypatch.setattr(graph_mod, "_bfs", counting_bfs)
@@ -292,7 +290,8 @@ def _robber_options(g, t):
 def test_greedy_far_keeps_a_bfs_row_per_option_in_a_meyniel_game(monkeypatch):
     """Against MeynielCop on the 12x12 grid the robber runs one BFS to place
     and then one per distinct vertex of its closed neighbourhoods, fewer
-    than its moves, and every row it keeps is the BFS row from its vertex."""
+    than its moves, and every row the graph keeps is the BFS row from its
+    vertex."""
     g = gen_grid(12, 12)
     analysis = MeynielAnalysis(g, 3, desk_params(g), seed=0)
     cops = MeynielCop(analysis)
@@ -305,9 +304,8 @@ def test_greedy_far_keeps_a_bfs_row_per_option_in_a_meyniel_game(monkeypatch):
     options = _robber_options(g, t)
     moves = sum(m is not None for _, m in t.rounds)
     assert 0 < len(passes) <= 1 + len(options) and len(passes) < moves
-    kept_g, rows = robber._rows
-    assert kept_g is g and set(rows) == options
-    for x, row in rows.items():
+    assert set(g._rows) == options
+    for x, row in g._rows.items():
         assert row == masked_bfs_oracle(g, (x,))
 
 
@@ -315,12 +313,12 @@ def test_greedy_far_rows_stay_under_the_cap_on_a_long_path(monkeypatch):
     """On a 60-vertex path one cop holds vertex 0 while another walks in
     from the far end, so the robber keeps backing onto new vertices.  Under
     a cap of three rows the store is cleared again and again but never
-    holds more, and the game is the uncapped one."""
+    holds more, and the game is the uncapped one on an equal graph."""
     g = gen_path(60)
     cops = ScriptedCop("sweep", (0, 59), ((0,), tuple(range(59, -1, -1))))
     c = cfg(k=2, rounds=80)
-    free = play(g, cops, GreedyFarRobber(), c)
-    monkeypatch.setattr(engine, "ROW_ENTRIES", 3 * g.n)
+    free = play(gen_path(60), cops, GreedyFarRobber(), c)
+    monkeypatch.setattr(graph_mod, "ROW_ENTRIES", 3 * g.n)
     robber = GreedyFarRobber()
     passes, held = _watch_greedy(monkeypatch, robber, g)
     t = play(g, cops, robber, c)

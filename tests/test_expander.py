@@ -17,15 +17,18 @@ from copsrobbers import (
     build_plan,
     gen_cycle,
     gen_gnp,
+    gen_grid,
     gen_path,
     gen_petersen,
     invisible_mode,
     make_expander_cop,
     play,
     sample_cop_sets,
+    shortest_path,
     transcript_to_json,
     verify_claim,
 )
+import copsrobbers.graph as graph_mod
 from copsrobbers.checks import confinement_violations
 from copsrobbers.expander import (
     ScriptedCop,
@@ -34,7 +37,7 @@ from copsrobbers.expander import (
     plan_summary,
     start_scripts,
 )
-from copsrobbers.seeds import derive_seed
+from copsrobbers.seeds import derive_seed, make_rng
 
 from conftest import random_connected
 from oracles import (
@@ -132,7 +135,7 @@ def test_claim_without_small_subsets_does_no_work(monkeypatch):
     g = gen_path(5)
     params = StrategyParams(lam=6.0, density=0.5, levels=3)
     assert verify_claim(g, empty_plus_one(g, 3), params, budget=0)
-    assert calls == []
+    assert calls == [] and not g._rows
 
 
 @pytest.mark.parametrize("n, lam", [(8, 2.0), (9, 1.5), (12, 3.0)])
@@ -212,7 +215,7 @@ def test_claim_fraction_and_resampling_policy_p8():
 def test_identity_matching_radius_zero():
     g = gen_path(5)
     cand = (1, 2, 3)
-    split = _decompose(g, cand, cand, 0, {})
+    split = _decompose(g, cand, cand, 0)
     assert not split.core
     assert split.shell == cand
     assert split.matching == {1: 1, 2: 2, 3: 3}
@@ -222,7 +225,7 @@ def test_identity_matching_radius_zero():
 def test_hall_violation_pulls_whole_closure():
     # two candidates can only reach one cop: the alternating closure absorbs both
     g = gen_path(3)  # 0-1-2
-    split = _decompose(g, (0, 1), (1,), 1, {})
+    split = _decompose(g, (0, 1), (1,), 1)
     assert split.core == (0, 1)
     assert not split.shell
 
@@ -234,7 +237,7 @@ def test_shell_satisfies_hall_exhaustively():
         fam = sample_cop_sets(g, params, seed=seed)
         cand = tuple(range(9))
         radius = 2
-        split = _decompose(g, cand, fam.sets[0], radius, {})
+        split = _decompose(g, cand, fam.sets[0], radius)
         dist = fw_distances(g)
         adjacency = {
             u: {w for w in fam.sets[0] if dist[u][w] <= radius}
@@ -262,7 +265,7 @@ def test_core_is_the_vertices_some_maximum_matching_misses(n, p, seed, radius, d
     adjacency = {u: [w for w in cops if dist[u][w] <= radius] for u in cand}
     nu = matching_size(cand, adjacency)
     expected = {u for u in cand if matching_size([x for x in cand if x != u], adjacency) == nu}
-    split = _decompose(g, cand, cops, radius, {})
+    split = _decompose(g, cand, cops, radius)
     assert set(split.core) == expected
     assert split.core == tuple(sorted(split.core))
     assert split.shell == tuple(u for u in cand if u not in expected)
@@ -274,7 +277,7 @@ def test_core_vs_bruteforce_largest_subset():
     g = gen_path(6)
     cand = (1, 2, 3)
     cops = (0,)
-    split = _decompose(g, cand, cops, 1, {})
+    split = _decompose(g, cand, cops, 1)
     brute = largest_nonexpanding_subset(g, [1, 2, 3], 1, 2.0)
     dist = fw_distances(g)
     if brute:
@@ -300,7 +303,7 @@ def test_star_all_of_b1_matches_at_radius_one():
     # with cops everywhere the whole closed neighborhood of the center is a
     # matchable shell: empty core at the first level
     star = Graph(6, [(0, i) for i in range(1, 6)])
-    split = _decompose(star, tuple(range(6)), tuple(range(6)), 1, {})
+    split = _decompose(star, tuple(range(6)), tuple(range(6)), 1)
     assert not split.core and len(split.shell) == 6
 
 
@@ -411,6 +414,92 @@ def test_plan_family_mismatch_rejected():
     plan = build_plan(g, 0, fam1, params)
     with pytest.raises(ValueError):
         start_scripts(fam2, {0: plan})
+
+
+def _count_bfs(monkeypatch, adj=None):
+    """The sources of every BFS pass (over ``adj`` only, if given), recorded
+    by wrapping ``graph._bfs``."""
+    passes = []
+    bfs = graph_mod._bfs
+
+    def counting_bfs(a, dist, sources):
+        if adj is None or a is adj:
+            passes.append(tuple(sources))
+        return bfs(a, dist, sources)
+
+    monkeypatch.setattr(graph_mod, "_bfs", counting_bfs)
+    return passes
+
+
+def test_planning_the_20x20_grid_runs_one_bfs_per_vertex(monkeypatch):
+    """make_expander_cop on the 20x20 grid at lam 6, density 0.4 (6 levels,
+    one family for seed 1) reads every row it needs, the level split's and
+    the routes', from the graph's store: besides the diameter scan behind
+    ``desk_params``, at most one BFS per vertex, though its 400 starts run
+    thousands of splits and routes."""
+    passes = _count_bfs(monkeypatch)
+    g = gen_grid(20, 20)
+    params = desk_params(g, lam=6, density=0.4)
+    scan = len(passes)
+    _, _, plans, attempts = make_expander_cop(g, params, seed=1)
+    assert (params.levels, attempts) == (6, 1)
+    assert len(passes) - scan <= g.n
+    assert all(len(p) == 1 for p in passes[scan:])
+    routes = {r for p in plans.values() for lv in p.levels for r in lv.routes.values()}
+    assert len(routes) > 2 * g.n
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_routes_are_the_lowest_id_geodesics_from_the_cop_home(seed):
+    """Every route, level or immediate, is ``shortest_path`` from its cop
+    home to its vertex: the walk back from the vertex over the home's row.
+    On the grid as generated, the walk from the other end gives the same
+    routes; relabelled, it gives other routes of three or more steps."""
+    grid = gen_grid(8, 8)
+    perm = list(range(grid.n))
+    make_rng(seed).shuffle(perm)
+    g = Graph(grid.n, [(perm[u], perm[v]) for u, v in grid.edges()])
+    params = StrategyParams(lam=4.0, density=0.3, levels=3)
+    fam = sample_cop_sets(g, params, seed=seed)
+    plans = [build_plan(g, v, fam, params) for v in range(g.n)]
+    routes = [r for p in plans for lv in p.levels for r in lv.routes.values()]
+    routes += [p.immediate_route for p in plans if isinstance(p, CapturePlan) and p.immediate_route]
+    assert sum(len(r) > 3 for r in routes) > 40
+    for r in routes:
+        assert r == tuple(shortest_path(g, r[0], r[-1]))
+
+
+def test_capped_row_store_changes_no_plan_or_transcript(monkeypatch):
+    """On a 60-vertex path, planning every start and then the invisible game
+    under a cap of three rows clear the store again and again but never let
+    it hold more, and give the plans and transcript of an equal graph whose
+    store was never capped."""
+    params = StrategyParams(lam=2.5, density=0.3, levels=5)
+    free_g = gen_path(60)
+    fam = sample_cop_sets(free_g, params, seed=3)
+    free_plans = {v: build_plan(free_g, v, fam, params) for v in range(free_g.n)}
+    free = invisible_mode(free_g, fam, params, seed=3, max_repeats=12)
+    g = gen_path(60)
+    monkeypatch.setattr(graph_mod, "ROW_ENTRIES", 3 * g.n)
+    passes, held = _count_bfs(monkeypatch, g._adj), []
+    real_row = Graph._row
+
+    def watched_row(self, v):
+        row = real_row(self, v)
+        if self is g:
+            held.append(len(g._rows))
+        return row
+
+    monkeypatch.setattr(Graph, "_row", watched_row)
+    plans = {v: build_plan(g, v, fam, params) for v in range(g.n)}
+    got = invisible_mode(g, fam, params, seed=3, max_repeats=12)
+    assert plans == free_plans
+    assert {p.kind for p in plans.values() if isinstance(p, CapturePlan)} == {"immediate",
+                                                                              "levels"}
+    assert transcript_to_json(got.transcript) == transcript_to_json(free.transcript)
+    assert max(held) <= 3
+    singles = [s for s in passes if len(s) == 1]
+    assert len(singles) > len(set(singles))  # cleared rows were built again
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from copsrobbers import (
     to_dot,
 )
 
-from conftest import all_connected_graphs
+from conftest import all_connected_graphs, random_connected
 import copsrobbers.graph
 from copsrobbers.graph import MAX_PARSE_VERTICES, _components, _induced, step_toward, walk_back
 from copsrobbers.seeds import derive_seed, make_rng
@@ -739,6 +739,39 @@ def test_kept_closed_neighborhoods_leave_equality_hash_solver_cache_and_immutabi
     with pytest.raises(AttributeError):
         g._kept = {}
     assert g.closed_neighborhoods() is table
+
+
+def _row_corpus():
+    """Fresh graphs from fixed seeds: the kept-value cases (connected,
+    disconnected, single-vertex), random connected graphs, a grid and Q4."""
+    yield from _kept_cases()
+    for seed in range(6):
+        yield random_connected(15, seed=seed)
+    yield gen_grid(6, 7)
+    yield gen_hypercube(4)
+
+
+def test_every_kept_row_is_the_fresh_bfs_row():
+    for g in _row_corpus():
+        rows = [g._row(v) for v in range(g.n)]
+        assert sorted(g._rows) == list(range(g.n))
+        for v, row in enumerate(rows):
+            assert row == bfs_distances(g, (v,)) == masked_bfs_oracle(g, (v,)), (g.edges(), v)
+            assert g._row(v) is row and g._rows[v] is row  # kept, handed out uncopied
+
+
+def test_kept_rows_refuse_sources_off_the_graph_and_leave_equality_and_immutability():
+    g = gen_path(5)
+    copy = Graph(g.n, g.edges())
+    assert g._row(4) == [4, 3, 2, 1, 0]
+    # -1 and -5 would index a list; a miss checks the range first
+    for v in (-1, -5, 5, 99):
+        with pytest.raises(ValueError):
+            g._row(v)
+    assert list(g._rows) == [4] and not copy._rows
+    assert g == copy and hash(g) == hash(copy)
+    with pytest.raises(AttributeError):
+        g._rows = {}
 
 
 def test_delete_vertices_matches_full_scan():
