@@ -17,8 +17,7 @@ from .errors import ResourceLimitError
 from .expander import (CapturePlan, StrategyParams, build_plan, desk_params, invisible_mode,
                        make_expander_cop, sample_cop_sets, verify_claim)
 from .generators import gen_cycle, gen_gnp, gen_grid, gen_path, gen_petersen, gen_projective_incidence
-from .graph import (Graph, bfs_distances, diameter_pair, girth, is_connected, min_degree,
-                    shortest_path)
+from .graph import Graph, diameter_pair, girth, is_connected, min_degree, shortest_path
 from .guard import check_guard_soundness
 from .meyniel import MeynielAnalysis, MeynielCop, run_meyniel
 from .seeds import derive_seed, make_rng
@@ -56,8 +55,7 @@ def random_girth5(n: int, seed: int) -> Graph:
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         rng.shuffle(pairs)
         for u, v in pairs:
-            dist = bfs_distances(g, (u,))
-            if dist[v] >= 4:
+            if g._row(u)[v] >= 4:
                 g = Graph(n, g.edges() + [(u, v)])
     if girth(g) < 5 or not is_connected(g):
         raise RuntimeError(f"random_girth5({n}, {seed}) built a graph of girth {girth(g)}")

@@ -48,7 +48,7 @@ from .graph import (
     shortest_path,
     to_dot,
 )
-from .guard import GuardCop, check_guard_soundness, settle_bound
+from .guard import GuardCop, _settle_bound, check_guard_soundness
 from .meyniel import run_meyniel
 from .seeds import derive_seed
 
@@ -185,7 +185,7 @@ def cmd_strategy(args) -> int:
                 "violations": rep["violations"],
             }
         else:
-            doc["settle_bound"] = settle_bound(g, path)
+            doc["settle_bound"] = _settle_bound(g, cops)
         _write(_dump(doc), args.out)
         return 0
 

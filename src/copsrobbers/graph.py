@@ -40,13 +40,13 @@ one made.  No kept value refers to its graph, so the store lives and dies
 with the graph without a reference cycle, its memory follows the live
 graphs, and equal but distinct graphs keep their own.
 
-Single-source BFS rows are kept beside that store, one per source asked
-for, through ``Graph._row``: the greedy robber, the chaser, the expander's
-level split and routes and the hitting claim's balls all read them, so the
-starts, resampled families and games on one graph run one BFS per source.
-The rows of a graph hold at most ``ROW_ENTRIES`` list entries in all (one
-row on a graph with more vertices), up to 8 MiB of list slots per live
-graph; when the next row would pass that, every kept row is dropped first.
+``Graph._row`` makes every single-source BFS row and keeps it beside that
+store: the diameter scan, ``shortest_path``, ``is_connected``, the guard, the
+recursion, the greedy robber, the chaser and the expander read them, so work
+on one graph runs one BFS per source (``bfs_distances`` runs multi-source
+fields).  The rows hold at most ``ROW_ENTRIES`` list entries in all (one row
+on a graph with more vertices), 8 MiB of list slots, which a scan from every
+source (on a hypercube) can fill; the next row past that drops them all.
 """
 
 from __future__ import annotations
@@ -88,10 +88,10 @@ MAX_PARSE_VERTICES = 1 << 20
 FREE_PARSE_VERTICES = 1 << 16
 
 # List entries the BFS rows kept on one graph may hold in all (one row on a
-# graph with more vertices), 8 MiB of list slots.  In the tests, demos, CI
-# and bench pools, only CI's guard game on C4000 fills it (262 rows) and
-# clears it; the next largest stores are C1200's guard game, 303 rows, and
-# the 20x20 grid's expander planning, all 400 rows.
+# graph with more vertices), 8 MiB of list slots; Q10's scan fills it exactly.
+# In the tests, demos, CI and bench pools only CI's guard game on C4000 fills
+# (262 rows, the scan's 2 among them) and clears it; next come C1200's guard
+# game, 304 rows, and the 20x20 grid's expander planning, all 400 rows.
 ROW_ENTRIES = 1 << 20
 
 
@@ -444,12 +444,12 @@ def step_toward(g: Graph, dist: list[int], v: int) -> int:
 
 
 def shortest_path(g: Graph, u: int, v: int) -> list[int]:
-    """A geodesic from u to v, deterministic via lowest-id predecessors."""
+    """A geodesic from u to v over u's kept row, by lowest-id predecessors."""
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise ValueError("endpoint outside vertex range")
     if u == v:
         return [u]
-    dist = _bfs(g._adj, [UNREACHABLE] * g.n, (u,))
+    dist = g._row(u)
     if dist[v] == UNREACHABLE:
         raise NoPathError(f"no path between {u} and {v}")
     return _walk(g._adj, dist, v)
@@ -478,19 +478,18 @@ def diameter_pair(g: Graph) -> tuple[int | float, int, int]:
     The triple is kept on g for its lifetime after the first call, and later
     calls return it.
     """
-    return g._keep("diameter", lambda: _diameter_scan(g._adj))
+    return g._keep("diameter", lambda: _diameter_scan(g))
 
 
-def _diameter_scan(adj) -> tuple[int | float, int, int]:
-    """The bounded scan behind :func:`diameter_pair`, on the adjacency lists
-    ``adj``."""
-    n = len(adj)
-    seed = [UNREACHABLE] * n
-    row_first = _bfs(adj, seed.copy(), (0,))
+def _diameter_scan(g: Graph) -> tuple[int | float, int, int]:
+    """The bounded scan behind :func:`diameter_pair`; every source's row is
+    ``g._row``, so the rows it runs stay kept on g."""
+    n = g.n
+    row_first = g._row(0)
     if UNREACHABLE in row_first:
         return math.inf, 0, row_first.index(UNREACHABLE)
     far = row_first.index(max(row_first))
-    row_far = _bfs(adj, seed.copy(), (far,))
+    row_far = g._row(far)
     # A source u is skipped when hi[u] < need.  need starts at ecc(far), a
     # lower bound on the diameter, and stays above the eccentricity best
     # holds, since only a strict raise moves best.  hi[v] is a minimum of
@@ -503,7 +502,7 @@ def _diameter_scan(adj) -> tuple[int | float, int, int]:
     for u in range(n):
         if hi[u] < need:
             continue
-        dist = row_first if u == 0 else row_far if u == far else _bfs(adj, seed.copy(), (u,))
+        dist = g._row(u)
         ecc = max(dist)
         if ecc > best[0]:
             # a vertex w < u at the eccentricity would have raised best
@@ -516,7 +515,7 @@ def _diameter_scan(adj) -> tuple[int | float, int, int]:
             # vertex, so the DFS runs only when none is.
             if 2 * ecc >= n - 1 and not tested:
                 tested = True
-                if max(ecc, far_ecc) <= n // 2 and _biconnected(adj):
+                if max(ecc, far_ecc) <= n // 2 and _biconnected(g._adj):
                     return best
             need = max(need, ecc + 1)
         if ecc + 1 < need:
@@ -611,9 +610,8 @@ def min_degree(g: Graph) -> int:
 
 
 def is_connected(g: Graph) -> bool:
-    """Whether every vertex is reachable from vertex 0; kept on g."""
-    return g._keep("connected",
-                   lambda: UNREACHABLE not in _bfs(g._adj, [UNREACHABLE] * g.n, (0,)))
+    """Whether every vertex is in vertex 0's kept row; kept on g."""
+    return g._keep("connected", lambda: UNREACHABLE not in g._row(0))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from typing import Sequence
 from .graph import (
     UNREACHABLE,
     Graph,
-    bfs_distances,
     diameter,
     step_toward,
 )
@@ -56,11 +55,13 @@ __all__ = [
 class GuardCop:
     """One cop guarding the geodesic `path`; also a one-cop engine strategy.
 
+    The cop approaches p_0 over g's kept BFS row from it (``Graph._row``).
     With ``component = (h, members)``, h is the subgraph of g induced by a
     vertex set, with ``members[i]`` the vertex of g that is h's vertex i.
-    The path is then a geodesic of h and the shadow is measured in h, by one
-    BFS there, while the cop still approaches p_0 through all of g.  Without
-    it both metrics are the same list.  The cop starts on p_0.
+    The path is then a geodesic of h and the shadow is measured in h, over
+    h's kept row from p_0 written back to g's ids, while the approach still
+    runs through all of g.  Without it both metrics are that one row of g.
+    The cop starts on p_0.
     """
 
     __slots__ = ("path", "length", "index_of", "dist0", "approach")
@@ -81,15 +82,14 @@ class GuardCop:
         self.path = path
         self.length = len(path) - 1
         self.index_of = {v: i for i, v in enumerate(path)}
-        self.approach = bfs_distances(g, (path[0],))
-        self.dist0 = self.approach
+        self.approach = self.dist0 = g._row(path[0])
         if component is not None:
             h, members = component
             local = {v: i for i, v in enumerate(members)}
             if any(v not in local for v in path):
                 raise ValueError("path leaves the component")
             self.dist0 = [UNREACHABLE] * g.n
-            for v, d in zip(members, bfs_distances(h, (local[path[0]],))):
+            for v, d in zip(members, h._row(local[path[0]])):
                 self.dist0[v] = d
         if self.dist0[path[-1]] != self.length:
             raise ValueError("path is not a geodesic")

@@ -11,11 +11,12 @@ its vertices; the root's is a second graph on the same adjacency tuple, with
 ``range(n)`` for its ids.  The diameter, the geodesic, the split, the
 guard's shadow and the leaf's expander all run on the node's subgraph (at
 the root on the graph itself, so the root reads and fills the graph's kept
-diameter), and their results map back to original ids through that list.  The
-relabel is monotone, so every lowest-id choice is the one the original ids
-would give.  The list is the node's one record of its component: the cops
-find the robber's component among a guard node's children by a binary search
-in each child's list.
+diameter and rows), and their results map back to original ids through that
+list; the geodesic and the shadow read rows the scan kept (``Graph._row``).
+The relabel is monotone, so every lowest-id choice is the one the original
+ids would give.  The list is the node's one record of its component: the
+cops find the robber's component among a guard node's children by a binary
+search in each child's list.
 
 The whole object is realized inside a single engine game with a fixed pool of
 cops placed up front (start positions are irrelevant on a connected graph;
@@ -36,16 +37,16 @@ shrinks at every recursion step.
 
 The analysis computes what sizes the pool and fixes the timeline: every
 node's diameter pair and geodesic, its window, and every leaf's family and
-deadlines.  Both windows read d(v0, .) from one BFS at v0.  A game walks one
-root-to-leaf chain, so a node's cop objects (a guard's ``GuardCop``, a leaf's
-``ScriptedCop`` team and march routes) are built on first use, through
-:meth:`MeynielAnalysis.cops`, and kept on the node.
+deadlines.  Windows and marches read d(v0, .) from the graph's kept row at v0.
+A game walks one root-to-leaf chain, so a node's cop objects (a guard's
+``GuardCop``, a leaf's ``ScriptedCop`` team and march routes) are built on
+first use, through :meth:`MeynielAnalysis.cops`, and kept on the node.
 
-The tree (its nodes, the pool size and the v0 distance row) is kept on the
-graph, as the diameter and the solver's tables are: a second analysis with
-the same threshold, parameters and seed, such as the second robber's game
-or an exhaustive check after a game, reads it instead of building it
-again, cop objects included.  A graph keeps only the last tree built on it,
+The tree (its nodes and the pool size) is kept on the graph, as the
+diameter and the solver's tables are: a second analysis with the same
+threshold, parameters and seed, such as the second robber's game or an
+exhaustive check after a game, reads it instead of building it again, cop
+objects included.  A graph keeps only the last tree built on it,
 so a seed sweep holds one.  The tree never refers to the graph (the root's
 twin shares only its adjacency tuple), so the graph's store forms no
 reference cycle; :class:`MeynielAnalysis` is the per-call view that holds
@@ -73,7 +74,6 @@ from .graph import (
     UNREACHABLE,
     Graph,
     _components,
-    bfs_distances,
     diameter_pair,
     shortest_path,
     walk_back,
@@ -138,11 +138,10 @@ class _Node:
 @dataclass(frozen=True)
 class _Tree:
     """What an analysis keeps on its graph; it refers to no graph but the
-    nodes' own subgraphs."""
+    nodes' own subgraphs, with their kept rows.  The v0 row stays on g."""
 
     nodes: tuple      # every _Node, by id; the root first
     pool_size: int
-    dist_v0: list     # d(v0, .) in the whole graph
 
 
 class MeynielAnalysis:
@@ -164,17 +163,15 @@ class MeynielAnalysis:
         self.nodes = tree.nodes
         self.root = tree.nodes[0]
         self.pool_size = tree.pool_size
-        self._dist_v0 = tree.dist_v0
 
     def _grow(self) -> _Tree:
         g = self.g
-        self._dist_v0 = bfs_distances(g, (self.v0,))
-        if UNREACHABLE in self._dist_v0:
+        if UNREACHABLE in g._row(self.v0):
             raise ValueError("recursion requires a connected graph")
         self.nodes = []
         self._build(g, range(g.n), depth=0, entry=0, label="r", parent=None)
         nodes = tuple(self.nodes)
-        return _Tree(nodes, max(1, max(self._need(n) for n in nodes)), self._dist_v0)
+        return _Tree(nodes, max(1, max(self._need(n) for n in nodes)))
 
     def _need(self, node: _Node) -> int:
         """Cops in play at `node`: one guard per ancestor, then its own
@@ -186,6 +183,7 @@ class MeynielAnalysis:
     def _build(self, h: Graph, members: Sequence[int], depth: int, entry: int, label: str,
                parent: int | None) -> _Node:
         d, u, v = diameter_pair(h)
+        dist_v0 = self.g._row(self.v0)
         # the root measures the graph itself but keeps a twin on its
         # adjacency: a kept node never refers to the graph
         node = _Node(node_id=len(self.nodes), depth=depth,
@@ -201,13 +199,13 @@ class MeynielAnalysis:
                 # the march ends when the cop with the farthest home arrives;
                 # the root leaf's cops are placed on their homes directly
                 node.duration = 0 if depth == 0 else max(
-                    (self._dist_v0[members[w]] for s in family.sets for w in s), default=0)
+                    (dist_v0[members[w]] for s in family.sets for w in s), default=0)
             return node
         path = shortest_path(h, u, v)
         node.path = tuple(members[w] for w in path)
         # the guard reaches p0 after d(v0, p0) rounds, then settles within
         # len(P) more
-        node.duration = max(1, self._dist_v0[node.path[0]] + len(path) - 1)
+        node.duration = max(1, dist_v0[node.path[0]] + len(path) - 1)
         children = []
         for part, sub in _components(h, path):
             children.append(self._build(sub, tuple(members[w] for w in part), depth + 1,
@@ -227,7 +225,9 @@ class MeynielAnalysis:
         # every node above is a guard node, and its guards stay deployed
         guards = () if node.parent is None else self.cops(self.nodes[node.parent]).guards
         if node.kind == "guard":
-            own = GuardCop(g, node.path, component=(node.graph, node.members))
+            # the root's graph is a twin of g, so its guard measures on g
+            own = GuardCop(g, node.path, component=None if node.parent is None
+                           else (node.graph, node.members))
             return _Cops(guards=guards + ((node.entry, node.depth, own),))
         if node.broken:
             return _Cops(guards=guards)
@@ -236,7 +236,7 @@ class MeynielAnalysis:
         team = ScriptedCop("meyniel-leaf", tuple(rmap[w] for w in homes),
                            {rmap[v]: tuple(tuple(rmap[p] for p in t) for t in tracks)
                             for v, tracks in scripts.items()})
-        march_routes = tuple(tuple(walk_back(g, self._dist_v0, h)) for h in team.homes)
+        march_routes = tuple(tuple(walk_back(g, g._row(self.v0), h)) for h in team.homes)
         return _Cops(guards=guards, team=team, march_routes=march_routes)
 
     def timeline_bound(self) -> int:

@@ -24,9 +24,9 @@ def diameter_scans(monkeypatch):
     sizes = []
     scan = graph_mod._diameter_scan
 
-    def counting_scan(adj):
-        sizes.append(len(adj))
-        return scan(adj)
+    def counting_scan(g):
+        sizes.append(g.n)
+        return scan(g)
 
     monkeypatch.setattr(graph_mod, "_diameter_scan", counting_scan)
     return sizes

@@ -210,6 +210,43 @@ def test_strategy_guard_default_path_runs_one_diameter_scan(tmp_path, capsys, di
         assert diameter_scans == [30]
 
 
+def test_strategy_guard_on_a_long_cycle_runs_only_the_scan_beyond_the_robber(
+        tmp_path, capsys, monkeypatch):
+    # C4000 is 2-connected, so its scan stops after two BFS passes.  The
+    # geodesic walks back over the scan's row from its first end and the
+    # guard approaches over that same row, so every other pass is the greedy
+    # robber's: its placement field and the rows of its options.
+    import copsrobbers.graph as graph_mod
+    from copsrobbers.engine import GreedyFarRobber
+
+    f = tmp_path / "c4000.el"
+    f.write_text(format_edge_list(gen_cycle(4000)))
+    passes, robber = [], []
+    inside = []
+    bfs = graph_mod._bfs
+
+    def counting_bfs(adj, dist, sources):
+        (robber if inside else passes).append(tuple(sources))
+        return bfs(adj, dist, sources)
+
+    def watched(call):
+        def run(*args):
+            inside.append(call)
+            try:
+                return call(*args)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(graph_mod, "_bfs", counting_bfs)
+    monkeypatch.setattr(GreedyFarRobber, "place", watched(GreedyFarRobber.place))
+    monkeypatch.setattr(GreedyFarRobber, "move", watched(GreedyFarRobber.move))
+    code, out, _ = run(capsys, "strategy", "guard", str(f))
+    doc = json.loads(out)
+    assert code == 0 and doc["path"][0] == 0 and len(doc["path"]) == 2001
+    assert passes == [(0,), (2000,)] and len(robber) > 2
+
+
 def test_strategy_guard_default_path_needs_a_connected_graph(tmp_path, capsys):
     f = tmp_path / "two.el"
     f.write_text(format_edge_list(Graph(4, [(0, 1), (2, 3)])))

@@ -290,10 +290,13 @@ def _robber_options(g, t):
 def test_greedy_far_keeps_a_bfs_row_per_option_in_a_meyniel_game(monkeypatch):
     """Against MeynielCop on the 12x12 grid the robber runs one BFS to place
     and then one per distinct vertex of its closed neighbourhoods, fewer
-    than its moves, and every row the graph keeps is the BFS row from its
+    than its moves.  The graph then keeps the rows the analysis's diameter
+    scan kept, the robber's options and the p0 row of each guard the game
+    built, and nothing else; every kept row is the BFS row from its
     vertex."""
     g = gen_grid(12, 12)
     analysis = MeynielAnalysis(g, 3, desk_params(g), seed=0)
+    before = set(g._rows)
     cops = MeynielCop(analysis)
     c = GameConfig(cop_count=analysis.pool_size, max_rounds=analysis.timeline_bound())
     robber = GreedyFarRobber()
@@ -304,7 +307,10 @@ def test_greedy_far_keeps_a_bfs_row_per_option_in_a_meyniel_game(monkeypatch):
     options = _robber_options(g, t)
     moves = sum(m is not None for _, m in t.rounds)
     assert 0 < len(passes) <= 1 + len(options) and len(passes) < moves
-    assert set(g._rows) == options
+    guards = {guard.path[0] for node in analysis.nodes if node.built is not None
+              for _, _, guard in node.built.guards}
+    assert guards and not guards <= before | options
+    assert set(g._rows) == before | options | guards
     for x, row in g._rows.items():
         assert row == masked_bfs_oracle(g, (x,))
 

@@ -774,6 +774,32 @@ def test_kept_rows_refuse_sources_off_the_graph_and_leave_equality_and_immutabil
         g._rows = {}
 
 
+def test_diameter_scan_rows_serve_the_geodesic_and_connectivity(monkeypatch):
+    # the scan reads the graph's kept rows, so the geodesic between its pair
+    # walks back over row u and the connectivity bit reads row 0: neither
+    # runs a BFS of its own
+    passes = []
+    bfs = copsrobbers.graph._bfs
+
+    def counting_bfs(adj, dist, sources):
+        passes.append(tuple(sources))
+        return bfs(adj, dist, sources)
+
+    monkeypatch.setattr(copsrobbers.graph, "_bfs", counting_bfs)
+    for g in _row_corpus():
+        kept = set(g._rows)  # a random connected graph's generator read row 0
+        passes.clear()
+        d, u, v = diameter_pair(g)
+        if d == math.inf:
+            continue
+        want = walk_back(g, masked_bfs_oracle(g, (u,)), v)
+        scan = list(passes)
+        passes.clear()
+        assert shortest_path(g, u, v) == want and is_connected(g)
+        assert passes == [], (g.edges(), scan)
+        assert set(g._rows) == kept | {s for (s,) in scan}
+
+
 def test_delete_vertices_matches_full_scan():
     # the survivor-only subgraph, against the scan over every vertex and edge
     cases = list(_random_masked_cases())

@@ -49,6 +49,21 @@ def test_shadow_rejects_non_geodesic():
         shadow(g, [0, 2], 5)  # not even a path
 
 
+def test_guard_metrics_are_kept_rows():
+    # the approach is g's kept row from p0, handed out uncopied; a component
+    # guard's shadow is the subgraph's kept row, written back to g's ids
+    g = gen_grid(5, 6)
+    path = shortest_path(g, 0, 29)
+    cop = GuardCop(g, path)
+    assert cop.approach is g._row(path[0]) and cop.dist0 is cop.approach
+    members = [v for v in range(g.n) if v % 5 < 3]  # the three left columns
+    h = Graph(len(members), [(members.index(a), members.index(b))
+                             for a, b in g.edges() if a in members and b in members])
+    side = GuardCop(g, [0, 1, 2, 7], component=(h, members))
+    assert side.approach is g._row(0) and list(h._rows) == [0]
+    assert [side.dist0[v] for v in members] == h._row(0)
+
+
 @pytest.mark.parametrize("r", [-1, -8, 8, 100])
 def test_shadow_rejects_a_robber_outside_the_graph(r):
     # -1 would otherwise read the last vertex's distance: the shadow of 7

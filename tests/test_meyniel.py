@@ -12,6 +12,7 @@ from copsrobbers import (
     StrategyParams,
     adversarial_robber_search,
     diameter,
+    diameter_pair,
     gen_cycle,
     gen_grid,
     gen_path,
@@ -22,6 +23,7 @@ from copsrobbers import (
     validate_transcript,
 )
 from copsrobbers.engine import GreedyFarRobber, RandomRobber, View, expand_game_layers
+import copsrobbers.graph as graph_mod
 from copsrobbers import checks
 from copsrobbers.expander import desk_params, sample_cop_sets, verify_claim
 from copsrobbers.meyniel import MeynielAnalysis, MeynielCop
@@ -378,6 +380,36 @@ def test_desk_params_and_two_runs_share_one_whole_graph_scan(diameter_scans):
         assert run_meyniel(g, 3, params, cfg(), robber=robber).caught
     assert diameter_scans.count(100) == 1
     assert max(diameter_scans[1:]) < 100
+
+
+def test_analysis_reads_the_rows_the_scans_kept(monkeypatch):
+    # After the whole-graph scan, the root's geodesic, the v0 row of the
+    # windows and the root guard's two metrics are rows the scan kept on the
+    # graph: no BFS runs on its adjacency, which the root's twin shares.  A
+    # guard below reads its shadow from the row its component's scan kept,
+    # and approaches through g's kept row from its p0.
+    g = gen_grid(12, 12)
+    diameter_pair(g)
+    passes = []
+    bfs = graph_mod._bfs
+
+    def counting_bfs(adj, dist, sources):
+        passes.append(adj)
+        return bfs(adj, dist, sources)
+
+    monkeypatch.setattr(graph_mod, "_bfs", counting_bfs)
+    an = MeynielAnalysis(g, 3, PARAMS, seed=0)
+    assert an.root.kind == "guard" and not any(adj is g._adj for adj in passes)
+    root_guard = an.cops(an.root).guards[-1][2]
+    assert root_guard.dist0 is root_guard.approach is g._row(an.root.path[0])
+    guards = [node for node in an.nodes[1:] if node.kind == "guard"]
+    assert guards
+    passes.clear()
+    for node in guards:
+        an.cops(node)
+    assert not any(adj is node.graph._adj for node in guards for adj in passes)
+    for node in guards:
+        assert an.cops(node).guards[-1][2].approach is g._row(node.path[0])
 
 
 # ---------------------------------------------------------------------------
