@@ -258,9 +258,13 @@ class PlanLevel:
     candidate: tuple[int, ...]          # ids, ascending
     core: tuple[int, ...]               # A: Hall-deficiency closure, ascending
     shell: tuple[int, ...]              # D: completely matched remainder, ascending
-    matching: dict                      # shell vertex -> cop home vertex
     routes: dict                        # shell vertex -> path home..shell
     radius: int
+
+    @property
+    def matching(self) -> dict:
+        """Shell vertex -> its cop home, the first vertex of its route."""
+        return {u: route[0] for u, route in self.routes.items()}
 
 
 def _decompose(g, candidate, cops, radius):
@@ -286,7 +290,6 @@ def _decompose(g, candidate, cops, radius):
         candidate=candidate,
         core=tuple(u for u in candidate if u in core),
         shell=shell,
-        matching={u: matching[u] for u in shell},
         routes=routes,
         radius=radius,
     )
@@ -397,8 +400,8 @@ def _plan_scripts(plan: CapturePlan, roster) -> tuple[tuple[int, ...], ...]:
         return tuple(route if j == 0 and w == route[0] else (w,) for j, w in roster)
     by_level: dict[tuple[int, int], tuple[int, ...]] = {}
     for j, lv in enumerate(plan.levels):
-        for u, w in lv.matching.items():
-            by_level[(j, w)] = lv.routes[u]
+        for route in lv.routes.values():
+            by_level[(j, route[0])] = route
     return tuple(tuple(by_level.get((j, w), (w,))) for j, w in roster)
 
 

@@ -2,7 +2,8 @@
 
 Vertices are exactly the integers ``0..n-1``, and the package passes them as
 plain ids: a BFS starts from a sequence of ids, and a ball is returned as an
-ascending tuple of them.  A :class:`Graph` holds sorted adjacency tuples and
+ascending tuple of them (``VertexSet.of`` makes such a tuple from any ids, and
+checks their range).  A :class:`Graph` holds sorted adjacency tuples and
 the values it derives from them (below).  Distances are exact integers;
 ``UNREACHABLE`` (-1) is the only sentinel and is never a "large number".
 
@@ -17,7 +18,8 @@ members in ascending order, relabelled 0..|C|-1, so a search costs
 O(|C| + m_C), m_C the edges at C's members, however large the original
 graph is.  The relabel is monotone, so every lowest-id tie-break
 picks what it would pick in the original graph, and results map back
-through the ascending member list.
+through the ascending member list (the recursion keeps that list and a
+guard's shadow row, not the subgraph).
 
 ``diameter_pair`` returns the same lexicographically first diametral pair as
 one BFS per vertex would, from a bounded scan: eccentricity bounds from the
@@ -54,7 +56,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import NoPathError, ParseError
 
@@ -95,89 +97,21 @@ FREE_PARSE_VERTICES = 1 << 16
 ROW_ENTRIES = 1 << 20
 
 
-# Nothing in the package builds a VertexSet any more.  Its last caller is the
-# benchmark's diameter_geodesic, which passes one to bfs_distances as an
-# iterable of ids; the class goes when that workload stops doing so.
-class VertexSet:
-    """Immutable subset of ``0..n-1`` backed by an integer bitmask."""
+# Nothing in the package builds a VertexSet.  Its last caller is the
+# benchmark's diameter_geodesic, which passes VertexSet.of(g.n, [u]) to
+# bfs_distances as a sequence of ids.
+class VertexSet(tuple):
+    """Ascending distinct vertex ids of ``0..n-1``, as a tuple."""
 
-    __slots__ = ("n", "mask")
-
-    def __init__(self, n: int, mask: int = 0):
-        if n < 0:
-            raise ValueError("universe size must be >= 0")
-        if mask < 0 or mask >> n:
-            raise ValueError("mask has members outside [0, n)")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "mask", mask)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VertexSet is immutable")
+    __slots__ = ()
 
     @classmethod
     def of(cls, n: int, members: Iterable[int]) -> "VertexSet":
-        mask = 0
-        for v in members:
+        ids = sorted(set(members))
+        for v in ids:
             if not 0 <= v < n:
                 raise ValueError(f"vertex {v} outside [0, {n})")
-            mask |= 1 << v
-        return cls(n, mask)
-
-    @classmethod
-    def full(cls, n: int) -> "VertexSet":
-        return cls(n, (1 << n) - 1)
-
-    def __contains__(self, v: int) -> bool:
-        return 0 <= v < self.n and (self.mask >> v) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.mask != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VertexSet)
-            and self.n == other.n
-            and self.mask == other.mask
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.mask))
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask & ~other.mask)
-
-    def __le__(self, other: "VertexSet") -> bool:
-        self._check(other)
-        return self.mask & ~other.mask == 0
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.n, ~self.mask & ((1 << self.n) - 1))
-
-    def _check(self, other: "VertexSet") -> None:
-        if self.n != other.n:
-            raise ValueError("VertexSets over different universes")
-
-    def __repr__(self) -> str:
-        return f"VertexSet({self.n}, {{{', '.join(map(str, self))}}})"
+        return cls(ids)
 
 
 class Graph:
@@ -277,7 +211,8 @@ class Graph:
         rows = self._rows
         row = rows.get(v)
         if row is None:
-            _check_sources(self, (v,))
+            if not 0 <= v < self.n:
+                raise ValueError(f"source vertex outside [0, {self.n})")
             if (len(rows) + 1) * self.n > ROW_ENTRIES:
                 rows.clear()
             row = rows[v] = _bfs(self._adj, [UNREACHABLE] * self.n, (v,))

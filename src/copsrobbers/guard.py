@@ -56,18 +56,18 @@ class GuardCop:
     """One cop guarding the geodesic `path`; also a one-cop engine strategy.
 
     The cop approaches p_0 over g's kept BFS row from it (``Graph._row``).
-    With ``component = (h, members)``, h is the subgraph of g induced by a
-    vertex set, with ``members[i]`` the vertex of g that is h's vertex i.
-    The path is then a geodesic of h and the shadow is measured in h, over
-    h's kept row from p_0 written back to g's ids, while the approach still
-    runs through all of g.  Without it both metrics are that one row of g.
-    The cop starts on p_0.
+    With ``component = (row, members)``, ``members`` lists the vertices of
+    g that span a component, and ``row[i]`` is the distance from p_0 to
+    ``members[i]`` inside the subgraph they induce.  The path is then a
+    geodesic of that subgraph and the shadow is measured there, over the row
+    written back to g's ids, while the approach still runs through all of g.
+    Without it both metrics are that one row of g.  The cop starts on p_0.
     """
 
     __slots__ = ("path", "length", "index_of", "dist0", "approach")
     name = "guard"
 
-    def __init__(self, g: Graph, path, component: tuple[Graph, Sequence[int]] | None = None):
+    def __init__(self, g: Graph, path, component: tuple[list[int], Sequence[int]] | None = None):
         path = tuple(path)
         if not path:
             raise ValueError("path must be nonempty")
@@ -84,13 +84,16 @@ class GuardCop:
         self.index_of = {v: i for i, v in enumerate(path)}
         self.approach = self.dist0 = g._row(path[0])
         if component is not None:
-            h, members = component
-            local = {v: i for i, v in enumerate(members)}
-            if any(v not in local for v in path):
-                raise ValueError("path leaves the component")
+            row, members = component
+            if len(row) != len(members):
+                raise ValueError("the shadow row does not match the members")
             self.dist0 = [UNREACHABLE] * g.n
-            for v, d in zip(members, h._row(local[path[0]])):
+            for v, d in zip(members, row):
                 self.dist0[v] = d
+            if any(self.dist0[v] == UNREACHABLE for v in path):
+                raise ValueError("path leaves the component")
+            if self.dist0[path[0]] != 0:
+                raise ValueError("the shadow row is not measured from p_0")
         if self.dist0[path[-1]] != self.length:
             raise ValueError("path is not a geodesic")
 

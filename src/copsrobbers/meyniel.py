@@ -5,18 +5,17 @@ vertices realizing the component's exact diameter, guard the geodesic between
 them, treat it as deleted once the guard has settled, and recurse on the
 robber's component.  At or below the threshold, march a sampled cop family
 onto its home vertices inside the component, read the robber's position and
-run the level-decomposition plan.  Each node of the recursion holds its
-component's induced subgraph, built once, and the ascending original ids of
-its vertices; the root's is a second graph on the same adjacency tuple, with
-``range(n)`` for its ids.  The diameter, the geodesic, the split, the
-guard's shadow and the leaf's expander all run on the node's subgraph (at
-the root on the graph itself, so the root reads and fills the graph's kept
-diameter and rows), and their results map back to original ids through that
-list; the geodesic and the shadow read rows the scan kept (``Graph._row``).
+run the level-decomposition plan.  The build measures each component on the
+subgraph it induces (at the root on the graph itself, so the root reads and
+fills the graph's kept diameter and rows): the diameter, the geodesic, the
+split, the guard's shadow and the leaf's expander all run there, and their
+results map back to original ids through the component's ascending id list.
 The relabel is monotone, so every lowest-id choice is the one the original
-ids would give.  The list is the node's one record of its component: the
-cops find the robber's component among a guard node's children by a binary
-search in each child's list.
+ids would give.  No node keeps its subgraph.  The list is the node's one
+record of its component: the cops find the robber's component among a guard
+node's children by a binary search in each child's list, and a guard node
+keeps beside it its shadow, the BFS row from its geodesic's first vertex
+that the component's diameter scan kept, indexed by position in the list.
 
 The whole object is realized inside a single engine game with a fixed pool of
 cops placed up front (start positions are irrelevant on a connected graph;
@@ -42,15 +41,14 @@ A game walks one root-to-leaf chain, so a node's cop objects (a guard's
 ``GuardCop``, a leaf's ``ScriptedCop`` team and march routes) are built on
 first use, through :meth:`MeynielAnalysis.cops`, and kept on the node.
 
-The tree (its nodes and the pool size) is kept on the graph, as the
-diameter and the solver's tables are: a second analysis with the same
-threshold, parameters and seed, such as the second robber's game or an
-exhaustive check after a game, reads it instead of building it again, cop
-objects included.  A graph keeps only the last tree built on it,
-so a seed sweep holds one.  The tree never refers to the graph (the root's
-twin shares only its adjacency tuple), so the graph's store forms no
-reference cycle; :class:`MeynielAnalysis` is the per-call view that holds
-the graph and builds the cop objects from it.
+The tree (the tuple of its nodes) is kept on the graph, as the diameter and
+the solver's tables are: a second analysis with the same threshold,
+parameters and seed, such as the second robber's game or an exhaustive check
+after a game, reads it instead of building it again, cop objects included.
+A graph keeps only the last tree built on it, so a seed sweep holds one.
+No node refers to a graph, so the graph's store forms no reference cycle;
+:class:`MeynielAnalysis` is the per-call view that holds the graph and
+builds the cop objects from it.
 """
 
 from __future__ import annotations
@@ -101,18 +99,21 @@ class _Cops:
 
 @dataclass
 class _Node:
+    """One component of the recursion, recorded as its ascending original
+    ids; position i in ``members`` is vertex i of the subgraph it induces."""
+
     node_id: int
     depth: int
     kind: str                      # "guard" | "leaf"
-    graph: Graph                   # the subgraph the component induces
-    members: Sequence[int]         # original id of each graph vertex, ascending
+    members: Sequence[int]         # the component's original ids, ascending
     entry: int                     # stage starts at round entry + 1
     duration: int = 0              # guard: settle window; leaf: march window
     children: tuple = ()           # guard: a _Node per component of the rest
     parent: int | None = None      # id of the guard node split into this one
     path: tuple = ()               # guard: the geodesic, original ids
-    # leaf fields: the family and its plans, in the ids of `graph`; the team
-    # is built from them (None when broken)
+    shadow: list | None = None     # guard: d(p0, .) in the component, by position
+    # leaf fields: the family and its plans, by position in `members`; the
+    # team is built from them (None when broken)
     family: CopSetFamily | None = None
     plans: dict | None = None
     resamples: int = 0
@@ -135,20 +136,12 @@ class _Node:
         return {self.members[v]: plan.capture_deadline for v, plan in self.plans.items()}
 
 
-@dataclass(frozen=True)
-class _Tree:
-    """What an analysis keeps on its graph; it refers to no graph but the
-    nodes' own subgraphs, with their kept rows.  The v0 row stays on g."""
-
-    nodes: tuple      # every _Node, by id; the root first
-    pool_size: int
-
-
 class MeynielAnalysis:
     """Precomputed recursion tree, stage windows and cop-pool sizing.
 
-    The tree is kept on ``g`` under its (threshold, params, seed) and built
-    only when the last one kept there has another key.
+    The tree, the tuple of its nodes with the root first, is kept on ``g``
+    under its (threshold, params, seed) and built only when the last one
+    kept there has another key; the pool size is read off its nodes.
     """
 
     def __init__(self, g: Graph, threshold: int, params: StrategyParams, seed: int):
@@ -159,19 +152,17 @@ class MeynielAnalysis:
         self.params = params
         self.seed = seed
         self.v0 = 0  # every cop starts here
-        tree = g._keep_latest("meyniel", (threshold, params, seed), self._grow)
-        self.nodes = tree.nodes
-        self.root = tree.nodes[0]
-        self.pool_size = tree.pool_size
+        self.nodes = g._keep_latest("meyniel", (threshold, params, seed), self._grow)
+        self.root = self.nodes[0]
+        self.pool_size = max(1, max(self._need(n) for n in self.nodes))
 
-    def _grow(self) -> _Tree:
+    def _grow(self) -> tuple:
         g = self.g
         if UNREACHABLE in g._row(self.v0):
             raise ValueError("recursion requires a connected graph")
         self.nodes = []
         self._build(g, range(g.n), depth=0, entry=0, label="r", parent=None)
-        nodes = tuple(self.nodes)
-        return _Tree(nodes, max(1, max(self._need(n) for n in nodes)))
+        return tuple(self.nodes)
 
     def _need(self, node: _Node) -> int:
         """Cops in play at `node`: one guard per ancestor, then its own
@@ -184,11 +175,8 @@ class MeynielAnalysis:
                parent: int | None) -> _Node:
         d, u, v = diameter_pair(h)
         dist_v0 = self.g._row(self.v0)
-        # the root measures the graph itself but keeps a twin on its
-        # adjacency: a kept node never refers to the graph
         node = _Node(node_id=len(self.nodes), depth=depth,
                      kind="leaf" if d <= self.threshold else "guard",
-                     graph=h if parent is not None else Graph._trusted(h._adj),
                      members=members, entry=entry, parent=parent)
         self.nodes.append(node)
         if node.kind == "leaf":
@@ -203,6 +191,7 @@ class MeynielAnalysis:
             return node
         path = shortest_path(h, u, v)
         node.path = tuple(members[w] for w in path)
+        node.shadow = h._row(u)  # the row the scan and the geodesic read
         # the guard reaches p0 after d(v0, p0) rounds, then settles within
         # len(P) more
         node.duration = max(1, dist_v0[node.path[0]] + len(path) - 1)
@@ -225,9 +214,9 @@ class MeynielAnalysis:
         # every node above is a guard node, and its guards stay deployed
         guards = () if node.parent is None else self.cops(self.nodes[node.parent]).guards
         if node.kind == "guard":
-            # the root's graph is a twin of g, so its guard measures on g
+            # the root's component is g itself, so its guard measures on g
             own = GuardCop(g, node.path, component=None if node.parent is None
-                           else (node.graph, node.members))
+                           else (node.shadow, node.members))
             return _Cops(guards=guards + ((node.entry, node.depth, own),))
         if node.broken:
             return _Cops(guards=guards)

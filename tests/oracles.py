@@ -661,7 +661,8 @@ def eager_meyniel(g, threshold, params, seed):
         rmap = sorted(comp)
         if d > threshold:
             path = walk_back(g, masked_bfs_oracle(g, (u,), comp), v)
-            guard = GuardCop(g, path, component=(sub, rmap))
+            shadow = masked_bfs_oracle(g, (path[0],), comp)
+            guard = GuardCop(g, path, component=([shadow[w] for w in rmap], rmap))
             node.update(kind="guard", guard=guard, guards=guards + (node["node_id"],),
                         duration=max(1, guard.approach[v0] + guard.length))
             rest = set(comp) - set(path)

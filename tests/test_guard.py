@@ -21,7 +21,7 @@ from copsrobbers.engine import GreedyFarRobber, RandomRobber, View
 from copsrobbers.guard import GuardCop, check_guard_soundness
 
 from conftest import random_connected
-from oracles import per_layer_expansion
+from oracles import masked_bfs_oracle, per_layer_expansion
 
 
 def test_shadow_on_path_is_identity():
@@ -51,7 +51,8 @@ def test_shadow_rejects_non_geodesic():
 
 def test_guard_metrics_are_kept_rows():
     # the approach is g's kept row from p0, handed out uncopied; a component
-    # guard's shadow is the subgraph's kept row, written back to g's ids
+    # guard's shadow is the row it is given, the subgraph's kept row, written
+    # back to g's ids
     g = gen_grid(5, 6)
     path = shortest_path(g, 0, 29)
     cop = GuardCop(g, path)
@@ -59,9 +60,11 @@ def test_guard_metrics_are_kept_rows():
     members = [v for v in range(g.n) if v % 5 < 3]  # the three left columns
     h = Graph(len(members), [(members.index(a), members.index(b))
                              for a, b in g.edges() if a in members and b in members])
-    side = GuardCop(g, [0, 1, 2, 7], component=(h, members))
+    side = GuardCop(g, [0, 1, 2, 7], component=(h._row(0), members))
     assert side.approach is g._row(0) and list(h._rows) == [0]
     assert [side.dist0[v] for v in members] == h._row(0)
+    masked = masked_bfs_oracle(g, (0,), members)
+    assert side.dist0 == masked and masked != g._row(0)
 
 
 @pytest.mark.parametrize("r", [-1, -8, 8, 100])
@@ -340,7 +343,8 @@ def test_guard_cop_requires_single_cop():
 
 def test_masked_guard_shadows_inside_the_mask_and_approaches_through_g():
     g = gen_cycle(8)
-    component = (gen_path(6), range(6))  # C8 minus {6, 7} is the path 0..5
+    # C8 minus {6, 7} is the path 0..5; the row is measured there from p0 = 1
+    component = (gen_path(6)._row(1), range(6))
     guard = GuardCop(g, [1, 2, 3], component=component)
     assert guard.dist0[5] == 4 and guard.approach[5] == 4
     assert guard.dist0[7] == -1 and guard.approach[7] == 2
@@ -349,7 +353,19 @@ def test_masked_guard_shadows_inside_the_mask_and_approaches_through_g():
     assert guard.step(g, 7, 4) == 0
     # a robber outside the mask is another guard's problem: hold
     assert guard.step(g, 3, 6) == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="path leaves the component"):
         GuardCop(g, [5, 6, 7], component=component)
     plain = GuardCop(g, [1, 2, 3])
     assert plain.approach is plain.dist0
+
+
+def test_guard_cop_refuses_a_shadow_row_that_does_not_fit_the_component():
+    g = gen_cycle(8)
+    row = gen_path(6)._row(1)  # C8 minus {6, 7}, from p0 = 1
+    GuardCop(g, [1, 2, 3], component=(row, range(6)))
+    for short_or_long in (row[:5], row + [5]):
+        with pytest.raises(ValueError, match="does not match the members"):
+            GuardCop(g, [1, 2, 3], component=(short_or_long, range(6)))
+    # the component's row from vertex 0 reads 1 at p0
+    with pytest.raises(ValueError, match="not measured from p_0"):
+        GuardCop(g, [1, 2, 3], component=(gen_path(6)._row(0), range(6)))

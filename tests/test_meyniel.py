@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import hashlib
+import types
 import weakref
 
 import pytest
@@ -30,7 +32,7 @@ from copsrobbers.meyniel import MeynielAnalysis, MeynielCop
 from copsrobbers.seeds import make_rng
 
 from conftest import random_connected
-from oracles import eager_meyniel, replay_final_state
+from oracles import eager_meyniel, masked_bfs_oracle, replay_final_state
 
 PARAMS = StrategyParams(lam=2.0, density=0.8, levels=3)
 
@@ -227,6 +229,8 @@ def test_lazy_analysis_matches_eager_build(n, spread, seed, threshold, param_set
         assert [(entry, idx, guard.path) for entry, idx, guard in built.guards] == [
             (nodes[i]["entry"], nodes[i]["depth"], nodes[i]["guard"].path) for i in ref["guards"]]
         if node.kind == "guard":
+            own = built.guards[-1][2]
+            assert (own.dist0, own.approach) == (ref["guard"].dist0, ref["guard"].approach)
             continue
         leaf = ("broken", "resamples", "family_set_sizes", "deadlines")
         assert tuple(getattr(node, f) for f in leaf) == tuple(ref[f] for f in leaf)
@@ -359,13 +363,19 @@ def test_leaves_pinned(name):
 
 def test_analysis_lists_no_whole_graph_vertex_set():
     # every node keeps its component as an ascending id list and measures the
-    # subgraph it induces, whose vertices are that list's positions
+    # subgraph it induces, whose vertices are that list's positions: a
+    # guard's shadow row and a leaf's family and plans are indexed by them
     g = gen_grid(12, 12)
     an = MeynielAnalysis(g, 3, PARAMS, seed=0)
     assert an.root.kind == "guard" and max(node.depth for node in an.nodes) >= 2
     for node in an.nodes:
         assert list(node.members) == sorted(set(node.members))
-        assert node.graph.n == len(node.members)
+        if node.kind == "guard":
+            assert len(node.shadow) == len(node.members)
+        else:
+            assert node.shadow is None
+            assert node.family.n == len(node.members)
+            assert sorted(node.plans) == list(range(len(node.members)))
         an.cops(node)
     assert any(an.cops(node).team for node in an.nodes)
     res = run_meyniel(g, 3, PARAMS, cfg(), robber=GreedyFarRobber())
@@ -385,9 +395,10 @@ def test_desk_params_and_two_runs_share_one_whole_graph_scan(diameter_scans):
 def test_analysis_reads_the_rows_the_scans_kept(monkeypatch):
     # After the whole-graph scan, the root's geodesic, the v0 row of the
     # windows and the root guard's two metrics are rows the scan kept on the
-    # graph: no BFS runs on its adjacency, which the root's twin shares.  A
-    # guard below reads its shadow from the row its component's scan kept,
-    # and approaches through g's kept row from its p0.
+    # graph: no BFS runs on its adjacency.  A guard node below keeps as its
+    # shadow the row its component's scan kept, and its guard reads it
+    # there and approaches through g's kept row from its p0, with no BFS on
+    # any other adjacency.
     g = gen_grid(12, 12)
     diameter_pair(g)
     passes = []
@@ -397,19 +408,106 @@ def test_analysis_reads_the_rows_the_scans_kept(monkeypatch):
         passes.append(adj)
         return bfs(adj, dist, sources)
 
+    scanned = []  # every row each component's diameter scan left kept
+    scan = graph_mod._diameter_scan
+
+    def recording_scan(h):
+        out = scan(h)
+        scanned.extend(h._rows.values())
+        return out
+
     monkeypatch.setattr(graph_mod, "_bfs", counting_bfs)
+    monkeypatch.setattr(graph_mod, "_diameter_scan", recording_scan)
     an = MeynielAnalysis(g, 3, PARAMS, seed=0)
     assert an.root.kind == "guard" and not any(adj is g._adj for adj in passes)
+    assert an.root.shadow is g._row(an.root.path[0])
     root_guard = an.cops(an.root).guards[-1][2]
     assert root_guard.dist0 is root_guard.approach is g._row(an.root.path[0])
     guards = [node for node in an.nodes[1:] if node.kind == "guard"]
     assert guards
+    for node in guards:
+        assert any(node.shadow is row for row in scanned)
     passes.clear()
     for node in guards:
         an.cops(node)
-    assert not any(adj is node.graph._adj for node in guards for adj in passes)
+    assert all(adj is g._adj for adj in passes)
     for node in guards:
-        assert an.cops(node).guards[-1][2].approach is g._row(node.path[0])
+        own = an.cops(node).guards[-1][2]
+        assert own.approach is g._row(node.path[0])
+        assert [own.dist0[v] for v in node.members] == node.shadow
+
+
+# Trees with guard nodes below the root: the 12x12 grid splits twice, C60's
+# root geodesic leaves a path, and the sparse tree's first split has ten
+# components.
+TREES = {
+    "grid12x12": lambda: gen_grid(12, 12),
+    "c60": lambda: gen_cycle(60),
+    "tree50-chords": lambda: _sparse_tree(50, 3, 2),
+}
+
+
+def _reachable(obj):
+    """Every object reachable from obj by ``gc.get_referents``, except
+    through types, modules and functions, which reach the interpreter."""
+    seen, stack, out = set(), [obj], []
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+            continue
+        seen.add(id(obj))
+        out.append(obj)
+        stack.extend(gc.get_referents(obj))
+    return out
+
+
+@pytest.mark.parametrize("name", ["grid12x12", "c60"])
+def test_kept_tree_holds_no_graph(name):
+    # a node records its component as ids and a guard's shadow row; nothing
+    # the graph keeps for the recursion, cop objects included, is a Graph
+    g = TREES[name]()
+    an = MeynielAnalysis(g, 3, PARAMS, seed=0)
+    for node in an.nodes:
+        an.cops(node)
+    assert run_meyniel(g, 3, PARAMS, cfg()).caught
+    assert g._kept["meyniel"][1] is an.nodes
+    for node in an.nodes:
+        assert not any(isinstance(getattr(node, f.name), Graph)
+                       for f in dataclasses.fields(node))
+    assert not any(isinstance(obj, Graph) for obj in _reachable(g._kept["meyniel"]))
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_guard_shadows_are_component_rows_from_p0(name):
+    g = TREES[name]()
+    an = MeynielAnalysis(g, 3, PARAMS, seed=0)
+    below = [node for node in an.nodes[1:] if node.kind == "guard"]
+    assert below
+    for node in below:
+        row = masked_bfs_oracle(g, (node.path[0],), node.members)
+        assert node.shadow == [row[v] for v in node.members]
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_building_the_cops_runs_no_bfs_off_the_graph(monkeypatch, name):
+    # the guards read their shadows off the nodes and their approach rows
+    # off g, so every BFS the cop objects need runs on g's adjacency
+    g = TREES[name]()
+    an = MeynielAnalysis(g, 3, PARAMS, seed=0)
+    passes = []
+    bfs = graph_mod._bfs
+
+    def counting_bfs(adj, dist, sources):
+        passes.append(adj)
+        return bfs(adj, dist, sources)
+
+    monkeypatch.setattr(graph_mod, "_bfs", counting_bfs)
+    for node in an.nodes:
+        built = an.cops(node)
+        if node.kind == "guard" and node.parent is not None:
+            own = built.guards[-1][2]
+            assert [own.dist0[v] for v in node.members] == node.shadow
+    assert all(adj is g._adj for adj in passes)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +561,17 @@ def test_game_on_the_kept_tree_matches_a_fresh_graph(make, threshold):
 def test_another_key_builds_a_tree_that_replaces_the_kept_one(monkeypatch):
     g = gen_cycle(40)
     built = _count_builds(monkeypatch)
-    first = MeynielAnalysis(g, 3, PARAMS, seed=0)
+    # the kept tree is a tuple of nodes, which takes no weak reference: its
+    # root stands for it
+    first = weakref.ref(MeynielAnalysis(g, 3, PARAMS, seed=0).root)
+    assert first() is g._kept["meyniel"][1][0]
     keys = [(3, PARAMS, 1), (4, PARAMS, 1), (4, HALF, 1), (3, PARAMS, 0)]
     for threshold, params, seed in keys:
-        replaced = weakref.ref(g._kept["meyniel"][1])
+        replaced = weakref.ref(g._kept["meyniel"][1][0])
         an = MeynielAnalysis(g, threshold, params, seed)
-        assert an.nodes is not first.nodes
+        assert an.root is not first()
         key, tree = g._kept["meyniel"]
-        assert key == (threshold, params, seed) and tree.nodes is an.nodes
+        assert key == (threshold, params, seed) and tree is an.nodes
         # the slot held the only reference to the tree it held before
         assert replaced() is None
     # the last key is the first one's, whose tree had been replaced, and it
