@@ -5,7 +5,7 @@ labels over all n**k ordered cop tuples and n robber vertices are one Python
 int, robber-major: bit ``r*n**k + i`` holds cop tuple ``i`` (its base-n
 digits, cop 0 most significant) against robber ``r``, so robber r owns one
 contiguous slab of n**k bits.  A sweep is big-int AND/OR/shift work, with
-three kinds of pass:
+two kinds of pass:
 
   robber step:  (i, r) is won unless some x in N[r] has (i, x) unwon with the
                 cops to move.  The complement of the cops-to-move labels is
@@ -14,17 +14,15 @@ three kinds of pass:
                 of one chunk (below) is cut by shifts and rebuilt by Horner
                 shifts; a wider one is cut and joined by halving, so each
                 bit is passed over about log2(n) times, not n/2.
-  lowest cop digit (weight 1): the cops move independently, so "some joint
-                cop move reaches a won robber-to-move state" is one pass per
-                cop digit.  On this one, field x of every n-bit group is
-                masked out and multiplied by ``cmask[x]``, the n-bit mask of
-                N[x].  The products carry nothing into each other: each term
-                is below 2**n and starts on its own group's boundary.
-  other cop digits: one pass along each diagonal of the closed-neighbourhood
+  cop digits:   the cops move independently, so "some joint cop move
+                reaches a won robber-to-move state" is one pass per cop
+                digit, each along the diagonals of the closed-neighbourhood
                 relation.  For an offset d = c - x with c in N[x], the bits
                 whose digit is such an x are masked, shifted d places of the
                 digit and ORed in.  Closed neighbourhoods are symmetric, so
-                offset -d shifts first and then applies the mask of d.
+                offset -d shifts first and then applies the mask of d.  A
+                pass costs one shift pair per distinct offset: a path has
+                {1}, a w-wide grid {1, w}, Q_d the d powers of two.
 
 The cop passes run on chunks of whole robber slabs, cut by halving and
 joined again: every digit, the lowest included, runs on one chunk at a time
@@ -51,12 +49,12 @@ The final cops-to-move labels, and the first-won sweep of every
 robber-to-move state as ceil(log2(sweeps + 1)) bit-plane tables, are kept
 as bytes, so a state probe costs O(1) and a level costs O(log sweeps).
 A solve holds a few tables besides the planes (the n robber slabs together
-are one, and so are the chunks and each level of a halving), and k - 1
-diagonal masks one chunk wide per offset d > 0: at most (k - 1)(n - 1)
-chunks, which is under k - 1 tables once a chunk is one slab.  ``budget``
-bounds the bits of one table.  Labels are symmetric under permuting the
-cops, so the lowest cop tuple that wins in every robber slab is sorted: it
-is the lex-smallest winning multiset.
+are one, and so are the chunks and each level of a halving), and for each
+of the k cop digits one mask one chunk wide per offset d > 0: at most
+k(n - 1) chunks, which is under k tables once a chunk is one slab.
+``budget`` bounds the bits of one table.  Labels are symmetric under
+permuting the cops, so the lowest cop tuple that wins in every robber slab
+is sorted: it is the lex-smallest winning multiset.
 
 ``SolverCop`` plays the joint move with the least (first-won sweep, sorted
 target, ordered target).  The joint moves are one n**k-bit mask, the product
@@ -192,49 +190,45 @@ def _chunk_slabs(n: int, k: int) -> int:
 
 
 def _diagonal_masks(closed, k: int, width: int) -> tuple:
-    """masks[p - 1]: a (d, mask) pair for every offset d > 0 with x + d in
-    N[x] for some x; the `width`-bit mask holds the bits whose cop digit of
-    weight n**p is such an x."""
+    """masks[p]: a (shift, mask) pair for every offset d > 0 with x + d in
+    N[x] for some x, ascending in d, where the shift is d * n**p and the
+    `width`-bit mask holds the bits whose cop digit of weight n**p is such
+    an x."""
     n = len(closed)
     masks = []
-    for p in range(1, k):
+    for p in range(k):
         stride = n ** p
         field = (1 << stride) - 1
-        rows: dict = {}
+        rows = [0] * n      # rows[d]: the digits x with x + d in N[x], one field each
         for x, nbhd in enumerate(closed):
             for c in nbhd:
                 if c > x:
-                    rows[c - x] = rows.get(c - x, 0) | field << (x * stride)
-        masks.append(tuple((d, _tile(row, n * stride, width)) for d, row in sorted(rows.items())))
+                    rows[c - x] |= field << (x * stride)
+        masks.append(tuple((d * stride, _tile(row, n * stride, width))
+                           for d, row in enumerate(rows) if row))
     return tuple(masks)
 
 
-def _spread_cops(chunk: int, cmask, zero, masks) -> int:
+def _spread_cops(chunk: int, masks) -> int:
     """The cop pass over every cop digit of `chunk`, whole robber slabs: bit
     (.., c, ..) of the result is set iff some x in N[c] has bit (.., x, ..)
     set, along each digit.
 
-    On the lowest digit field x of every n-bit group is masked out by `zero`
-    and multiplied by ``cmask[x]``.  On the others, offset 0 keeps the chunk
-    (x is in N[x]); offset d of `masks` moves the masked digits x up to
-    x + d, and offset -d moves the digits x + d down to x.
+    Digit p keeps what it reads (x is in N[x]); offset d of ``masks[p]``
+    moves the masked digits x up to x + d, and offset -d moves the digits
+    x + d down to x.  Neither carries into the next digit: x + d < n, and
+    a digit y < d moved down lands on n - d + y, where no mask of d is set.
     """
-    n = len(cmask)
-    reach = 0
-    for x, spread in enumerate(cmask):
-        reach |= ((chunk >> x) & zero) * spread
-    for p, diagonals in enumerate(masks, 1):
-        stride = n ** p
+    reach = chunk
+    for diagonals in masks:
         out = reach
-        for d, mask in diagonals:
-            shift = d * stride
+        for shift, mask in diagonals:
             out |= ((reach & mask) << shift) | ((reach >> shift) & mask)
         reach = out
     return reach
 
 
-def _by_chunks(table: int, first: int, count: int, per: int, cells: int, free,
-               cmask, zero, masks) -> int:
+def _by_chunks(table: int, first: int, count: int, per: int, cells: int, free, masks) -> int:
     """`_spread_cops` applied to each chunk of `per` robber slabs of the
     `count`-slab `table` whose lowest slab is slab `first` (the last chunk
     may be shorter), the results joined again.
@@ -248,13 +242,12 @@ def _by_chunks(table: int, first: int, count: int, per: int, cells: int, free,
     if not table or not any(free[first:first + count]):
         return 0
     if count <= per:
-        return _spread_cops(table, cmask, zero, masks)
+        return _spread_cops(table, masks)
     cut = (count + per - 1) // per // 2 * per    # slabs below the cut
     bits = cut * cells
     high = table >> bits
-    table = _by_chunks(table & ((1 << bits) - 1), first, cut, per, cells, free, cmask, zero, masks)
-    return table | (_by_chunks(high, first + cut, count - cut, per, cells, free, cmask, zero, masks)
-                    << bits)
+    table = _by_chunks(table & ((1 << bits) - 1), first, cut, per, cells, free, masks)
+    return table | (_by_chunks(high, first + cut, count - cut, per, cells, free, masks) << bits)
 
 
 def _capture(n: int, k: int) -> list:
@@ -283,12 +276,7 @@ def _solve(g: Graph, k: int) -> _Tables:
     ones = (1 << size) - 1
     full = (1 << cells) - 1
     closed = g.closed_neighborhoods()
-    cmask = [0] * n         # cmask[x]: N[x] as an n-bit mask
-    for x, nbhd in enumerate(closed):
-        for c in nbhd:
-            cmask[x] |= 1 << c
     per = _chunk_slabs(n, k)
-    zero = _tile(1, n, per * cells)     # the bits of a chunk whose lowest cop digit is 0
     masks = _diagonal_masks(closed, k, per * cells)
     # tables of one chunk are cut and joined by shifts, wider ones by halving
     cut, join = (_slabs, _horner) if per == n else (_halve, _unhalve)
@@ -300,7 +288,7 @@ def _solve(g: Graph, k: int) -> _Tables:
     # by its chunk's pass, which for tables that small costs less than the
     # closed form's n + 2m slab ORs
     if per == n:
-        reach = _spread_cops(win_rob, cmask, zero, masks)
+        reach = _spread_cops(win_rob, masks)
     else:
         reach = join(_first_reach(caps, closed), cells)
     del caps
@@ -341,9 +329,9 @@ def _solve(g: Graph, k: int) -> _Tables:
         # time.  A cop pass keeps the robber's vertex and win_cop only grows,
         # so a chunk whose slabs are all won already is skipped
         if per == n:    # one chunk: what `_by_chunks` does, without its calls
-            reach = _spread_cops(fresh, cmask, zero, masks) if fresh and any(free) else 0
+            reach = _spread_cops(fresh, masks) if fresh and any(free) else 0
         else:
-            reach = _by_chunks(fresh, 0, n, per, cells, free, cmask, zero, masks)
+            reach = _by_chunks(fresh, 0, n, per, cells, free, masks)
     sweeps = sweep + 1
     # never-won states are all ones, above every level 0..sweeps-1
     planes += [0] * (sweeps.bit_length() - len(planes))

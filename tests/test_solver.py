@@ -32,7 +32,7 @@ from copsrobbers import solver
 from copsrobbers.engine import GreedyFarRobber, RandomRobber, View
 from copsrobbers.solver import (
     DEFAULT_STATE_BUDGET, SolverCop, _bit, _by_chunks, _capture, _chunk_slabs, _diagonal_masks,
-    _first_reach, _halve, _horner, _slabs, _solve, _spread_cops, _tables, _tile, _unhalve)
+    _first_reach, _halve, _horner, _slabs, _solve, _spread_cops, _tables, _unhalve)
 
 from conftest import all_connected_graphs, random_connected, random_girth5
 from oracles import (
@@ -156,8 +156,9 @@ def test_solve_memory_is_a_few_tables_with_more_cops(g, k):
 
 
 def test_solve_memory_allows_the_diagonal_masks():
-    # below 2**15 bits a slab, a chunk holds several slabs, and the (k - 1)
-    # masks per offset d in 1..n-1 are one chunk wide each: their allowance
+    # below 2**15 bits a slab, a chunk holds several slabs, and each of the k
+    # cop digits keeps a mask one chunk wide per offset d in 1..n-1; the
+    # allowance holds k - 1 digits' masks, and the 20 tables' slack the other
     g, k = random_connected(60, seed=1, p=0.05), 2
     table_bytes = g.n ** (k + 1) // 8
     masks_bytes = (k - 1) * (g.n - 1) * _chunk_slabs(g.n, k) * g.n ** k // 8
@@ -297,10 +298,59 @@ def test_chunked_cop_passes_match_the_per_vertex_reference(n, k, per, p, sparsit
     for first in range(0, n, per):
         if not any(free[first:first + per]):
             expected &= ~(((1 << (per * cells)) - 1) << (first * cells))
-    cmask = [sum(1 << c for c in nbhd) for nbhd in closed]
-    zero = _tile(1, n, per * cells)
     masks = _diagonal_masks(closed, k, per * cells)
-    assert _by_chunks(table, 0, n, per, cells, free, cmask, zero, masks) == expected
+    assert _by_chunks(table, 0, n, per, cells, free, masks) == expected
+
+
+# gen's labellings: offsets {1}, {1, n - 1}, {1, w} and the d powers of two
+FEW_OFFSETS = {
+    "path9": (gen_path(9), {1}),
+    "c10": (gen_cycle(10), {1, 9}),
+    "grid3x4": (gen_grid(3, 4), {1, 3}),
+    "q3": (gen_hypercube(3), {1, 2, 4}),
+    "q4": (gen_hypercube(4), {1, 2, 4, 8}),
+}
+
+
+def _cop_pass_matches_reference(g, k, per, seed):
+    """Whether the chunked cop pass over a random table of (g, k), with
+    random won slabs, is the per-vertex reference along every digit.  The
+    pass and its masks are looked up on the module, so a patched one is
+    the one tested."""
+    n = g.n
+    closed = g.closed_neighborhoods()
+    cells, size = n ** k, n ** (k + 1)
+    rng = random.Random(seed)
+    table = rng.getrandbits(size) & rng.getrandbits(size)
+    free = [int(rng.random() < 0.7) for _ in range(n)]
+    expected = table
+    for q in range(k):
+        expected = some_neighbor_reference(expected, closed, n ** q, size)
+    for first in range(0, n, per):
+        if not any(free[first:first + per]):
+            expected &= ~(((1 << (per * cells)) - 1) << (first * cells))
+    masks = solver._diagonal_masks(closed, k, per * cells)
+    return solver._by_chunks(table, 0, n, per, cells, free, masks) == expected
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(FEW_OFFSETS))
+def test_cop_passes_on_few_offsets_match_the_per_vertex_reference(name, k):
+    # one chunk of the whole table, and one or three slabs a chunk
+    g = FEW_OFFSETS[name][0]
+    for per in (g.n, 3, 1):
+        for seed in range(3):
+            assert _cop_pass_matches_reference(g, k, per, seed), (per, seed)
+
+
+@pytest.mark.parametrize("name", sorted(FEW_OFFSETS))
+def test_each_digit_shifts_by_the_distinct_offsets(name):
+    # digit p, the lowest included, shifts by each offset c - x > 0 times n**p
+    g, offsets = FEW_OFFSETS[name]
+    n, k = g.n, 3
+    masks = _diagonal_masks(g.closed_neighborhoods(), k, n ** (k + 1))
+    assert [[shift for shift, _ in diagonals] for diagonals in masks] == \
+        [[d * n ** p for d in sorted(offsets)] for p in range(k)]
 
 
 def _capture_reference(n, k):
@@ -338,12 +388,10 @@ def test_first_sweep_is_capture_and_its_spread(g, k, per):
     assert caps == _slabs(capture, n, cells) == _halve(capture, n, cells)
     first = _first_reach(caps, closed)
     assert _horner(first, cells) == _unhalve(first, cells) == spread
-    cmask = [sum(1 << c for c in nbhd) for nbhd in closed]
-    zero = _tile(1, n, per * cells)
     masks = _diagonal_masks(closed, k, per * cells)
-    assert _by_chunks(capture, 0, n, per, cells, [1] * n, cmask, zero, masks) == spread
+    assert _by_chunks(capture, 0, n, per, cells, [1] * n, masks) == spread
     if per == n:
-        assert _spread_cops(capture, cmask, zero, masks) == spread
+        assert _spread_cops(capture, masks) == spread
 
 
 # Pinned at the solver before chunks the cops have won were skipped.
@@ -403,6 +451,50 @@ def test_sweep_mutants_change_the_pinned_tables(monkeypatch, mutant):
                             lambda caps, closed: real(caps, (closed[0][:-1],) + tuple(closed[1:])))
     make, _, digest = MULTI_CHUNK_PINS["girth5-28"]
     assert (_tables_digest(_solve(make(), 3)) == digest) == (mutant == "none")
+
+
+# Pinned at the solver whose lowest cop digit multiplied each vertex's field
+# by its closed neighbourhood: 144 vertices run 2-slab chunks, two offsets
+GRID12_PIN = (lambda: gen_grid(12, 12), 2, 45,
+              "901bb2590f646a3b86922709d2a8c59716bd778fc2e5bc6926d6800f8b263f28")
+
+
+def test_tables_are_pinned_where_the_graph_has_few_offsets():
+    make, k, sweeps, digest = GRID12_PIN
+    g = make()
+    assert _chunk_slabs(g.n, k) == 2
+    t = _solve(g, k)
+    assert t.sweeps == sweeps
+    assert _tables_digest(t) == digest
+
+
+@pytest.mark.parametrize("mutant", ["none", "digit-0-drops-an-offset",
+                                    "digit-0-shifts-the-wrong-way"])
+def test_lowest_digit_mutants_fail_the_differential_and_change_the_pinned_tables(
+        monkeypatch, mutant):
+    if mutant == "digit-0-drops-an-offset":
+        real_masks = solver._diagonal_masks
+
+        def drop_last_offset(closed, k, width):
+            low, *rest = real_masks(closed, k, width)
+            return (low[:-1], *rest)
+
+        monkeypatch.setattr(solver, "_diagonal_masks", drop_last_offset)
+    elif mutant == "digit-0-shifts-the-wrong-way":
+        real_spread = solver._spread_cops
+
+        def wrong_way(chunk, masks):
+            out = chunk
+            for shift, mask in masks[0]:
+                out |= ((chunk & mask) >> shift) | ((chunk << shift) & mask)
+            return real_spread(out, masks[1:])
+
+        monkeypatch.setattr(solver, "_spread_cops", wrong_way)
+    matches = [_cop_pass_matches_reference(g, k, per, 0)
+               for g, _ in FEW_OFFSETS.values() for k in (1, 2) for per in (g.n, 3)]
+    assert all(matches) if mutant == "none" else not any(matches)
+    make, k, _, digest = GRID12_PIN
+    assert (_tables_digest(_solve(make(), k)) == digest) == (mutant == "none")
 
 
 def test_solver_strategy_beats_adversary():
