@@ -2,8 +2,8 @@
 
 Vertices are exactly the integers ``0..n-1``, and the package passes them as
 plain ids: a BFS starts from a sequence of ids, and a ball is returned as an
-ascending tuple of them (``VertexSet.of`` makes such a tuple from any ids, and
-checks their range).  A :class:`Graph` holds sorted adjacency tuples and
+ascending tuple of them (``ball`` range-checks the ids it is given and builds
+that tuple itself).  A :class:`Graph` holds sorted adjacency tuples and
 the values it derives from them (below).  Distances are exact integers;
 ``UNREACHABLE`` (-1) is the only sentinel and is never a "large number".
 
@@ -249,9 +249,9 @@ class Graph:
 
 
 def _bfs(adj, dist: list[int], sources) -> list[int]:
-    """BFS over the adjacency lists ``adj``, filling a seeded distance list
-    in place.  Only ``UNREACHABLE`` entries are filled, so a seeded row may
-    block vertices with another marker."""
+    """BFS over the adjacency lists ``adj`` from ``sources``, filling
+    ``dist`` in place and returning it.  Both callers pass a fresh row of
+    ``UNREACHABLE``, so every vertex the sources reach gets its distance."""
     queue = list(sources)
     for s in queue:
         dist[s] = 0

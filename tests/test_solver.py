@@ -157,11 +157,11 @@ def test_solve_memory_is_a_few_tables_with_more_cops(g, k):
 
 def test_solve_memory_allows_the_diagonal_masks():
     # below 2**15 bits a slab, a chunk holds several slabs, and each of the k
-    # cop digits keeps a mask one chunk wide per offset d in 1..n-1; the
-    # allowance holds k - 1 digits' masks, and the 20 tables' slack the other
+    # cop digits keeps a mask one chunk wide per offset d in 1..n-1: at most
+    # k(n - 1) chunks
     g, k = random_connected(60, seed=1, p=0.05), 2
     table_bytes = g.n ** (k + 1) // 8
-    masks_bytes = (k - 1) * (g.n - 1) * _chunk_slabs(g.n, k) * g.n ** k // 8
+    masks_bytes = k * (g.n - 1) * _chunk_slabs(g.n, k) * g.n ** k // 8
     assert _chunk_slabs(g.n, k) > 1
     tracemalloc.start()
     try:
@@ -170,7 +170,7 @@ def test_solve_memory_allows_the_diagonal_masks():
     finally:
         tracemalloc.stop()
     assert t.sweeps > 5
-    assert peak < (20 + 2 * len(t.planes)) * table_bytes + masks_bytes
+    assert peak < (10 + 2 * len(t.planes)) * table_bytes + masks_bytes
 
 
 @pytest.mark.parametrize("g, k", [(gen_hypercube(5), 3), (random_connected(16, seed=2, p=0.3), 4)],
