@@ -13,6 +13,12 @@ near-equal numbers; they are bounded by explicit series envelopes
 (e.g. -ln(1-u) is trapped between u and u+u^2 for u <= 1/2), which keeps the
 checks meaningful for n as large as 2^(10^6).
 
+Importing this module loads no mpmath.  ``_mpmath``, which every function
+here that touches mpmath calls first, imports it on the first call and sets
+its global ``iv.prec`` and ``mp.prec`` to ``PRECISION_BITS``, so a run that
+never reaches the bound arithmetic (``gen``, ``solve``, ``play``,
+``strategy``) never loads it.
+
 The bisection for the trivial-region boundary signs midpoints far from the
 root in float and by interval evaluation near it.  The float-signed
 endpoints of its last bracket are re-signed by interval evaluation, so the
@@ -32,10 +38,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-import mpmath
-from mpmath import iv, mp
+if TYPE_CHECKING:
+    import mpmath
 
 __all__ = [
     "BoundParams",
@@ -49,14 +55,23 @@ __all__ = [
 ]
 
 PRECISION_BITS = 192
-iv.prec = PRECISION_BITS
-mp.prec = PRECISION_BITS
+_LN2 = None  # ln 2 as an interval, made by the first _mpmath call
 
-_LN2 = iv.log(2)
+
+def _mpmath():
+    """mpmath, imported on the first call, which also sets ``iv.prec`` and
+    ``mp.prec`` to ``PRECISION_BITS`` and makes ``_LN2``."""
+    global _LN2
+    import mpmath
+    if _LN2 is None:
+        mpmath.iv.prec = mpmath.mp.prec = PRECISION_BITS
+        _LN2 = mpmath.iv.log(2)
+    return mpmath
 
 
 def _to_iv(x):
     """Point interval for x; -inf is allowed (D = 0 is D_log = -inf)."""
+    iv = _mpmath().iv
     if isinstance(x, iv.mpf):
         return x
     if x != x:
@@ -67,31 +82,33 @@ def _to_iv(x):
 
 
 def _lo(x) -> mpmath.mpf:
-    return mpmath.mpf(x.a)
+    return _mpmath().mpf(x.a)
 
 
 def _hi(x) -> mpmath.mpf:
-    return mpmath.mpf(x.b)
+    return _mpmath().mpf(x.b)
 
 
 def _hull(*xs):
     los = [_lo(x) for x in xs]
     his = [_hi(x) for x in xs]
-    return iv.mpf([min(los), max(his)])
+    return _mpmath().iv.mpf([min(los), max(his)])
 
 
 def _log2iv(x):
     """Base-2 log; exact when x is an exact power of two."""
+    mpmath = _mpmath()
     if _lo(x) == _hi(x):
         v = _lo(x)
         if v > 0:
             e = int(mpmath.nint(mpmath.log(v, 2)))
             if mpmath.mpf(2) ** e == v:
-                return iv.mpf(e)
-    return iv.log(x) / _LN2
+                return mpmath.iv.mpf(e)
+    return mpmath.iv.log(x) / _LN2
 
 
 def _pow2(x):
+    iv = _mpmath().iv
     return iv.exp(x * _LN2)
 
 
@@ -100,6 +117,7 @@ def _log2_1p(x):
 
     Uses x/(1+x) <= ln(1+x) <= x, which holds on (-1, inf) for both signs.
     """
+    _mpmath()
     a = x / ((1 + x) * _LN2)
     b = x / _LN2
     return _hull(a, b)
@@ -135,6 +153,7 @@ class BoundParams:
 
 def bound_params(L) -> BoundParams:
     """Evaluate every derived parameter at scale L = log2 n."""
+    iv = _mpmath().iv
     ivL = _to_iv(L)
     if not _lo(ivL) > 0:
         raise ValueError("L must be positive")
@@ -155,6 +174,7 @@ def bound_params(L) -> BoundParams:
 
 def trivial_margin_log(L):
     """log2 of 2(log n)^3 2^{-sqrt(log n)} at scale L; >0 means f(n) > n."""
+    iv = _mpmath().iv
     ivL = _to_iv(L)
     return 1 + 3 * _log2iv(ivL) - iv.sqrt(ivL)
 
@@ -191,6 +211,7 @@ def _bisect(a, b, tol, screen: bool):
     Returns the bracket and the endpoints of the last bisected bracket whose
     sign came from float, each paired with that sign.
     """
+    _mpmath()  # the midpoints are mpf arithmetic at PRECISION_BITS
     a_float = b_float = False
     stuck = None
     while b - a > tol:
@@ -233,6 +254,7 @@ def trivial_region_boundary(tol: float = 1e-6) -> BoundaryBracket:
     they agree the bracket is the one interval signs alone give; if not, the
     bisection reruns on interval signs alone.
     """
+    mpmath = _mpmath()
     if not (tol > 0 and mpmath.isfinite(tol)):
         raise ValueError(f"tolerance must be positive and finite, got {tol}")
     a, b = mpmath.mpf(2), mpmath.mpf(4096)
@@ -262,6 +284,7 @@ class ChainStep:
     note: str
 
     def to_dict(self) -> dict:
+        mpmath = _mpmath()
         return {
             "name": self.name,
             "holds": self.holds,
@@ -334,6 +357,8 @@ def check_eq1_chain(L, D_log=None) -> ChainReport:
     leaves its range: D/n >= 1/2, or log2(n - D) or the end-to-end gap's
     envelope below 0.
     """
+    mpmath = _mpmath()
+    iv = mpmath.iv
     params = bound_params(L)
     ivL, sq, lg = params.L, params.sqrt_L, params.log2_L
     threshold = params.diameter_threshold_log

@@ -8,8 +8,6 @@ from __future__ import annotations
 import itertools
 import statistics
 
-import mpmath
-
 from .bounds import bound_params, check_eq1_chain, trivial_region_boundary
 from .engine import (GameConfig, GreedyFarRobber, RandomRobber, adversarial_robber_search,
                      expand_game_layers, validate_transcript)
@@ -375,6 +373,8 @@ def verdict_7(doc):
 # 8. Bound arithmetic.
 
 def criterion_8(seed: int, budget: int) -> dict:
+    import mpmath  # only criterion 8 prints mpmath numbers; the bounds calls set their precision
+
     b = trivial_region_boundary(tol=1e-6)
     p = bound_params(1024)
     mid = p.point_values()

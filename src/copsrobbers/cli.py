@@ -18,8 +18,6 @@ import math
 import os
 import sys
 
-import mpmath
-
 from . import bounds, checks, generators, solver
 from .engine import (
     ChaserCop,
@@ -231,6 +229,8 @@ def cmd_strategy(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    import mpmath  # only bound prints mpmath numbers; the bounds calls set their precision
+
     params = bounds.bound_params(args.L)
     vals = params.point_values()
     d_log = float("-inf") if args.d_zero else args.d_log

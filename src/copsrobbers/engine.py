@@ -515,10 +515,14 @@ def validate_transcript(g: Graph, t: Transcript) -> None:
     Raises ValueError on the first violation.  Deliberately reimplements the
     rules from the edge set up rather than reusing the engine's step logic.
     """
-    edges = {frozenset(e) for e in g.edges()}
+    nbrs = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
 
     def step_ok(a, b):
-        return a == b or frozenset((a, b)) in edges
+        # a is a placement or a checked move, so it lies in 0..n-1
+        return a == b or b in nbrs[a]
 
     k = t.config.cop_count
     if len(t.cop_placement) != k:

@@ -53,12 +53,12 @@ source (on a hypercube) can fill; the next row past that drops them all.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import NoPathError, ParseError
+from .seeds import sha256
 
 __all__ = [
     "UNREACHABLE",
@@ -612,4 +612,4 @@ def to_dot(g: Graph) -> str:
 def graph_hash(g: Graph) -> str:
     """Stable 16-hex-digit digest of the canonical edge list; kept on g."""
     return g._keep("hash",
-                   lambda: hashlib.sha256(format_edge_list(g).encode()).hexdigest()[:16])
+                   lambda: sha256(format_edge_list(g).encode()).hexdigest()[:16])

@@ -1,13 +1,15 @@
 """The CLI and demo output pins of ``cli_pins.json``, and their two drivers.
 
-Each entry is one run: its ``name``; a one-line ``why``; its input
-``files``, each made in a fresh directory by a ``gen`` argv or written from
-inline edge-list ``text``; its ``argv``, a ``copsrobbers`` command line or a
-demo script (``demos/*.py``, relative to the repository); the ``exit`` code
-it must return; at most one stdout pin (``stdout_sha256``, the whole
-``stdout`` text, or a substring ``stdout_has``); and optionally a substring
-``stderr_has``.  An argv item ending in ``.el`` names one of the entry's
-files and is replaced by its path.
+The table holds the input ``files`` its entries share, each keyed by name
+and made by a ``gen`` argv or written from inline edge-list ``text``, and
+the ``entries``.  Each entry is one run: its ``name``; a one-line ``why``;
+its ``argv``, a ``copsrobbers`` command line or a demo script
+(``demos/*.py``, relative to the repository); the ``exit`` code it must
+return; at most one stdout pin (``stdout_sha256``, the whole ``stdout``
+text, or a substring ``stdout_has``); and optionally a substring
+``stderr_has``.  An argv item ending in ``.el`` names one of the table's
+files and is replaced by its path.  No entry writes to a file, so each
+driver makes every file once (``make_files``) and all entries read it.
 
 ``test_cli_pins.py`` runs every entry in-process through ``cli.main``
 (``run_in_process``); ``python tests/cli_pins.py`` runs every entry as a
@@ -31,15 +33,16 @@ ROOT = Path(__file__).resolve().parent.parent
 TABLE = Path(__file__).with_name("cli_pins.json")
 REQUIRED = {"name", "why", "argv", "exit"}
 STDOUT_PINS = {"stdout_sha256", "stdout", "stdout_has"}
-KEYS = REQUIRED | STDOUT_PINS | {"files", "stderr_has"}
+KEYS = REQUIRED | STDOUT_PINS | {"stderr_has"}
 
 
-def validate(entries: list) -> list:
-    """The entries, once every one can fail: a ValueError names the first
-    that has an unknown key, misses a required one, pins stdout twice,
-    repeats a name, or names a file in its argv that it does not make."""
-    names = set()
-    for entry in entries:
+def validate(table: dict) -> dict:
+    """The table, once every entry can fail: a ValueError names the first
+    entry that has an unknown key, misses a required one, pins stdout twice,
+    repeats a name, or names a file in its argv that the table does not
+    make, and then a file that no entry names."""
+    files, names, named = table["files"], set(), set()
+    for entry in table["entries"]:
         name = entry.get("name")
         if unknown := entry.keys() - KEYS:
             raise ValueError(f"{name}: unknown keys {sorted(unknown)}")
@@ -50,14 +53,17 @@ def validate(entries: list) -> list:
         if name in names:
             raise ValueError(f"{name}: two entries have this name")
         names.add(name)
-        files = entry.get("files", {})
         for arg in entry["argv"]:
-            if arg.endswith(".el") and arg not in files:
-                raise ValueError(f"{name}: argv names {arg}, which the entry does not make")
-    return entries
+            if arg.endswith(".el"):
+                if arg not in files:
+                    raise ValueError(f"{name}: argv names {arg}, which the table does not make")
+                named.add(arg)
+    if unused := files.keys() - named:
+        raise ValueError(f"no entry names the files {sorted(unused)}")
+    return table
 
 
-def load() -> list:
+def load() -> dict:
     return validate(json.loads(TABLE.read_text()))
 
 
@@ -80,18 +86,25 @@ def mismatches(entry: dict, code, out: str, err: str) -> list[str]:
     return found
 
 
-def run_entry(entry: dict, run, workdir) -> list[str]:
-    """Make the entry's files in ``workdir``, run its argv through ``run``
-    (argv -> (exit code, stdout, stderr)), and return its mismatches."""
+def make_files(files: dict, run, workdir) -> dict[str, str]:
+    """Make each of the table's ``files`` in ``workdir``, a ``gen`` one
+    through ``run`` (argv -> (exit code, stdout, stderr)); return the path
+    of each by name.  A ``gen`` that fails raises RuntimeError."""
     paths = {}
-    for file, spec in entry.get("files", {}).items():
+    for file, spec in files.items():
         paths[file] = path = os.path.join(workdir, file)
         if "gen" in spec:
             code, _, err = run(["gen", *spec["gen"], "-o", path])
             if code != 0:
-                return [f"gen {file} exited {code}: {err[-300:]!r}"]
+                raise RuntimeError(f"gen {file} exited {code}: {err[-300:]!r}")
         else:
             Path(path).write_text(spec["text"])
+    return paths
+
+
+def run_entry(entry: dict, run, paths: dict[str, str]) -> list[str]:
+    """Run the entry's argv through ``run``, with each file name replaced by
+    its path in ``paths``, and return its mismatches."""
     return mismatches(entry, *run([paths.get(arg, arg) for arg in entry["argv"]]))
 
 
@@ -123,10 +136,12 @@ def run_process(argv: list[str]):
 
 if __name__ == "__main__":
     failed = 0
-    for entry in load():
-        with tempfile.TemporaryDirectory() as workdir:
-            found = run_entry(entry, run_process, workdir)
-        print(("FAIL " if found else "ok   ") + entry["name"], *found, sep="\n     ")
-        failed += bool(found)
+    table = load()
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = make_files(table["files"], run_process, workdir)
+        for entry in table["entries"]:
+            found = run_entry(entry, run_process, paths)
+            print(("FAIL " if found else "ok   ") + entry["name"], *found, sep="\n     ")
+            failed += bool(found)
     print(f"{failed} of the pins failed" if failed else "every pin passed")
     sys.exit(1 if failed else 0)

@@ -231,3 +231,33 @@ def test_chain_report_pinned(d_log):
     docs = [check_eq1_chain(L, d_log).to_dict() for L in CHAIN_PIN_SCALES]
     text = json.dumps(docs, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CHAIN_SHA256[d_log]
+
+
+# Each call runs in a fresh process as its first use of mpmath.  `_bisect`'s
+# process imports mpmath itself, to make its arguments, at mpmath's default
+# 53 bits; on [2, 3] every midpoint signs in float, so only `_bisect` can set
+# the precision, and at 53 bits the bracket would shrink onto the point 3.
+FIRST_USES = {
+    "bound_params": "bounds.bound_params(1024).point_values()",
+    "trivial_margin_log": "bounds.trivial_margin_log(900)",
+    "trivial_region_boundary": "bounds.trivial_region_boundary(1e-30)",
+    "check_eq1_chain": "bounds.check_eq1_chain(1600, -5.0).to_dict()",
+    "_bisect": "bounds._bisect(mpmath.mpf(2), mpmath.mpf(3), 1e-30, screen=True)",
+}
+
+
+@pytest.mark.parametrize("call", list(FIRST_USES.values()), ids=list(FIRST_USES))
+def test_each_function_works_as_the_first_mpmath_use(fresh_python, call):
+    done = fresh_python(f"""
+import sys
+from copsrobbers import bounds
+assert "mpmath" not in sys.modules
+if "_bisect" in {call!r}:
+    import mpmath
+assert bounds._LN2 is None
+print(repr({call}))
+""")
+    assert done.returncode == 0, done.stderr
+    bounds = copsrobbers.bounds
+    bounds._mpmath()
+    assert done.stdout == repr(eval(call)) + "\n"

@@ -4,9 +4,12 @@ import warnings
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cli_pins
 from copsrobbers import Graph, format_edge_list, gen_cycle, gen_grid, gen_petersen, parse_edge_list
-from copsrobbers.cli import main
+from copsrobbers.cli import GEN_FAMILIES, main
 
 
 def run(capsys, *argv):
@@ -493,3 +496,150 @@ def test_oversized_header_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(f))
     assert code == 1 and out == ""
     assert "line 1" in err and "exceeds" in err
+
+
+# The subcommands that never reach the bound arithmetic, in one fresh process
+# that loads the package once; "g.el" is replaced by a grid's edge list.
+RUNS_WITHOUT_BOUNDS = (
+    ["gen", "grid", "3", "4", "-o", "g.el"],
+    ["solve", "g.el"],
+    ["play", "g.el"],
+    ["play", "g.el", "--cops", "solver", "--k", "2"],
+    ["strategy", "guard", "g.el", "--check"],
+    ["strategy", "expander", "g.el"],
+    ["strategy", "meyniel", "g.el"],
+    ["verify", "--budget", "0"],
+)
+
+
+def test_runs_without_the_bound_arithmetic_load_neither_mpmath_nor_openssl(
+        fresh_python, tmp_path):
+    graph = str(tmp_path / "g.el")
+    runs = [[graph if a == "g.el" else a for a in argv] for argv in RUNS_WITHOUT_BOUNDS]
+    done = fresh_python(f"""
+import contextlib, io, json, sys
+import copsrobbers
+from copsrobbers.cli import main
+
+def loaded():
+    return [m for m in ("mpmath", "_hashlib") if m in sys.modules]
+
+seen = [loaded()]
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        seen.append([main(argv), *loaded()])
+print(json.dumps(seen))
+""")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[]] + [[0]] * len(runs)
+
+
+def test_bound_prints_its_pinned_digest_in_a_fresh_process():
+    # a test process has long loaded mpmath; this run loads it first
+    entry, = (e for e in cli_pins.load()["entries"] if e["name"] == "bound-L1024")
+    assert "stdout_sha256" in entry
+    assert cli_pins.run_entry(entry, cli_pins.run_process, {}) == []
+
+
+# ---------------------------------------------------------------------------
+# Grammar fuzz: random subcommands, flags and small or malformed edge lists
+# end with an exit code of 0-3, never another exception.
+# ---------------------------------------------------------------------------
+
+BAD = ["-1", "nan", "x", ""]
+
+
+def values(*good):
+    """One of ``good``, or about one time in eight a value that flags often
+    refuse (``one_of`` would not weigh its branches evenly)."""
+    return st.sampled_from(list(good) * (28 // len(good) + 1) + BAD)
+
+
+ROBBERS = values("greedy", "random")
+FLAGS = {
+    "gen": {"--p": values("0", "0.3", "1"), "--dot": None},
+    "solve": {"--k": values("1", "2", "3"), "--kmax": values("1", "2", "3"),
+              "--budget": values("1", "64", "100000"), "--placement": None},
+    "play": {"--k": values("1", "2"), "--cops": values("chaser", "solver"),
+             "--robber": ROBBERS, "--max-rounds": values("1", "3", "9"),
+             "--budget": values("64", "100000")},
+    "strategy": {"--path": st.sampled_from(["0", "0,1", "0,1,2", "0,,1", "0,9", "a"]),
+                 "--check": None, "--lam": values("1.5", "2", "6"),
+                 "--density": values("0.3", "0.5", "1"), "--levels": values("0", "1", "2", "9"),
+                 "--resample-limit": values("1", "2", "16"),
+                 "--threshold": values("1", "2", "3", "9"), "--robber": ROBBERS,
+                 "--max-rounds": values("1", "5", "50"), "--require-capture": None},
+    "bound": {"--d-log": values("-5", "0", "5", "50"), "--d-zero": None,
+              "--tol": st.sampled_from(["1e-6", "0.5", "1e-30", "1e-60", "0", "x"])},
+    "verify": {"--corpus": st.sampled_from(["DIR", "missing.el"])},
+}
+COMMANDS = sorted(FLAGS) + ["strategy"] * 2  # it has three kinds
+FORMATTED = {"solve", "play", "bound", "verify"}
+
+
+@st.composite
+def positionals(draw, command):
+    if command == "gen":
+        family = draw(values(*GEN_FAMILIES))
+        sizes = len(GEN_FAMILIES[family][1]) if family in GEN_FAMILIES else 1
+        count = sizes + draw(st.sampled_from([0] * 7 + [1]))
+        return [family, *draw(st.lists(st.integers(-1, 4).map(str), min_size=count,
+                                       max_size=count))]
+    if command == "strategy":
+        return [draw(values("guard", "expander", "meyniel")),
+                draw(st.sampled_from(["g.el", "g.el", "missing.el"]))]
+    if command == "verify":  # a positive budget would run the criteria
+        return ["--budget", draw(values("0"))]
+    if command == "bound":
+        return ["--L", draw(st.sampled_from(["1024", "1600.5", "2", "1", "0", "-3", "1e-300",
+                                             "1e300", "nan", "inf", "x"]))]
+    return ["g.el"]
+
+
+JUNK_LINES = ["", "# c", "x y", "1", "1 2 3", "-1 0", "0 0", "2 1", "0 9", "9 9", "0 3", "0 -1"]
+
+
+@st.composite
+def edge_lists(draw):
+    """Edge-list text of at most 8 vertices, three times in four on a path
+    through all of them; one time in four a line is junk."""
+    n = draw(st.sampled_from(range(1, 9)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16))
+    if draw(st.sampled_from([True, True, True, False])):
+        pairs += [(v, v + 1) for v in range(n - 1)]
+    edges = sorted({(min(p), max(p)) for p in pairs if p[0] != p[1]})
+    lines = [f"{n} {len(edges)}", *(f"{u} {v}" for u, v in edges)]
+    if draw(st.sampled_from([True, False, False, False])):
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(JUNK_LINES))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(COMMANDS))
+    argv = draw(st.sampled_from([[]] * 4 + [["--seed", "3"]] * 3 + [["--seed", "x"]]))
+    argv += [command, *draw(positionals(command))]
+    flags = dict(FLAGS[command], **{"--seed": values("3", "12345"),
+                                    "-o": st.sampled_from(["out", "out", "DIR"])})
+    if command in FORMATTED:
+        flags["--format"] = values("json", "table")
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True)):
+        argv.append(flag)
+        if flags[flag] is not None:
+            argv.append(draw(flags[flag]))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(argv=command_lines(), text=edge_lists())
+def test_grammar_fuzz_exits_0_to_3(fuzz_dir, argv, text):
+    (fuzz_dir / "g.el").write_text(text)
+    paths = {"g.el": fuzz_dir / "g.el", "missing.el": fuzz_dir / "missing.el",
+             "out": fuzz_dir / "out", "DIR": fuzz_dir}
+    code, _, _ = cli_pins.run_in_process([str(paths.get(a, a)) for a in argv])
+    assert code in (0, 1, 2, 3)

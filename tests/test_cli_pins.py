@@ -4,24 +4,38 @@ import pytest
 
 import cli_pins
 
-ENTRIES = cli_pins.load()
-ENTRY = {"name": "e", "why": "w", "files": {"g.el": {"gen": ["path", "3"]}},
-         "argv": ["solve", "g.el"], "exit": 0}
+TABLE = cli_pins.load()
+FILES = {"g.el": {"gen": ["path", "3"]}}
+ENTRY = {"name": "e", "why": "w", "argv": ["solve", "g.el"], "exit": 0}
 
 
-@pytest.mark.parametrize("entry", ENTRIES, ids=[e["name"] for e in ENTRIES])
-def test_cli_pin(tmp_path, entry):
-    assert cli_pins.run_entry(entry, cli_pins.run_in_process, tmp_path) == []
+@pytest.fixture(scope="session")
+def pin_files(tmp_path_factory):
+    return cli_pins.make_files(TABLE["files"], cli_pins.run_in_process,
+                               tmp_path_factory.mktemp("pins"))
 
 
-@pytest.mark.parametrize("entries, message", [
-    ([{k: v for k, v in ENTRY.items() if k != "exit"}], "e: missing ['exit']"),
-    ([{**ENTRY, "stdout": "", "stdout_has": "x"}], "e: more than one of"),
-    ([{**ENTRY, "stdout_sha": "00"}], "e: unknown keys ['stdout_sha']"),
-    ([ENTRY, dict(ENTRY)], "e: two entries have this name"),
-    ([{**ENTRY, "argv": ["solve", "h.el"]}], "e: argv names h.el, which the entry does not make"),
-], ids=["no-exit", "two-stdout-pins", "unknown-key", "same-name", "unmade-file"])
-def test_a_table_that_cannot_fail_is_refused(entries, message):
-    assert cli_pins.validate([ENTRY]) == [ENTRY]
+@pytest.mark.parametrize("entry", TABLE["entries"], ids=[e["name"] for e in TABLE["entries"]])
+def test_cli_pin(pin_files, entry):
+    assert cli_pins.run_entry(entry, cli_pins.run_in_process, pin_files) == []
+
+
+@pytest.mark.parametrize("table, message", [
+    ({"files": FILES, "entries": [{k: v for k, v in ENTRY.items() if k != "exit"}]},
+     "e: missing ['exit']"),
+    ({"files": FILES, "entries": [{**ENTRY, "stdout": "", "stdout_has": "x"}]},
+     "e: more than one of"),
+    ({"files": FILES, "entries": [{**ENTRY, "stdout_sha": "00"}]},
+     "e: unknown keys ['stdout_sha']"),
+    ({"files": FILES, "entries": [ENTRY, dict(ENTRY)]}, "e: two entries have this name"),
+    ({"files": FILES, "entries": [{**ENTRY, "argv": ["solve", "h.el"]}]},
+     "e: argv names h.el, which the table does not make"),
+    ({"files": {**FILES, "h.el": {"text": "1 0\n"}}, "entries": [ENTRY]},
+     "no entry names the files ['h.el']"),
+], ids=["no-exit", "two-stdout-pins", "unknown-key", "same-name", "unmade-file",
+        "unused-file"])
+def test_a_table_that_cannot_fail_is_refused(table, message):
+    good = {"files": FILES, "entries": [ENTRY]}
+    assert cli_pins.validate(good) == good
     with pytest.raises(ValueError, match=re.escape(message)):
-        cli_pins.validate(entries)
+        cli_pins.validate(table)

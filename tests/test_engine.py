@@ -774,6 +774,26 @@ def test_callers_read_the_expansion_by_position(monkeypatch):
 # Transcript validation and serialization.
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("cops, robber, message", [
+    (1, 3, None),                                       # a step and a stay are legal
+    (2, 3, "round 1: illegal cop move 0->2"),           # a vertex, but no neighbour
+    (4, 3, "round 1: illegal cop move 0->4"),           # past the last vertex, g.n
+    (-1, 3, "round 1: illegal cop move 0->-1"),         # below the first vertex
+    (0, 1, "round 1: illegal robber move 3->1"),
+    (0, 4, "round 1: illegal robber move 3->4"),
+], ids=["legal", "cop-jump", "cop-past-n", "cop-negative", "robber-jump", "robber-past-n"])
+def test_validator_checks_each_step_against_the_edge_list(cops, robber, message):
+    g = gen_path(4)
+    t = Transcript(graph_hash="h", config=cfg(rounds=1), cop_strategy="c",
+                   robber_strategy="r", cop_placement=(0,), robber_placement=3,
+                   rounds=(((cops,), robber),), outcome=Outcome("robber_wins", 1))
+    if message is None:
+        validate_transcript(g, t)
+    else:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_transcript(g, t)
+
+
 def test_validator_rejects_corruption():
     g = gen_path(4)
     t = play(g, ChaserCop([0]), GreedyFarRobber(), cfg(rounds=20))
